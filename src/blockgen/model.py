@@ -10,6 +10,7 @@ column-major.
 from __future__ import annotations
 
 import heapq
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -56,8 +57,6 @@ class BlockSpec:
     id: int
     kind: str
     params: dict = field(default_factory=dict)
-    n_in: int = 0
-    n_out: int = 0
     out_sig: dict = field(default_factory=dict)  # port -> (dtype, rows, cols)
 
 
@@ -97,6 +96,19 @@ class RegionSpec:
         return {self.ifthenelse, self.select, *self.then_blocks, *self.else_blocks}
 
 
+@dataclass(frozen=True)
+class Graph:
+    """The adjacency of a parsed model, built once by `parse_model`."""
+    ins: dict        # block id -> input links, port 1 first
+    outs: dict       # block id -> connected output links, in port order
+    slots: dict      # block id -> per output port: (link or None, template link or None)
+    feeds: dict      # superblock input index -> links it feeds
+    fed_by: dict     # superblock output index -> the link feeding it
+    inputs: dict     # superblock input index -> PortSpec, ascending
+    outputs: dict    # superblock output index -> PortSpec, ascending
+    region_of: dict  # block id -> RegionSpec it belongs to
+
+
 @dataclass
 class Model:
     base_id: int = 1000
@@ -107,19 +119,14 @@ class Model:
     regions: list = field(default_factory=list)
     inferred: bool = False
     folded_blocks: set = field(default_factory=set)
-
-    def region_of(self, block_id):
-        for r in self.regions:
-            if block_id in r.members:
-                return r
-        return None
+    graph: Graph = None
 
 
 @dataclass
 class Schedule:
-    init_order: list
     output_order: list  # block ids and ("region", RegionSpec) entries
-    state_order: list
+    state_order: list   # stateful blocks, ascending; also the init order
+    branches: dict      # ifthenelse id -> (then-branch order, else-branch order)
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +199,8 @@ def _parse_endpoint(text: str, src: bool):
     if "." not in text:
         raise ParseError("bad endpoint {!r}".format(text))
     b, p = text.split(".")
+    if int(p) < 1:
+        raise ParseError("bad endpoint {!r}: block ports count from 1".format(text))
     return ("block", int(b), int(p))
 
 
@@ -210,7 +219,10 @@ def parse_model(text: str) -> Model:
             elif head in ("input", "output"):
                 idx, dt, r, c = rest.split()
                 port = PortSpec(int(idx), mv.DTYPES[dt], int(r), int(c), head == "input")
-                (model.inputs if head == "input" else model.outputs).append(port)
+                ports = model.inputs if head == "input" else model.outputs
+                if any(p.index == port.index for p in ports):
+                    raise ParseError("duplicate {} port {}".format(head, port.index))
+                ports.append(port)
             elif head == "block":
                 parts = _split_fields(rest)
                 bid, kind = int(parts[0]), parts[1]
@@ -253,110 +265,101 @@ def parse_model(text: str) -> Model:
                     int(m.group(4))))
             else:
                 raise ParseError("unknown directive {!r}".format(head))
-        except ParseError:
-            raise
         except Exception as e:
             raise ParseError("line {}: {}".format(lineno, e)) from e
     if not seen_model:
         raise ParseError("missing model header")
-    _validate_structure(model)
+    model.graph = _build_graph(model)
     return model
 
 
-def _validate_structure(model: Model):
+def _attach(table, port, link, what):
+    if port in table:
+        raise ParseError("{} is fed by links {} and {}".format(what, table[port].id, link.id))
+    table[port] = link
+
+
+def _build_graph(model: Model) -> Graph:
+    """Index the links by endpoint and check the structure: endpoints exist,
+    each block input and superblock output has one link, block inputs have
+    no gaps, arities hold, and regions are well formed."""
+    inputs = {p.index: p for p in sorted(model.inputs, key=lambda p: p.index)}
+    outputs = {p.index: p for p in sorted(model.outputs, key=lambda p: p.index)}
+    in_ports = {bid: {} for bid in model.blocks}
+    out_ports = {bid: {} for bid in model.blocks}
+    feeds = {k: [] for k in inputs}
+    fed_by = {}
     for link in model.links.values():
-        if link.src[0] == "block" and link.src[1] not in model.blocks:
-            raise ParseError("link {}: unknown source block {}".format(link.id, link.src[1]))
+        if link.src[0] == "in":
+            if link.src[1] not in inputs:
+                raise ParseError("link {}: unknown input port {}".format(link.id, link.src[1]))
+            feeds[link.src[1]].append(link)
+        else:
+            _, bid, port = link.src
+            if bid not in model.blocks:
+                raise ParseError("link {}: unknown source block {}".format(link.id, bid))
+            out_ports[bid][port] = link
         for d in link.dsts:
-            if d[0] == "block" and d[1] not in model.blocks:
-                raise ParseError("link {}: unknown destination block {}".format(link.id, d[1]))
-            if d[0] == "out" and not any(p.index == d[1] for p in model.outputs):
-                raise ParseError("link {}: unknown output port {}".format(link.id, d[1]))
-        if link.src[0] == "in" and not any(p.index == link.src[1] for p in model.inputs):
-            raise ParseError("link {}: unknown input port {}".format(link.id, link.src[1]))
-    # port counts per block, then arity checks
+            if d[0] == "out":
+                if d[1] not in outputs:
+                    raise ParseError("link {}: unknown output port {}".format(link.id, d[1]))
+                _attach(fed_by, d[1], link, "output port {}".format(d[1]))
+            else:
+                if d[1] not in model.blocks:
+                    raise ParseError("link {}: unknown destination block {}".format(link.id, d[1]))
+                _attach(in_ports[d[1]], d[2], link, "block {} input {}".format(d[1], d[2]))
+    ins, outs, slots = {}, {}, {}
     for b in model.blocks.values():
-        b.n_in = max([d[2] for l in model.links.values() for d in l.dsts
-                      if d[0] == "block" and d[1] == b.id] or [0])
-        b.n_out = max([l.src[2] for l in model.links.values()
-                       if l.src[0] == "block" and l.src[1] == b.id] or [0])
+        by_port = in_ports[b.id]
+        n_in = max(by_port, default=0)
+        gap = next((p for p in range(1, n_in) if p not in by_port), None)
+        if gap is not None:
+            raise ParseError("block {} ({}): input {} is not connected, but link {} feeds input {}"
+                             .format(b.id, b.kind, gap, by_port[n_in].id, n_in))
+        n_out = max(out_ports[b.id], default=0)
         if b.kind == "sciblk":
-            b.n_out = max([b.n_out] + list(b.out_sig))
-            continue
-        n_in, n_out, _ = blockmod.ARITY[b.kind]
-        if n_in is not None and b.n_in != n_in:
-            raise ParseError("block {} ({}): {} inputs connected, needs {}"
-                             .format(b.id, b.kind, b.n_in, n_in))
-        if n_out is not None and b.n_out > n_out:
-            raise ParseError("block {} ({}): too many outputs".format(b.id, b.kind))
-        if n_out is not None:
-            b.n_out = n_out
+            n_out = max([n_out] + list(b.out_sig))
+        else:
+            need_in, max_out, _ = blockmod.ARITY[b.kind]
+            if need_in is not None and n_in != need_in:
+                raise ParseError("block {} ({}): {} inputs connected, needs {}"
+                                 .format(b.id, b.kind, n_in, need_in))
+            if n_out > max_out:
+                raise ParseError("block {} ({}): too many outputs".format(b.id, b.kind))
+            n_out = max_out
+        ins[b.id] = [by_port[p] for p in range(1, n_in + 1)]
+        outs[b.id] = [out_ports[b.id][p] for p in sorted(out_ports[b.id])]
+        # an unconnected output takes the first input's signature (a delay
+        # or gain nobody listens to), else f64 1x1
+        fallback = ins[b.id][0] if ins[b.id] else None
+        slots[b.id] = [(out_ports[b.id].get(p), out_ports[b.id].get(p) or fallback)
+                       for p in range(1, n_out + 1)]
+    region_of = {}
     for r in model.regions:
         if model.blocks[r.ifthenelse].kind != "ifthenelse":
             raise ParseError("region head {} is not an ifthenelse block".format(r.ifthenelse))
         if model.blocks[r.select].kind != "select":
             raise ParseError("region select {} is not a select block".format(r.select))
+        for bid in r.members:
+            region_of[bid] = r
         for bid in r.then_blocks + r.else_blocks:
             if blockmod.ARITY.get(model.blocks[bid].kind, (0, 0, 0))[2]:
                 raise ModelError("block {} inside a conditional branch has state".format(bid))
             # only the select's value leaves a region: branch results are
             # conditional, so nothing outside may consume them directly
-            for l in model.links.values():
-                if l.src == ("block", bid) or (l.src[0] == "block" and l.src[1] == bid):
-                    for d in l.dsts:
-                        if d[0] != "block" or d[1] not in r.members:
-                            raise ModelError(
-                                "link {} leaves the conditional region of block {}"
-                                .format(l.id, r.ifthenelse))
-    heads = {r.ifthenelse for r in model.regions}
+            for l in outs[bid]:
+                for d in l.dsts:
+                    if d[0] != "block" or d[1] not in r.members:
+                        raise ModelError("link {} leaves the conditional region of block {}"
+                                         .format(l.id, r.ifthenelse))
     for b in model.blocks.values():
-        if b.kind == "ifthenelse" and b.id not in heads:
+        if b.kind == "ifthenelse" and b.id not in region_of:
             raise ParseError("ifthenelse block {} has no region line".format(b.id))
+    return Graph(ins, outs, slots, feeds, fed_by, inputs, outputs, region_of)
 
 
 # ---------------------------------------------------------------------------
 # inference
-
-
-def _in_links(model, bid):
-    """Input links of a block ordered by destination port index."""
-    found = {}
-    for l in model.links.values():
-        for d in l.dsts:
-            if d[0] == "block" and d[1] == bid:
-                found[d[2]] = l
-    return [found[k] for k in sorted(found)]
-
-
-def _out_links(model, bid):
-    found = {}
-    for l in model.links.values():
-        if l.src[0] == "block" and l.src[1] == bid:
-            found[l.src[2]] = l
-    return [found[k] for k in sorted(found)]
-
-
-def _out_slot_templates(model, b):
-    """(link-or-None, dtype, rows, cols) per output port, honoring gaps.
-
-    An unconnected output adopts the first input link's signature (the only
-    case that arises is a delay or gain nobody listens to)."""
-    by_port = {l.src[2]: l for l in model.links.values()
-               if l.src[0] == "block" and l.src[1] == b.id}
-    fallback = None
-    for l in _in_links(model, b.id):
-        fallback = (l.dtype, l.rows, l.cols)
-        break
-    out = []
-    for port in range(1, b.n_out + 1):
-        link = by_port.get(port)
-        if link is not None:
-            out.append((link, link.dtype, link.rows, link.cols))
-        elif fallback is not None:
-            out.append((None,) + fallback)
-        else:
-            out.append((None, F64, 1, 1))
-    return out
 
 
 def _unify_dtype(link: LinkSpec, dtype: Dtype):
@@ -385,22 +388,22 @@ def _unify_shape(link: LinkSpec, rows, cols):
 
 def infer(model: Model) -> Model:
     """Fixed-point dtype/shape propagation over the link graph."""
-    for link in model.links.values():
-        if link.src[0] == "in":
-            p = next(p for p in model.inputs if p.index == link.src[1])
+    g = model.graph
+    for k, links in g.feeds.items():
+        p = g.inputs[k]
+        for link in links:
             _unify_dtype(link, p.dtype)
             _unify_shape(link, p.rows, p.cols)
-        for d in link.dsts:
-            if d[0] == "out":
-                p = next(p for p in model.outputs if p.index == d[1])
-                _unify_dtype(link, p.dtype)
-                _unify_shape(link, p.rows, p.cols)
+    for k, link in g.fed_by.items():
+        p = g.outputs[k]
+        _unify_dtype(link, p.dtype)
+        _unify_shape(link, p.rows, p.cols)
     changed = True
     while changed:
         changed = False
         for b in model.blocks.values():
-            ins = _in_links(model, b.id)
-            outs = _out_links(model, b.id)
+            ins = g.ins[b.id]
+            outs = g.outs[b.id]
             if b.kind == "const":
                 v = b.params["value"]
                 for l in outs:
@@ -417,18 +420,18 @@ def infer(model: Model) -> Model:
                 i, o = ins[0], outs[0]
                 changed |= _unify_dtype(o, i.dtype)
                 changed |= _unify_dtype(i, o.dtype)
-                g = b.params["gain"]
-                if g.is_scalar:
+                gain = b.params["gain"]
+                if gain.is_scalar:
                     changed |= _unify_shape(o, *i.shape) if i.rows is not None else False
                     changed |= _unify_shape(i, *o.shape) if o.rows is not None else False
                 else:
-                    if i.rows is not None and i.rows != g.cols:
+                    if i.rows is not None and i.rows != gain.cols:
                         raise Conflict("gain {}: input rows {} vs gain cols {}"
-                                       .format(b.id, i.rows, g.cols))
+                                       .format(b.id, i.rows, gain.cols))
                     if i.cols is not None:
-                        changed |= _unify_shape(o, g.rows, i.cols)
+                        changed |= _unify_shape(o, gain.rows, i.cols)
                     if o.cols is not None:
-                        changed |= _unify_shape(i, g.cols, o.cols)
+                        changed |= _unify_shape(i, gain.cols, o.cols)
             elif b.kind in ("summation", "select"):
                 group = ins + outs
                 dt = next((l.dtype for l in group if l.dtype), None)
@@ -476,6 +479,51 @@ def infer(model: Model) -> Model:
 
 
 # ---------------------------------------------------------------------------
+# the block runner
+
+
+def _reader(linkvals, link, reader):
+    """An input slot that reads its link's value on first use, so a block
+    scheduled before its input is computed (a delay) can run."""
+    def resolve():
+        try:
+            return linkvals[link.id]
+        except KeyError:
+            raise ModelError(
+                "block {} read link {} before it was computed".format(reader, link.id))
+    return resolve
+
+
+def _run_block(ctx, model: Model, bid, flag, linkvals, state_vals, branch=None):
+    """Run one block behavior at `flag`, numeric or symbolic alike: inputs
+    come from `linkvals`, outputs start as zeros of their slot template.
+    Returns the output slot values and the StateList."""
+    b = model.blocks[bid]
+    ins = model.graph.ins[bid]
+    out_slots = [numerics(mv.zeros(F64, 1, 1) if t is None else mv.zeros(t.dtype, t.rows, t.cols))
+                 for _, t in model.graph.slots[bid]]
+    io = IoList([_reader(linkvals, l, b.id) for l in ins] + out_slots, len(ins))
+    st = StateList(state_vals, ctx)
+    blk = BlockRecord(ctx, io, st, dict(b.params))
+    if branch is not None:
+        blk.params["active_branch"] = branch
+    blockmod.behavior(b.kind)(blk, flag)
+    if flag == blockmod.OUTPUT and st.written:
+        raise blockmod.FlagPurityError(
+            "block {} wrote state during the output phase".format(b.id))
+    if flag == blockmod.STATE and io.written:
+        raise blockmod.FlagPurityError(
+            "block {} wrote outputs during the state phase".format(b.id))
+    return io.slots[len(ins):], st
+
+
+def _const_links(model: Model):
+    """Link values known before any block runs: the folded constants."""
+    return {l.id: numerics(l.const_value) for l in model.links.values()
+            if l.const_value is not None}
+
+
+# ---------------------------------------------------------------------------
 # constant propagation
 
 
@@ -485,28 +533,27 @@ _STATELESS_FOLDABLE = ("gain", "summation", "mux", "relational_op")
 def propagate_constants(model: Model) -> Model:
     """Links fed only by const blocks through stateless paths carry values;
     those links and blocks drop out of the generated code."""
-    region_members = set()
-    for r in model.regions:
-        region_members |= r.members
+    g = model.graph
+    scratch = TraceContext()
     changed = True
     while changed:
         changed = False
         for b in model.blocks.values():
             if b.id in model.folded_blocks:
                 continue
-            outs = _out_links(model, b.id)
             if b.kind == "const":
-                for l in outs:
+                for l in g.outs[b.id]:
                     l.const_value = mv.convert(b.params["value"], l.dtype)
                 model.folded_blocks.add(b.id)
                 changed = True
-            elif b.kind in _STATELESS_FOLDABLE and b.id not in region_members:
-                ins = _in_links(model, b.id)
+            elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
+                ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
-                    values, _ = _run_numeric(None, b, [numerics(l.const_value) for l in ins],
-                                             [], model, flag=1)
-                    for l, v in zip(outs, values):
-                        l.const_value = mv.convert(v.value, l.dtype)
+                    known = {l.id: numerics(l.const_value) for l in ins}
+                    values, _ = _run_block(scratch, model, b.id, blockmod.OUTPUT, known, [])
+                    for (l, _), v in zip(g.slots[b.id], values):
+                        if l is not None:
+                            l.const_value = mv.convert(v.value, l.dtype)
                     model.folded_blocks.add(b.id)
                     changed = True
     return model
@@ -516,83 +563,69 @@ def propagate_constants(model: Model) -> Model:
 # scheduling
 
 
-def _schedule_subset(model: Model, block_ids):
-    """Topological order of a set of plain blocks (no regions)."""
-    deps = {b: set() for b in block_ids}
-    for l in model.links.values():
-        if l.const_value is not None or l.src[0] != "block":
-            continue
-        if l.src[1] not in block_ids:
-            continue
-        for d in l.dsts:
-            if d[0] == "block" and d[1] in block_ids and \
-                    model.blocks[d[1]].kind != "unit_delay":
-                deps[d[1]].add(l.src[1])
-    return _topo(deps)
-
-
 def _node_key(n):
     """Ties break on ascending block id; a region sorts at its head's id."""
     return n[1] if isinstance(n, tuple) else n
 
 
 def _topo(deps):
-    ready = [(_node_key(n), n) for n in deps if not deps[n]]
+    """Kahn's algorithm; among the ready nodes the smallest key goes first."""
+    waiting = {n: len(d) for n, d in deps.items()}
+    users = {n: [] for n in deps}
+    for n, d in deps.items():
+        for m in d:
+            users[m].append(n)
+    ready = [(_node_key(n), n) for n, k in waiting.items() if not k]
     heapq.heapify(ready)
-    queued = {n for _, n in ready}
     order = []
-    done = set()
     while ready:
         _, n = heapq.heappop(ready)
         order.append(n)
-        done.add(n)
-        for m in deps:
-            if m not in done and m not in queued and deps[m] <= done:
+        for m in users[n]:
+            waiting[m] -= 1
+            if not waiting[m]:
                 heapq.heappush(ready, (_node_key(m), m))
-                queued.add(m)
     if len(order) != len(deps):
         cyc = sorted(_node_key(n) for n in set(deps) - set(order))
         raise AlgebraicLoop("algebraic loop through blocks {}".format(cyc))
     return order
 
 
+def _order(model: Model, members, node_of=lambda bid: bid):
+    """Topological order of the nodes `node_of` maps `members` to, by the
+    feedthrough edges among them. Edges inside one region node don't count;
+    a block that feeds itself is a loop."""
+    deps = {node_of(b): set() for b in members}
+    for bid in members:
+        if model.blocks[bid].kind == "unit_delay":
+            continue  # delay inputs are consumed in the state phase
+        dst = node_of(bid)
+        for l in model.graph.ins[bid]:
+            if l.const_value is None and l.src[0] == "block" and l.src[1] in members:
+                src = node_of(l.src[1])
+                if src != dst or not isinstance(dst, tuple):
+                    deps[dst].add(src)
+    return _topo(deps)
+
+
 def schedule(model: Model) -> Schedule:
     if not model.inferred:
         raise ModelError("schedule needs an inferred model")
-    region_by_member = {}
-    for r in model.regions:
-        for m in r.members:
-            region_by_member[m] = r
-    live = [b for b in model.blocks if b not in model.folded_blocks]
+    g = model.graph
+    live = set(model.blocks) - model.folded_blocks
 
     def node_of(bid):
-        r = region_by_member.get(bid)
+        r = g.region_of.get(bid)
         return ("region", r.ifthenelse) if r else bid
 
-    deps = {node_of(b): set() for b in live}
-    for l in model.links.values():
-        if l.const_value is not None or l.src[0] != "block" or l.src[1] not in live:
-            continue
-        src_node = node_of(l.src[1])
-        for d in l.dsts:
-            if d[0] != "block" or d[1] not in live:
-                continue
-            if model.blocks[d[1]].kind == "unit_delay":
-                continue  # delay inputs are consumed in the state phase
-            dst_node = node_of(d[1])
-            if dst_node != src_node:
-                deps[dst_node].add(src_node)
-    order = _topo(deps)
-    output_order = []
-    for n in order:
-        if isinstance(n, tuple):
-            output_order.append(("region", region_by_member[n[1]]))
-        else:
-            output_order.append(n)
+    output_order = [("region", g.region_of[n[1]]) if isinstance(n, tuple) else n
+                    for n in _order(model, live, node_of)]
+    branches = {r.ifthenelse: tuple(_order(model, set(blocks) - model.folded_blocks)
+                                    for blocks in (r.then_blocks, r.else_blocks))
+                for r in model.regions}
     stateful = sorted(b for b in live
                       if blockmod.ARITY.get(model.blocks[b].kind, (0, 0, 0))[2])
-    return Schedule(init_order=list(stateful), output_order=output_order,
-                    state_order=list(stateful))
+    return Schedule(output_order, stateful, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -608,50 +641,17 @@ class CodegenResult:
     schedule: Schedule
 
 
-class _Driver:
-    """Shared machinery: holds link values and per-link homes during one
-    output/state pass, numeric (simulation) or symbolic (generation)."""
-
-    def __init__(self, model: Model, sched: Schedule):
-        self.model = model
-        self.sched = sched
-        self.linkvals = {}
-        for l in model.links.values():
-            if l.const_value is not None:
-                self.linkvals[l.id] = numerics(l.const_value)
-
-    def lazy_link(self, link, reader):
-        def resolve():
-            try:
-                return self.linkvals[link.id]
-            except KeyError:
-                raise ModelError(
-                    "block {} read link {} before it was computed".format(reader, link.id))
-        return resolve
-
-
-def _run_numeric(ctx, bspec: BlockSpec, in_vals, state_vals, model, flag):
-    """Run one block behavior on numeric bvars; returns output slot values."""
-    n_in = len(in_vals)
-    out_slots = [numerics(mv.zeros(dt, r, c))
-                 for (_, dt, r, c) in _out_slot_templates(model, bspec)]
-    io = IoList(in_vals + out_slots, n_in)
-    st = StateList(state_vals, ctx=None)
-    blk = BlockRecord(ctx or TraceContext(), io, st, dict(bspec.params))
-    blockmod.behavior(bspec.kind)(blk, flag)
-    return io.slots[n_in:], st
-
-
 def _init_states(model: Model, sched: Schedule):
     """Flag -1 pass: numeric, produces every state's initial value."""
+    g = model.graph
+    zeros = {l.id: numerics(mv.zeros(l.dtype, l.rows, l.cols))
+             for bid in sched.state_order for l in g.ins[bid]}
+    scratch = TraceContext()
     states = {}
-    for bid in sched.init_order:
+    for bid in sched.state_order:
         b = model.blocks[bid]
-        ins = _in_links(model, bid)
-        in_vals = [numerics(mv.zeros(l.dtype, l.rows, l.cols)) for l in ins]
-        n_states = blockmod.ARITY.get(b.kind, (0, 0, 0))[2]
-        st_vals = [numerics(mv.scalar(0.0))] * n_states
-        _, st = _run_numeric(None, b, in_vals, st_vals, model, flag=-1)
+        st_vals = [numerics(mv.scalar(0.0))] * blockmod.ARITY[b.kind][2]
+        _, st = _run_block(scratch, model, bid, blockmod.INIT, zeros, st_vals)
         states[bid] = [e.value for e in st.entries]
     return states
 
@@ -661,6 +661,7 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
     model = infer(model) if not model.inferred else model
     model = propagate_constants(model)
     sched = schedule(model)
+    g = model.graph
     base = model.base_id
     cfg = cfg or EmitConfig(block_id=base)
 
@@ -670,7 +671,7 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
     # states become persistents, in init order
     state_names = {}
     j = 0
-    for bid in sched.init_order:
+    for bid in sched.state_order:
         names = []
         for value in init_values[bid]:
             j += 1
@@ -682,47 +683,34 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
     # superblock ports: inputs first, then outputs
     io = inouts(ctx)
     ports_meta = []
-    for p in sorted(model.inputs, key=lambda p: p.index) + \
-            sorted(model.outputs, key=lambda p: p.index):
+    for p in list(g.inputs.values()) + list(g.outputs.values()):
         name = "inouts{}".format(len(ports_meta) + 1)
         inouts_insert(io, name, mv.zeros(p.dtype, p.rows, p.cols))
         ports_meta.append({"name": name, "dtype": p.dtype, "rows": p.rows,
                            "cols": p.cols, "input": p.input})
     io_names = tuple(e for e in io.entries)
 
-    drv = _Driver(model, sched)
-    for p, meta in zip(sorted(model.inputs, key=lambda p: p.index), ports_meta):
-        for l in model.links.values():
-            if l.src == ("in", p.index):
-                drv.linkvals[l.id] = io.entries[meta["name"]]
-    out_port_names = {}
-    for p, meta in zip(sorted(model.outputs, key=lambda p: p.index),
-                       ports_meta[len(model.inputs):]):
-        out_port_names[p.index] = meta["name"]
+    linkvals = _const_links(model)
+    for k, meta in zip(g.inputs, ports_meta):
+        for l in g.feeds[k]:
+            linkvals[l.id] = io.entries[meta["name"]]
+    out_port_names = {k: meta["name"] for k, meta in zip(g.outputs, ports_meta[len(g.inputs):])}
 
     # links read by the state phase need a durable home; so do links read
     # inside branch functions, which can only touch ports and globals
-    state_read_links = set()
-    for bid in sched.state_order:
-        for l in _in_links(model, bid):
-            state_read_links.add(l.id)
+    state_read_links = {l.id for bid in sched.state_order for l in g.ins[bid]}
     region_read_links = set()
     region_out_links = set()
     for r in model.regions:
-        for l in _out_links(model, r.select):
-            region_out_links.add(l.id)
+        region_out_links.update(l.id for l in g.outs[r.select])
         for bid in r.then_blocks + r.else_blocks + [r.select]:
-            for l in _in_links(model, bid):
+            for l in g.ins[bid]:
                 if l.src[0] == "block" and l.src[1] in r.members:
                     continue  # stays local to the branch function
                 region_read_links.add(l.id)
 
-    n_branch_fns = 2 * len([n for n in sched.output_order if isinstance(n, tuple)])
-    main_id = base * 10 + n_branch_fns + 1
-    fn_counter = [0]
-
-    def link_static_name(link):
-        return "link{}".format(base * 10 + link.id)
+    main_id = base * 10 + 2 * len(sched.branches) + 1
+    branch_ids = itertools.count(base * 10 + 1)
 
     def route_output(link, value: BVar):
         if not value.sym:
@@ -732,74 +720,48 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
                 link.id, value.dtype, link.dtype))
         port_dsts = [d for d in link.dsts if d[0] == "out"]
         for d in port_dsts:
-            pname = out_port_names[d[1]]
-            _copy_into_storage(ctx, pname, value, link)
+            _copy_into_storage(ctx, out_port_names[d[1]], value, link)
         if port_dsts:
-            drv.linkvals[link.id] = io.entries[out_port_names[port_dsts[0][1]]]
+            linkvals[link.id] = io.entries[out_port_names[port_dsts[0][1]]]
             return
         durable = (not value.sym) or value.storage in ("arg", "static")
         needs_durable = link.id in state_read_links or link.id in region_read_links
         if link.id in region_out_links or (needs_durable and not durable):
-            sname = link_static_name(link)
+            sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
-                default = mv.convert(_nom(value), link.dtype)
-                ctx.register_static(sname, default)
+                ctx.register_static(sname, mv.convert(_nom(value), link.dtype))
             _copy_into_storage(ctx, sname, value, link)
-            drv.linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].default,
-                                         sname, storage="static")
+            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].default,
+                                     sname, storage="static")
             return
-        drv.linkvals[link.id] = value
+        linkvals[link.id] = value
 
-    def trace_block(bid, flag, branch=None):
-        b = model.blocks[bid]
-        ins = _in_links(model, bid)
-        out_templates = _out_slot_templates(model, b)
-        in_vals = [drv.lazy_link(l, bid) for l in ins]
-        out_slots = [numerics(mv.zeros(dt, r, c)) for (_, dt, r, c) in out_templates]
-        io_list = IoList(in_vals + out_slots, len(in_vals))
-        st_entries = []
-        for name in state_names.get(bid, []):
-            st_entries.append(BVar(ctx, True, ctx.statics[name].default, name,
-                                   storage="static"))
-        st = StateList(st_entries, ctx=ctx)
-        blk = BlockRecord(ctx, io_list, st, dict(b.params))
-        if branch is not None:
-            blk.params["active_branch"] = branch
-        blockmod.behavior(b.kind)(blk, flag)
-        if flag == 1:
-            if st.written:
-                raise blockmod.FlagPurityError(
-                    "block {} wrote state during the output phase".format(bid))
+    def run(bid, flag, branch=None):
+        st_vals = [BVar(ctx, True, ctx.statics[name].default, name, storage="static")
+                   for name in state_names.get(bid, [])]
+        values, st = _run_block(ctx, model, bid, flag, linkvals, st_vals, branch)
+        if flag == blockmod.OUTPUT:
+            pending = [(link, v) for (link, _), v in zip(g.slots[bid], values)
+                       if link is not None]
             # flush link-homed outputs before port-homed ones
-            pending = [(t[0], value) for t, value in
-                       zip(out_templates, io_list.slots[len(in_vals):])
-                       if t[0] is not None]
-            for link, value in pending:
-                if not any(d[0] == "out" for d in link.dsts):
-                    route_output(link, value)
-            for link, value in pending:
-                if any(d[0] == "out" for d in link.dsts):
-                    route_output(link, value)
-        elif flag == 2:
-            if io_list.written:
-                raise blockmod.FlagPurityError(
-                    "block {} wrote outputs during the state phase".format(bid))
+            for link, value in sorted(pending, key=lambda lv: any(
+                    d[0] == "out" for d in lv[0].dsts)):
+                route_output(link, value)
+        else:
             for k, entry in enumerate(st.entries):
                 if k in st.written:
                     _copy_into_storage(ctx, state_names[bid][k], entry, None)
 
-    def trace_region(region: RegionSpec):
-        cond_link = _in_links(model, region.ifthenelse)[0]
-        cond = drv.linkvals[cond_link.id]
+    def lower_region(region: RegionSpec):
+        """Trace both branches into functions called from one `if`."""
+        cond = linkvals[g.ins[region.ifthenelse][0].id]
         fids = []
-        for branch_blocks, branch_idx in ((region.then_blocks, 1), (region.else_blocks, 2)):
-            fn_counter[0] += 1
-            fid = base * 10 + fn_counter[0]
-            fids.append("updateOutput{}".format(fid))
+        for branch, order in enumerate(sched.branches[region.ifthenelse], 1):
+            fids.append("updateOutput{}".format(next(branch_ids)))
             ctx.push_function(fids[-1], io)
-            for bid in _schedule_subset(model, set(branch_blocks) - model.folded_blocks):
-                trace_block(bid, 1)
-            trace_block(region.select, 1, branch=branch_idx)
+            for bid in order:
+                run(bid, blockmod.OUTPUT)
+            run(region.select, blockmod.OUTPUT, branch)
             ctx.pop_function(fids[-1])
         if_cos(ctx, cond, CallTarget(fids[0], io_names), CallTarget(fids[1], io_names))
 
@@ -808,16 +770,16 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
     ctx.push_function(update_output, io)
     for node in sched.output_order:
         if isinstance(node, tuple):
-            trace_region(node[1])
+            lower_region(node[1])
         else:
-            trace_block(node, 1)
+            run(node, blockmod.OUTPUT)
     ctx.pop_function(update_output)
 
     # ---- state phase
     update_state = "updateState{}".format(main_id)
     ctx.push_function(update_state, io)
     for bid in sched.state_order:
-        trace_block(bid, 2)
+        run(bid, blockmod.STATE)
     ctx.pop_function(update_state)
 
     meta = {"ports": ports_meta, "update_output": update_output,
@@ -847,65 +809,49 @@ def simulate(model: Model, inputs_per_step, steps: int):
     model = propagate_constants(model)
     sched = schedule(model)
     states = _init_states(model, sched)
+    g = model.graph
     scratch = TraceContext()
+    port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
+    linkvals = _const_links(model)
 
-    in_ports = sorted(model.inputs, key=lambda p: p.index)
-    out_ports = sorted(model.outputs, key=lambda p: p.index)
-    port_buffers = {p.index: mv.zeros(p.dtype, p.rows, p.cols) for p in out_ports}
-
-    drv = _Driver(model, sched)
-
-    def run_block(bid, flag, branch=None):
-        b = model.blocks[bid]
-        ins = _in_links(model, bid)
-        out_templates = _out_slot_templates(model, b)
-        in_vals = [drv.lazy_link(l, bid) for l in ins]
-        out_slots = [numerics(mv.zeros(dt, r, c)) for (_, dt, r, c) in out_templates]
-        io_list = IoList(in_vals + out_slots, len(in_vals))
-        st = StateList([numerics(v) for v in states.get(bid, [])], ctx=None)
-        blk = BlockRecord(scratch, io_list, st, dict(b.params))
-        if branch is not None:
-            blk.params["active_branch"] = branch
-        blockmod.behavior(b.kind)(blk, flag)
-        if flag == 2:
+    def run(bid, flag, branch=None):
+        st_vals = [numerics(v) for v in states.get(bid, [])]
+        values, st = _run_block(scratch, model, bid, flag, linkvals, st_vals, branch)
+        if flag == blockmod.STATE:
             states[bid] = [mv.convert(e.value, states[bid][k].dtype)
                            for k, e in enumerate(st.entries)]
             return
-        for (link, _, _, _), value in zip(out_templates, io_list.slots[len(in_vals):]):
+        for (link, _), value in zip(g.slots[bid], values):
             if link is None:
                 continue
             v = mv.convert(value.value, link.dtype)
-            drv.linkvals[link.id] = numerics(v)
+            linkvals[link.id] = numerics(v)
             for d in link.dsts:
                 if d[0] == "out":
-                    p = next(p for p in out_ports if p.index == d[1])
-                    port_buffers[d[1]] = mv.convert(v, p.dtype)
+                    port_buffers[d[1]] = mv.convert(v, g.outputs[d[1]].dtype)
 
     outputs = []
     for step in range(steps):
-        stimuli = inputs_per_step[step]
-        for p, v in zip(in_ports, stimuli):
+        for p, v in zip(g.inputs.values(), inputs_per_step[step]):
             v = mv.convert(v, p.dtype) if isinstance(v, MatValue) else \
                 mv.convert(mv.scalar(v), p.dtype)
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))
-            for l in model.links.values():
-                if l.src == ("in", p.index):
-                    drv.linkvals[l.id] = numerics(v)
+            for l in g.feeds[p.index]:
+                linkvals[l.id] = numerics(v)
         for node in sched.output_order:
             if isinstance(node, tuple):
+                # run only the taken branch
                 region = node[1]
-                cond_link = _in_links(model, region.ifthenelse)[0]
-                cond = drv.linkvals[cond_link.id].value.data[0]
-                branch_blocks, branch_idx = (region.then_blocks, 1) if cond > 0 \
-                    else (region.else_blocks, 2)
-                for bid in _schedule_subset(model, set(branch_blocks) - model.folded_blocks):
-                    run_block(bid, 1)
-                run_block(region.select, 1, branch=branch_idx)
+                cond = linkvals[g.ins[region.ifthenelse][0].id].value.data[0]
+                branch = 1 if cond > 0 else 2
+                for bid in sched.branches[region.ifthenelse][branch - 1]:
+                    run(bid, blockmod.OUTPUT)
+                run(region.select, blockmod.OUTPUT, branch)
             else:
-                run_block(node, 1)
-        outputs.append([port_buffers[p.index] for p in out_ports])
+                run(node, blockmod.OUTPUT)
+        outputs.append([port_buffers[k] for k in g.outputs])
         for bid in sched.state_order:
-            run_block(bid, 2)
+            run(bid, blockmod.STATE)
     return outputs

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import blockgen as bg
+from blockgen import blocks
 from blockgen import matval as mv
+from blockgen.blocks import FlagPurityError
 from blockgen.matval import BOOL, F64, I32
 from blockgen.irinterp import Machine
 from blockgen import model as md
@@ -47,7 +49,7 @@ def test_parse_twodelays_structure():
 
 def test_parse_rejects_duplicate_ids():
     text = load_model_text("twodelays.model") + "\nblock 1 gain gain=f64[1x1](1)\n"
-    with pytest.raises(ParseError, match="duplicate block"):
+    with pytest.raises(ParseError, match=r"line \d+: duplicate block"):
         parse_model(text)
 
 
@@ -57,7 +59,7 @@ def test_parse_rejects_unknown_link_endpoint():
 
 
 def test_parse_rejects_unknown_kind():
-    with pytest.raises(ParseError, match="unknown block kind"):
+    with pytest.raises(ParseError, match=r"line \d+: unknown block kind"):
         parse_model("model 1\nblock 1 warp\n")
 
 
@@ -69,6 +71,61 @@ block 1 relational_op op=ne
 link 1 in:1 -> 1.1
 """
     with pytest.raises(ParseError, match="needs 2"):
+        parse_model(text)
+
+
+def test_parse_errors_name_their_line():
+    with pytest.raises(ParseError, match=r"line 2: bad parameter"):
+        parse_model("model 1\nblock 1 gain gain\n")
+    with pytest.raises(ParseError, match=r"line 2: literal needs 2 entries"):
+        parse_model("model 1\nblock 1 const value=f64[1x2](1)\n")
+    with pytest.raises(ParseError, match=r"line 4: duplicate link id 1"):
+        parse_model("model 1\ninput 1 f64 1 1\nlink 1 in:1 -> 1.1\nlink 1 in:1 -> 1.1\n")
+    with pytest.raises(ParseError, match=r"line 3: duplicate input port 1"):
+        parse_model("model 1\ninput 1 f64 1 1\ninput 1 i32 1 1\n")
+    with pytest.raises(ParseError, match=r"line 4: bad endpoint '1.0'"):
+        parse_model("model 1\ninput 1 f64 1 1\nblock 1 gain gain=2\nlink 1 in:1 -> 1.0\n")
+
+
+def test_parse_rejects_two_links_into_one_input():
+    text = """
+model 1
+input 1 f64 1 1
+input 2 f64 1 1
+output 1 f64 1 1
+block 1 gain gain=f64[1x1](2)
+link 1 in:1 -> 1.1
+link 2 in:2 -> 1.1
+link 3 1.1 -> out:1
+"""
+    with pytest.raises(ParseError, match=r"block 1 input 1 is fed by links 1 and 2"):
+        parse_model(text)
+
+
+def test_parse_rejects_two_links_into_one_output():
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 gain gain=f64[1x1](2)
+link 1 in:1 -> 1.1, out:1
+link 2 1.1 -> out:1
+"""
+    with pytest.raises(ParseError, match=r"output port 1 is fed by links 1 and 2"):
+        parse_model(text)
+
+
+def test_parse_rejects_gap_in_block_inputs():
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 summation signs=f64[1x3](1 1 1)
+link 1 in:1 -> 1.1, 1.3
+link 2 1.1 -> out:1
+"""
+    with pytest.raises(ParseError, match=r"block 1 \(summation\): input 2 is not connected, "
+                                         r"but link 1 feeds input 3"):
         parse_model(text)
 
 
@@ -206,6 +263,17 @@ def test_constant_links_produce_no_statics():
 # scheduling
 
 
+def _feedthrough_edges(model):
+    """(link, source block, destination block) of every edge that orders the
+    output phase: a non-constant link into a block that is not a delay."""
+    for link in model.links.values():
+        if link.const_value is not None or link.src[0] != "block":
+            continue
+        for d in link.dsts:
+            if d[0] == "block" and model.blocks[d[1]].kind != "unit_delay":
+                yield link, link.src[1], d[1]
+
+
 def _check_topological(model, order):
     """Oracle: every feedthrough edge respected, every live block present."""
     position = {}
@@ -215,23 +283,31 @@ def _check_topological(model, order):
                 position[member] = k
         else:
             position[node] = k
-    for link in model.links.values():
-        if link.const_value is not None or link.src[0] != "block":
-            continue
-        for d in link.dsts:
-            if d[0] != "block" or model.blocks[d[1]].kind == "unit_delay":
-                continue
-            if position[link.src[1]] == position.get(d[1]):
-                continue  # same region
-            assert position[link.src[1]] < position[d[1]], \
-                "link {} violates order".format(link.id)
+    for link, src, dst in _feedthrough_edges(model):
+        if position[src] == position.get(dst):
+            continue  # same region
+        assert position[src] < position[dst], "link {} violates order".format(link.id)
+
+
+def _check_branch_orders(model, sched):
+    """Each branch order holds the branch's live blocks and respects the
+    feedthrough edges between them."""
+    for r in model.regions:
+        then_order, else_order = sched.branches[r.ifthenelse]
+        for blocks_, order in ((r.then_blocks, then_order), (r.else_blocks, else_order)):
+            assert sorted(order) == sorted(set(blocks_) - model.folded_blocks)
+            position = {bid: k for k, bid in enumerate(order)}
+            for link, src, dst in _feedthrough_edges(model):
+                if src in position and dst in position:
+                    assert position[src] < position[dst], \
+                        "link {} violates branch order".format(link.id)
 
 
 def test_schedule_twodelays_respects_dependencies():
     m = md.infer(twodelays())
     s = schedule(m)
     _check_topological(m, s.output_order)
-    assert s.init_order == [2, 3] and s.state_order == [2, 3]
+    assert s.state_order == [2, 3]
 
 
 def test_schedule_deterministic():
@@ -244,6 +320,42 @@ def test_schedule_all_fixtures():
     for maker in (twodelays, coding, kalman):
         m = propagate_constants(md.infer(maker()))
         _check_topological(m, schedule(m).output_order)
+
+
+def test_schedule_branch_orders_coding():
+    m = propagate_constants(md.infer(coding()))
+    _check_branch_orders(m, schedule(m))
+
+
+BRANCH_CHAIN_MODEL = """
+model 7000
+input 1 i32 1 1
+output 1 i32 1 1
+block 1 relational_op op=ne
+block 2 unit_delay init=i32[1x1](0)
+block 3 ifthenelse
+block 4 select
+block 5 gain gain=f64[1x1](2)
+block 6 gain gain=f64[1x1](3)
+link 1 in:1 -> 1.1, 2.1, 6.1
+link 2 2.1 -> 1.2, 4.2
+link 3 1.1 -> 3.1
+link 4 6.1 -> 5.1
+link 5 5.1 -> 4.1
+link 6 4.1 -> out:1
+region 3 then=[5, 6] else=[] select=4
+"""
+
+
+def test_schedule_branch_order_follows_edges_not_ids():
+    # gain 6 feeds gain 5 inside the then-branch, against id order
+    m = propagate_constants(md.infer(parse_model(BRANCH_CHAIN_MODEL)))
+    sched = schedule(m)
+    assert sched.branches[3] == ([6, 5], [])
+    _check_branch_orders(m, sched)
+    rng = random.Random(21)
+    inputs = [[mv.make(I32, 1, 1, [rng.randint(0, 3)])] for _ in range(30)]
+    _equivalence(parse_model(BRANCH_CHAIN_MODEL), inputs, 30, exact=True)
 
 
 def test_algebraic_loop_detected():
@@ -259,6 +371,20 @@ link 2 2.1 -> 1.1, out:1
 link 3 1.1 -> 2.2
 """
     with pytest.raises(AlgebraicLoop):
+        schedule(md.infer(parse_model(text)))
+
+
+def test_feedthrough_self_loop_detected():
+    # a summation reading its own output is a loop of one block
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 summation signs=f64[1x2](1 1)
+link 1 in:1 -> 1.1
+link 2 1.1 -> 1.2, out:1
+"""
+    with pytest.raises(AlgebraicLoop, match=r"blocks \[1\]"):
         schedule(md.infer(parse_model(text)))
 
 
@@ -385,6 +511,32 @@ def test_simulate_kalman_matches_numpy_oracle():
 def test_simulate_input_shape_check():
     with pytest.raises(md.ModelError):
         simulate(kalman(), [[mv.scalar(1.0)]], 1)
+
+
+def _writes_state_at_output(original):
+    def behavior(blk, flag):
+        original(blk, flag)
+        if flag == blocks.OUTPUT:
+            blk.state[1] = blk.state[1]
+    return behavior
+
+
+def _writes_output_at_state(original):
+    def behavior(blk, flag):
+        original(blk, flag)
+        if flag == blocks.STATE:
+            blk.io[2] = blk.state[1]
+    return behavior
+
+
+@pytest.mark.parametrize("impure", [_writes_state_at_output, _writes_output_at_state])
+def test_driver_enforces_flag_purity(monkeypatch, impure):
+    monkeypatch.setitem(blocks.BEHAVIORS, "unit_delay",
+                        impure(blocks.BEHAVIORS["unit_delay"]))
+    with pytest.raises(FlagPurityError):
+        bg.generate(twodelays())
+    with pytest.raises(FlagPurityError):
+        simulate(twodelays(), [[mv.scalar(1.0)]] * 2, 2)
 
 
 # ---------------------------------------------------------------------------
