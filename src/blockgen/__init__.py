@@ -21,7 +21,7 @@ from .directives import (
     persistent_create, persistent_extract, persistent_insert, put_annotation,
     select_exp, start_function,
 )
-from .optimizer import OptOptions, code_optimize
+from .optimizer import code_optimize
 from .cemit import EmitConfig, code_printer_c, emit_program
 from .irinterp import Machine
 from .model import (

@@ -10,16 +10,11 @@ from . import matval as mv
 from .cemit import EmitConfig, format_number
 from .irinterp import Machine
 from .model import generate, parse_model, simulate
-from .optimizer import OptOptions
 
 
 def _load(path):
     with open(path) as f:
         return parse_model(f.read())
-
-
-def _opts(args) -> OptOptions:
-    return OptOptions(dce=not args.no_dce, fold=not args.no_fold)
 
 
 def _config(args, model) -> EmitConfig:
@@ -50,7 +45,7 @@ def _random_stimuli(model, steps, seed):
 
 def cmd_generate(args) -> int:
     model = _load(args.model)
-    result = generate(model, _config(args, model), _opts(args))
+    result = generate(model, _config(args, model), not args.no_opt)
     out = args.out or (args.model.rsplit(".", 1)[0] + ".c")
     with open(out, "w", newline="\n") as f:
         f.write(result.text)
@@ -96,7 +91,7 @@ def cmd_validate(args) -> int:
     model = _load(args.model)
     inputs = _random_stimuli(model, args.steps, args.seed)
     simulated = simulate(model, inputs, args.steps)
-    result = generate(model, _config(args, model), _opts(args))
+    result = generate(model, _config(args, model), not args.no_opt)
     machine = Machine(result.program).run_init()
     interpreted = machine.run_steps(inputs, args.steps)
     worst = 0.0
@@ -120,7 +115,7 @@ def cmd_validate(args) -> int:
 
 def cmd_dump_ir(args) -> int:
     model = _load(args.model)
-    result = generate(model, _config(args, model), _opts(args))
+    result = generate(model, _config(args, model), not args.no_opt)
     prog = result.program
     for s in prog.statics:
         print("static {} {} {}x{} = {}".format(
@@ -141,11 +136,12 @@ def main(argv=None) -> int:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps=False):
+    def common(p, steps=False, generates=True):
         p.add_argument("model", help="model file")
         p.add_argument("--emit", choices=("runtime", "freestanding"), default="runtime")
-        p.add_argument("--no-dce", action="store_true", help="keep dead code")
-        p.add_argument("--no-fold", action="store_true", help="keep literal expressions")
+        if generates:
+            p.add_argument("--no-opt", action="store_true",
+                           help="emit the recorded trace without folding, inlining or DCE")
         if steps:
             p.add_argument("--steps", type=int, default=20)
             p.add_argument("--seed", type=int, default=0)
@@ -156,7 +152,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_generate)
 
     p = sub.add_parser("simulate", help="run the model numerically")
-    common(p, steps=True)
+    common(p, steps=True, generates=False)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("validate", help="compare simulation against the generated code")

@@ -241,23 +241,18 @@ def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
 # finalize
 
 
-def finalize_program(ctx: TraceContext, opts: optimizer.OptOptions = None,
+def finalize_program(ctx: TraceContext, optimize: bool = True,
                      init_name: str = "initialize", meta: dict = None) -> Program:
     """Optimize every recorded function, drop unused statics, and build the
     initialize function that resets used persistents to their defaults."""
     if ctx.open_depth:
         raise UnbalancedFunction("a function is still open")
-    opts = opts or optimizer.OptOptions()
     known = set(ctx._names) | set(ctx.statics)
     for fn in ctx.functions:
         params = [p.name for p in fn.params]
         fn.body = optimizer.optimize_body(fn.body, fn.decls, params, ctx.statics,
-                                          ctx.pinned, opts, extra_names=known)
-    referenced = set()
-    for fn in ctx.functions:
-        for instr in fn.body:
-            referenced |= optimizer._instr_reads(instr)
-            referenced |= optimizer._instr_writes(instr)
+                                          ctx.pinned, optimize, extra_names=known)
+    referenced = optimizer.referenced(i for fn in ctx.functions for i in fn.body)
     used = [s for s in ctx.statics.values() if s.name in referenced]
     init_fn = FunctionDef(init_name, [])
     for s in used:
@@ -272,6 +267,6 @@ def finalize_program(ctx: TraceContext, opts: optimizer.OptOptions = None,
                    helpers=list(ctx.helpers_used), meta=meta or {})
 
 
-def codegen_finalize(ctx: TraceContext, opts: optimizer.OptOptions = None) -> str:
+def codegen_finalize(ctx: TraceContext, optimize: bool = True) -> str:
     """Optimizer plus printer: the full core text of the session."""
-    return cemit.render_core(finalize_program(ctx, opts))
+    return cemit.render_core(finalize_program(ctx, optimize))

@@ -20,7 +20,6 @@ from . import blocks as blockmod
 from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
-from . import optimizer
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
 from .trace import (
     BVar, CopyMat, Program, Store, TraceContext, _force_named, _nom,
@@ -275,14 +274,14 @@ def parse_model(text: str) -> Model:
 
 def _attach(table, port, link, what):
     if port in table:
-        raise ParseError("{} is fed by links {} and {}".format(what, table[port].id, link.id))
+        raise ParseError("{} links {} and {}".format(what, table[port].id, link.id))
     table[port] = link
 
 
 def _build_graph(model: Model) -> Graph:
     """Index the links by endpoint and check the structure: endpoints exist,
-    each block input and superblock output has one link, block inputs have
-    no gaps, arities hold, and regions are well formed."""
+    each block input, block output and superblock output has one link, block
+    inputs have no gaps, arities hold, and regions are well formed."""
     inputs = {p.index: p for p in sorted(model.inputs, key=lambda p: p.index)}
     outputs = {p.index: p for p in sorted(model.outputs, key=lambda p: p.index)}
     in_ports = {bid: {} for bid in model.blocks}
@@ -298,16 +297,17 @@ def _build_graph(model: Model) -> Graph:
             _, bid, port = link.src
             if bid not in model.blocks:
                 raise ParseError("link {}: unknown source block {}".format(link.id, bid))
-            out_ports[bid][port] = link
+            _attach(out_ports[bid], port, link, "block {} output {} drives".format(bid, port))
         for d in link.dsts:
             if d[0] == "out":
                 if d[1] not in outputs:
                     raise ParseError("link {}: unknown output port {}".format(link.id, d[1]))
-                _attach(fed_by, d[1], link, "output port {}".format(d[1]))
+                _attach(fed_by, d[1], link, "output port {} is fed by".format(d[1]))
             else:
                 if d[1] not in model.blocks:
                     raise ParseError("link {}: unknown destination block {}".format(link.id, d[1]))
-                _attach(in_ports[d[1]], d[2], link, "block {} input {}".format(d[1], d[2]))
+                _attach(in_ports[d[1]], d[2], link,
+                        "block {} input {} is fed by".format(d[1], d[2]))
     ins, outs, slots = {}, {}, {}
     for b in model.blocks.values():
         by_port = in_ports[b.id]
@@ -336,6 +336,12 @@ def _build_graph(model: Model) -> Graph:
                        for p in range(1, n_out + 1)]
     region_of = {}
     for r in model.regions:
+        for role, bids in (("head", [r.ifthenelse]), ("select", [r.select]),
+                           ("member", r.then_blocks + r.else_blocks)):
+            missing = next((bid for bid in bids if bid not in model.blocks), None)
+            if missing is not None:
+                raise ParseError("region {}: unknown {} block {}"
+                                 .format(r.ifthenelse, role, missing))
         if model.blocks[r.ifthenelse].kind != "ifthenelse":
             raise ParseError("region head {} is not an ifthenelse block".format(r.ifthenelse))
         if model.blocks[r.select].kind != "select":
@@ -656,8 +662,9 @@ def _init_states(model: Model, sched: Schedule):
     return states
 
 
-def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = None) -> CodegenResult:
-    """Trace the model into pseudo-code and emit the C program."""
+def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> CodegenResult:
+    """Trace the model into pseudo-code and emit the C program; with
+    optimize=False the trace is emitted as recorded."""
     model = infer(model) if not model.inferred else model
     model = propagate_constants(model)
     sched = schedule(model)
@@ -784,7 +791,7 @@ def generate(model: Model, cfg: EmitConfig = None, opts: optimizer.OptOptions = 
 
     meta = {"ports": ports_meta, "update_output": update_output,
             "update_state": update_state, "base_id": base}
-    program = finalize_program(ctx, opts, init_name="initialize{}".format(base), meta=meta)
+    program = finalize_program(ctx, optimize, init_name="initialize{}".format(base), meta=meta)
     text = cemit.emit_program(program, cfg)
     return CodegenResult(text, program, ctx, model, sched)
 
@@ -832,6 +839,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
 
     outputs = []
     for step in range(steps):
+        scratch.module.body.clear()  # numeric runs record only annotations
         for p, v in zip(g.inputs.values(), inputs_per_step[step]):
             v = mv.convert(v, p.dtype) if isinstance(v, MatValue) else \
                 mv.convert(mv.scalar(v), p.dtype)

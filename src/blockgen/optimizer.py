@@ -1,17 +1,19 @@
 """Post-trace cleanup of straight-line pseudo-code.
 
-Three passes run by default: literal folding, inlining of single-use scalar
-definitions into their (sole) use site, and dead-code elimination. The
-inlining pass is what collapses the def-per-operation trace into the compact
+One pipeline: literal folding, one forward pass that inlines single-use
+scalar definitions into their (sole) use site, and dead-code elimination.
+The inlining is what collapses the def-per-operation trace into the compact
 expressions of the generated listings; definitions pinned by a dtype
 conversion, referenced from name slots (copies, calls, if conditions) or
-used more than once always survive. Copy propagation of name-to-name
-definitions exists but is off by default: the C compiler does that anyway.
+used more than once always survive. There is no copy propagation: the C
+compiler does that anyway. With optimize=False the trace is only validated
+and its unused declarations pruned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import replace
 
 from . import matval as mv
 from .trace import (
@@ -22,14 +24,6 @@ from .trace import (
 
 class MalformedIR(Exception):
     pass
-
-
-@dataclass
-class OptOptions:
-    dce: bool = True
-    fold: bool = True
-    inline: bool = True
-    copy_propagation: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -53,22 +47,22 @@ def _subst(e, name, replacement):
     return e
 
 
-def _count_ref(e, name) -> int:
-    if isinstance(e, Ref):
-        return 1 if e.name == name else 0
-    if isinstance(e, ElemRef):
-        return 1 if e.name == name else 0
-    if isinstance(e, Bin):
-        return _count_ref(e.a, name) + _count_ref(e.b, name)
-    if isinstance(e, Un):
-        return _count_ref(e.a, name)
-    if isinstance(e, Cast):
-        return _count_ref(e.a, name)
-    if isinstance(e, CallFn):
-        return sum(_count_ref(a, name) for a in e.args)
-    if isinstance(e, Cond):
-        return _count_ref(e.cond, name) + _count_ref(e.a, name) + _count_ref(e.b, name)
-    return 0
+def _ref_names(e):
+    """Every name an expression reads, once per occurrence."""
+    if isinstance(e, (Ref, ElemRef)):
+        yield e.name
+    elif isinstance(e, Bin):
+        yield from _ref_names(e.a)
+        yield from _ref_names(e.b)
+    elif isinstance(e, (Un, Cast)):
+        yield from _ref_names(e.a)
+    elif isinstance(e, CallFn):
+        for a in e.args:
+            yield from _ref_names(a)
+    elif isinstance(e, Cond):
+        yield from _ref_names(e.cond)
+        yield from _ref_names(e.a)
+        yield from _ref_names(e.b)
 
 
 def fold_expr(e):
@@ -120,11 +114,7 @@ def fold_expr(e):
 
 
 def _instr_exprs(i):
-    if isinstance(i, (Def, Store)):
-        return [i.expr]
-    if isinstance(i, SetElem):
-        return [i.expr]
-    return []
+    return [i.expr] if isinstance(i, (Def, Store, SetElem)) else []
 
 
 def _instr_reads(i) -> set:
@@ -143,9 +133,7 @@ def _instr_reads(i) -> set:
 
 
 def _instr_writes(i) -> set:
-    if isinstance(i, (Def, Store)):
-        return {i.name}
-    if isinstance(i, SetElem):
+    if isinstance(i, (Def, Store, SetElem)):
         return {i.name}
     if isinstance(i, CopyMat):
         return {i.dst}
@@ -156,8 +144,18 @@ def _instr_writes(i) -> set:
     return set()
 
 
-def _is_barrier(i) -> bool:
-    return isinstance(i, (Call, IfExpr))
+def _any_between(positions, lo, hi) -> bool:
+    """Whether a sorted position list has an entry strictly inside (lo, hi)."""
+    k = bisect_right(positions, lo)
+    return k < len(positions) and positions[k] < hi
+
+
+def referenced(instrs) -> set:
+    """Every name the instructions read or write."""
+    out = set()
+    for instr in instrs:
+        out |= _instr_reads(instr) | _instr_writes(instr)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -165,74 +163,51 @@ def _is_barrier(i) -> bool:
 
 
 def _pass_fold(body):
-    out = []
-    for i in body:
-        if isinstance(i, Def):
-            out.append(Def(i.name, fold_expr(i.expr)))
-        elif isinstance(i, Store):
-            out.append(Store(i.name, fold_expr(i.expr)))
-        elif isinstance(i, SetElem):
-            out.append(SetElem(i.name, i.index, fold_expr(i.expr)))
-        else:
-            out.append(i)
-    return out
+    return [replace(i, expr=fold_expr(i.expr)) if isinstance(i, (Def, Store, SetElem)) else i
+            for i in body]
 
 
-def _pass_inline(body, locals_, nonlocals, pinned):
-    """Fold each single-use scalar def into its use site, when safe."""
-    changed = True
-    while changed:
-        changed = False
-        for idx, instr in enumerate(body):
-            if not isinstance(instr, Def) or instr.name in pinned:
-                continue
-            name = instr.name
-            uses = []          # (position, slot-kind)
-            blocked = False
-            for pos in range(idx + 1, len(body)):
-                later = body[pos]
-                for e in _instr_exprs(later):
-                    n = _count_ref(e, name)
-                    if n:
-                        uses.extend([(pos, "expr")] * n)
-                if isinstance(later, CopyMat) and later.src == name:
-                    uses.append((pos, "name"))
-                if isinstance(later, Call) and name in later.args:
-                    uses.append((pos, "name"))
-                if isinstance(later, IfExpr) and (
-                        later.cond == name
-                        or name in later.then_call.args
-                        or name in later.else_call.args):
-                    uses.append((pos, "name"))
-            if len(uses) != 1 or uses[0][1] != "expr":
-                continue
-            use_pos = uses[0][0]
-            refs = expr_refs(instr.expr)
-            for mid in range(idx + 1, use_pos):
-                between = body[mid]
-                if _is_barrier(between) and (
-                        refs & nonlocals or refs & _instr_writes(between)):
-                    blocked = True
-                    break
-                if refs & _instr_writes(between):
-                    blocked = True
-                    break
-            if blocked:
-                continue
-            target = body[use_pos]
-            if isinstance(target, Def):
-                body[use_pos] = Def(target.name, _subst(target.expr, name, instr.expr))
-            elif isinstance(target, Store):
-                body[use_pos] = Store(target.name, _subst(target.expr, name, instr.expr))
-            elif isinstance(target, SetElem):
-                body[use_pos] = SetElem(target.name, target.index,
-                                        _subst(target.expr, name, instr.expr))
-            else:
-                continue
-            del body[idx]
-            changed = True
-            break
-    return body
+def _pass_inline(body, nonlocals, pinned):
+    """Fold each single-use scalar def into its use site, when safe.
+
+    One forward pass over use positions counted once. A def is inlined when
+    it is not pinned, its only use is in an expression slot, none of its
+    operands is written between the def and the use, and, if it reads a
+    param or static, no call or if lies between them (the callee may write
+    it). Def names are unique, so a def's operands are defined before it:
+    walking forward, each def sees its operands already inlined, and the
+    positions recorded here stay valid for every def not yet visited."""
+    uses = {}            # name -> positions of its expression-slot reads
+    keep = set(pinned)   # plus every name read from a name slot
+    writes = {}          # name -> ascending positions of its writes
+    barriers = []        # ascending positions of calls and ifs
+    for pos, instr in enumerate(body):
+        for e in _instr_exprs(instr):
+            for name in _ref_names(e):
+                uses.setdefault(name, []).append(pos)
+        if isinstance(instr, (CopyMat, Call, IfExpr)):
+            keep |= _instr_reads(instr)
+        if isinstance(instr, (Call, IfExpr)):
+            barriers.append(pos)
+        for name in _instr_writes(instr):
+            writes.setdefault(name, []).append(pos)
+    out = list(body)
+    for pos, instr in enumerate(out):
+        if not isinstance(instr, Def) or instr.name in keep:
+            continue
+        at = uses.get(instr.name, ())
+        if len(at) != 1 or at[0] <= pos:
+            continue
+        use = at[0]
+        refs = expr_refs(instr.expr)
+        if any(_any_between(writes.get(r, ()), pos, use) for r in refs):
+            continue
+        if refs & nonlocals and _any_between(barriers, pos, use):
+            continue
+        target = out[use]
+        out[use] = replace(target, expr=_subst(target.expr, instr.name, instr.expr))
+        out[pos] = None
+    return [i for i in out if i is not None]
 
 
 def _pass_dce(body, locals_):
@@ -256,51 +231,6 @@ def _pass_dce(body, locals_):
     return out
 
 
-def _pass_copyprop(body, nonlocals, pinned):
-    """Propagate names through pure name-copy defs (off by default)."""
-    changed = True
-    while changed:
-        changed = False
-        for idx, instr in enumerate(body):
-            if not isinstance(instr, Def) or instr.name in pinned:
-                continue
-            if not isinstance(instr.expr, Ref):
-                continue
-            name, src = instr.name, instr.expr.name
-            # region within which src provably still holds the copied value
-            stop = len(body)
-            for pos in range(idx + 1, len(body)):
-                later = body[pos]
-                if (src in _instr_writes(later) or name in _instr_writes(later)
-                        or (_is_barrier(later) and src in nonlocals)):
-                    stop = pos
-                    break
-            uses_outside = 0
-            name_slot = False
-            for pos in range(idx + 1, len(body)):
-                later = body[pos]
-                n = sum(_count_ref(e, name) for e in _instr_exprs(later))
-                if n and pos >= stop:
-                    uses_outside += n
-                if isinstance(later, (CopyMat, Call, IfExpr)) and name in _instr_reads(later):
-                    name_slot = True
-            if uses_outside or name_slot:
-                continue
-            for pos in range(idx + 1, stop):
-                later = body[pos]
-                if isinstance(later, Def):
-                    body[pos] = Def(later.name, _subst(later.expr, name, Ref(src)))
-                elif isinstance(later, Store):
-                    body[pos] = Store(later.name, _subst(later.expr, name, Ref(src)))
-                elif isinstance(later, SetElem):
-                    body[pos] = SetElem(later.name, later.index,
-                                        _subst(later.expr, name, Ref(src)))
-            del body[idx]
-            changed = True
-            break
-    return body
-
-
 def _validate(body, known):
     for instr in body:
         for name in _instr_reads(instr) | _instr_writes(instr):
@@ -308,33 +238,27 @@ def _validate(body, known):
                 raise MalformedIR("dangling reference to {!r}".format(name))
 
 
-def optimize_body(body, decls, params, statics, pinned, opts: OptOptions,
+def optimize_body(body, decls, params, statics, pinned, optimize=True,
                   extra_names=()):
     """Optimize one straight-line instruction list; returns the new body and
     prunes unused local declarations. extra_names are free symbols accepted
-    by validation only."""
+    by validation only. With optimize=False the body is returned as recorded."""
     local_names = set(decls)
     nonlocals = set(params) | set(statics)
     _validate(body, local_names | nonlocals | set(extra_names))
     out = list(body)
-    if opts.fold:
+    if optimize:
         out = _pass_fold(out)
-    if opts.inline:
-        out = _pass_inline(out, local_names, nonlocals, pinned)
-    if opts.copy_propagation:
-        out = _pass_copyprop(out, nonlocals, pinned)
-    if opts.dce:
+        out = _pass_inline(out, nonlocals, pinned)
         out = _pass_dce(out, local_names)
-    referenced = set()
-    for instr in out:
-        referenced |= _instr_reads(instr) | _instr_writes(instr)
+    used = referenced(out)
     for name in list(decls):
-        if name not in referenced:
+        if name not in used:
             del decls[name]
     return out
 
 
-def code_optimize(code, declarations, top_declarations, opts: OptOptions = None,
+def code_optimize(code, declarations, top_declarations, optimize=True,
                   params=(), extra_names=(), pinned=()):
     """Clean one instruction sequence: fold literals, inline single-use
     definitions, remove dead code and unused declarations.
@@ -342,12 +266,9 @@ def code_optimize(code, declarations, top_declarations, opts: OptOptions = None,
     declarations is the local pool (name -> Decl), top_declarations the
     static pool; both are pruned to what the surviving code references.
     """
-    opts = opts or OptOptions()
     decls = dict(declarations)
     body = optimize_body(list(code), decls, params, top_declarations, set(pinned),
-                         opts, extra_names=extra_names)
-    referenced = set()
-    for instr in body:
-        referenced |= _instr_reads(instr) | _instr_writes(instr)
-    top = {k: v for k, v in top_declarations.items() if k in referenced}
+                         optimize, extra_names=extra_names)
+    used = referenced(body)
+    top = {k: v for k, v in top_declarations.items() if k in used}
     return body, decls, top

@@ -20,7 +20,7 @@ from blockgen.matval import BOOL, F64, I32
 from blockgen.cemit import code_printer_c
 from blockgen.directives import codegen_init, finalize_program
 from blockgen.irinterp import Machine
-from blockgen.optimizer import OptOptions, code_optimize
+from blockgen.optimizer import code_optimize
 from blockgen import trace as tr
 from blockgen.trace import bv_inv, numerics, symbolics
 
@@ -323,9 +323,9 @@ def _6c_optimizer_properties():
     for _ in range(200):
         ctx, templates = build_random_trace(rng, n_ops=6)
         raw_len = len(ctx.functions[0].body)
-        raw = finalize_program_copy(ctx, OptOptions(dce=False, fold=False, inline=False))
-        opt = finalize_program_copy(ctx, OptOptions())
-        opt2 = finalize_program_copy(ctx, OptOptions())
+        raw = finalize_program_copy(ctx, optimize=False)
+        opt = finalize_program_copy(ctx)
+        opt2 = finalize_program_copy(ctx)
         assert len(opt.functions[0].body) <= raw_len
         assert [repr(i) for i in opt.functions[0].body] == \
             [repr(i) for i in opt2.functions[0].body], "not idempotent"

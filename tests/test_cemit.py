@@ -1,13 +1,14 @@
 """Emission conventions: declarations, literals, copies, helpers, the
 dispatcher, and the scalar/array and dtype-mapping rules."""
 
+import pathlib
 import re
 
 import pytest
 
 from blockgen import matval as mv
 from blockgen.matval import BOOL, DTYPES, F64, I8, I32, U16
-from blockgen import cemit
+from blockgen import cemit, generate, parse_model
 from blockgen.cemit import (
     EmitConfig, SymTab, code_printer_c, decl_line, emit_helper, emit_program,
     expr_str, format_number, instr_lines,
@@ -17,6 +18,10 @@ from blockgen.trace import (
     Bin, CallFn, Cast, CallTarget, Cond, CopyMat, Decl, ElemRef, IfExpr, Lit,
     Param, Ref, SetElem, Store, Un,
 )
+
+from conftest import load_model_text
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def tab_with(**decls):
@@ -209,3 +214,12 @@ def test_program_without_persistents_has_empty_initialize():
 def test_unknown_helper_rejected():
     with pytest.raises(KeyError):
         emit_helper("gemm")
+
+
+@pytest.mark.parametrize("name", ["twodelays", "coding", "kalman", "chain40"])
+def test_generated_c_matches_golden(name):
+    # tests/golden holds the runtime-emit C of each fixture; any change to
+    # scheduling, tracing, optimizing or printing that alters it shows here
+    model = parse_model(load_model_text(name + ".model"))
+    text = generate(model, EmitConfig(block_id=model.base_id)).text
+    assert text == (GOLDEN / (name + ".c")).read_text()

@@ -40,7 +40,7 @@ def test_generate_bad_model_nonzero_exit(tmp_path, capsys):
     assert code == 1 and "error:" in stderr
 
 
-def test_no_dce_keeps_unused_static(tmp_path, capsys):
+def test_no_opt_keeps_unused_static(tmp_path, capsys):
     # an input feeding only a delay that nothing reads leaves a dead state
     text = """
 model 7
@@ -58,7 +58,7 @@ block 3 unit_delay init=f64[1x1](0)
     kept = tmp_path / "kept.c"
     pruned = tmp_path / "pruned.c"
     assert run(capsys, "generate", str(src), "--out", str(pruned))[0] == 0
-    assert run(capsys, "generate", str(src), "--no-dce", "--out", str(kept))[0] == 0
+    assert run(capsys, "generate", str(src), "--no-opt", "--out", str(kept))[0] == 0
     assert len(kept.read_text()) >= len(pruned.read_text())
 
 
@@ -102,8 +102,8 @@ def test_validate_detects_corruption(tmp_path, capsys, monkeypatch):
     import blockgen.cli as cli
     real_generate = cli.generate
 
-    def sabotage(model, cfg=None, opts=None):
-        result = real_generate(model, cfg, opts)
+    def sabotage(model, cfg=None, optimize=True):
+        result = real_generate(model, cfg, optimize)
         from blockgen import matval
         init = result.program.init_fn
         # corrupt the reset value of the delayed counter; the first output

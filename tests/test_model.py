@@ -115,6 +115,46 @@ link 2 1.1 -> out:1
         parse_model(text)
 
 
+def test_parse_rejects_one_output_driving_two_links():
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+output 2 f64 1 1
+block 1 gain gain=f64[1x1](2)
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+link 3 1.1 -> out:2
+"""
+    with pytest.raises(ParseError, match=r"block 1 output 1 drives links 2 and 3"):
+        parse_model(text)
+
+
+@pytest.mark.parametrize("region, role, missing", [
+    ("region 9 then=[5] else=[] select=4", "head", 9),
+    ("region 3 then=[5] else=[] select=8", "select", 8),
+    ("region 3 then=[5] else=[7] select=4", "member", 7),
+], ids=["head", "select", "member"])
+def test_parse_rejects_region_naming_unknown_block(region, role, missing):
+    text = """
+model 1
+input 1 i32 1 1
+output 1 i32 1 1
+block 1 relational_op op=ne
+block 3 ifthenelse
+block 4 select
+block 5 const value=i32[1x1](0)
+link 1 in:1 -> 1.1, 1.2, 4.2
+link 2 1.1 -> 3.1
+link 3 5.1 -> 4.1
+link 4 4.1 -> out:1
+""" + region + "\n"
+    head = region.split()[1]
+    with pytest.raises(ParseError, match=r"region {}: unknown {} block {}$"
+                       .format(head, role, missing)):
+        parse_model(text)
+
+
 def test_parse_rejects_gap_in_block_inputs():
     text = """
 model 1
@@ -508,6 +548,25 @@ def test_simulate_kalman_matches_numpy_oracle():
         np.testing.assert_allclose(np.array(got[0].data), ref, rtol=1e-8, atol=1e-8)
 
 
+def test_simulate_memory_does_not_grow_with_steps(monkeypatch):
+    # block behaviors annotate in numeric mode too; the scratch context
+    # must not keep those annotations from step to step
+    made = []
+
+    class Counting(md.TraceContext):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(md, "TraceContext", Counting)
+    kept = []
+    for steps in (10, 100):
+        made.clear()
+        simulate(twodelays(), [[0.0]] * steps, steps)
+        kept.append(sum(len(ctx.module.body) for ctx in made))
+    assert kept[0] == kept[1]
+
+
 def test_simulate_input_shape_check():
     with pytest.raises(md.ModelError):
         simulate(kalman(), [[mv.scalar(1.0)]], 1)
@@ -575,14 +634,12 @@ def test_generation_equivalence_kalman():
 
 
 def test_unoptimized_trace_is_equivalent_too():
-    # with every optimizer pass disabled the raw trace must still replay
-    # to the same outputs, pinning the passes as pure cleanups
-    from blockgen.optimizer import OptOptions
+    # with the optimizer off the raw trace must still replay to the same
+    # outputs, pinning the passes as pure cleanups
     rng = random.Random(8)
-    opts = OptOptions(dce=False, fold=False, inline=False)
     inputs = [[mv.make(I32, 1, 1, [rng.randint(0, 1)])] for _ in range(40)]
     simulated = simulate(coding(), inputs, 40)
-    result = bg.generate(coding(), opts=opts)
+    result = bg.generate(coding(), optimize=False)
     machine = Machine(result.program).run_init()
     for srow, irow in zip(simulated, machine.run_steps(inputs, 40)):
         for s, i in zip(srow, irow):
@@ -590,7 +647,7 @@ def test_unoptimized_trace_is_equivalent_too():
     meas = synthetic_trajectory(15, seed=6)
     kinputs = [[mv.from_rows([[r], [b]])] for r, b in meas]
     simulated = simulate(kalman(), kinputs, 15)
-    result = bg.generate(kalman(), opts=opts)
+    result = bg.generate(kalman(), optimize=False)
     machine = Machine(result.program).run_init()
     for srow, irow in zip(simulated, machine.run_steps(kinputs, 15)):
         for s, i in zip(srow, irow):
@@ -855,11 +912,10 @@ block 4 select
 block 5 const value=i32[1x1](0)
 block 6 gain gain=f64[1x1](2)
 link 1 in:1 -> 1.1, 2.1
-link 2 2.1 -> 1.2
+link 2 2.1 -> 1.2, 4.2
 link 3 1.1 -> 3.1
 link 4 5.1 -> 6.1
 link 5 6.1 -> 4.1, out:2
-link 6 2.1 -> 4.2
 link 7 4.1 -> out:1
 region 3 then=[5, 6] else=[] select=4
 """

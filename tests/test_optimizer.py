@@ -10,9 +10,12 @@ from blockgen import matval as mv
 from blockgen.matval import F64, I32
 from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert, start_function, end_function
 from blockgen.irinterp import Machine
-from blockgen.optimizer import MalformedIR, OptOptions, code_optimize
+from blockgen.optimizer import MalformedIR, code_optimize
 from blockgen import trace as tr
-from blockgen.trace import Bin, Def, Lit, Ref, SetElem, Store, numerics, symbolics
+from blockgen.trace import (
+    Annot, Bin, Call, CallTarget, Def, IfExpr, Lit, Ref, SetElem, Store, Un,
+    numerics, symbolics,
+)
 
 from conftest import assert_close, random_matvalue
 
@@ -122,33 +125,53 @@ def test_malformed_ir_rejected():
         code_optimize([Store("ghost", Lit(mv.scalar(1.0)))], {}, {})
 
 
-def test_options_disable_passes():
+def _scalar_statics(*names):
+    return {n: tr.StaticDecl(n, F64, 1, 1, mv.scalar(0.0)) for n in names}
+
+
+@pytest.mark.parametrize("between, inlined", [
+    (Call("helper", ("u",)), False),
+    (IfExpr("c", CallTarget("f1", ("u",)), CallTarget("f2", ("u",))), False),
+    (Store("u", Lit(mv.scalar(9.0))), True),
+], ids=["call", "if", "store"])
+def test_static_read_crosses_no_call_or_if(between, inlined):
+    # the callee may write the static s although the call names only u
+    body = [Def("t", Bin("+", Ref("s"), Lit(mv.scalar(1.0)))),
+            between,
+            Store("out", Ref("t"))]
+    decls = {"t": tr.Decl("t", F64, 1, 1)}
+    out, _, _ = code_optimize(body, decls, _scalar_statics("s", "u", "c", "out"))
+    if inlined:
+        assert out == [between, Store("out", body[0].expr)]
+    else:
+        assert out == body
+
+
+def test_single_use_chain_collapses_into_store():
+    a, b = Ref("a"), Ref("b")
+    body = [Def("t1", Bin("+", a, b)),
+            Def("t2", Bin("*", Ref("t1"), a)),
+            Def("t3", Un("-", Ref("t2"))),
+            Store("out", Bin("-", Ref("t3"), b))]
+    decls = {n: tr.Decl(n, F64, 1, 1) for n in ("t1", "t2", "t3")}
+    out, decls2, _ = code_optimize(body, decls, _scalar_statics("a", "b", "out"))
+    assert out == [Store("out", Bin("-", Un("-", Bin("*", Bin("+", a, b), a)), b))]
+    assert decls2 == {}
+
+
+def test_optimize_false_returns_recorded_body():
     ctx = codegen_init()
     x = symbolics(ctx, mv.scalar(0.0), "x")
+    ctx.register_static("o", mv.scalar(0.0))
     x + numerics(2.0)  # dead
-    body, _, _ = code_optimize(ctx.module.body, ctx.module.decls, {},
-                               OptOptions(dce=False, inline=False),
-                               extra_names=ctx._names)
-    assert len(body) == 1
-
-
-def test_copy_propagation_pass():
-    body = [
-        Def("t", Ref("s")),
-        Store("o1", Bin("+", Ref("t"), Lit(mv.scalar(1.0)))),
-        Store("o2", Ref("t")),
-    ]
-    decls = {"t": tr.Decl("t", F64, 1, 1)}
-    statics = {"s": tr.StaticDecl("s", F64, 1, 1, mv.scalar(0.0)),
-               "o1": tr.StaticDecl("o1", F64, 1, 1, mv.scalar(0.0)),
-               "o2": tr.StaticDecl("o2", F64, 1, 1, mv.scalar(0.0))}
-    out, _, _ = code_optimize(body, dict(decls), dict(statics),
-                              OptOptions(copy_propagation=True))
-    assert not any(isinstance(i, Def) for i in out)
-    assert all(Ref("s") in (getattr(i.expr, "a", None), i.expr) or True for i in out)
-    # default options leave the multi-use copy in place
-    out2, _, _ = code_optimize(body, dict(decls), dict(statics))
-    assert any(isinstance(i, Def) and i.name == "t" for i in out2)
+    t = (x * numerics(3.0)) + numerics(1.0)  # single-use chain
+    ctx.emit(Store("o", Ref(t.name)))
+    ctx.emit(Annot("end"))
+    recorded = list(ctx.module.body)
+    body, decls, top = code_optimize(ctx.module.body, ctx.module.decls, ctx.statics,
+                                     optimize=False, extra_names=ctx._names)
+    assert body == recorded
+    assert set(decls) == set(ctx.module.decls) and list(top) == ["o"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +229,9 @@ def test_semantic_preservation_and_idempotence_random():
     for trial in range(40):
         ctx, templates = build_random_trace(rng)
         raw_len = len(ctx.functions[0].body)
-        raw = finalize_program_copy(ctx, OptOptions(dce=False, fold=False, inline=False))
-        opt = finalize_program_copy(ctx, OptOptions())
-        opt2 = finalize_program_copy(ctx, OptOptions())
+        raw = finalize_program_copy(ctx, optimize=False)
+        opt = finalize_program_copy(ctx)
+        opt2 = finalize_program_copy(ctx)
         assert len(opt.functions[0].body) <= raw_len
         assert [repr(i) for i in opt.functions[0].body] == \
             [repr(i) for i in opt2.functions[0].body]
@@ -216,6 +239,6 @@ def test_semantic_preservation_and_idempotence_random():
         assert run_program(raw, inputs).data == run_program(opt, inputs).data
 
 
-def finalize_program_copy(ctx, opts):
+def finalize_program_copy(ctx, optimize=True):
     import copy
-    return finalize_program(copy.deepcopy(ctx), opts)
+    return finalize_program(copy.deepcopy(ctx), optimize)
