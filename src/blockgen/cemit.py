@@ -9,6 +9,7 @@ two elements a pair of assignments, of three or more a memcpy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .matval import Dtype, MatValue, F64
@@ -27,16 +28,12 @@ COPY_UNROLL_LIMIT = 2  # copies of more elements than this use memcpy
 
 @dataclass
 class EmitConfig:
-    block_id: int = 1000
-    entry_name: str = None
+    block_id: int = 1000  # the entry point is toto<block_id>
     include_runtime_header: bool = True
-    helper_emission: str = "on_demand"  # helpers print only when a trace used them
 
     def __post_init__(self):
         if self.block_id < 0:
             raise ValueError("block_id must be nonnegative")
-        if self.entry_name is None:
-            self.entry_name = "toto{}".format(self.block_id)
 
 
 def ctype(d: Dtype) -> str:
@@ -47,6 +44,10 @@ def format_number(v, dtype: Dtype) -> str:
     if dtype.is_bool:
         return "TRUE" if v else "FALSE"
     if dtype.is_float:
+        if math.isnan(v):
+            return "NAN"
+        if math.isinf(v):
+            return "INFINITY" if v > 0 else "-INFINITY"
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)
@@ -367,13 +368,12 @@ def emit_program(program: Program, cfg: EmitConfig = None) -> str:
 
 
 def _dispatcher(program, cfg, ports):
-    update_output = program.meta.get("update_output")
-    update_state = program.meta.get("update_state")
-    init_name = program.init_fn.name
-    lines = []
+    """The entry point: one call per flag, with the ports as arguments. With
+    the runtime header they come from the block structure, otherwise they
+    are the entry point's own pointer parameters."""
     if cfg.include_runtime_header:
-        args = []
-        n_in = n_out = 0
+        sig = "scicos_block *block,int flag"
+        args, n_in, n_out = [], 0, 0
         for p in ports:
             if p["input"]:
                 n_in += 1
@@ -381,40 +381,17 @@ def _dispatcher(program, cfg, ports):
             else:
                 n_out += 1
                 args.append(_port_accessor(p["dtype"], False, n_out))
-        call_args = ",".join(args)
-        lines.append("void {}(scicos_block *block,int flag)".format(cfg.entry_name))
-        lines.append("{")
-        if update_output:
-            lines.append("if (flag == 1) {")
-            lines.append("  {}({});".format(update_output, call_args))
-            lines.append("}")
-        if update_state:
-            lines.append("else if (flag == 2) {")
-            lines.append("  {}({});".format(update_state, call_args))
-            lines.append("}")
-        lines.append("else if (flag == 4) {")
-        lines.append("  {}();".format(init_name))
-        lines.append("}")
-        lines.append("}")
     else:
-        sig = ["int flag"]
-        names = []
-        for p in ports:
-            sig.append("{} *{}".format(ctype(p["dtype"]), p["name"]))
-            names.append(p["name"])
-        call_args = ",".join(names)
-        lines.append("void {}({})".format(cfg.entry_name, ",".join(sig)))
-        lines.append("{")
-        if update_output:
-            lines.append("if (flag == 1) {")
-            lines.append("  {}({});".format(update_output, call_args))
-            lines.append("}")
-        if update_state:
-            lines.append("else if (flag == 2) {")
-            lines.append("  {}({});".format(update_state, call_args))
-            lines.append("}")
-        lines.append("else if (flag == 4) {")
-        lines.append("  {}();".format(init_name))
-        lines.append("}")
-        lines.append("}")
+        sig = ",".join(["int flag"] + ["{} *{}".format(ctype(p["dtype"]), p["name"])
+                                       for p in ports])
+        args = [p["name"] for p in ports]
+    call_args = ",".join(args)
+    lines = ["void toto{}({})".format(cfg.block_id, sig), "{"]
+    update_output = program.meta.get("update_output")
+    update_state = program.meta.get("update_state")
+    if update_output:
+        lines += ["if (flag == 1) {", "  {}({});".format(update_output, call_args), "}"]
+    if update_state:
+        lines += ["else if (flag == 2) {", "  {}({});".format(update_state, call_args), "}"]
+    lines += ["else if (flag == 4) {", "  {}();".format(program.init_fn.name), "}", "}"]
     return lines

@@ -138,8 +138,8 @@ def main(argv=None) -> int:
 
     def common(p, steps=False, generates=True):
         p.add_argument("model", help="model file")
-        p.add_argument("--emit", choices=("runtime", "freestanding"), default="runtime")
         if generates:
+            p.add_argument("--emit", choices=("runtime", "freestanding"), default="runtime")
             p.add_argument("--no-opt", action="store_true",
                            help="emit the recorded trace without folding, inlining or DCE")
         if steps:

@@ -1,19 +1,21 @@
 """Reference executor for finalized programs.
 
-Runs the same optimized pseudo-code the C emitter prints, with C semantics:
-assignments convert to the destination dtype, integer arithmetic wraps,
-f64 division by zero yields inf. It is the in-process stand-in for
-"compile the generated C and run it" and the oracle the validation command
-compares simulation against.
+Runs the same optimized pseudo-code the C emitter prints. Expressions are
+evaluated by trace.eval_expr, the one definition of what each operator
+means; this module adds storage: frames, argument cells, statics, and the
+conversion to the destination dtype that a C assignment performs. It is the
+in-process stand-in for "compile the generated C and run it" and the oracle
+the validation command compares simulation against.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 from . import matval as mv
 from .matval import MatValue
 from .trace import (
-    Annot, Bin, Call, CallFn, Cast, Cond, CopyMat, Def, ElemRef, IfExpr, Lit,
-    Program, Ref, SetElem, Store, Un,
+    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, eval_expr,
 )
 
 
@@ -23,10 +25,6 @@ class InterpError(Exception):
 
 class UnboundName(InterpError):
     pass
-
-
-_BINOP = {"+": "add", "-": "sub", "*": "mul_elem", "/": "div_elem"}
-_CMPOP = {"==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 
 
 class Cell:
@@ -43,9 +41,9 @@ class Machine:
         self.program = program
         self.statics = {s.name: s.default for s in program.statics}
 
-    # -- expressions --------------------------------------------------------
+    # -- storage ------------------------------------------------------------
 
-    def _lookup(self, name, frame, args):
+    def _lookup(self, frame, args, name):
         if name in frame:
             return frame[name]
         if name in args:
@@ -53,34 +51,6 @@ class Machine:
         if name in self.statics:
             return self.statics[name]
         raise UnboundName(name)
-
-    def _eval(self, e, frame, args) -> MatValue:
-        if isinstance(e, Lit):
-            return e.value
-        if isinstance(e, Ref):
-            return self._lookup(e.name, frame, args)
-        if isinstance(e, ElemRef):
-            m = self._lookup(e.name, frame, args)
-            return MatValue(m.dtype, 1, 1, (m.get_linear(e.index - 1),))
-        if isinstance(e, Bin):
-            a = self._eval(e.a, frame, args)
-            b = self._eval(e.b, frame, args)
-            if e.op in _CMPOP:
-                return mv.compare(_CMPOP[e.op], a, b)
-            return mv.elem_binop(_BINOP[e.op], a, b)
-        if isinstance(e, Un):
-            return mv.neg(self._eval(e.a, frame, args))
-        if isinstance(e, Cast):
-            return mv.convert(self._eval(e.a, frame, args), e.dtype)
-        if isinstance(e, CallFn):
-            vals = [self._eval(a, frame, args) for a in e.args]
-            return mv.elem_math(e.fn, *vals)
-        if isinstance(e, Cond):
-            c = self._eval(e.cond, frame, args)
-            return self._eval(e.a if c.data[0] else e.b, frame, args)
-        raise InterpError("unknown expression {!r}".format(e))
-
-    # -- storage ------------------------------------------------------------
 
     def _write(self, name, value: MatValue, frame, args, index=None):
         """Scalar or element store; converts to the destination dtype the
@@ -100,7 +70,7 @@ class Machine:
         pool[name] = cur.set_linear(k, converted)
 
     def _read_whole(self, name, frame, args) -> MatValue:
-        return self._lookup(name, frame, args)
+        return self._lookup(frame, args, name)
 
     def _write_whole(self, name, value: MatValue, frame, args):
         if name in args:
@@ -134,14 +104,15 @@ class Machine:
         frame = {}
         for d in fn.decls.values():
             frame[d.name] = d.init if d.init is not None else mv.zeros(d.dtype, d.rows, d.cols)
+        lookup = partial(self._lookup, frame, args)
         for instr in fn.body:
-            self._exec(instr, frame, args)
+            self._exec(instr, frame, args, lookup)
 
-    def _exec(self, instr, frame, args):
+    def _exec(self, instr, frame, args, lookup):
         if isinstance(instr, Annot):
             return
         if isinstance(instr, (Def, Store)):
-            v = self._eval(instr.expr, frame, args)
+            v = eval_expr(instr.expr, lookup)
             if isinstance(instr, Def):
                 frame[instr.name] = mv.convert(v, frame[instr.name].dtype) \
                     if instr.name in frame else v
@@ -149,7 +120,7 @@ class Machine:
                 self._write(instr.name, v, frame, args)
             return
         if isinstance(instr, SetElem):
-            v = self._eval(instr.expr, frame, args)
+            v = eval_expr(instr.expr, lookup)
             self._write(instr.name, v, frame, args, index=instr.index)
             return
         if isinstance(instr, CopyMat):
@@ -164,7 +135,7 @@ class Machine:
             self._run_call(instr.fn, instr.args, frame, args)
             return
         if isinstance(instr, IfExpr):
-            c = self._lookup(instr.cond, frame, args)
+            c = self._lookup(frame, args, instr.cond)
             target = instr.then_call if c.data[0] else instr.else_call
             self._run_call(target.fn, target.args, frame, args)
             return
@@ -188,7 +159,7 @@ class Machine:
             return
         if fn == "matinv":
             res, a, dn = argnames
-            n = int(self._lookup(dn, frame, args).data[0])
+            n = int(self._lookup(frame, args, dn).data[0])
             av = self._reshaped(a, None, None, frame, args, shape=(n, n))
             out = mv.invert(av)
             dst = self._read_whole(res, frame, args)
@@ -200,14 +171,14 @@ class Machine:
             if name in args:
                 cells.append(args[name])
             else:
-                cells.append(Cell(self._lookup(name, frame, args)))
+                cells.append(Cell(self._lookup(frame, args, name)))
         self._call(fn, cells)
 
     def _reshaped(self, name, m, n, frame, args, shape=None):
-        v = self._lookup(name, frame, args)
+        v = self._lookup(frame, args, name)
         if shape is None:
-            rows = int(self._lookup(m, frame, args).data[0])
-            cols = int(self._lookup(n, frame, args).data[0])
+            rows = int(self._lookup(frame, args, m).data[0])
+            cols = int(self._lookup(frame, args, n).data[0])
         else:
             rows, cols = shape
         if rows * cols != v.size:

@@ -2,6 +2,8 @@
 
 One pipeline: literal folding, one forward pass that inlines single-use
 scalar definitions into their (sole) use site, and dead-code elimination.
+Folding evaluates through trace.eval_expr, so a folded literal is the value
+the interpreter would compute.
 The inlining is what collapses the def-per-operation trace into the compact
 expressions of the generated listings; definitions pinned by a dtype
 conversion, referenced from name slots (copies, calls, if conditions) or
@@ -17,8 +19,8 @@ from dataclasses import replace
 
 from . import matval as mv
 from .trace import (
-    Bin, Call, CallFn, Cast, Cond, CopyMat, Def, ElemRef, IfExpr, Lit, Ref,
-    SetElem, Store, Un, expr_refs,
+    Call, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem, Store, children,
+    eval_expr, expr_refs, map_children,
 )
 
 
@@ -33,79 +35,29 @@ class MalformedIR(Exception):
 def _subst(e, name, replacement):
     if isinstance(e, Ref) and e.name == name:
         return replacement
-    if isinstance(e, Bin):
-        return Bin(e.op, _subst(e.a, name, replacement), _subst(e.b, name, replacement), e.overflow)
-    if isinstance(e, Un):
-        return Un(e.op, _subst(e.a, name, replacement))
-    if isinstance(e, Cast):
-        return Cast(e.dtype, _subst(e.a, name, replacement))
-    if isinstance(e, CallFn):
-        return CallFn(e.fn, tuple(_subst(a, name, replacement) for a in e.args))
-    if isinstance(e, Cond):
-        return Cond(_subst(e.cond, name, replacement),
-                    _subst(e.a, name, replacement), _subst(e.b, name, replacement))
-    return e
+    return map_children(e, lambda c: _subst(c, name, replacement))
 
 
 def _ref_names(e):
     """Every name an expression reads, once per occurrence."""
     if isinstance(e, (Ref, ElemRef)):
         yield e.name
-    elif isinstance(e, Bin):
-        yield from _ref_names(e.a)
-        yield from _ref_names(e.b)
-    elif isinstance(e, (Un, Cast)):
-        yield from _ref_names(e.a)
-    elif isinstance(e, CallFn):
-        for a in e.args:
-            yield from _ref_names(a)
-    elif isinstance(e, Cond):
-        yield from _ref_names(e.cond)
-        yield from _ref_names(e.a)
-        yield from _ref_names(e.b)
+    for c in children(e):
+        yield from _ref_names(c)
 
 
 def fold_expr(e):
-    if isinstance(e, Bin):
-        a, b = fold_expr(e.a), fold_expr(e.b)
-        if isinstance(a, Lit) and isinstance(b, Lit):
-            try:
-                if e.op in ("==", "!=", "<", "<=", ">", ">="):
-                    opname = {"==": "eq", "!=": "ne", "<": "lt",
-                              "<=": "le", ">": "gt", ">=": "ge"}[e.op]
-                    return Lit(mv.compare(opname, a.value, b.value))
-                opname = {"+": "add", "-": "sub", "*": "mul_elem", "/": "div_elem"}[e.op]
-                return Lit(mv.elem_binop(opname, a.value, b.value))
-            except mv.MatError:
-                pass
-        return Bin(e.op, a, b, e.overflow)
-    if isinstance(e, Un):
-        a = fold_expr(e.a)
-        if isinstance(a, Lit):
-            try:
-                return Lit(mv.neg(a.value))
-            except mv.MatError:
-                pass
-        return Un(e.op, a)
-    if isinstance(e, Cast):
-        a = fold_expr(e.a)
-        if isinstance(a, Lit):
-            return Lit(mv.convert(a.value, e.dtype))
-        return Cast(e.dtype, a)
-    if isinstance(e, CallFn):
-        args = tuple(fold_expr(a) for a in e.args)
-        if all(isinstance(a, Lit) for a in args):
-            try:
-                return Lit(mv.elem_math(e.fn, *[a.value for a in args]))
-            except (mv.MatError, ValueError, OverflowError):
-                pass
-        return CallFn(e.fn, args)
-    if isinstance(e, Cond):
-        c = fold_expr(e.cond)
-        a, b = fold_expr(e.a), fold_expr(e.b)
-        if isinstance(c, Lit):
-            return a if c.value.data[0] else b
-        return Cond(c, a, b)
+    """e with every subtree whose operands are all literals evaluated to a
+    literal, unless evaluating it fails (the failure then happens at run
+    time, where it belongs)."""
+    if isinstance(e, (Lit, Ref, ElemRef)):
+        return e
+    e = map_children(e, fold_expr)
+    if all(isinstance(c, Lit) for c in children(e)):
+        try:
+            return Lit(eval_expr(e, None))
+        except (mv.MatError, ValueError, OverflowError):
+            pass
     return e
 
 

@@ -75,10 +75,9 @@ class ElemRef(Expr):
 
 @dataclass(frozen=True)
 class Bin(Expr):
-    op: str  # + - * / == != < <= > >=
+    op: str  # a key of OPS
     a: Expr
     b: Expr
-    overflow: str = "wrap"
 
 
 @dataclass(frozen=True)
@@ -106,24 +105,88 @@ class Cond(Expr):
     b: Expr
 
 
+# What each operator means, for folding and for the interpreter alike: the
+# C spelling of every Bin operator and the matval operation that computes it.
+OPS = {
+    "+": (mv.elem_binop, "add"), "-": (mv.elem_binop, "sub"),
+    "*": (mv.elem_binop, "mul_elem"), "/": (mv.elem_binop, "div_elem"),
+    "==": (mv.compare, "eq"), "!=": (mv.compare, "ne"),
+    "<": (mv.compare, "lt"), "<=": (mv.compare, "le"),
+    ">": (mv.compare, "gt"), ">=": (mv.compare, "ge"),
+}
+_SPELLING = {name: op for op, (_, name) in OPS.items()}  # for the tracer
+
+
+def eval_expr(e: Expr, leaf) -> MatValue:
+    """The value of an expression; leaf(name) gives the value a name holds.
+    Only the taken arm of a Cond is evaluated."""
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Ref):
+        return leaf(e.name)
+    if isinstance(e, ElemRef):
+        m = leaf(e.name)
+        return MatValue(m.dtype, 1, 1, (m.get_linear(e.index - 1),))
+    if isinstance(e, Bin):
+        fn, name = OPS[e.op]
+        return fn(name, eval_expr(e.a, leaf), eval_expr(e.b, leaf))
+    if isinstance(e, Un):
+        return mv.neg(eval_expr(e.a, leaf))
+    if isinstance(e, Cast):
+        return mv.convert(eval_expr(e.a, leaf), e.dtype)
+    if isinstance(e, CallFn):
+        return mv.elem_math(e.fn, *[eval_expr(a, leaf) for a in e.args])
+    if isinstance(e, Cond):
+        return eval_expr(e.a if eval_expr(e.cond, leaf).data[0] else e.b, leaf)
+    raise TypeError("unknown expression {!r}".format(e))
+
+
+def children(e: Expr) -> tuple:
+    """The direct sub-expressions of e, in evaluation order."""
+    if isinstance(e, (Lit, Ref, ElemRef)):
+        return ()
+    if isinstance(e, Bin):
+        return (e.a, e.b)
+    if isinstance(e, (Un, Cast)):
+        return (e.a,)
+    if isinstance(e, CallFn):
+        return e.args
+    if isinstance(e, Cond):
+        return (e.cond, e.a, e.b)
+    raise TypeError("unknown expression {!r}".format(e))
+
+
+def map_children(e: Expr, f) -> Expr:
+    """e rebuilt from f applied to each of its children; e itself when f
+    returns every child unchanged."""
+    if isinstance(e, (Lit, Ref, ElemRef)):
+        return e
+    if isinstance(e, Bin):
+        a, b = f(e.a), f(e.b)
+        return e if a is e.a and b is e.b else Bin(e.op, a, b)
+    if isinstance(e, Un):
+        a = f(e.a)
+        return e if a is e.a else Un(e.op, a)
+    if isinstance(e, Cast):
+        a = f(e.a)
+        return e if a is e.a else Cast(e.dtype, a)
+    if isinstance(e, CallFn):
+        args = tuple(f(a) for a in e.args)
+        return e if all(x is y for x, y in zip(args, e.args)) else CallFn(e.fn, args)
+    if isinstance(e, Cond):
+        c, a, b = f(e.cond), f(e.a), f(e.b)
+        return e if c is e.cond and a is e.a and b is e.b else Cond(c, a, b)
+    raise TypeError("unknown expression {!r}".format(e))
+
+
 def expr_refs(e: Expr) -> set:
     """All names an expression reads."""
     if isinstance(e, (Ref, ElemRef)):
         return {e.name}
-    if isinstance(e, Bin):
-        return expr_refs(e.a) | expr_refs(e.b)
-    if isinstance(e, Un):
-        return expr_refs(e.a)
-    if isinstance(e, Cast):
-        return expr_refs(e.a)
-    if isinstance(e, CallFn):
-        out = set()
-        for a in e.args:
-            out |= expr_refs(a)
-        return out
-    if isinstance(e, Cond):
-        return expr_refs(e.cond) | expr_refs(e.a) | expr_refs(e.b)
-    return set()
+    out = set()
+    for c in children(e):
+        out |= expr_refs(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -550,15 +613,12 @@ def _lit_is(e: Expr, v) -> bool:
     return isinstance(e, Lit) and not e.value.dtype.is_bool and e.value.data[0] == v
 
 
-def _simplified_bin(op: str, ea: Expr, eb: Expr, dtype: Dtype):
-    """Partial-evaluation identities applied per element.
+def _simplified_bin(op: str, ea: Expr, eb: Expr):
+    """Partial-evaluation identities applied per element; at least one
+    operand is symbolic.
 
     Returns an Expr, or None when the result is statically zero.
     """
-    if isinstance(ea, Lit) and isinstance(eb, Lit):
-        folded = mv.elem_binop({"+": "add", "-": "sub", "*": "mul_elem", "/": "div_elem"}[op],
-                               ea.value, eb.value)
-        return Lit(folded)
     if op == "+":
         if _lit_is(ea, 0):
             return eb
@@ -577,10 +637,6 @@ def _simplified_bin(op: str, ea: Expr, eb: Expr, dtype: Dtype):
         if _lit_is(ea, 0) or _lit_is(eb, 0):
             return None
     return Bin(op, ea, eb)
-
-
-_OPSYM = {"add": "+", "sub": "-", "mul_elem": "*", "div_elem": "/"}
-_CMPSYM = {"eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
 
 def _soft_nominal(fn, fallback: MatValue, *args):
@@ -615,7 +671,7 @@ def bv_binop(op: str, a, b) -> BVar:
     rows, cols = mv.broadcast_pair(a.value, b.value)
     nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, _nom(a), _nom(b))
     ctx = _ctx_of(a, b)
-    sym = _OPSYM[op]
+    sym = _SPELLING[op]
     # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
     num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
     if num is not None and (num.is_scalar or num.shape == other.shape):
@@ -641,7 +697,7 @@ def bv_binop(op: str, a, b) -> BVar:
             k = i + rows * j
             ea = _elem_expr(a, 0 if a.is_scalar else k)
             eb = _elem_expr(b, 0 if b.is_scalar else k)
-            e = _simplified_bin(sym, ea, eb, nominal.dtype)
+            e = _simplified_bin(sym, ea, eb)
             if e is None:
                 e = Lit(mv.zeros(nominal.dtype, 1, 1))
             ctx.emit(SetElem(res.name, k + 1, e))
@@ -686,13 +742,13 @@ def bv_matmul(a, b) -> BVar:
             for k in range(inner):
                 ea = _elem_expr(a, i + a.rows * k)
                 eb = _elem_expr(b, k + b.rows * j)
-                term = _simplified_bin("*", ea, eb, nominal.dtype)
+                term = _simplified_bin("*", ea, eb)
                 if term is None:
                     continue
                 if acc is None:
                     acc = term
                 else:
-                    nxt = _simplified_bin("+", acc, term, nominal.dtype)
+                    nxt = _simplified_bin("+", acc, term)
                     acc = Lit(mv.zeros(nominal.dtype, 1, 1)) if nxt is None else nxt
             if acc is None:
                 acc = Lit(mv.zeros(nominal.dtype, 1, 1))
@@ -894,7 +950,7 @@ def bv_compare(op: str, a, b) -> BVar:
     if not (a.sym or b.sym):
         return BVar(None, False, nominal)
     ctx = _ctx_of(a, b)
-    sym = _CMPSYM[op]
+    sym = _SPELLING[op]
     if nominal.is_scalar:
         return _def_scalar(ctx, Bin(sym, _operand_expr(a), _operand_expr(b)), nominal)
     res = _new_array(ctx, nominal)

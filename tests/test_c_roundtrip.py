@@ -152,6 +152,12 @@ def test_compiled_vector_ports(tmp_path):
     _roundtrip(tmp_path, model, inputs)
 
 
+def test_compiled_nonfinite_literals(tmp_path):
+    from test_cemit import NONFINITE_MODEL
+    model = bg.parse_model(NONFINITE_MODEL)
+    _roundtrip(tmp_path, model, _inputs_for(model, STEPS, 11))
+
+
 def test_random_models_compile(tmp_path):
     # every random model the fuzzer accepts must emit syntactically valid C
     from test_model import _random_model

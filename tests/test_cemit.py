@@ -50,6 +50,33 @@ def test_number_formats():
     assert float(format_number(1 / 3, F64)) == 1 / 3
 
 
+# an infinite gain and a delay starting at minus infinity; simulate has
+# always run it, and the emitter must print the literals math.h spells
+NONFINITE_MODEL = """model 5
+input 1 f64 1 1
+output 1 f64 1 1
+output 2 f64 1 1
+block 1 gain gain=f64[1x1](inf)
+block 2 unit_delay init=f64[1x1](-inf)
+link 1 in:1 -> 1.1, 2.1
+link 2 1.1 -> out:1
+link 3 2.1 -> out:2
+"""
+
+
+def test_nonfinite_number_formats():
+    assert format_number(float("inf"), F64) == "INFINITY"
+    assert format_number(float("-inf"), F64) == "-INFINITY"
+    assert format_number(float("nan"), F64) == "NAN"
+
+
+def test_generate_nonfinite_literals():
+    model = parse_model(NONFINITE_MODEL)
+    text = generate(model, EmitConfig(block_id=model.base_id)).text
+    assert "*inouts2=(INFINITY**inouts1);" in text
+    assert "=-INFINITY;" in text
+
+
 def test_decl_lines():
     assert decl_line(Decl("x", F64, 1, 1)) == "double x;"
     assert decl_line(Decl("x", F64, 1, 1, init=mv.scalar(5.0))) == "double x=5;"

@@ -71,6 +71,14 @@ def test_simulate_prints_table(capsys):
     assert len(lines) == 5
 
 
+def test_simulate_rejects_emit(capsys):
+    # simulate generates no C, so it offers no emission choice
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(FIXTURES / "twodelays.model"), "--emit", "freestanding"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --emit" in capsys.readouterr().err
+
+
 def test_simulate_zero_steps_header_only(capsys):
     code, stdout, _ = run(capsys, "simulate", str(FIXTURES / "twodelays.model"),
                           "--steps", "0")
