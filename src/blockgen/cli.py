@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 
@@ -73,18 +74,26 @@ def cmd_simulate(args) -> int:
 
 
 def _deviation(a: mv.MatValue, b: mv.MatValue):
-    worst = 0.0
-    exact = True
-    for x, y in zip(a.data, b.data):
+    """(worst deviation, its element index) between two values of one port;
+    (0.0, None) when they agree. An f64 deviation is relative; a NaN on
+    exactly one side, or an infinity against any other value, deviates
+    infinitely, and NaN on both sides agrees. Any other dtype deviates by
+    1.0 per unequal element."""
+    worst, at = 0.0, None
+    for k, (x, y) in enumerate(zip(a.data, b.data)):
+        if x == y:
+            continue
         if a.dtype.is_float:
-            if x != y:
-                exact = False
-                denom = max(abs(x), abs(y), 1.0)
-                worst = max(worst, abs(x - y) / denom)
-        elif x != y:
-            exact = False
-            worst = max(worst, 1.0)
-    return exact, worst
+            if math.isnan(x) and math.isnan(y):
+                continue
+            dev = abs(x - y) / max(abs(x), abs(y), 1.0)
+            if math.isnan(dev):
+                dev = math.inf
+        else:
+            dev = 1.0
+        if at is None or dev > worst:
+            worst, at = dev, k
+    return worst, at
 
 
 def cmd_validate(args) -> int:
@@ -94,20 +103,20 @@ def cmd_validate(args) -> int:
     result = generate(model, _config(args, model), not args.no_opt)
     machine = Machine(result.program).run_init()
     interpreted = machine.run_steps(inputs, args.steps)
-    worst = 0.0
-    bad = None
+    ports = sorted(model.outputs, key=lambda p: p.index)
+    worst, bad = 0.0, None
     for step, (srow, irow) in enumerate(zip(simulated, interpreted)):
-        for port, (s, i) in enumerate(zip(srow, irow)):
-            exact, dev = _deviation(s, i)
-            if s.dtype.is_float:
-                if dev > worst:
-                    worst, bad = dev, (step, port)
-            elif not exact:
-                worst, bad = 1.0, (step, port)
+        for port, s, i in zip(ports, srow, irow):
+            dev, k = _deviation(s, i)
+            if k is not None and (bad is None or dev > worst):
+                worst, bad = dev, (step, port.index, k, s, i)
     tol = 0.0 if all(not p.dtype.is_float for p in model.outputs) else 1e-12
     print("max deviation {} over {} steps".format(worst, args.steps))
     if worst > tol:
-        print("MISMATCH at step {} output {}".format(*bad), file=sys.stderr)
+        step, port, k, s, i = bad
+        print("MISMATCH at step {} output {} element {}: simulation {}, generated code {}".format(
+            step, port, k, format_number(s.data[k], s.dtype), format_number(i.data[k], i.dtype)),
+            file=sys.stderr)
         return 1
     print("simulation and generated code agree")
     return 0

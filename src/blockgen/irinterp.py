@@ -1,21 +1,24 @@
 """Reference executor for finalized programs.
 
-Runs the same optimized pseudo-code the C emitter prints. Expressions are
-evaluated by trace.eval_expr, the one definition of what each operator
-means; this module adds storage: frames, argument cells, statics, and the
-conversion to the destination dtype that a C assignment performs. It is the
-in-process stand-in for "compile the generated C and run it" and the oracle
-the validation command compares simulation against.
+Runs the same optimized pseudo-code the C emitter prints. Each function is
+lowered once, on its first call, into one closure per instruction over a
+frame: a list holding one flat, mutable element list per storage name (the
+caller's buffers for the params, every static's buffer, fresh copies of the
+locals). Expressions are lowered by trace.lower_expr, whose kernels come
+from matval's one table of operator semantics; a store converts to the
+destination dtype the way a C assignment does, and the matrix helpers run
+matval's flat-list loops. Every check that depends only on the program
+(names, dtypes, sizes, arity, element indexes) runs at lowering time. It is
+the in-process stand-in for "compile the generated C and run it" and the
+oracle the validation command compares simulation against.
 """
 
 from __future__ import annotations
 
-from functools import partial
-
 from . import matval as mv
 from .matval import MatValue
 from .trace import (
-    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, eval_expr,
+    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, lower_expr,
 )
 
 
@@ -27,62 +30,204 @@ class UnboundName(InterpError):
     pass
 
 
-class Cell:
-    """Mutable holder so callees can write through to caller buffers."""
+def _check(what, want, got):
+    """Raise unless got (a value or declaration) has want's dtype and shape;
+    the lowered code assumes them."""
+    if (got.dtype, got.rows, got.cols) != (want.dtype, want.rows, want.cols):
+        raise InterpError("{} is {} {}x{}, got {} {}x{}".format(
+            what, want.dtype, want.rows, want.cols, got.dtype, got.rows, got.cols))
 
-    __slots__ = ("value",)
 
-    def __init__(self, value: MatValue):
-        self.value = value
+class _Scope:
+    """Where each name of one function lives in its frame: the params'
+    buffers first, then every static's, then the locals'."""
+
+    def __init__(self, fn, program: Program):
+        self.fn = fn
+        self.where = {}     # name -> (frame index, declaration or initial value)
+        self.inits = []     # each local's initial elements, in frame order
+        self.base = len(fn.params) + len(program.statics)
+        for i, s in enumerate(program.statics):
+            self.where[s.name] = (len(fn.params) + i, s.default)
+        for i, p in enumerate(fn.params):
+            self.where[p.name] = (i, p)
+        for d in fn.decls.values():
+            value = d.init if d.init is not None else mv.zeros(d.dtype, d.rows, d.cols)
+            self.where[d.name] = (self.base + len(self.inits), value)
+            self.inits.append(list(value.data))
+
+    def lookup(self, name):
+        """(frame index, declaration or initial value) of a name."""
+        try:
+            return self.where[name]
+        except KeyError:
+            raise UnboundName("{}: {}".format(self.fn.name, name)) from None
+
+    def element(self, name, k):
+        """(frame index, dtype) of element k (0-based) of a name."""
+        i, like = self.lookup(name)
+        if not 0 <= k < like.rows * like.cols:
+            raise InterpError("{}: element {} of {} is outside its {} elements".format(
+                self.fn.name, k + 1, name, like.rows * like.cols))
+        return i, like.dtype
+
+    def slot(self, name, k):
+        """Element k of a name as lower_expr's leaf: (fn(frame), dtype)."""
+        i, dtype = self.element(name, k)
+        return (lambda f: f[i][k]), dtype
+
+
+def _shaped(scope, name, rows_name, cols_name):
+    """A runtime helper's operand: fn(frame) gives its buffer and the rows
+    and cols its dimension arguments hold."""
+    i = scope.lookup(name)[0]
+    rows_fn, cols_fn = scope.slot(rows_name, 0)[0], scope.slot(cols_name, 0)[0]
+
+    def operand(f):
+        buf, rows, cols = f[i], int(rows_fn(f)), int(cols_fn(f))
+        if rows * cols != len(buf):
+            raise InterpError("dimension args disagree with {}".format(name))
+        return buf, rows, cols
+    return operand
+
+
+def _helper(scope, res, compute):
+    """A runtime helper call: compute(frame) gives the result's elements,
+    which overwrite res in place."""
+    r = scope.lookup(res)[0]
+
+    def helper(f):
+        data = compute(f)
+        if len(data) != len(f[r]):
+            raise mv.ShapeMismatch("{} has {} elements, the result {}".format(
+                res, len(f[r]), len(data)))
+        f[r][:] = data
+    return helper
 
 
 class Machine:
     def __init__(self, program: Program):
         self.program = program
-        self.statics = {s.name: s.default for s in program.statics}
+        # one buffer per static, shared by every frame
+        self._buffers = [list(s.default.data) for s in program.statics]
+        self._lowered = {}  # function name -> runner, filled on first call
 
-    # -- storage ------------------------------------------------------------
+    @property
+    def statics(self):
+        """Each static's current value."""
+        return {s.name: MatValue(s.default.dtype, s.default.rows, s.default.cols, tuple(buf))
+                for s, buf in zip(self.program.statics, self._buffers)}
 
-    def _lookup(self, frame, args, name):
-        if name in frame:
-            return frame[name]
-        if name in args:
-            return args[name].value
-        if name in self.statics:
-            return self.statics[name]
-        raise UnboundName(name)
+    # -- lowering -----------------------------------------------------------
 
-    def _write(self, name, value: MatValue, frame, args, index=None):
-        """Scalar or element store; converts to the destination dtype the
-        way a C assignment does."""
-        if name in args:
-            cur = args[name].value
-            k = 0 if index is None else index - 1
-            converted = mv.convert_elem(value.data[0], value.dtype, cur.dtype)
-            args[name].value = cur.set_linear(k, converted)
-            return
-        pool = frame if name in frame else (self.statics if name in self.statics else None)
-        if pool is None:
-            raise UnboundName(name)
-        cur = pool[name]
-        k = 0 if index is None else index - 1
-        converted = mv.convert_elem(value.data[0], value.dtype, cur.dtype)
-        pool[name] = cur.set_linear(k, converted)
+    def _function(self, name):
+        """The runner of a recorded function, lowered on first use: it takes
+        the list of the argument buffers and writes through them."""
+        run = self._lowered.get(name)
+        if run is None:
+            run = self._lowered[name] = self._lower(self.program.function(name))
+        return run
 
-    def _read_whole(self, name, frame, args) -> MatValue:
-        return self._lookup(frame, args, name)
+    def _lower(self, fn):
+        scope = _Scope(fn, self.program)
+        steps = [self._exec(instr, scope) for instr in fn.body]
+        steps = [step for step in steps if step is not None]
+        shared, inits = self._buffers, scope.inits
 
-    def _write_whole(self, name, value: MatValue, frame, args):
-        if name in args:
-            args[name].value = value
-        elif name in frame:
-            frame[name] = value
-        elif name in self.statics:
-            self.statics[name] = value
-        else:
-            raise UnboundName(name)
+        def run(args):
+            f = args + shared
+            f.extend(map(list.copy, inits))
+            for step in steps:
+                step(f)
+        return run
+
+    def _exec(self, instr, scope):
+        """Lower one instruction into the closure that runs it on a frame
+        (None for an annotation); every decision that depends only on the
+        instruction is taken here, once."""
+        if isinstance(instr, Annot):
+            return None
+        if isinstance(instr, (Def, Store, SetElem)):
+            # a Def stores into its declared local, as the emitted C does
+            fn, src = lower_expr(instr.expr, scope.slot)
+            k = instr.index - 1 if isinstance(instr, SetElem) else 0
+            i, dst = scope.element(instr.name, k)
+            if src == dst:
+                def store(f):
+                    f[i][k] = fn(f)
+            else:
+                conv = mv.convert_kernel(src, dst)
+
+                def store(f):
+                    f[i][k] = conv(fn(f))
+            return store
+        if isinstance(instr, CopyMat):
+            d, dst = scope.lookup(instr.dst)
+            s, src = scope.lookup(instr.src)
+            if (src.dtype != dst.dtype or src.rows * src.cols != instr.n
+                    or dst.rows * dst.cols != instr.n):
+                raise InterpError("{}: bad copy {} <- {}".format(
+                    scope.fn.name, instr.dst, instr.src))
+
+            def copy(f):
+                f[d][:] = f[s]
+            return copy
+        if isinstance(instr, Call):
+            return self._call_site(instr.fn, instr.args, scope)
+        if isinstance(instr, IfExpr):
+            cond, _ = scope.slot(instr.cond, 0)
+            then = self._call_site(instr.then_call.fn, instr.then_call.args, scope)
+            other = self._call_site(instr.else_call.fn, instr.else_call.args, scope)
+
+            def branch(f):
+                (then if cond(f) else other)(f)
+            return branch
+        raise InterpError("unknown instruction {!r}".format(instr))
+
+    def _call_site(self, name, argnames, scope):
+        if name == "mult":
+            res, a, b, m1, n1, m2, n2 = argnames
+            dtype, other = scope.lookup(a)[1].dtype, scope.lookup(b)[1].dtype
+            if other != dtype:
+                raise mv.DtypeMismatch("{} vs {}".format(dtype, other))
+            ad, bd = _shaped(scope, a, m1, n1), _shaped(scope, b, m2, n2)
+            return _helper(scope, res, lambda f: mv.matmul_flat(dtype, *ad(f), *bd(f))[2])
+        if name == "quote":
+            res, a, m1, n1 = argnames
+            ad = _shaped(scope, a, m1, n1)
+            return _helper(scope, res, lambda f: mv.transpose_flat(*ad(f)))
+        if name == "matinv":
+            res, a, dn = argnames
+            if scope.lookup(a)[1].dtype != mv.F64:
+                raise mv.DtypeMismatch("inverse needs f64")
+            ad = _shaped(scope, a, dn, dn)
+            return _helper(scope, res, lambda f: mv.invert_flat(*ad(f)[:2]))
+        # a recorded function: pass the caller's buffers straight through
+        callee = self.program.function(name)
+        if len(argnames) != len(callee.params):
+            raise InterpError("{} expects {} args, got {}".format(
+                name, len(callee.params), len(argnames)))
+        slots = []
+        for arg, p in zip(argnames, callee.params):
+            i, like = scope.lookup(arg)
+            _check("{}'s {} passed from {} in {}".format(name, p.name, arg, scope.fn.name),
+                   p, like)
+            slots.append(i)
+        function = self._function
+
+        def call(f):
+            function(name)([f[i] for i in slots])
+        return call
 
     # -- execution ----------------------------------------------------------
+
+    def _check_args(self, name, values):
+        fn = self.program.function(name)
+        if len(values) != len(fn.params):
+            raise InterpError("{} expects {} args, got {}".format(
+                name, len(fn.params), len(values)))
+        for p, v in zip(fn.params, values):
+            _check("{}'s {}".format(name, p.name), p, v)
 
     def run_init(self):
         self.run_function(self.program.init_fn.name, [])
@@ -91,118 +236,32 @@ class Machine:
     def run_function(self, name, arg_values):
         """Execute a recorded function; returns the (possibly mutated)
         argument values."""
-        cells = [v if isinstance(v, Cell) else Cell(v) for v in arg_values]
-        self._call(name, cells)
-        return [c.value for c in cells]
-
-    def _call(self, name, cells):
-        fn = self.program.function(name)
-        if len(cells) != len(fn.params):
-            raise InterpError("{} expects {} args, got {}".format(
-                name, len(fn.params), len(cells)))
-        args = {p.name: c for p, c in zip(fn.params, cells)}
-        frame = {}
-        for d in fn.decls.values():
-            frame[d.name] = d.init if d.init is not None else mv.zeros(d.dtype, d.rows, d.cols)
-        lookup = partial(self._lookup, frame, args)
-        for instr in fn.body:
-            self._exec(instr, frame, args, lookup)
-
-    def _exec(self, instr, frame, args, lookup):
-        if isinstance(instr, Annot):
-            return
-        if isinstance(instr, (Def, Store)):
-            v = eval_expr(instr.expr, lookup)
-            if isinstance(instr, Def):
-                frame[instr.name] = mv.convert(v, frame[instr.name].dtype) \
-                    if instr.name in frame else v
-            else:
-                self._write(instr.name, v, frame, args)
-            return
-        if isinstance(instr, SetElem):
-            v = eval_expr(instr.expr, lookup)
-            self._write(instr.name, v, frame, args, index=instr.index)
-            return
-        if isinstance(instr, CopyMat):
-            src = self._read_whole(instr.src, frame, args)
-            dst = self._read_whole(instr.dst, frame, args)
-            if src.dtype != dst.dtype or src.size != instr.n or dst.size != instr.n:
-                raise InterpError("bad copy {} <- {}".format(instr.dst, instr.src))
-            self._write_whole(instr.dst, MatValue(dst.dtype, dst.rows, dst.cols, src.data),
-                              frame, args)
-            return
-        if isinstance(instr, Call):
-            self._run_call(instr.fn, instr.args, frame, args)
-            return
-        if isinstance(instr, IfExpr):
-            c = self._lookup(frame, args, instr.cond)
-            target = instr.then_call if c.data[0] else instr.else_call
-            self._run_call(target.fn, target.args, frame, args)
-            return
-        raise InterpError("unknown instruction {!r}".format(instr))
-
-    def _run_call(self, fn, argnames, frame, args):
-        if fn == "mult":
-            res, a, b, m1, n1, m2, n2 = argnames
-            av = self._reshaped(a, m1, n1, frame, args)
-            bv = self._reshaped(b, m2, n2, frame, args)
-            out = mv.matmul(av, bv)
-            dst = self._read_whole(res, frame, args)
-            self._write_whole(res, MatValue(dst.dtype, dst.rows, dst.cols, out.data), frame, args)
-            return
-        if fn == "quote":
-            res, a, m1, n1 = argnames
-            av = self._reshaped(a, m1, n1, frame, args)
-            out = mv.transpose(av)
-            dst = self._read_whole(res, frame, args)
-            self._write_whole(res, MatValue(dst.dtype, dst.rows, dst.cols, out.data), frame, args)
-            return
-        if fn == "matinv":
-            res, a, dn = argnames
-            n = int(self._lookup(frame, args, dn).data[0])
-            av = self._reshaped(a, None, None, frame, args, shape=(n, n))
-            out = mv.invert(av)
-            dst = self._read_whole(res, frame, args)
-            self._write_whole(res, MatValue(dst.dtype, dst.rows, dst.cols, out.data), frame, args)
-            return
-        # a recorded function: pass the caller's cells straight through
-        cells = []
-        for name in argnames:
-            if name in args:
-                cells.append(args[name])
-            else:
-                cells.append(Cell(self._lookup(frame, args, name)))
-        self._call(fn, cells)
-
-    def _reshaped(self, name, m, n, frame, args, shape=None):
-        v = self._lookup(frame, args, name)
-        if shape is None:
-            rows = int(self._lookup(frame, args, m).data[0])
-            cols = int(self._lookup(frame, args, n).data[0])
-        else:
-            rows, cols = shape
-        if rows * cols != v.size:
-            raise InterpError("dimension args disagree with {}".format(name))
-        return MatValue(v.dtype, rows, cols, v.data)
-
-    # -- stepping -----------------------------------------------------------
+        self._check_args(name, arg_values)
+        buffers = [list(v.data) for v in arg_values]
+        self._function(name)(buffers)
+        return [MatValue(v.dtype, v.rows, v.cols, tuple(b))
+                for v, b in zip(arg_values, buffers)]
 
     def run_steps(self, inputs_per_step, steps):
         """Mirror the flag dispatcher: per step, updateOutput then
         updateState over shared port buffers. Returns output-port values."""
-        ports = self.program.meta["ports"]
-        update_output = self.program.meta["update_output"]
-        update_state = self.program.meta["update_state"]
-        cells = [Cell(mv.zeros(p["dtype"], p["rows"], p["cols"])) for p in ports]
+        meta = self.program.meta
+        zeros = [mv.zeros(p["dtype"], p["rows"], p["cols"]) for p in meta["ports"]]
+        update_output, update_state = meta["update_output"], meta["update_state"]
+        for name in (update_output, update_state):
+            self._check_args(name, zeros)
+        buffers = [list(z.data) for z in zeros]
+        ports = list(zip(meta["ports"], zeros, buffers))
+        inputs = [(p, z, buf) for p, z, buf in ports if p["input"]]
         outputs = []
         for step in range(steps):
             stimuli = inputs_per_step[step]
-            in_idx = 0
-            for cell, p in zip(cells, ports):
-                if p["input"]:
-                    cell.value = stimuli[in_idx]
-                    in_idx += 1
-            self._call(update_output, cells)
-            outputs.append([c.value for c, p in zip(cells, ports) if not p["input"]])
-            self._call(update_state, cells)
+            for n, (p, z, buf) in enumerate(inputs):
+                _check("step {}: input port {} ({})".format(step, n + 1, p["name"]),
+                       z, stimuli[n])
+                buf[:] = stimuli[n].data
+            self._function(update_output)(buffers)
+            outputs.append([MatValue(z.dtype, z.rows, z.cols, tuple(buf))
+                            for p, z, buf in ports if not p["input"]])
+            self._function(update_state)(buffers)
         return outputs

@@ -4,12 +4,18 @@ Everything here is deliberately pure Python: the interpreted value of an
 operation must agree bit for bit with the C code the emitter produces, so
 integer arithmetic wraps two's-complement style, float->int conversion
 truncates toward zero, and f64 division follows IEEE-754 (x/0 is inf).
-Matrices are stored as flat column-major tuples.
+Matrices are stored as flat column-major tuples. Each operator's effect on
+one element is defined once, by elem_kernel and convert_kernel; the MatValue
+operations here and the interpreter's lowered code are both built on them,
+and the matrix product, transpose and inverse loops run on flat sequences
+so that the interpreter shares them too.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from dataclasses import dataclass
 
 
@@ -90,13 +96,17 @@ U32 = Dtype("u32")
 DTYPES = {d.tag: d for d in (F64, BOOL, I8, I16, I32, U8, U16, U32)}
 
 
+def _wrapping(fn, dtype: Dtype):
+    """fn with its integer result reduced into dtype's range, two's
+    complement."""
+    mask = (1 << dtype.width) - 1
+    half = 1 << (dtype.width - 1) if dtype.signed else 0
+    return lambda *args: ((fn(*args) + half) & mask) - half
+
+
 def wrap_int(v: int, dtype: Dtype) -> int:
     """Reduce v into dtype's range, two's complement."""
-    mask = (1 << dtype.width) - 1
-    v &= mask
-    if dtype.signed and v >= 1 << (dtype.width - 1):
-        v -= 1 << dtype.width
-    return v
+    return _wrapping(int, dtype)(v)
 
 
 def _coerce_elem(v, dtype: Dtype):
@@ -211,7 +221,8 @@ def to_rows(a: MatValue):
 
 
 # ---------------------------------------------------------------------------
-# scalar kernels
+# element kernels: the one definition of what each operator does to one
+# element, shared by simulation, literal folding and the interpreter
 
 
 def _f64_div(a: float, b: float) -> float:
@@ -230,39 +241,64 @@ def _int_div(a: int, b: int) -> int:
     return q if (a < 0) == (b < 0) else -q
 
 
+COMPARE = {
+    "eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+    "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+}
+
+# op -> (f64 kernel, integer kernel before wrapping); neg takes one operand
+_ARITH = {
+    "add": (operator.add, operator.add),
+    "sub": (operator.sub, operator.sub),
+    "mul": (operator.mul, operator.mul),
+    "div": (_f64_div, _int_div),
+    "neg": (operator.neg, operator.neg),
+}
+
+_MATH = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "atan2": math.atan2}
+
+# elem_binop's operation names -> kernel names
+ELEM_OPS = {"add": "add", "sub": "sub", "mul_elem": "mul", "div_elem": "div"}
+
+
+def elem_kernel(op: str, dtype: Dtype):
+    """The function computing one element of op on operands of dtype, with
+    the emitted C's semantics: comparisons give a bool, integer results
+    wrap, f64 division follows IEEE-754; neg takes one operand, atan2 two."""
+    kernels = _ARITH.get(op)
+    if kernels is None:
+        if op in COMPARE:
+            return COMPARE[op]
+        if op not in _MATH:
+            raise MatError("unknown op " + op)
+        if dtype != F64:
+            raise DtypeMismatch("{} needs f64".format(op))
+        return _MATH[op]
+    if dtype.tag == "f64":
+        return kernels[0]
+    if dtype.tag == "bool":
+        raise DtypeMismatch("bool negation" if op == "neg" else
+                            "bool participates in arithmetic only after conversion")
+    return _wrapping(kernels[1], dtype)
+
+
+def convert_kernel(src: Dtype, dst: Dtype):
+    """The function converting one src element to dst, as a C cast or
+    assignment does."""
+    if dst.is_bool:
+        return lambda v: v != 0
+    if dst.is_float:
+        return float
+    if src.is_float:
+        truncate = _wrapping(math.trunc, dst)
+        # C leaves non-finite values undefined; pick something deterministic
+        return lambda v: truncate(v) if math.isfinite(v) else 0
+    return _wrapping(int, dst)
+
+
 def binop_elem(op: str, a, b, dtype: Dtype):
     """One element of an arithmetic op; C semantics for dtype."""
-    if dtype.is_bool:
-        raise DtypeMismatch("bool participates in arithmetic only after conversion")
-    if dtype.is_float:
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if op == "div":
-            return _f64_div(a, b)
-    else:
-        if op == "add":
-            return wrap_int(a + b, dtype)
-        if op == "sub":
-            return wrap_int(a - b, dtype)
-        if op == "mul":
-            return wrap_int(a * b, dtype)
-        if op == "div":
-            return wrap_int(_int_div(a, b), dtype)
-    raise MatError("unknown op " + op)
-
-
-_CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
+    return elem_kernel(op, dtype)(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -280,55 +316,67 @@ def broadcast_pair(a: MatValue, b: MatValue):
     raise ShapeMismatch("shapes {} and {} incompatible".format(a.shape, b.shape))
 
 
-def _at(m: MatValue, k: int):
-    return m.data[0] if m.is_scalar else m.data[k]
+def _same_dtype(a: MatValue, b: MatValue) -> Dtype:
+    if a.dtype != b.dtype:
+        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
+    return a.dtype
+
+
+def _elementwise(kernel, a: MatValue, b: MatValue, dtype: Dtype) -> MatValue:
+    rows, cols = broadcast_pair(a, b)
+    n = rows * cols
+    xs = a.data if len(a.data) == n else a.data * n
+    ys = b.data if len(b.data) == n else b.data * n
+    return MatValue(dtype, rows, cols, tuple(map(kernel, xs, ys)))
 
 
 def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
-    if a.dtype != b.dtype:
-        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
-    rows, cols = broadcast_pair(a, b)
-    name = {"add": "add", "sub": "sub", "mul_elem": "mul", "div_elem": "div"}[op]
-    data = [binop_elem(name, _at(a, k), _at(b, k), a.dtype) for k in range(rows * cols)]
-    return MatValue(a.dtype, rows, cols, tuple(data))
+    dtype = _same_dtype(a, b)
+    return _elementwise(elem_kernel(ELEM_OPS[op], dtype), a, b, dtype)
+
+
+def compare(op: str, a: MatValue, b: MatValue) -> MatValue:
+    _same_dtype(a, b)
+    return _elementwise(COMPARE[op], a, b, BOOL)
 
 
 def neg(a: MatValue) -> MatValue:
-    if a.dtype.is_bool:
-        raise DtypeMismatch("bool negation")
-    if a.dtype.is_float:
-        data = [-v for v in a.data]
-    else:
-        data = [wrap_int(-v, a.dtype) for v in a.data]
-    return MatValue(a.dtype, a.rows, a.cols, tuple(data))
+    return MatValue(a.dtype, a.rows, a.cols, tuple(map(elem_kernel("neg", a.dtype), a.data)))
+
+
+def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
+    """The matrix product of flat column-major ar x ac and br x bc data:
+    (rows, cols, data). A 1x1 operand scales the other elementwise."""
+    if ar == ac == 1 or br == bc == 1:
+        mul = elem_kernel("mul", dtype)
+        if ar == ac == 1:
+            return br, bc, [mul(a[0], y) for y in b]
+        return ar, ac, [mul(x, b[0]) for x in a]
+    if ac != br:
+        raise ShapeMismatch("inner dims {}x{} * {}x{}".format(ar, ac, br, bc))
+    if dtype.is_bool:
+        raise DtypeMismatch("bool matmul")
+    mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
+    zero = 0.0 if dtype.is_float else 0
+    rows = [a[i::ar] for i in range(ar)]
+    cols = [b[j * br:(j + 1) * br] for j in range(bc)]
+    # accumulate in k-ascending order; the emitted helper and the unrolled
+    # expression both use exactly this order
+    return ar, bc, [reduce(add, map(mul, row, col), zero) for col in cols for row in rows]
 
 
 def matmul(a: MatValue, b: MatValue) -> MatValue:
-    if a.dtype != b.dtype:
-        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
-    if a.is_scalar or b.is_scalar:
-        return elem_binop("mul_elem", a, b)
-    if a.cols != b.rows:
-        raise ShapeMismatch("inner dims {}x{} * {}x{}".format(a.rows, a.cols, b.rows, b.cols))
-    dt = a.dtype
-    if dt.is_bool:
-        raise DtypeMismatch("bool matmul")
-    out = []
-    for j in range(b.cols):
-        for i in range(a.rows):
-            # accumulate in k-ascending order; the emitted helper and the
-            # unrolled expression both use exactly this order
-            acc = 0.0 if dt.is_float else 0
-            for k in range(a.cols):
-                term = binop_elem("mul", a.get(i, k), b.get(k, j), dt)
-                acc = binop_elem("add", acc, term, dt)
-            out.append(acc)
-    return MatValue(dt, a.rows, b.cols, tuple(out))
+    rows, cols, data = matmul_flat(_same_dtype(a, b), a.data, a.rows, a.cols, b.data, b.rows, b.cols)
+    return MatValue(a.dtype, rows, cols, tuple(data))
+
+
+def transpose_flat(a, rows: int, cols: int) -> list:
+    """The transpose of flat column-major rows x cols data (cols x rows)."""
+    return [a[i + rows * j] for i in range(rows) for j in range(cols)]
 
 
 def transpose(a: MatValue) -> MatValue:
-    data = [a.get(i, j) for i in range(a.rows) for j in range(a.cols)]
-    return MatValue(a.dtype, a.cols, a.rows, tuple(data))
+    return MatValue(a.dtype, a.cols, a.rows, tuple(transpose_flat(a.data, a.rows, a.cols)))
 
 
 def concat_rows(a: MatValue, b: MatValue) -> MatValue:
@@ -337,8 +385,7 @@ def concat_rows(a: MatValue, b: MatValue) -> MatValue:
         return b
     if b.size == 0:
         return a
-    if a.dtype != b.dtype:
-        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
+    _same_dtype(a, b)
     if a.cols != b.cols:
         raise ShapeMismatch("column counts {} vs {}".format(a.cols, b.cols))
     rows = a.rows + b.rows
@@ -355,74 +402,40 @@ def concat_cols(a: MatValue, b: MatValue) -> MatValue:
         return b
     if b.size == 0:
         return a
-    if a.dtype != b.dtype:
-        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
+    _same_dtype(a, b)
     if a.rows != b.rows:
         raise ShapeMismatch("row counts {} vs {}".format(a.rows, b.rows))
     return MatValue(a.dtype, a.rows, a.cols + b.cols, a.data + b.data)
 
 
-def convert_elem(v, src: Dtype, dst: Dtype):
-    if dst.is_bool:
-        return v != 0
-    if src.is_bool:
-        v = int(v)
-    if dst.is_float:
-        return float(v)
-    if src.is_float:
-        if math.isnan(v) or math.isinf(v):
-            return 0  # C leaves this undefined; pick something deterministic
-        v = math.trunc(v)
-    return wrap_int(int(v), dst)
-
-
 def convert(a: MatValue, dtype: Dtype) -> MatValue:
     if a.dtype == dtype:
         return a
-    data = [convert_elem(v, a.dtype, dtype) for v in a.data]
+    data = map(convert_kernel(a.dtype, dtype), a.data)
     return MatValue(dtype, a.rows, a.cols, tuple(data))
 
 
 def sum_all(a: MatValue) -> MatValue:
-    if a.dtype.is_bool:
-        raise DtypeMismatch("sum over bool")
-    acc = 0.0 if a.dtype.is_float else 0
-    for v in a.data:
-        acc = binop_elem("add", acc, v, a.dtype)
-    return MatValue(a.dtype, 1, 1, (acc,))
+    zero = 0.0 if a.dtype.is_float else 0
+    return MatValue(a.dtype, 1, 1, (reduce(elem_kernel("add", a.dtype), a.data, zero),))
 
 
-def compare(op: str, a: MatValue, b: MatValue) -> MatValue:
-    if a.dtype != b.dtype:
-        raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
-    rows, cols = broadcast_pair(a, b)
-    fn = _CMP[op]
-    data = [bool(fn(_at(a, k), _at(b, k))) for k in range(rows * cols)]
-    return MatValue(BOOL, rows, cols, tuple(data))
-
-
-def invert(a: MatValue) -> MatValue:
-    if a.rows != a.cols:
-        raise NonSquare("Division by non square matrix not supported.")
-    if a.dtype != F64:
-        raise DtypeMismatch("inverse needs f64")
-    n = a.rows
+def invert_flat(a, n: int) -> list:
+    """The inverse of flat column-major n x n f64 data."""
     if n == 1:
-        return MatValue(F64, 1, 1, (_f64_div(1.0, a.data[0]),))
+        return [_f64_div(1.0, a[0])]
     if n == 2:
         # adjugate / determinant, same arithmetic as the traced sequence
-        a11, a21, a12, a22 = a.data
+        a11, a21, a12, a22 = a
         det = a11 * a22 - a12 * a21
         if abs(det) < 1e-300:
             raise Singular("2x2 determinant below tolerance")
-        return MatValue(F64, 2, 2, (
-            _f64_div(a22, det), _f64_div(-a21, det),
-            _f64_div(-a12, det), _f64_div(a11, det),
-        ))
+        return [_f64_div(a22, det), _f64_div(-a21, det),
+                _f64_div(-a12, det), _f64_div(a11, det)]
     # Gauss-Jordan with partial pivoting on [A | I]
-    aug = [[a.get(i, j) for j in range(n)] + [1.0 if i == j else 0.0 for j in range(n)]
+    aug = [[a[i + n * j] for j in range(n)] + [1.0 if i == j else 0.0 for j in range(n)]
            for i in range(n)]
-    tol = 1e-12 * max(abs(v) for v in a.data)
+    tol = 1e-12 * max(abs(v) for v in a)
     for col in range(n):
         piv = max(range(col, n), key=lambda r: abs(aug[r][col]))
         if abs(aug[piv][col]) <= tol:
@@ -436,23 +449,21 @@ def invert(a: MatValue) -> MatValue:
                 f = aug[r][col]
                 for j in range(2 * n):
                     aug[r][j] -= f * aug[col][j]
-    data = [aug[i][n + j] for j in range(n) for i in range(n)]
-    return MatValue(F64, n, n, tuple(data))
+    return [aug[i][n + j] for j in range(n) for i in range(n)]
 
 
-_MATH1 = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos}
+def invert(a: MatValue) -> MatValue:
+    if a.rows != a.cols:
+        raise NonSquare("Division by non square matrix not supported.")
+    if a.dtype != F64:
+        raise DtypeMismatch("inverse needs f64")
+    return MatValue(F64, a.rows, a.rows, tuple(invert_flat(a.data, a.rows)))
 
 
 def elem_math(fn: str, *args: MatValue) -> MatValue:
     for m in args:
-        if m.dtype != F64:
-            raise DtypeMismatch("{} needs f64".format(fn))
-    if fn == "atan2":
-        y, x = args
-        if y.shape != x.shape:
-            raise ShapeMismatch("atan2 args {} vs {}".format(y.shape, x.shape))
-        data = [math.atan2(yv, xv) for yv, xv in zip(y.data, x.data)]
-        return MatValue(F64, y.rows, y.cols, tuple(data))
-    (a,) = args
-    f = _MATH1[fn]
-    return MatValue(F64, a.rows, a.cols, tuple(f(v) for v in a.data))
+        kernel = elem_kernel(fn, m.dtype)  # raises unless every operand is f64
+    y = args[0]
+    if any(m.shape != y.shape for m in args):
+        raise ShapeMismatch("{} args {}".format(fn, " vs ".join(str(m.shape) for m in args)))
+    return MatValue(F64, y.rows, y.cols, tuple(map(kernel, *(m.data for m in args))))

@@ -2,8 +2,9 @@
 
 One pipeline: literal folding, one forward pass that inlines single-use
 scalar definitions into their (sole) use site, and dead-code elimination.
-Folding evaluates through trace.eval_expr, so a folded literal is the value
-the interpreter would compute.
+Folding lowers an all-literal expression through trace.lower_expr, the
+interpreter's own lowering, and calls it once, so a folded literal is the
+value the interpreter would compute.
 The inlining is what collapses the def-per-operation trace into the compact
 expressions of the generated listings; definitions pinned by a dtype
 conversion, referenced from name slots (copies, calls, if conditions) or
@@ -20,7 +21,7 @@ from dataclasses import replace
 from . import matval as mv
 from .trace import (
     Call, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem, Store, children,
-    eval_expr, expr_refs, map_children,
+    expr_refs, lower_expr, map_children,
 )
 
 
@@ -55,7 +56,8 @@ def fold_expr(e):
     e = map_children(e, fold_expr)
     if all(isinstance(c, Lit) for c in children(e)):
         try:
-            return Lit(eval_expr(e, None))
+            fn, dtype = lower_expr(e, None)
+            return Lit(mv.MatValue(dtype, 1, 1, (fn(None),)))
         except (mv.MatError, ValueError, OverflowError):
             pass
     return e

@@ -105,39 +105,63 @@ class Cond(Expr):
     b: Expr
 
 
-# What each operator means, for folding and for the interpreter alike: the
-# C spelling of every Bin operator and the matval operation that computes it.
+# The C spelling of every Bin operator and the matval kernel that computes
+# it, for folding and for the interpreter alike.
 OPS = {
-    "+": (mv.elem_binop, "add"), "-": (mv.elem_binop, "sub"),
-    "*": (mv.elem_binop, "mul_elem"), "/": (mv.elem_binop, "div_elem"),
-    "==": (mv.compare, "eq"), "!=": (mv.compare, "ne"),
-    "<": (mv.compare, "lt"), "<=": (mv.compare, "le"),
-    ">": (mv.compare, "gt"), ">=": (mv.compare, "ge"),
+    "+": "add", "-": "sub", "*": "mul", "/": "div",
+    "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
 }
-_SPELLING = {name: op for op, (_, name) in OPS.items()}  # for the tracer
+_SPELLING = {name: op for op, name in OPS.items()}  # for the tracer
 
 
-def eval_expr(e: Expr, leaf) -> MatValue:
-    """The value of an expression; leaf(name) gives the value a name holds.
-    Only the taken arm of a Cond is evaluated."""
+def _common_dtype(dtypes) -> Dtype:
+    first, *rest = dtypes
+    for d in rest:
+        if d != first:
+            raise mv.DtypeMismatch("{} vs {}".format(first, d))
+    return first
+
+
+def lower_expr(e: Expr, slot):
+    """Lower an expression once into (fn, dtype): fn(env) computes its one
+    element as a raw float, int or bool, and dtype, resolved here, is that
+    element's dtype. slot(name, k) lowers the read of element k (0-based) of
+    a name the same way. Each operator's kernel comes from
+    matval.elem_kernel, its one definition. Only the taken arm of a Cond runs."""
     if isinstance(e, Lit):
-        return e.value
+        v = e.value.data[0]
+        return (lambda env: v), e.value.dtype
     if isinstance(e, Ref):
-        return leaf(e.name)
+        return slot(e.name, 0)
     if isinstance(e, ElemRef):
-        m = leaf(e.name)
-        return MatValue(m.dtype, 1, 1, (m.get_linear(e.index - 1),))
+        return slot(e.name, e.index - 1)
     if isinstance(e, Bin):
-        fn, name = OPS[e.op]
-        return fn(name, eval_expr(e.a, leaf), eval_expr(e.b, leaf))
+        (fa, da), (fb, db) = lower_expr(e.a, slot), lower_expr(e.b, slot)
+        op = OPS[e.op]
+        kernel = mv.elem_kernel(op, _common_dtype((da, db)))
+        return (lambda env: kernel(fa(env), fb(env))), (mv.BOOL if op in mv.COMPARE else da)
     if isinstance(e, Un):
-        return mv.neg(eval_expr(e.a, leaf))
+        fa, da = lower_expr(e.a, slot)
+        kernel = mv.elem_kernel("neg", da)
+        return (lambda env: kernel(fa(env))), da
     if isinstance(e, Cast):
-        return mv.convert(eval_expr(e.a, leaf), e.dtype)
+        fa, da = lower_expr(e.a, slot)
+        if da == e.dtype:
+            return fa, da
+        kernel = mv.convert_kernel(da, e.dtype)
+        return (lambda env: kernel(fa(env))), e.dtype
     if isinstance(e, CallFn):
-        return mv.elem_math(e.fn, *[eval_expr(a, leaf) for a in e.args])
+        args = [lower_expr(a, slot) for a in e.args]
+        kernel = mv.elem_kernel(e.fn, _common_dtype([d for _, d in args]))
+        if len(args) == 1:
+            (fa, _), = args
+            return (lambda env: kernel(fa(env))), F64
+        (fa, _), (fb, _) = args
+        return (lambda env: kernel(fa(env), fb(env))), F64
     if isinstance(e, Cond):
-        return eval_expr(e.a if eval_expr(e.cond, leaf).data[0] else e.b, leaf)
+        fc, _ = lower_expr(e.cond, slot)
+        (fa, da), (fb, db) = lower_expr(e.a, slot), lower_expr(e.b, slot)
+        return (lambda env: fa(env) if fc(env) else fb(env)), _common_dtype((da, db))
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -671,7 +695,7 @@ def bv_binop(op: str, a, b) -> BVar:
     rows, cols = mv.broadcast_pair(a.value, b.value)
     nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, _nom(a), _nom(b))
     ctx = _ctx_of(a, b)
-    sym = _SPELLING[op]
+    sym = _SPELLING[mv.ELEM_OPS[op]]
     # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
     num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
     if num is not None and (num.is_scalar or num.shape == other.shape):

@@ -133,3 +133,36 @@ def test_dump_ir(capsys):
     assert code == 0
     assert "function updateOutput10001" in stdout
     assert "static z_10001" in stdout
+
+
+def test_deviation_counts_one_sided_nan():
+    from blockgen import matval as mv
+    from blockgen.cli import _deviation
+    nan = float("nan")
+    assert _deviation(mv.scalar(nan), mv.scalar(5.0)) == (float("inf"), 0)
+    assert _deviation(mv.scalar(5.0), mv.scalar(nan)) == (float("inf"), 0)
+    assert _deviation(mv.scalar(float("inf")), mv.scalar(5.0)) == (float("inf"), 0)
+    assert _deviation(mv.scalar(nan), mv.scalar(nan)) == (0.0, None)
+    assert _deviation(mv.make(mv.F64, 2, 1, [1.0, 2.0]),
+                      mv.make(mv.F64, 2, 1, [1.0, 3.0])) == (1 / 3, 1)
+
+
+def test_validate_reports_nan_mismatch(capsys, monkeypatch):
+    # the simulation yields NaN where the generated code does not
+    import blockgen.cli as cli
+    from blockgen import matval as mv
+    real_simulate = cli.simulate
+
+    def poisoned(model, inputs, steps):
+        outputs = real_simulate(model, inputs, steps)
+        value = outputs[3][0]
+        outputs[3][0] = mv.MatValue(value.dtype, value.rows, value.cols,
+                                    (float("nan"),) + value.data[1:])
+        return outputs
+
+    monkeypatch.setattr(cli, "simulate", poisoned)
+    code, stdout, stderr = run(capsys, "validate", str(FIXTURES / "twodelays.model"),
+                               "--steps", "6", "--seed", "1")
+    assert code == 1
+    assert "max deviation inf" in stdout
+    assert "MISMATCH at step 3 output 1 element 0: simulation NAN, generated code " in stderr

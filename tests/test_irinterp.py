@@ -14,7 +14,11 @@ from blockgen.directives import (
 )
 from blockgen.irinterp import InterpError, Machine, UnboundName
 from blockgen import trace as tr
-from blockgen.trace import Bin, Def, Lit, Ref, Store, numerics
+from blockgen.optimizer import fold_expr
+from blockgen.trace import (
+    Bin, Call, CallTarget, Cond, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit, Param,
+    Program, Ref, SetElem, StaticDecl, Store, numerics,
+)
 
 from conftest import random_matvalue
 
@@ -122,6 +126,14 @@ def test_unbound_name():
         Machine(program).run_function("f", [])
 
 
+def test_def_of_undeclared_name_is_unbound():
+    # a Def stores into its declared local, as the emitted `name=expr;` does
+    program = _program_with(lambda ctx, io, pool: None)
+    program.function("f").body.append(Def("nowhere", Lit(mv.scalar(1.0))))
+    with pytest.raises(UnboundName):
+        Machine(program).run_function("f", [])
+
+
 def test_integer_wrap_in_interpreter():
     def build(ctx, io, pool):
         t = io.entries["a"] + io.entries["a"]
@@ -146,3 +158,116 @@ def test_run_steps_against_fixture():
     # current input
     assert [o[0].get_linear(1) for o in outs] == [1.0, 2.0, 3.0]
     assert machine.run_steps([], 0) == []
+
+
+# -- hand-built programs ------------------------------------------------------
+
+
+def _hand_program(body, params, decls=(), statics=(), functions=()):
+    """Function f over the given params, locals and statics, beside the
+    other functions given."""
+    fn = FunctionDef("f", list(params), decls={d.name: d for d in decls}, body=list(body))
+    statics = [StaticDecl(name, v.dtype, v.rows, v.cols, v) for name, v in statics]
+    return Program(statics=statics, init_fn=FunctionDef("init", []),
+                   functions=[fn, *functions], helpers=[])
+
+
+def _i32(v):
+    return mv.make(I32, 1, 1, [v])
+
+
+def test_only_the_taken_cond_arm_runs():
+    untaken = Bin("/", Lit(_i32(1)), Lit(_i32(0)))
+    program = _hand_program(
+        [Store("res", Cond(Ref("c"), Lit(_i32(7)), untaken))],
+        [Param("c", I32, 1, 1), Param("res", I32, 1, 1)])
+    _, res = Machine(program).run_function("f", [_i32(1), _i32(0)])
+    assert res.scalar() == 7
+    with pytest.raises(mv.DivisionByZero):
+        Machine(program).run_function("f", [_i32(0), _i32(0)])
+
+
+def test_unfolded_division_by_zero_raises_when_it_executes():
+    expr = Bin("/", Lit(_i32(1)), Lit(_i32(0)))
+    assert fold_expr(expr) == expr  # folding leaves the failure to run time
+    program = _hand_program([Store("acc", Lit(_i32(7))), Store("res", expr)],
+                            [Param("res", I32, 1, 1)], statics=[("acc", _i32(0))])
+    machine = Machine(program)
+    with pytest.raises(mv.DivisionByZero):
+        machine.run_function("f", [_i32(0)])
+    assert machine.statics["acc"].scalar() == 7  # the store before it ran
+
+
+def test_branch_function_never_called_is_never_lowered():
+    def branch(name, body):
+        return FunctionDef(name, [Param("x", F64, 1, 1)], body=body)
+
+    good = branch("good", [Store("x", Lit(mv.scalar(2.0)))])
+    broken = branch("broken", [Store("nowhere", Lit(mv.scalar(1.0)))])
+    program = _hand_program(
+        [IfExpr("c", CallTarget("good", ("x",)), CallTarget("broken", ("x",)))],
+        [Param("c", F64, 1, 1), Param("x", F64, 1, 1)], functions=[good, broken])
+    _, x = Machine(program).run_function("f", [mv.scalar(1.0), mv.scalar(0.0)])
+    assert x.scalar() == 2.0
+    with pytest.raises(UnboundName):
+        Machine(program).run_function("f", [mv.scalar(0.0), mv.scalar(0.0)])
+
+
+def test_statics_reflect_writes_and_run_init_resets_them():
+    import blockgen as bg
+    from conftest import load_model_text
+    program = bg.generate(bg.parse_model(load_model_text("twodelays.model"))).program
+    defaults = {s.name: s.default for s in program.statics}
+    machine = Machine(program).run_init()
+    assert machine.statics == defaults
+    machine.run_steps([[mv.scalar(5.0)], [mv.scalar(6.0)]], 2)
+    assert machine.statics != defaults
+    assert all(isinstance(v, mv.MatValue) for v in machine.statics.values())
+    machine.run_init()
+    assert machine.statics == defaults
+
+
+@pytest.mark.parametrize("instr", [
+    Store("acc", ElemRef("v", 0)), Store("acc", ElemRef("v", 4)),
+    SetElem("v", 0, Lit(mv.scalar(1.0))), SetElem("v", 4, Lit(mv.scalar(1.0))),
+])
+def test_element_index_out_of_range_rejected_at_lowering(instr):
+    program = _hand_program([Store("acc", Lit(mv.scalar(9.0))), instr],
+                            [Param("v", F64, 3, 1)], statics=[("acc", mv.scalar(0.0))])
+    machine = Machine(program)
+    with pytest.raises(InterpError, match=r"^f: element \d of v is outside its 3 elements"):
+        machine.run_function("f", [mv.make(F64, 3, 1, [1.0, 2.0, 3.0])])
+    assert machine.statics["acc"].scalar() == 0.0  # nothing ran
+
+
+@pytest.mark.parametrize("stimulus", [mv.make(I32, 2, 2, [1, 2, 3, 4]),
+                                      mv.make(I32, 1, 1, [1]),
+                                      mv.make(F64, 2, 1, [1.0, 2.0])])
+def test_run_steps_rejects_stimulus_unlike_its_port(stimulus):
+    import blockgen as bg
+    from conftest import load_model_text
+    program = bg.generate(bg.parse_model(load_model_text("twodelays.model"))).program
+    machine = Machine(program).run_init()
+    with pytest.raises(InterpError, match=r"^step 1: input port 1 \(inouts1\) is f64 1x1"):
+        machine.run_steps([[mv.scalar(1.0)], [stimulus]], 2)
+
+
+def test_run_function_rejects_argument_unlike_its_param():
+    program = _hand_program([], [Param("a", F64, 1, 1)])
+    with pytest.raises(InterpError, match="f's a is f64 1x1, got i32 1x1"):
+        Machine(program).run_function("f", [_i32(1)])
+
+
+def test_callee_writes_through_to_caller_local_and_static():
+    # a recorded function gets the caller's storage by reference, as the
+    # emitted C passes `&name`, whatever kind of storage the caller names
+    g = FunctionDef("g", [Param("x", F64, 1, 1), Param("y", F64, 1, 1)],
+                    body=[Store("x", Lit(mv.scalar(5.0))), Store("y", Lit(mv.scalar(6.0)))])
+    program = _hand_program(
+        [Call("g", ("t", "acc")), Store("res", Ref("t"))],
+        [Param("res", F64, 1, 1)], decls=[Decl("t", F64, 1, 1)],
+        statics=[("acc", mv.scalar(0.0))], functions=[g])
+    machine = Machine(program)
+    (res,) = machine.run_function("f", [mv.scalar(0.0)])
+    assert res.scalar() == 5.0
+    assert machine.statics["acc"].scalar() == 6.0
