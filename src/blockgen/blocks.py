@@ -35,8 +35,8 @@ INIT, OUTPUT, STATE = -1, 1, 2
 class IoList:
     """Block inputs then outputs, 1-based; index -1 is the last slot.
 
-    Input slots may be zero-argument callables resolved on first read, so a
-    block scheduled before its input link is computed (a delay) can run."""
+    An input slot may be a zero-argument callable, called when the slot is
+    read: the driver's stand-in for a link not computed yet."""
 
     def __init__(self, slots, n_in):
         self.slots = list(slots)
@@ -55,10 +55,7 @@ class IoList:
 
     def __getitem__(self, k) -> BVar:
         v = self.slots[self._index(k)]
-        if callable(v) and not isinstance(v, BVar):
-            v = v()
-            self.slots[self._index(k)] = v
-        return v
+        return v() if callable(v) else v
 
     def __setitem__(self, k, v):
         i = self._index(k)

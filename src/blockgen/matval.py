@@ -106,7 +106,7 @@ def _wrapping(fn, dtype: Dtype):
 
 def wrap_int(v: int, dtype: Dtype) -> int:
     """Reduce v into dtype's range, two's complement."""
-    return _wrapping(int, dtype)(v)
+    return convert_kernel(dtype, dtype)(v)
 
 
 def _coerce_elem(v, dtype: Dtype):
@@ -261,30 +261,7 @@ _MATH = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "atan2": math.atan
 ELEM_OPS = {"add": "add", "sub": "sub", "mul_elem": "mul", "div_elem": "div"}
 
 
-def elem_kernel(op: str, dtype: Dtype):
-    """The function computing one element of op on operands of dtype, with
-    the emitted C's semantics: comparisons give a bool, integer results
-    wrap, f64 division follows IEEE-754; neg takes one operand, atan2 two."""
-    kernels = _ARITH.get(op)
-    if kernels is None:
-        if op in COMPARE:
-            return COMPARE[op]
-        if op not in _MATH:
-            raise MatError("unknown op " + op)
-        if dtype != F64:
-            raise DtypeMismatch("{} needs f64".format(op))
-        return _MATH[op]
-    if dtype.tag == "f64":
-        return kernels[0]
-    if dtype.tag == "bool":
-        raise DtypeMismatch("bool negation" if op == "neg" else
-                            "bool participates in arithmetic only after conversion")
-    return _wrapping(kernels[1], dtype)
-
-
-def convert_kernel(src: Dtype, dst: Dtype):
-    """The function converting one src element to dst, as a C cast or
-    assignment does."""
+def _convert_kernel(src: Dtype, dst: Dtype):
     if dst.is_bool:
         return lambda v: v != 0
     if dst.is_float:
@@ -294,6 +271,39 @@ def convert_kernel(src: Dtype, dst: Dtype):
         # C leaves non-finite values undefined; pick something deterministic
         return lambda v: truncate(v) if math.isfinite(v) else 0
     return _wrapping(int, dst)
+
+
+# built once, keyed by dtype tags
+_ELEM_KERNELS = {
+    **{(op, d.tag): fn for op, fn in COMPARE.items() for d in DTYPES.values()},
+    **{(op, "f64"): fn for op, fn in _MATH.items()},
+    **{(op, "f64"): fns[0] for op, fns in _ARITH.items()},
+    **{(op, d.tag): _wrapping(fns[1], d) for op, fns in _ARITH.items()
+       for d in DTYPES.values() if d.is_int},
+}
+_CONVERT_KERNELS = {(src.tag, dst.tag): _convert_kernel(src, dst)
+                    for src in DTYPES.values() for dst in DTYPES.values()}
+
+
+def elem_kernel(op: str, dtype: Dtype):
+    """The function computing one element of op on operands of dtype, with
+    the emitted C's semantics: comparisons give a bool, integer results
+    wrap, f64 division follows IEEE-754; neg takes one operand, atan2 two."""
+    kernel = _ELEM_KERNELS.get((op, dtype.tag))
+    if kernel is None:
+        if op in _MATH:
+            raise DtypeMismatch("{} needs f64".format(op))
+        if op not in _ARITH:
+            raise MatError("unknown op " + op)
+        raise DtypeMismatch("bool negation" if op == "neg" else
+                            "bool participates in arithmetic only after conversion")
+    return kernel
+
+
+def convert_kernel(src: Dtype, dst: Dtype):
+    """The function converting one src element to dst, as a C cast or
+    assignment does."""
+    return _CONVERT_KERNELS[src.tag, dst.tag]
 
 
 def binop_elem(op: str, a, b, dtype: Dtype):
@@ -323,6 +333,8 @@ def _same_dtype(a: MatValue, b: MatValue) -> Dtype:
 
 
 def _elementwise(kernel, a: MatValue, b: MatValue, dtype: Dtype) -> MatValue:
+    if len(a.data) == 1 == len(b.data):
+        return MatValue(dtype, 1, 1, (kernel(a.data[0], b.data[0]),))
     rows, cols = broadcast_pair(a, b)
     n = rows * cols
     xs = a.data if len(a.data) == n else a.data * n

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import matval as mv
@@ -488,39 +489,65 @@ def infer(model: Model) -> Model:
 # the block runner
 
 
-def _reader(linkvals, link, reader):
-    """An input slot that reads its link's value on first use, so a block
-    scheduled before its input is computed (a delay) can run."""
-    def resolve():
-        try:
-            return linkvals[link.id]
-        except KeyError:
-            raise ModelError(
-                "block {} read link {} before it was computed".format(reader, link.id))
-    return resolve
+# what every run of one block shares within a simulate or generate call: the
+# block, its input links (port 1 first), the shared zero of each output slot's
+# signature, and per connected output (slot index, link, superblock output ports)
+BlockPlan = namedtuple("BlockPlan", "block ins zeros routes")
 
 
-def _run_block(ctx, model: Model, bid, flag, linkvals, state_vals, branch=None):
+def _zero(link, zeros):
+    """The zero of link's signature (f64 1x1 without one); one per signature in `zeros`."""
+    key = ("f64", 1, 1) if link is None else (link.dtype.tag, link.rows, link.cols)
+    if key not in zeros:
+        zeros[key] = mv.zeros(mv.DTYPES[key[0]], key[1], key[2])
+    return zeros[key]
+
+
+def _plan(model: Model) -> dict:
+    """Block id -> BlockPlan, bound from `Model.graph` once inference is done."""
+    g = model.graph
+    zeros = {}
+    ports = {l.id: tuple(k for k, m in g.fed_by.items() if m is l) for l in g.fed_by.values()}
+    return {bid: BlockPlan(b, g.ins[bid], tuple([_zero(t, zeros) for _, t in g.slots[bid]]),
+                           tuple([(k, l, ports.get(l.id, ()))
+                                  for k, (l, _) in enumerate(g.slots[bid]) if l is not None]))
+            for bid, b in model.blocks.items()}
+
+
+def _numeric_context():
+    """A context whose emit drops what numeric block runs annotate."""
+    ctx = TraceContext()
+    ctx.emit = lambda instr: None
+    return ctx
+
+
+def _unread(link, reader):
+    """The input slot of a link not computed yet, which fails when read: a
+    delay runs before its input is computed and reads it only at flag 2."""
+    def fail():
+        raise ModelError("block {} read link {} before it was computed".format(reader, link.id))
+    return fail
+
+
+def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     """Run one block behavior at `flag`, numeric or symbolic alike: inputs
-    come from `linkvals`, outputs start as zeros of their slot template.
+    come from `linkvals`, outputs start as zeros of their slot signature.
     Returns the output slot values and the StateList."""
-    b = model.blocks[bid]
-    ins = model.graph.ins[bid]
-    out_slots = [numerics(mv.zeros(F64, 1, 1) if t is None else mv.zeros(t.dtype, t.rows, t.cols))
-                 for _, t in model.graph.slots[bid]]
-    io = IoList([_reader(linkvals, l, b.id) for l in ins] + out_slots, len(ins))
+    b = plan.block
+    slots = [linkvals[l.id] if l.id in linkvals else _unread(l, b.id) for l in plan.ins]
+    n_in = len(slots)
+    slots += [BVar(None, False, z) for z in plan.zeros]
+    io = IoList(slots, n_in)
     st = StateList(state_vals, ctx)
-    blk = BlockRecord(ctx, io, st, dict(b.params))
-    if branch is not None:
-        blk.params["active_branch"] = branch
-    blockmod.behavior(b.kind)(blk, flag)
+    params = b.params if branch is None else {**b.params, "active_branch": branch}
+    blockmod.behavior(b.kind)(BlockRecord(ctx, io, st, params), flag)
     if flag == blockmod.OUTPUT and st.written:
         raise blockmod.FlagPurityError(
             "block {} wrote state during the output phase".format(b.id))
     if flag == blockmod.STATE and io.written:
         raise blockmod.FlagPurityError(
             "block {} wrote outputs during the state phase".format(b.id))
-    return io.slots[len(ins):], st
+    return io.slots[n_in:], st
 
 
 def _const_links(model: Model):
@@ -536,11 +563,12 @@ def _const_links(model: Model):
 _STATELESS_FOLDABLE = ("gain", "summation", "mux", "relational_op")
 
 
-def propagate_constants(model: Model) -> Model:
+def propagate_constants(model: Model, plans: dict = None) -> Model:
     """Links fed only by const blocks through stateless paths carry values;
-    those links and blocks drop out of the generated code."""
+    those links and blocks drop out of the generated code. `plans` come from `_plan`."""
     g = model.graph
-    scratch = TraceContext()
+    plans = _plan(model) if plans is None else plans
+    scratch = _numeric_context()
     changed = True
     while changed:
         changed = False
@@ -556,10 +584,9 @@ def propagate_constants(model: Model) -> Model:
                 ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
                     known = {l.id: numerics(l.const_value) for l in ins}
-                    values, _ = _run_block(scratch, model, b.id, blockmod.OUTPUT, known, [])
-                    for (l, _), v in zip(g.slots[b.id], values):
-                        if l is not None:
-                            l.const_value = mv.convert(v.value, l.dtype)
+                    values, _ = _run_block(scratch, plans[b.id], blockmod.OUTPUT, known, [])
+                    for k, l, _ in plans[b.id].routes:
+                        l.const_value = mv.convert(values[k].value, l.dtype)
                     model.folded_blocks.add(b.id)
                     changed = True
     return model
@@ -647,17 +674,15 @@ class CodegenResult:
     schedule: Schedule
 
 
-def _init_states(model: Model, sched: Schedule):
-    """Flag -1 pass: numeric, produces every state's initial value."""
-    g = model.graph
-    zeros = {l.id: numerics(mv.zeros(l.dtype, l.rows, l.cols))
-             for bid in sched.state_order for l in g.ins[bid]}
-    scratch = TraceContext()
-    states = {}
+def _init_states(model: Model, sched: Schedule, plans: dict):
+    """Flag -1 pass over zero inputs: every state's initial value."""
+    scratch = _numeric_context()
+    zeros, states = {}, {}
     for bid in sched.state_order:
-        b = model.blocks[bid]
-        st_vals = [numerics(mv.scalar(0.0))] * blockmod.ARITY[b.kind][2]
-        _, st = _run_block(scratch, model, bid, blockmod.INIT, zeros, st_vals)
+        p = plans[bid]
+        inputs = {l.id: BVar(None, False, _zero(l, zeros)) for l in p.ins}
+        st_vals = [BVar(None, False, _zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
+        _, st = _run_block(scratch, p, blockmod.INIT, inputs, st_vals)
         states[bid] = [e.value for e in st.entries]
     return states
 
@@ -666,14 +691,15 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     """Trace the model into pseudo-code and emit the C program; with
     optimize=False the trace is emitted as recorded."""
     model = infer(model) if not model.inferred else model
-    model = propagate_constants(model)
+    plans = _plan(model)
+    model = propagate_constants(model, plans)
     sched = schedule(model)
     g = model.graph
     base = model.base_id
     cfg = cfg or EmitConfig(block_id=base)
 
     ctx = codegen_init()
-    init_values = _init_states(model, sched)
+    init_values = _init_states(model, sched, plans)
 
     # states become persistents, in init order
     state_names = {}
@@ -746,14 +772,11 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     def run(bid, flag, branch=None):
         st_vals = [BVar(ctx, True, ctx.statics[name].default, name, storage="static")
                    for name in state_names.get(bid, [])]
-        values, st = _run_block(ctx, model, bid, flag, linkvals, st_vals, branch)
+        values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.OUTPUT:
-            pending = [(link, v) for (link, _), v in zip(g.slots[bid], values)
-                       if link is not None]
             # flush link-homed outputs before port-homed ones
-            for link, value in sorted(pending, key=lambda lv: any(
-                    d[0] == "out" for d in lv[0].dsts)):
-                route_output(link, value)
+            for k, link, _ in sorted(plans[bid].routes, key=lambda r: bool(r[2])):
+                route_output(link, values[k])
         else:
             for k, entry in enumerate(st.entries):
                 if k in st.written:
@@ -813,36 +836,34 @@ def simulate(model: Model, inputs_per_step, steps: int):
     """Run the model numerically: per step all blocks at flag 1 in output
     order, then flag 2 in state order; returns output-port values."""
     model = infer(model) if not model.inferred else model
-    model = propagate_constants(model)
+    plans = _plan(model)
+    model = propagate_constants(model, plans)
     sched = schedule(model)
-    states = _init_states(model, sched)
+    states = _init_states(model, sched, plans)
     g = model.graph
-    scratch = TraceContext()
+    scratch = _numeric_context()
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
     linkvals = _const_links(model)
 
     def run(bid, flag, branch=None):
-        st_vals = [numerics(v) for v in states.get(bid, [])]
-        values, st = _run_block(scratch, model, bid, flag, linkvals, st_vals, branch)
+        st_vals = [BVar(None, False, v) for v in states.get(bid, ())]
+        values, st = _run_block(scratch, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.STATE:
             states[bid] = [mv.convert(e.value, states[bid][k].dtype)
                            for k, e in enumerate(st.entries)]
             return
-        for (link, _), value in zip(g.slots[bid], values):
-            if link is None:
-                continue
-            v = mv.convert(value.value, link.dtype)
-            linkvals[link.id] = numerics(v)
-            for d in link.dsts:
-                if d[0] == "out":
-                    port_buffers[d[1]] = mv.convert(v, g.outputs[d[1]].dtype)
+        for k, link, ports in plans[bid].routes:
+            value = values[k]
+            if value.sym or value.value.dtype != link.dtype:
+                value = numerics(mv.convert(value.value, link.dtype))
+            linkvals[link.id] = value
+            for port in ports:
+                port_buffers[port] = value.value  # infer gave the link its port's dtype
 
     outputs = []
     for step in range(steps):
-        scratch.module.body.clear()  # numeric runs record only annotations
         for p, v in zip(g.inputs.values(), inputs_per_step[step]):
-            v = mv.convert(v, p.dtype) if isinstance(v, MatValue) else \
-                mv.convert(mv.scalar(v), p.dtype)
+            v = mv.convert(v if isinstance(v, MatValue) else mv.scalar(v), p.dtype)
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))

@@ -684,8 +684,9 @@ def _nom(b: BVar) -> MatValue:
 
 
 def bv_binop(op: str, a, b) -> BVar:
-    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-    b = _as_bvar(b, like=a)
+    if not (isinstance(a, BVar) and isinstance(b, BVar)):
+        a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
+        b = _as_bvar(b, like=a)
     if not (a.sym or b.sym):
         return BVar(None, False, mv.elem_binop(op, a.value, b.value))
     if a.dtype != b.dtype:
@@ -746,10 +747,11 @@ def bv_neg(a) -> BVar:
 
 
 def bv_matmul(a, b) -> BVar:
-    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-    b = _as_bvar(b, like=a)
+    if not (isinstance(a, BVar) and isinstance(b, BVar)):
+        a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
+        b = _as_bvar(b, like=a)
     if a.is_scalar or b.is_scalar:
-        return _bv_scale(a, b)
+        return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
     if not (a.sym or b.sym):
         return BVar(None, False, mv.matmul(a.value, b.value))
     nominal = mv.matmul(_nom(a), _nom(b))
@@ -778,11 +780,6 @@ def bv_matmul(a, b) -> BVar:
                 acc = Lit(mv.zeros(nominal.dtype, 1, 1))
             ctx.emit(SetElem(res.name, i + rows * j + 1, acc))
     return res
-
-
-def _bv_scale(a: BVar, b: BVar) -> BVar:
-    """Scalar * matrix and matrix * scalar; elementwise semantics."""
-    return bv_binop("mul_elem", a, b)
 
 
 def _helper_matmul(ctx, a: BVar, b: BVar, nominal: MatValue) -> BVar:
@@ -937,10 +934,10 @@ def bv_datatype(a: BVar) -> Dtype:
 
 def bv_convert(a, dtype: Dtype) -> BVar:
     a = _as_bvar(a)
-    if not a.sym:
-        return BVar(None, False, mv.convert(a.value, dtype))
     if a.dtype == dtype:
         return a
+    if not a.sym:
+        return BVar(None, False, mv.convert(a.value, dtype))
     ctx = a.ctx
     if a.is_scalar:
         # the conversion itself rides on C's implicit assignment conversion;
