@@ -10,8 +10,6 @@ concrete values, evaluated once at generation time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import matval as mv
 from .matval import F64
 from .directives import put_annotation
@@ -33,15 +31,19 @@ INIT, OUTPUT, STATE = -1, 1, 2
 
 
 class IoList:
-    """Block inputs then outputs, 1-based; index -1 is the last slot.
+    """Block inputs then outputs, 1-based; index -1 is the last slot. It
+    keeps the list of slots it is given; `written` tells whether a behavior
+    assigned an output.
 
     An input slot may be a zero-argument callable, called when the slot is
     read: the driver's stand-in for a link not computed yet."""
 
-    def __init__(self, slots, n_in):
-        self.slots = list(slots)
+    __slots__ = ("slots", "n_in", "written")
+
+    def __init__(self, slots: list, n_in):
+        self.slots = slots
         self.n_in = n_in
-        self.written = set()
+        self.written = False
 
     def _index(self, k):
         if k == -1:
@@ -54,25 +56,28 @@ class IoList:
         return len(self.slots)
 
     def __getitem__(self, k) -> BVar:
-        v = self.slots[self._index(k)]
+        v = self.slots[k - 1] if 0 < k <= len(self.slots) else self.slots[self._index(k)]
         return v() if callable(v) else v
 
     def __setitem__(self, k, v):
-        i = self._index(k)
+        i = k - 1 if 0 < k <= len(self.slots) else self._index(k)
         if i < self.n_in:
             raise BlockError("write to input slot {}".format(k))
         if not isinstance(v, BVar):
             v = numerics(v)
         self.slots[i] = v
-        self.written.add(i)
+        self.written = True
 
 
 class StateList:
     """Block states, 1-based. Reading a symbolic scalar state emits a
-    copy-definition; writes are collected for the driver to flush."""
+    copy-definition; writes are collected for the driver to flush. It keeps
+    the list of entries it is given."""
 
-    def __init__(self, entries, ctx: TraceContext = None):
-        self.entries = list(entries)
+    __slots__ = ("entries", "ctx", "written")
+
+    def __init__(self, entries: list, ctx: TraceContext = None):
+        self.entries = entries
         self.ctx = ctx
         self.written = set()
 
@@ -92,12 +97,13 @@ class StateList:
         self.written.add(k - 1)
 
 
-@dataclass
 class BlockRecord:
-    ctx: TraceContext
-    io: IoList
-    state: StateList
-    params: dict = field(default_factory=dict)
+    """What a behavior sees of one block run."""
+
+    __slots__ = ("ctx", "io", "state", "params")
+
+    def __init__(self, ctx: TraceContext, io: IoList, state: StateList, params: dict):
+        self.ctx, self.io, self.state, self.params = ctx, io, state, params
 
 
 BEHAVIORS = {}

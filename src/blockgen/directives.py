@@ -157,12 +157,12 @@ def constant(ctx: TraceContext, v, name: str) -> BVar:
 
 
 def put_annotation(ctx: TraceContext, text: str):
-    ctx.emit(Annot(text))
+    ctx.annotate(text)
 
 
 def code_insert(ctx: TraceContext, kind: str, *payload):
     if kind == "annotation":
-        ctx.emit(Annot(payload[0]))
+        ctx.annotate(payload[0])
     elif kind == "if_expr":
         cond, f1, f2 = payload
         name = cond.name if isinstance(cond, BVar) else cond

@@ -255,7 +255,13 @@ class Machine:
         inputs = [(p, z, buf) for p, z, buf in ports if p["input"]]
         outputs = []
         for step in range(steps):
+            if step >= len(inputs_per_step):
+                raise InterpError("step {}: no input row ({} rows for {} steps)"
+                                  .format(step, len(inputs_per_step), steps))
             stimuli = inputs_per_step[step]
+            if len(stimuli) != len(inputs):
+                raise InterpError("step {}: {} input values for {} input ports"
+                                  .format(step, len(stimuli), len(inputs)))
             for n, (p, z, buf) in enumerate(inputs):
                 _check("step {}: input port {} ({})".format(step, n + 1, p["name"]),
                        z, stimuli[n])

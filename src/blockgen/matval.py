@@ -4,19 +4,26 @@ Everything here is deliberately pure Python: the interpreted value of an
 operation must agree bit for bit with the C code the emitter produces, so
 integer arithmetic wraps two's-complement style, float->int conversion
 truncates toward zero, and f64 division follows IEEE-754 (x/0 is inf).
-Matrices are stored as flat column-major tuples. Each operator's effect on
-one element is defined once, by elem_kernel and convert_kernel; the MatValue
-operations here and the interpreter's lowered code are both built on them,
-and the matrix product, transpose and inverse loops run on flat sequences
-so that the interpreter shares them too.
+Matrices are stored as flat column-major tuples.
+
+A MatValue is an immutable tuple-backed record (dtype, rows, cols, data)
+that equals only another MatValue. Each dtype is one interned Dtype
+instance, so dtypes compare by identity; never construct a Dtype outside
+this module (Dtype(tag) returns the interned instance, and copies and
+pickles keep it).
+
+Each operator's effect on one element is defined once, by elem_kernel and
+convert_kernel; the MatValue operations here and the interpreter's lowered
+code are both built on them, and the matrix product, transpose and inverse
+loops run on flat sequences so that the interpreter shares them too.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from functools import reduce
-from dataclasses import dataclass
+from collections import namedtuple
+from functools import partial, reduce
 
 
 class MatError(Exception):
@@ -43,57 +50,42 @@ class DivisionByZero(MatError):
     pass
 
 
-@dataclass(frozen=True)
 class Dtype:
-    tag: str
+    """An element type. There is one instance per tag, so dtypes compare by
+    identity; `Dtype(tag)` returns that instance and copies keep it."""
 
-    @property
-    def is_float(self):
-        return self.tag == "f64"
+    __slots__ = ("tag", "is_float", "is_bool", "is_int", "width", "signed", "ctype")
 
-    @property
-    def is_bool(self):
-        return self.tag == "bool"
+    def __new__(cls, tag):
+        return DTYPES[tag]
 
-    @property
-    def is_int(self):
-        return not (self.is_float or self.is_bool)
+    def __setattr__(self, name, value):
+        raise AttributeError("dtypes are immutable")
 
-    @property
-    def width(self):
-        if self.is_float:
-            return 64
-        if self.is_bool:
-            return 1
-        return int(self.tag[1:])
+    def __hash__(self):
+        return hash(self.tag)
 
-    @property
-    def signed(self):
-        return self.tag.startswith("i")
-
-    @property
-    def ctype(self):
-        if self.is_float:
-            return "double"
-        if self.is_bool:
-            return "int"
-        base = "int{}_t".format(self.tag[1:])
-        return base if self.signed else "u" + base
+    def __reduce__(self):
+        return self.tag.upper()  # the module attribute naming this instance
 
     def __repr__(self):
         return self.tag
 
 
-F64 = Dtype("f64")
-BOOL = Dtype("bool")
-I8 = Dtype("i8")
-I16 = Dtype("i16")
-I32 = Dtype("i32")
-U8 = Dtype("u8")
-U16 = Dtype("u16")
-U32 = Dtype("u32")
+def _dtype(tag):
+    d = object.__new__(Dtype)
+    width = 64 if tag == "f64" else 1 if tag == "bool" else int(tag[1:])
+    ctype = {"f64": "double", "bool": "int"}.get(tag, "{}int{}_t".format(
+        "" if tag[0] == "i" else "u", width))
+    for name, value in (("tag", tag), ("is_float", tag == "f64"), ("is_bool", tag == "bool"),
+                        ("is_int", tag[0] in "iu"), ("width", width),
+                        ("signed", tag[0] == "i"), ("ctype", ctype)):
+        object.__setattr__(d, name, value)
+    return d
 
-DTYPES = {d.tag: d for d in (F64, BOOL, I8, I16, I32, U8, U16, U32)}
+
+DTYPES = {tag: _dtype(tag) for tag in ("f64", "bool", "i8", "i16", "i32", "u8", "u16", "u32")}
+F64, BOOL, I8, I16, I32, U8, U16, U32 = DTYPES.values()
 
 
 def _wrapping(fn, dtype: Dtype):
@@ -109,30 +101,31 @@ def wrap_int(v: int, dtype: Dtype) -> int:
     return convert_kernel(dtype, dtype)(v)
 
 
-def _coerce_elem(v, dtype: Dtype):
-    if dtype.is_float:
-        return float(v)
-    if dtype.is_bool:
-        return bool(v)
-    return wrap_int(int(v), dtype)
+class MatValue(namedtuple("MatValue", "dtype rows cols data")):
+    """A rectangular matrix: dtype, shape, flat column-major data. An
+    immutable tuple-backed record, equal only to another MatValue."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class MatValue:
-    """A rectangular matrix: dtype, shape, flat column-major data."""
-
-    dtype: Dtype
-    rows: int
-    cols: int
-    data: tuple
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    def __new__(cls, dtype, rows, cols, data):
+        if rows < 0 or cols < 0:
             raise ShapeMismatch("negative dimension")
-        if len(self.data) != self.rows * self.cols:
-            raise ShapeMismatch(
-                "data length {} != {}x{}".format(len(self.data), self.rows, self.cols)
-            )
+        if len(data) != rows * cols:
+            raise ShapeMismatch("data length {} != {}x{}".format(len(data), rows, cols))
+        return tuple.__new__(cls, (dtype, rows, cols, data))
+
+    def __eq__(self, other):
+        return isinstance(other, MatValue) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def _no_arithmetic(self, other):  # not the tuple's concatenation or repetition
+        return NotImplemented
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
 
     @property
     def shape(self):
@@ -159,8 +152,8 @@ class MatValue:
         if not 0 <= k < self.size:
             raise ShapeMismatch("linear index {} out of {}".format(k, self.size))
         d = list(self.data)
-        d[k] = _coerce_elem(v, self.dtype)
-        return MatValue(self.dtype, self.rows, self.cols, tuple(d))
+        d[k] = _STORE[self.dtype.tag](v)
+        return _unchecked((self.dtype, self.rows, self.cols, tuple(d)))
 
     def scalar(self):
         if not self.is_scalar:
@@ -171,8 +164,13 @@ class MatValue:
         return "MatValue({}, {}x{}, {})".format(self.dtype, self.rows, self.cols, list(self.data))
 
 
+# builds a MatValue without validating it, for results whose data length is
+# right by construction: _unchecked((dtype, rows, cols, data))
+_unchecked = partial(tuple.__new__, MatValue)
+
+
 def make(dtype: Dtype, rows: int, cols: int, data) -> MatValue:
-    return MatValue(dtype, rows, cols, tuple(_coerce_elem(v, dtype) for v in data))
+    return MatValue(dtype, rows, cols, tuple(map(_STORE[dtype.tag], data)))
 
 
 def scalar(v, dtype: Dtype = None) -> MatValue:
@@ -283,6 +281,9 @@ _ELEM_KERNELS = {
 }
 _CONVERT_KERNELS = {(src.tag, dst.tag): _convert_kernel(src, dst)
                     for src in DTYPES.values() for dst in DTYPES.values()}
+# how make and set_linear store a value of any numeric type as an element
+_STORE = {tag: float if tag == "f64" else bool if tag == "bool" else _CONVERT_KERNELS[tag, tag]
+          for tag in DTYPES}
 
 
 def elem_kernel(op: str, dtype: Dtype):
@@ -327,23 +328,23 @@ def broadcast_pair(a: MatValue, b: MatValue):
 
 
 def _same_dtype(a: MatValue, b: MatValue) -> Dtype:
-    if a.dtype != b.dtype:
+    if a.dtype is not b.dtype:
         raise DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
     return a.dtype
 
 
 def _elementwise(kernel, a: MatValue, b: MatValue, dtype: Dtype) -> MatValue:
     if len(a.data) == 1 == len(b.data):
-        return MatValue(dtype, 1, 1, (kernel(a.data[0], b.data[0]),))
+        return _unchecked((dtype, 1, 1, (kernel(a.data[0], b.data[0]),)))
     rows, cols = broadcast_pair(a, b)
     n = rows * cols
     xs = a.data if len(a.data) == n else a.data * n
     ys = b.data if len(b.data) == n else b.data * n
-    return MatValue(dtype, rows, cols, tuple(map(kernel, xs, ys)))
+    return _unchecked((dtype, rows, cols, tuple(map(kernel, xs, ys))))
 
 
 def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
-    dtype = _same_dtype(a, b)
+    dtype = a.dtype if a.dtype is b.dtype else _same_dtype(a, b)
     return _elementwise(elem_kernel(ELEM_OPS[op], dtype), a, b, dtype)
 
 
@@ -353,7 +354,7 @@ def compare(op: str, a: MatValue, b: MatValue) -> MatValue:
 
 
 def neg(a: MatValue) -> MatValue:
-    return MatValue(a.dtype, a.rows, a.cols, tuple(map(elem_kernel("neg", a.dtype), a.data)))
+    return _unchecked((a.dtype, a.rows, a.cols, tuple(map(elem_kernel("neg", a.dtype), a.data))))
 
 
 def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
@@ -378,8 +379,10 @@ def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
 
 
 def matmul(a: MatValue, b: MatValue) -> MatValue:
+    if len(a.data) == 1 or len(b.data) == 1:
+        return elem_binop("mul_elem", a, b)  # a 1x1 operand scales the other
     rows, cols, data = matmul_flat(_same_dtype(a, b), a.data, a.rows, a.cols, b.data, b.rows, b.cols)
-    return MatValue(a.dtype, rows, cols, tuple(data))
+    return _unchecked((a.dtype, rows, cols, tuple(data)))
 
 
 def transpose_flat(a, rows: int, cols: int) -> list:
@@ -388,7 +391,7 @@ def transpose_flat(a, rows: int, cols: int) -> list:
 
 
 def transpose(a: MatValue) -> MatValue:
-    return MatValue(a.dtype, a.cols, a.rows, tuple(transpose_flat(a.data, a.rows, a.cols)))
+    return _unchecked((a.dtype, a.cols, a.rows, tuple(transpose_flat(a.data, a.rows, a.cols))))
 
 
 def concat_rows(a: MatValue, b: MatValue) -> MatValue:
@@ -405,7 +408,7 @@ def concat_rows(a: MatValue, b: MatValue) -> MatValue:
     for j in range(a.cols):
         data.extend(a.data[j * a.rows:(j + 1) * a.rows])
         data.extend(b.data[j * b.rows:(j + 1) * b.rows])
-    return MatValue(a.dtype, rows, a.cols, tuple(data))
+    return _unchecked((a.dtype, rows, a.cols, tuple(data)))
 
 
 def concat_cols(a: MatValue, b: MatValue) -> MatValue:
@@ -417,19 +420,19 @@ def concat_cols(a: MatValue, b: MatValue) -> MatValue:
     _same_dtype(a, b)
     if a.rows != b.rows:
         raise ShapeMismatch("row counts {} vs {}".format(a.rows, b.rows))
-    return MatValue(a.dtype, a.rows, a.cols + b.cols, a.data + b.data)
+    return _unchecked((a.dtype, a.rows, a.cols + b.cols, a.data + b.data))
 
 
 def convert(a: MatValue, dtype: Dtype) -> MatValue:
-    if a.dtype == dtype:
+    if a.dtype is dtype:
         return a
     data = map(convert_kernel(a.dtype, dtype), a.data)
-    return MatValue(dtype, a.rows, a.cols, tuple(data))
+    return _unchecked((dtype, a.rows, a.cols, tuple(data)))
 
 
 def sum_all(a: MatValue) -> MatValue:
     zero = 0.0 if a.dtype.is_float else 0
-    return MatValue(a.dtype, 1, 1, (reduce(elem_kernel("add", a.dtype), a.data, zero),))
+    return _unchecked((a.dtype, 1, 1, (reduce(elem_kernel("add", a.dtype), a.data, zero),)))
 
 
 def invert_flat(a, n: int) -> list:
@@ -467,9 +470,9 @@ def invert_flat(a, n: int) -> list:
 def invert(a: MatValue) -> MatValue:
     if a.rows != a.cols:
         raise NonSquare("Division by non square matrix not supported.")
-    if a.dtype != F64:
+    if a.dtype is not F64:
         raise DtypeMismatch("inverse needs f64")
-    return MatValue(F64, a.rows, a.rows, tuple(invert_flat(a.data, a.rows)))
+    return _unchecked((F64, a.rows, a.rows, tuple(invert_flat(a.data, a.rows))))
 
 
 def elem_math(fn: str, *args: MatValue) -> MatValue:
@@ -478,4 +481,4 @@ def elem_math(fn: str, *args: MatValue) -> MatValue:
     y = args[0]
     if any(m.shape != y.shape for m in args):
         raise ShapeMismatch("{} args {}".format(fn, " vs ".join(str(m.shape) for m in args)))
-    return MatValue(F64, y.rows, y.cols, tuple(map(kernel, *(m.data for m in args))))
+    return _unchecked((F64, y.rows, y.cols, tuple(map(kernel, *(m.data for m in args)))))

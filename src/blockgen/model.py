@@ -369,111 +369,60 @@ def _build_graph(model: Model) -> Graph:
 # inference
 
 
-def _unify_dtype(link: LinkSpec, dtype: Dtype):
+def _unify_dtype(link: LinkSpec, dtype: Dtype, changed: list):
+    """Give link dtype if it has none, appending it to `changed`."""
     if dtype is None:
-        return False
+        return
     if link.dtype is None:
         link.dtype = dtype
-        return True
-    if link.dtype != dtype:
+        changed.append(link)
+    elif link.dtype is not dtype:
         raise Conflict("link {}: dtype {} vs {}".format(link.id, link.dtype, dtype))
-    return False
 
 
-def _unify_shape(link: LinkSpec, rows, cols):
+def _unify_shape(link: LinkSpec, rows, cols, changed: list):
+    """Give link a shape if it has none, appending it to `changed`."""
     if rows is None:
-        return False
-    changed = False
+        return
     if link.rows is None:
         link.rows, link.cols = rows, cols
-        changed = True
+        changed.append(link)
     elif (link.rows, link.cols) != (rows, cols):
         raise Conflict("link {}: shape {}x{} vs {}x{}".format(
             link.id, link.rows, link.cols, rows, cols))
-    return changed
 
 
 def infer(model: Model) -> Model:
-    """Fixed-point dtype/shape propagation over the link graph."""
+    """Fixed-point dtype/shape propagation over the link graph: one pass over
+    the blocks in order, then passes over only the blocks on a link that
+    changed. A rule applied again to its own writes changes nothing, except
+    the matrix gain's, so only that block also runs again after its change."""
     g = model.graph
+    changed = []
     for k, links in g.feeds.items():
         p = g.inputs[k]
         for link in links:
-            _unify_dtype(link, p.dtype)
-            _unify_shape(link, p.rows, p.cols)
+            _unify_dtype(link, p.dtype, changed)
+            _unify_shape(link, p.rows, p.cols, changed)
     for k, link in g.fed_by.items():
         p = g.outputs[k]
-        _unify_dtype(link, p.dtype)
-        _unify_shape(link, p.rows, p.cols)
-    changed = True
-    while changed:
-        changed = False
+        _unify_dtype(link, p.dtype, changed)
+        _unify_shape(link, p.rows, p.cols, changed)
+    dirty = set(model.blocks)
+    while dirty:
         for b in model.blocks.values():
-            ins = g.ins[b.id]
-            outs = g.outs[b.id]
-            if b.kind == "const":
-                v = b.params["value"]
-                for l in outs:
-                    changed |= _unify_dtype(l, v.dtype)
-                    changed |= _unify_shape(l, v.rows, v.cols)
-            elif b.kind == "unit_delay":
-                group = ins + outs
-                dt = next((l.dtype for l in group if l.dtype), None)
-                sh = next((l.shape for l in group if l.rows is not None), (None, None))
-                for l in group:
-                    changed |= _unify_dtype(l, dt)
-                    changed |= _unify_shape(l, *sh)
-            elif b.kind == "gain":
-                i, o = ins[0], outs[0]
-                changed |= _unify_dtype(o, i.dtype)
-                changed |= _unify_dtype(i, o.dtype)
-                gain = b.params["gain"]
-                if gain.is_scalar:
-                    changed |= _unify_shape(o, *i.shape) if i.rows is not None else False
-                    changed |= _unify_shape(i, *o.shape) if o.rows is not None else False
-                else:
-                    if i.rows is not None and i.rows != gain.cols:
-                        raise Conflict("gain {}: input rows {} vs gain cols {}"
-                                       .format(b.id, i.rows, gain.cols))
-                    if i.cols is not None:
-                        changed |= _unify_shape(o, gain.rows, i.cols)
-                    if o.cols is not None:
-                        changed |= _unify_shape(i, gain.cols, o.cols)
-            elif b.kind in ("summation", "select"):
-                group = ins + outs
-                dt = next((l.dtype for l in group if l.dtype), None)
-                sh = next((l.shape for l in group if l.rows is not None), (None, None))
-                for l in group:
-                    changed |= _unify_dtype(l, dt)
-                    changed |= _unify_shape(l, *sh)
-            elif b.kind == "mux":
-                o = outs[0]
-                dt = next((l.dtype for l in ins + outs if l.dtype), None)
-                for l in ins + outs:
-                    changed |= _unify_dtype(l, dt)
-                if all(l.rows is not None for l in ins):
-                    cols = {l.cols for l in ins}
-                    if len(cols) > 1:
-                        raise Conflict("mux {}: mixed column counts".format(b.id))
-                    changed |= _unify_shape(o, sum(l.rows for l in ins), cols.pop())
-            elif b.kind == "relational_op":
-                a, c = ins
-                dt = a.dtype or c.dtype
-                changed |= _unify_dtype(a, dt)
-                changed |= _unify_dtype(c, dt)
-                sh = a.shape if a.rows is not None else c.shape
-                if sh[0] is not None:
-                    changed |= _unify_shape(a, *sh)
-                    changed |= _unify_shape(c, *sh)
-                    changed |= _unify_shape(outs[0], *sh)
-            elif b.kind == "ifthenelse":
-                changed |= _unify_shape(ins[0], 1, 1)
-            elif b.kind == "sciblk":
-                for port, (dt, r, c) in b.out_sig.items():
-                    for l in outs:
-                        if l.src[2] == port:
-                            changed |= _unify_dtype(l, dt)
-                            changed |= _unify_shape(l, r, c)
+            if b.id in dirty:
+                dirty.discard(b.id)
+                changed.clear()
+                again = _infer_block(b, g.ins[b.id], g.outs[b.id], changed)
+                for l in changed:
+                    if l.src[0] == "block":
+                        dirty.add(l.src[1])
+                    for d in l.dsts:
+                        if d[0] == "block":
+                            dirty.add(d[1])
+                if not again:
+                    dirty.discard(b.id)
     for link in model.links.values():
         if link.dtype is None and link.src[0] == "block" \
                 and model.blocks[link.src[1]].kind == "relational_op":
@@ -485,13 +434,75 @@ def infer(model: Model) -> Model:
     return model
 
 
+def _infer_block(b: BlockSpec, ins, outs, changed: list):
+    """Apply one block's dtype/shape rule to its links, appending each link
+    it changes to `changed`. True when applying it again may change more:
+    the matrix gain sets its input's shape after reading it."""
+    if b.kind == "const":
+        v = b.params["value"]
+        for l in outs:
+            _unify_dtype(l, v.dtype, changed)
+            _unify_shape(l, v.rows, v.cols, changed)
+    elif b.kind in ("unit_delay", "summation", "select"):
+        group = ins + outs
+        dt = next((l.dtype for l in group if l.dtype), None)
+        sh = next((l.shape for l in group if l.rows is not None), (None, None))
+        for l in group:
+            _unify_dtype(l, dt, changed)
+            _unify_shape(l, *sh, changed)
+    elif b.kind == "gain":
+        i, o = ins[0], outs[0]
+        _unify_dtype(o, i.dtype, changed)
+        _unify_dtype(i, o.dtype, changed)
+        gain = b.params["gain"]
+        if gain.is_scalar:
+            _unify_shape(o, *i.shape, changed)
+            _unify_shape(i, *o.shape, changed)
+        else:
+            if i.rows is not None and i.rows != gain.cols:
+                raise Conflict("gain {}: input rows {} vs gain cols {}"
+                               .format(b.id, i.rows, gain.cols))
+            if i.cols is not None:
+                _unify_shape(o, gain.rows, i.cols, changed)
+            if o.cols is not None:
+                _unify_shape(i, gain.cols, o.cols, changed)
+            return bool(changed)
+    elif b.kind == "mux":
+        o = outs[0]
+        dt = next((l.dtype for l in ins + outs if l.dtype), None)
+        for l in ins + outs:
+            _unify_dtype(l, dt, changed)
+        if all(l.rows is not None for l in ins):
+            cols = {l.cols for l in ins}
+            if len(cols) > 1:
+                raise Conflict("mux {}: mixed column counts".format(b.id))
+            _unify_shape(o, sum(l.rows for l in ins), cols.pop(), changed)
+    elif b.kind == "relational_op":
+        a, c = ins
+        dt = a.dtype or c.dtype
+        _unify_dtype(a, dt, changed)
+        _unify_dtype(c, dt, changed)
+        sh = a.shape if a.rows is not None else c.shape
+        _unify_shape(a, *sh, changed)
+        _unify_shape(c, *sh, changed)
+        _unify_shape(outs[0], *sh, changed)
+    elif b.kind == "ifthenelse":
+        _unify_shape(ins[0], 1, 1, changed)
+    elif b.kind == "sciblk":
+        for port, (dt, r, c) in b.out_sig.items():
+            for l in outs:
+                if l.src[2] == port:
+                    _unify_dtype(l, dt, changed)
+                    _unify_shape(l, r, c, changed)
+
+
 # ---------------------------------------------------------------------------
 # the block runner
 
 
 # what every run of one block shares within a simulate or generate call: the
 # block, its input links (port 1 first), the shared zero of each output slot's
-# signature, and per connected output (slot index, link, superblock output ports)
+# signature, and per connected output (io slot index, link, superblock output ports)
 BlockPlan = namedtuple("BlockPlan", "block ins zeros routes")
 
 
@@ -510,14 +521,16 @@ def _plan(model: Model) -> dict:
     ports = {l.id: tuple(k for k, m in g.fed_by.items() if m is l) for l in g.fed_by.values()}
     return {bid: BlockPlan(b, g.ins[bid], tuple([_zero(t, zeros) for _, t in g.slots[bid]]),
                            tuple([(k, l, ports.get(l.id, ()))
-                                  for k, (l, _) in enumerate(g.slots[bid]) if l is not None]))
+                                  for k, (l, _) in enumerate(g.slots[bid], len(g.ins[bid]))
+                                  if l is not None]))
             for bid, b in model.blocks.items()}
 
 
 def _numeric_context():
-    """A context whose emit drops what numeric block runs annotate."""
+    """The context of numeric block runs, which drops what behaviors annotate
+    without building it."""
     ctx = TraceContext()
-    ctx.emit = lambda instr: None
+    ctx.annotate = lambda text: None
     return ctx
 
 
@@ -532,12 +545,12 @@ def _unread(link, reader):
 def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     """Run one block behavior at `flag`, numeric or symbolic alike: inputs
     come from `linkvals`, outputs start as zeros of their slot signature.
-    Returns the output slot values and the StateList."""
+    Returns the io slots, inputs then outputs, and the StateList."""
     b = plan.block
     slots = [linkvals[l.id] if l.id in linkvals else _unread(l, b.id) for l in plan.ins]
-    n_in = len(slots)
-    slots += [BVar(None, False, z) for z in plan.zeros]
-    io = IoList(slots, n_in)
+    for z in plan.zeros:
+        slots.append(BVar(None, False, z))
+    io = IoList(slots, len(plan.ins))
     st = StateList(state_vals, ctx)
     params = b.params if branch is None else {**b.params, "active_branch": branch}
     blockmod.behavior(b.kind)(BlockRecord(ctx, io, st, params), flag)
@@ -547,7 +560,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     if flag == blockmod.STATE and io.written:
         raise blockmod.FlagPurityError(
             "block {} wrote outputs during the state phase".format(b.id))
-    return io.slots[n_in:], st
+    return slots, st
 
 
 def _const_links(model: Model):
@@ -596,19 +609,16 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
 # scheduling
 
 
-def _node_key(n):
-    """Ties break on ascending block id; a region sorts at its head's id."""
-    return n[1] if isinstance(n, tuple) else n
-
-
 def _topo(deps):
-    """Kahn's algorithm; among the ready nodes the smallest key goes first."""
+    """Kahn's algorithm; among the ready nodes the smallest key goes first:
+    ties break on ascending block id, and a region sorts at its head's id."""
+    key = {n: n[1] if isinstance(n, tuple) else n for n in deps}
     waiting = {n: len(d) for n, d in deps.items()}
     users = {n: [] for n in deps}
     for n, d in deps.items():
         for m in d:
             users[m].append(n)
-    ready = [(_node_key(n), n) for n, k in waiting.items() if not k]
+    ready = [(key[n], n) for n, k in waiting.items() if not k]
     heapq.heapify(ready)
     order = []
     while ready:
@@ -617,25 +627,26 @@ def _topo(deps):
         for m in users[n]:
             waiting[m] -= 1
             if not waiting[m]:
-                heapq.heappush(ready, (_node_key(m), m))
+                heapq.heappush(ready, (key[m], m))
     if len(order) != len(deps):
-        cyc = sorted(_node_key(n) for n in set(deps) - set(order))
+        cyc = sorted(key[n] for n in set(deps) - set(order))
         raise AlgebraicLoop("algebraic loop through blocks {}".format(cyc))
     return order
 
 
-def _order(model: Model, members, node_of=lambda bid: bid):
-    """Topological order of the nodes `node_of` maps `members` to, by the
-    feedthrough edges among them. Edges inside one region node don't count;
-    a block that feeds itself is a loop."""
-    deps = {node_of(b): set() for b in members}
+def _order(model: Model, members, nodes: dict):
+    """Topological order of `members` by the feedthrough edges among them,
+    where a block in `nodes` stands for its node there (its region). Edges
+    inside one region node don't count; a block that feeds itself is a loop."""
+    blocks, ins = model.blocks, model.graph.ins
+    deps = {nodes.get(b, b): set() for b in members}
     for bid in members:
-        if model.blocks[bid].kind == "unit_delay":
+        if blocks[bid].kind == "unit_delay":
             continue  # delay inputs are consumed in the state phase
-        dst = node_of(bid)
-        for l in model.graph.ins[bid]:
+        dst = nodes.get(bid, bid)
+        for l in ins[bid]:
             if l.const_value is None and l.src[0] == "block" and l.src[1] in members:
-                src = node_of(l.src[1])
+                src = nodes.get(l.src[1], l.src[1])
                 if src != dst or not isinstance(dst, tuple):
                     deps[dst].add(src)
     return _topo(deps)
@@ -646,14 +657,10 @@ def schedule(model: Model) -> Schedule:
         raise ModelError("schedule needs an inferred model")
     g = model.graph
     live = set(model.blocks) - model.folded_blocks
-
-    def node_of(bid):
-        r = g.region_of.get(bid)
-        return ("region", r.ifthenelse) if r else bid
-
+    nodes = {bid: ("region", r.ifthenelse) for bid, r in g.region_of.items()}
     output_order = [("region", g.region_of[n[1]]) if isinstance(n, tuple) else n
-                    for n in _order(model, live, node_of)]
-    branches = {r.ifthenelse: tuple(_order(model, set(blocks) - model.folded_blocks)
+                    for n in _order(model, live, nodes)]
+    branches = {r.ifthenelse: tuple(_order(model, set(blocks) - model.folded_blocks, {})
                                     for blocks in (r.then_blocks, r.else_blocks))
                 for r in model.regions}
     stateful = sorted(b for b in live
@@ -846,15 +853,16 @@ def simulate(model: Model, inputs_per_step, steps: int):
     linkvals = _const_links(model)
 
     def run(bid, flag, branch=None):
-        st_vals = [BVar(None, False, v) for v in states.get(bid, ())]
+        vals = states.get(bid)
+        st_vals = [BVar(None, False, v) for v in vals] if vals else []
         values, st = _run_block(scratch, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.STATE:
-            states[bid] = [mv.convert(e.value, states[bid][k].dtype)
-                           for k, e in enumerate(st.entries)]
+            states[bid] = [mv.convert(e.value, old.dtype)
+                           for e, old in zip(st.entries, states[bid])]
             return
         for k, link, ports in plans[bid].routes:
             value = values[k]
-            if value.sym or value.value.dtype != link.dtype:
+            if value.sym or value.value.dtype is not link.dtype:
                 value = numerics(mv.convert(value.value, link.dtype))
             linkvals[link.id] = value
             for port in ports:
@@ -862,6 +870,12 @@ def simulate(model: Model, inputs_per_step, steps: int):
 
     outputs = []
     for step in range(steps):
+        if step >= len(inputs_per_step):
+            raise ModelError("step {}: no input row ({} rows for {} steps)"
+                             .format(step, len(inputs_per_step), steps))
+        if len(inputs_per_step[step]) != len(g.inputs):
+            raise ModelError("step {}: {} input values for {} input ports"
+                             .format(step, len(inputs_per_step[step]), len(g.inputs)))
         for p, v in zip(g.inputs.values(), inputs_per_step[step]):
             v = mv.convert(v if isinstance(v, MatValue) else mv.scalar(v), p.dtype)
             if v.shape != (p.rows, p.cols):

@@ -384,6 +384,10 @@ class TraceContext:
     def emit(self, instr: Instr):
         self.frame.body.append(instr)
 
+    def annotate(self, text: str):
+        """Record a comment; a numeric context drops it unbuilt."""
+        self.emit(Annot(text))
+
     def declare(self, name, dtype, rows, cols, init=None, static=False):
         self.frame.decls[name] = Decl(name, dtype, rows, cols, init, static)
 
@@ -522,7 +526,7 @@ class BVar:
 
 def numerics(v) -> BVar:
     """Wrap a concrete value as a numeric bvar."""
-    return BVar(None, False, _as_matvalue(v))
+    return BVar(None, False, v if isinstance(v, MatValue) else _as_matvalue(v))
 
 
 def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
@@ -555,6 +559,12 @@ def _as_bvar(v, like: BVar = None) -> BVar:
         # bare python numbers adopt the dtype of the bvar they meet
         m = mv.convert(m, like.dtype)
     return BVar(None, False, m)
+
+
+def _coerce_pair(a, b):
+    """Both operands as bvars; a bare number adopts the other operand's dtype."""
+    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
+    return a, _as_bvar(b, like=a)
 
 
 def _ctx_of(*bvars) -> TraceContext:
@@ -685,11 +695,10 @@ def _nom(b: BVar) -> MatValue:
 
 def bv_binop(op: str, a, b) -> BVar:
     if not (isinstance(a, BVar) and isinstance(b, BVar)):
-        a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-        b = _as_bvar(b, like=a)
+        return bv_binop(op, *_coerce_pair(a, b))
     if not (a.sym or b.sym):
         return BVar(None, False, mv.elem_binop(op, a.value, b.value))
-    if a.dtype != b.dtype:
+    if a.dtype is not b.dtype:
         raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
     if a.dtype.is_bool:
         raise mv.DtypeMismatch("bool participates in arithmetic only after conversion")
@@ -748,12 +757,11 @@ def bv_neg(a) -> BVar:
 
 def bv_matmul(a, b) -> BVar:
     if not (isinstance(a, BVar) and isinstance(b, BVar)):
-        a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-        b = _as_bvar(b, like=a)
+        return bv_matmul(*_coerce_pair(a, b))
+    if not (a.sym or b.sym):
+        return BVar(None, False, mv.matmul(a.value, b.value))  # a 1x1 operand scales
     if a.is_scalar or b.is_scalar:
         return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
-    if not (a.sym or b.sym):
-        return BVar(None, False, mv.matmul(a.value, b.value))
     nominal = mv.matmul(_nom(a), _nom(b))
     ctx = _ctx_of(a, b)
     n = nominal.size
@@ -933,11 +941,12 @@ def bv_datatype(a: BVar) -> Dtype:
 
 
 def bv_convert(a, dtype: Dtype) -> BVar:
-    a = _as_bvar(a)
-    if a.dtype == dtype:
-        return a
+    if not isinstance(a, BVar):
+        a = _as_bvar(a)
     if not a.sym:
-        return BVar(None, False, mv.convert(a.value, dtype))
+        return a if a.value.dtype is dtype else BVar(None, False, mv.convert(a.value, dtype))
+    if a.dtype is dtype:
+        return a
     ctx = a.ctx
     if a.is_scalar:
         # the conversion itself rides on C's implicit assignment conversion;
@@ -965,8 +974,7 @@ def bv_sum(a) -> BVar:
 
 
 def bv_compare(op: str, a, b) -> BVar:
-    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-    b = _as_bvar(b, like=a)
+    a, b = _coerce_pair(a, b)
     nominal = mv.compare(op, a.value, b.value)
     if not (a.sym or b.sym):
         return BVar(None, False, nominal)
@@ -1073,8 +1081,7 @@ def bv_inv(a) -> BVar:
 
 def bv_div(a, b, _scalar_path=False) -> BVar:
     """a / b: elementwise when b is 1x1, else a * inv(b) for square b."""
-    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-    b = _as_bvar(b, like=a)
+    a, b = _coerce_pair(a, b)
     if b.is_scalar:
         return bv_binop("div_elem", a, b)
     if b.rows != b.cols:

@@ -2,7 +2,9 @@
 kernels themselves are hand-written so that interpreted and emitted C
 arithmetic agree bit for bit."""
 
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -282,3 +284,47 @@ def test_constructors():
     assert mv.to_rows(mv.diag([1.0, 2.0])) == [[1, 0], [0, 2]]
     assert mv.ones(I32, 2, 2).data == (1, 1, 1, 1)
     assert mv.eye(2, I32).data == (1, 0, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# value semantics: interned dtypes, immutable tuple-backed values
+
+
+@pytest.mark.parametrize("dtype", list(mv.DTYPES.values()), ids=list(mv.DTYPES))
+def test_dtype_is_one_instance_through_copies(dtype):
+    assert copy.copy(dtype) is dtype
+    assert copy.deepcopy(dtype) is dtype
+    assert pickle.loads(pickle.dumps(dtype)) is dtype
+    assert mv.Dtype(dtype.tag) is dtype
+    assert hash(dtype) == hash(dtype.tag)
+    held = copy.deepcopy({"v": mv.zeros(dtype, 2, 1)})["v"]
+    assert held.dtype is dtype
+
+
+def test_dtypes_and_values_are_immutable():
+    with pytest.raises(AttributeError):
+        F64.tag = "i32"
+    with pytest.raises(AttributeError):
+        F64.width = 32
+    v = mv.scalar(1.0)
+    with pytest.raises(AttributeError):
+        v.rows = 2
+    with pytest.raises(AttributeError):
+        v.extra = 1
+    with pytest.raises(TypeError):
+        v + v  # not the tuple's concatenation
+    with pytest.raises(TypeError):
+        v * 2  # nor its repetition
+
+
+def test_matvalue_validation_and_equality():
+    with pytest.raises(mv.ShapeMismatch, match=r"^data length 3 != 2x2$"):
+        mv.MatValue(F64, 2, 2, (1.0, 2.0, 3.0))
+    with pytest.raises(mv.ShapeMismatch, match=r"^negative dimension$"):
+        mv.MatValue(F64, -1, 0, ())
+    a, b = mv.make(I32, 1, 2, [1, 2]), mv.make(I32, 1, 2, [1.0, 2.0])
+    assert a == b and hash(a) == hash(b) and not a != b
+    assert a != tuple(a) and tuple(a) != a
+    assert a != mv.make(I16, 1, 2, [1, 2])
+    assert repr(a) == "MatValue(i32, 1x2, [1, 2])"
+    assert pickle.loads(pickle.dumps(a)) == a

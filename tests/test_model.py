@@ -13,7 +13,7 @@ from blockgen import blocks
 from blockgen import matval as mv
 from blockgen.blocks import FlagPurityError
 from blockgen.matval import BOOL, F64, I32
-from blockgen.irinterp import Machine
+from blockgen.irinterp import InterpError, Machine
 from blockgen import model as md
 from blockgen.model import (
     AlgebraicLoop, Conflict, ParseError, Undetermined, parse_model,
@@ -248,6 +248,27 @@ link 1 in:1 -> 1.1
 link 2 1.1 -> out:1
 """
     with pytest.raises(Conflict):
+        md.infer(parse_model(text))
+
+
+def test_infer_reruns_a_block_after_its_own_change():
+    # the gain runs before the mux: the matrix-gain rule first sets its input
+    # to 3x1 from the 5x1 output and only on its second application sees
+    # that a 2-row gain cannot feed a 5-row output, so inference must revisit
+    # the gain after a change it made itself
+    text = """
+model 1
+input 1 f64 1 1
+input 2 f64 2 1
+output 1 f64 5 1
+block 1 gain gain=f64[2x3](1 2 3 4 5 6)
+block 2 mux
+link 1 in:1 -> 2.1
+link 2 in:2 -> 2.2
+link 3 2.1 -> 1.1
+link 4 1.1 -> out:1
+"""
+    with pytest.raises(Conflict, match="link 4: shape 5x1 vs 2x1"):
         md.infer(parse_model(text))
 
 
@@ -647,6 +668,39 @@ link 4 3.1 -> 1.2
 def test_simulate_input_shape_check():
     with pytest.raises(md.ModelError):
         simulate(kalman(), [[mv.scalar(1.0)]], 1)
+
+
+TWO_INPUT_SUM = """
+model 1
+input 1 f64 1 1
+input 2 f64 1 1
+output 1 f64 1 1
+block 1 summation signs=f64[1x2](1 1)
+link 1 in:1 -> 1.1
+link 2 in:2 -> 1.2
+link 3 1.1 -> out:1
+"""
+
+
+def test_simulate_rejects_a_short_stimulus_row():
+    # a row with fewer values than input ports used to reuse the previous
+    # step's value for the missing port
+    with pytest.raises(md.ModelError, match=r"^step 1: 1 input values for 2 input ports$"):
+        simulate(parse_model(TWO_INPUT_SUM), [[1.0, 2.0], [10.0], [100.0]], 3)
+    with pytest.raises(md.ModelError, match=r"^step 0: 3 input values for 2 input ports$"):
+        simulate(parse_model(TWO_INPUT_SUM), [[1.0, 2.0, 3.0]], 1)
+
+
+def test_too_few_stimulus_rows_name_the_step():
+    rows = [[1.0, 2.0], [3.0, 4.0]]
+    with pytest.raises(md.ModelError, match=r"^step 2: no input row \(2 rows for 5 steps\)$"):
+        simulate(parse_model(TWO_INPUT_SUM), rows, 5)
+    machine = Machine(bg.generate(parse_model(TWO_INPUT_SUM)).program).run_init()
+    stimuli = [[mv.scalar(a), mv.scalar(b)] for a, b in rows]
+    with pytest.raises(InterpError, match=r"^step 2: no input row \(2 rows for 5 steps\)$"):
+        machine.run_steps(stimuli, 5)
+    with pytest.raises(InterpError, match=r"^step 1: 1 input values for 2 input ports$"):
+        machine.run_steps([stimuli[0], stimuli[1][:1]], 2)
 
 
 def _writes_state_at_output(original):

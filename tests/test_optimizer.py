@@ -242,3 +242,18 @@ def test_semantic_preservation_and_idempotence_random():
 def finalize_program_copy(ctx, optimize=True):
     import copy
     return finalize_program(copy.deepcopy(ctx), optimize)
+
+
+def test_deep_copied_context_finalizes_identically():
+    # the copy keeps the interned dtypes, so dtype checks by identity in
+    # the optimizer and the printer see the same types as in the original
+    from blockgen.cemit import render_core
+    rng = random.Random(72)
+    for trial in range(10):
+        ctx, _ = build_random_trace(rng)
+        copied = finalize_program_copy(ctx)
+        original = finalize_program(ctx)
+        assert [repr(i) for i in copied.functions[0].body] == \
+            [repr(i) for i in original.functions[0].body]
+        assert render_core(copied) == render_core(original)
+        assert all(s.dtype is F64 for s in copied.statics)
