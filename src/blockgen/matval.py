@@ -59,8 +59,10 @@ class Dtype:
     def __new__(cls, tag):
         return DTYPES[tag]
 
-    def __setattr__(self, name, value):
+    def _immutable(self, *args):
         raise AttributeError("dtypes are immutable")
+
+    __setattr__ = __delattr__ = _immutable
 
     def __hash__(self):
         return hash(self.tag)
@@ -72,14 +74,15 @@ class Dtype:
         return self.tag
 
 
-def _dtype(tag):
+def _dtype(tag: str) -> Dtype:
+    """The one Dtype of `tag`, its attributes computed once."""
     d = object.__new__(Dtype)
     width = 64 if tag == "f64" else 1 if tag == "bool" else int(tag[1:])
-    ctype = {"f64": "double", "bool": "int"}.get(tag, "{}int{}_t".format(
-        "" if tag[0] == "i" else "u", width))
-    for name, value in (("tag", tag), ("is_float", tag == "f64"), ("is_bool", tag == "bool"),
-                        ("is_int", tag[0] in "iu"), ("width", width),
-                        ("signed", tag[0] == "i"), ("ctype", ctype)):
+    ctype = {"f64": "double", "bool": "int"}.get(tag) or \
+        "{}int{}_t".format("" if tag[0] == "i" else "u", width)
+    attrs = dict(tag=tag, is_float=tag == "f64", is_bool=tag == "bool", is_int=tag[0] in "iu",
+                 width=width, signed=tag[0] == "i", ctype=ctype)
+    for name, value in attrs.items():
         object.__setattr__(d, name, value)
     return d
 
