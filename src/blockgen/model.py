@@ -446,10 +446,10 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
     elif b.kind in ("unit_delay", "summation", "select"):
         group = ins + outs
         dt = next((l.dtype for l in group if l.dtype), None)
-        sh = next((l.shape for l in group if l.rows is not None), (None, None))
+        rows, cols = next(((l.rows, l.cols) for l in group if l.rows is not None), (None, None))
         for l in group:
             _unify_dtype(l, dt, changed)
-            _unify_shape(l, *sh, changed)
+            _unify_shape(l, rows, cols, changed)
     elif b.kind == "gain":
         i, o = ins[0], outs[0]
         _unify_dtype(o, i.dtype, changed)
@@ -855,12 +855,12 @@ def simulate(model: Model, inputs_per_step, steps: int):
     def run(bid, flag, branch=None):
         vals = states.get(bid)
         st_vals = [BVar(None, False, v) for v in vals] if vals else []
-        values, st = _run_block(scratch, plans[bid], flag, linkvals, st_vals, branch)
+        plan = plans[bid]
+        values, st = _run_block(scratch, plan, flag, linkvals, st_vals, branch)
         if flag == blockmod.STATE:
-            states[bid] = [mv.convert(e.value, old.dtype)
-                           for e, old in zip(st.entries, states[bid])]
+            states[bid] = [mv.convert(e.value, old.dtype) for e, old in zip(st.entries, vals)]
             return
-        for k, link, ports in plans[bid].routes:
+        for k, link, ports in plan.routes:
             value = values[k]
             if value.sym or value.value.dtype is not link.dtype:
                 value = numerics(mv.convert(value.value, link.dtype))
