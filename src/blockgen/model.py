@@ -236,12 +236,13 @@ def parse_model(text: str) -> Model:
                     if not _:
                         raise ParseError("bad parameter {!r}".format(kv))
                     parsed = _parse_value(val)
+                    sig = type(parsed) is tuple  # a MatValue is a tuple subclass
                     m = re.match(r"^out(\d+)$", key)
-                    if m and isinstance(parsed, tuple) and parsed[0] == "sig":
+                    if m and sig:
                         out_sig[int(m.group(1))] = parsed[1:]
+                    elif sig:
+                        raise ParseError("signature value for parameter {!r}".format(key))
                     else:
-                        if isinstance(parsed, tuple) and parsed[0] == "sig":
-                            raise ParseError("signature value for parameter {!r}".format(key))
                         params[key] = parsed
                 model.blocks[bid] = BlockSpec(bid, kind, params, out_sig=out_sig)
             elif head == "link":

@@ -540,7 +540,7 @@ def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
 
 
 def _as_matvalue(v) -> MatValue:
-    if isinstance(v, MatValue):
+    if isinstance(v, MatValue):  # before the sequences: a MatValue is a tuple
         return v
     if isinstance(v, BVar):
         return v.value

@@ -85,6 +85,15 @@ def test_parse_errors_name_their_line():
         parse_model("model 1\ninput 1 f64 1 1\ninput 1 i32 1 1\n")
     with pytest.raises(ParseError, match=r"line 4: bad endpoint '1.0'"):
         parse_model("model 1\ninput 1 f64 1 1\nblock 1 gain gain=2\nlink 1 in:1 -> 1.0\n")
+    with pytest.raises(ParseError, match=r"line 2: signature value for parameter 'gain'"):
+        parse_model("model 1\nblock 1 gain gain=f64[1x1]\n")
+
+
+def test_parse_literal_under_an_output_key_stays_a_parameter():
+    # a MatValue is a tuple too; only a bare signature declares an output
+    block = parse_model("model 1\nblock 1 sciblk behavior=b out1=f64[2x1] out2=f64[1x1](3)\n").blocks[1]
+    assert block.out_sig == {1: (F64, 2, 1)}
+    assert block.params["out2"] == mv.scalar(3.0)
 
 
 def test_parse_rejects_two_links_into_one_input():
