@@ -16,10 +16,9 @@ from . import optimizer
 from . import cemit
 from .trace import (
     Annot, BVar, Call, CallTarget, Cond, CopyMat, Decl, FunctionDef, IfExpr,
-    Lit, NestedFunction, Program, Ref, SetElem, Store, TraceContext,
+    Lit, NestedFunction, Program, Ref, Store, TraceContext,
     UnbalancedFunction, bv_compare, bvarcopy, bvarempty, expand,
-    _as_bvar, _as_matvalue, _constant_decl, _def_scalar, _new_array,
-    _operand_expr, _elem_expr,
+    _as_bvar, _as_matvalue, _constant_decl, _operand_expr, _elem_expr, _per_element,
 )
 
 
@@ -191,14 +190,9 @@ def if_exp(ctx: TraceContext, cond, e1, e2) -> BVar:
     if not cond.sym:
         return e1 if cond.value.data[0] else e2
     nominal = e1.value if cond.value.data[0] else e2.value
-    if e1.is_scalar:
-        return _def_scalar(ctx, Cond(_operand_expr(cond), _operand_expr(e1),
-                                     _operand_expr(e2)), nominal)
-    res = _new_array(ctx, nominal)
-    for k in range(nominal.size):
-        ctx.emit(SetElem(res.name, k + 1, Cond(_operand_expr(cond),
-                                               _elem_expr(e1, k), _elem_expr(e2, k))))
-    return res
+    return _per_element(ctx, nominal,
+                        lambda k: Cond(_operand_expr(cond), _elem_expr(e1, k), _elem_expr(e2, k)),
+                        range(nominal.size))
 
 
 def select_exp(ctx: TraceContext, selector, *choices) -> BVar:
@@ -213,13 +207,9 @@ def select_exp(ctx: TraceContext, selector, *choices) -> BVar:
         return _as_bvar(choices[k - 1])
     out = _as_bvar(choices[-1])
     for k in range(len(choices) - 1, 0, -1):
-        test = bv_compare("eq", selector, numeric_like(selector, k))
+        test = bv_compare("eq", selector, k)
         out = if_exp(ctx, test, _as_bvar(choices[k - 1]), out)
     return out
-
-
-def numeric_like(b: BVar, v) -> BVar:
-    return BVar(None, False, mv.convert(mv.scalar(v), b.dtype))
 
 
 def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
@@ -229,7 +219,7 @@ def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
     """
     in_ = _as_bvar(in_)
     if in_.sym:
-        test = bv_compare("gt", in_, numeric_like(in_, 0))
+        test = bv_compare("gt", in_, 0)
         code_insert(ctx, "if_expr", test, f1, f2)
     elif in_.value.data[0] > 0:
         code_insert(ctx, "ident", f1)

@@ -6,11 +6,13 @@ carried along to keep shape inference honest, never consulted for folding).
 Operations on all-numeric operands fold silently; anything touching a
 symbolic operand appends pseudo-code instructions to the active session.
 
-Scalar results emit one definition each; the optimizer later folds
-single-use definitions into their use site, which is what produces the
-compact expressions seen in generated programs. Matrix results unroll into
-per-element stores, except matrix products and transposes whose result has
-more than UNROLL_LIMIT elements; those call the runtime helpers.
+Each operation says only what element k of its result is. _per_element
+records that as one definition for a 1x1 result (the optimizer later folds
+single-use definitions into their use site, which gives generated programs
+their compact expressions), else as per-element stores into a fresh array.
+Products and transposes of more than UNROLL_LIMIT result elements, and
+inverses from 3x3 to 8x8, call the f64 runtime helpers mult, quote and
+matinv instead, all through _helper_call.
 """
 
 from __future__ import annotations
@@ -593,11 +595,12 @@ def _operand_expr(b: BVar) -> Expr:
 
 
 def _elem_expr(b: BVar, k: int) -> Expr:
-    """Element k (0-based) of a bvar as an expression operand."""
-    if not b.sym:
-        return Lit(MatValue(b.value.dtype, 1, 1, (b.value.data[k],)))
+    """Element k (0-based) of a bvar as an expression operand; a 1x1 bvar
+    broadcasts, standing for every element."""
     if b.is_scalar:
         return _operand_expr(b)
+    if not b.sym:
+        return Lit(MatValue(b.value.dtype, 1, 1, (b.value.data[k],)))
     e = ElemRef(b.name, k + 1)
     if b.view_dtype is not None and b.view_dtype != b.value.dtype:
         e = Cast(b.view_dtype, e)
@@ -615,6 +618,38 @@ def _new_array(ctx, nominal: MatValue, init: MatValue = None) -> BVar:
     name = ctx.getunique()
     ctx.declare(name, nominal.dtype, nominal.rows, nominal.cols, init=init)
     return BVar(ctx, True, nominal, name, storage="local")
+
+
+def _per_element(ctx, nominal: MatValue, expr_at, order) -> BVar:
+    """The symbolic result whose element k (0-based, column-major) is
+    expr_at(k): one scalar definition when nominal is 1x1, else a fresh array
+    stored element by element, visiting the linear indices in order."""
+    if nominal.is_scalar:
+        return _def_scalar(ctx, expr_at(0), nominal)
+    res = _new_array(ctx, nominal)
+    for k in order:
+        ctx.emit(SetElem(res.name, k + 1, expr_at(k)))
+    return res
+
+
+def _row_major(rows: int, cols: int) -> list:
+    """The linear indices of a rows x cols matrix, row by row."""
+    return [i + rows * j for i in range(rows) for j in range(cols)]
+
+
+def _helper_call(ctx, fn: str, note: str, shape, operands, dims) -> BVar:
+    """A runtime helper call writing a fresh f64 result of the given shape:
+    the operands are passed by name and the dimensions as materialized
+    doubles. The result's nominal value stays zero; the helper computes it."""
+    if any(b.dtype != F64 for b in operands):
+        raise TraceError("runtime helper {} supports f64 only".format(fn))
+    ctx.emit(Annot(note))
+    names = tuple(_force_named(ctx, b).name for b in operands)
+    names += tuple(_materialize(ctx, mv.scalar(float(d))).name for d in dims)
+    res = _new_array(ctx, mv.zeros(F64, *shape))
+    ctx.use_helper(fn)
+    ctx.emit(Call(fn, (res.name,) + names))
+    return res
 
 
 def _constant_decl(ctx, value: MatValue) -> BVar:
@@ -704,7 +739,6 @@ def bv_binop(op: str, a, b) -> BVar:
         raise mv.DtypeMismatch("bool participates in arithmetic only after conversion")
     rows, cols = mv.broadcast_pair(a.value, b.value)
     nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, _nom(a), _nom(b))
-    ctx = _ctx_of(a, b)
     sym = _SPELLING[mv.ELEM_OPS[op]]
     # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
     num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
@@ -722,20 +756,12 @@ def bv_binop(op: str, a, b) -> BVar:
             return BVar(None, False, nominal)
         if op == "div_elem" and num is b and num.is_scalar and num.value.data[0] == 1:
             return a
-    if nominal.is_scalar:
-        return _def_scalar(ctx, Bin(sym, _operand_expr(a), _operand_expr(b)), nominal)
-    res = _new_array(ctx, nominal)
-    rows, cols = nominal.shape
-    for i in range(rows):
-        for j in range(cols):
-            k = i + rows * j
-            ea = _elem_expr(a, 0 if a.is_scalar else k)
-            eb = _elem_expr(b, 0 if b.is_scalar else k)
-            e = _simplified_bin(sym, ea, eb)
-            if e is None:
-                e = Lit(mv.zeros(nominal.dtype, 1, 1))
-            ctx.emit(SetElem(res.name, k + 1, e))
-    return res
+
+    def expr_at(k):
+        e = _simplified_bin(sym, _elem_expr(a, k), _elem_expr(b, k))
+        return Lit(mv.zeros(nominal.dtype, 1, 1)) if e is None else e
+
+    return _per_element(_ctx_of(a, b), nominal, expr_at, _row_major(*nominal.shape))
 
 
 def bv_neg(a) -> BVar:
@@ -743,16 +769,8 @@ def bv_neg(a) -> BVar:
     nominal = mv.neg(a.value)
     if not a.sym:
         return BVar(None, False, nominal)
-    ctx = a.ctx
-    if a.is_scalar:
-        return _def_scalar(ctx, Un("-", _operand_expr(a)), nominal)
-    res = _new_array(ctx, nominal)
-    rows, cols = nominal.shape
-    for i in range(rows):
-        for j in range(cols):
-            k = i + rows * j
-            ctx.emit(SetElem(res.name, k + 1, Un("-", _elem_expr(a, k))))
-    return res
+    return _per_element(a.ctx, nominal, lambda k: Un("-", _elem_expr(a, k)),
+                        _row_major(*nominal.shape))
 
 
 def bv_matmul(a, b) -> BVar:
@@ -764,45 +782,27 @@ def bv_matmul(a, b) -> BVar:
         return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
     nominal = mv.matmul(_nom(a), _nom(b))
     ctx = _ctx_of(a, b)
-    n = nominal.size
-    if n > UNROLL_LIMIT:
-        return _helper_matmul(ctx, a, b, nominal)
-    res = _new_array(ctx, nominal)
-    rows, cols = nominal.shape
-    inner = a.cols
-    for i in range(rows):
-        for j in range(cols):
-            acc = None
-            for k in range(inner):
-                ea = _elem_expr(a, i + a.rows * k)
-                eb = _elem_expr(b, k + b.rows * j)
-                term = _simplified_bin("*", ea, eb)
-                if term is None:
-                    continue
-                if acc is None:
-                    acc = term
-                else:
-                    nxt = _simplified_bin("+", acc, term)
-                    acc = Lit(mv.zeros(nominal.dtype, 1, 1)) if nxt is None else nxt
-            if acc is None:
-                acc = Lit(mv.zeros(nominal.dtype, 1, 1))
-            ctx.emit(SetElem(res.name, i + rows * j + 1, acc))
-    return res
+    if nominal.size > UNROLL_LIMIT:
+        return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
+                            "external function".format(nominal.size, UNROLL_LIMIT),
+                            nominal.shape, (a, b), (a.rows, a.cols, b.rows, b.cols))
 
+    def expr_at(k):
+        # row i of a times column j of b, without the statically zero terms
+        i, j = k % a.rows, k // a.rows
+        acc = None
+        for m in range(a.cols):
+            term = _simplified_bin("*", _elem_expr(a, i + a.rows * m),
+                                   _elem_expr(b, m + b.rows * j))
+            if term is not None:
+                acc = term if acc is None else _simplified_bin("+", acc, term)
+        return Lit(mv.zeros(nominal.dtype, 1, 1)) if acc is None else acc
 
-def _helper_matmul(ctx, a: BVar, b: BVar, nominal: MatValue) -> BVar:
-    if nominal.dtype != F64:
-        raise TraceError("helper-call matrix product supports f64 only")
-    ctx.emit(Annot("Product of matrices resulting size {}>{}: calling external function"
-                   .format(nominal.size, UNROLL_LIMIT)))
-    an = _force_named(ctx, a)
-    bn = _force_named(ctx, b)
-    dims = [_materialize(ctx, mv.scalar(float(d)))
-            for d in (a.rows, a.cols, b.rows, b.cols)]
-    res = _new_array(ctx, mv.zeros(F64, nominal.rows, nominal.cols))
-    ctx.use_helper("mult")
-    ctx.emit(Call("mult", (res.name, an.name, bn.name) + tuple(d.name for d in dims)))
-    return res
+    if nominal.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
+        res = _new_array(ctx, nominal)
+        ctx.emit(SetElem(res.name, 1, expr_at(0)))
+        return res
+    return _per_element(ctx, nominal, expr_at, _row_major(*nominal.shape))
 
 
 def bv_transpose(a) -> BVar:
@@ -814,23 +814,14 @@ def bv_transpose(a) -> BVar:
     if a.is_scalar:
         return a
     if nominal.size > UNROLL_LIMIT:
-        if a.dtype != F64:
-            raise TraceError("helper-call transpose supports f64 only")
-        ctx.emit(Annot("Transpose of matrix of size {}>{}: calling external function"
-                       .format(nominal.size, UNROLL_LIMIT)))
-        an = _force_named(ctx, a)
-        dims = [_materialize(ctx, mv.scalar(float(d))) for d in (a.rows, a.cols)]
-        res = _new_array(ctx, mv.zeros(F64, nominal.rows, nominal.cols))
-        ctx.use_helper("quote")
-        ctx.emit(Call("quote", (res.name, an.name) + tuple(d.name for d in dims)))
+        res = _helper_call(ctx, "quote", "Transpose of matrix of size {}>{}: calling external "
+                           "function".format(nominal.size, UNROLL_LIMIT),
+                           nominal.shape, (a,), (a.rows, a.cols))
         ctx.emit(Annot("End of Transpose"))
         return res
-    res = _new_array(ctx, nominal)
-    rows, cols = nominal.shape
-    for i in range(rows):
-        for j in range(cols):
-            ctx.emit(SetElem(res.name, i + rows * j + 1, _elem_expr(a, j + a.rows * i)))
-    return res
+    # element (i, j) of the result is element (j, i) of a
+    return _per_element(ctx, nominal, lambda k: _elem_expr(a, k // a.cols + a.rows * (k % a.cols)),
+                        _row_major(*nominal.shape))
 
 
 def bv_concat_rows(a, b) -> BVar:
@@ -842,15 +833,15 @@ def bv_concat_rows(a, b) -> BVar:
     nominal = mv.concat_rows(a.value, b.value)
     if not (a.sym or b.sym):
         return BVar(None, False, nominal)
-    ctx = _ctx_of(a, b)
-    res = _new_array(ctx, nominal)
-    k = 0
-    for j in range(nominal.cols):
-        for src, idx in ((a, j * a.rows), (b, j * b.rows)):
-            for r in range(src.rows):
-                ctx.emit(SetElem(res.name, k + 1, _elem_expr(src, idx + r)))
-                k += 1
-    return res
+
+    def expr_at(k):
+        # column j of the result is column j of a over column j of b
+        j, r = divmod(k, nominal.rows)
+        if r < a.rows:
+            return _elem_expr(a, r + a.rows * j)
+        return _elem_expr(b, r - a.rows + b.rows * j)
+
+    return _per_element(_ctx_of(a, b), nominal, expr_at, range(nominal.size))
 
 
 def bv_concat_cols(a, b) -> BVar:
@@ -864,11 +855,9 @@ def bv_concat_cols(a, b) -> BVar:
         return BVar(None, False, nominal)
     ctx = _ctx_of(a, b)
     ctx.emit(Annot("Begin concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
-    res = _new_array(ctx, nominal)
-    for k in range(a.size):
-        ctx.emit(SetElem(res.name, k + 1, _elem_expr(a, k)))
-    for k in range(b.size):
-        ctx.emit(SetElem(res.name, a.size + k + 1, _elem_expr(b, k)))
+    res = _per_element(ctx, nominal,
+                       lambda k: _elem_expr(a, k) if k < a.size else _elem_expr(b, k - a.size),
+                       range(nominal.size))
     ctx.emit(Annot("end concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     return res
 
@@ -888,16 +877,21 @@ def horzcat(*parts) -> BVar:
     return out
 
 
+def _linear_index(a: BVar, i, j) -> int:
+    """The 0-based linear index of 1-based element i (column-major) or (i, j),
+    checked against a's shape."""
+    if j is None:
+        if not 1 <= i <= a.size:
+            raise mv.ShapeMismatch("index {} out of {} elements".format(i, a.size))
+        return i - 1
+    if not (1 <= i <= a.rows and 1 <= j <= a.cols):
+        raise mv.ShapeMismatch("index ({},{}) out of {}x{}".format(i, j, a.rows, a.cols))
+    return (i - 1) + a.rows * (j - 1)
+
+
 def bv_index_get(a: BVar, i, j=None) -> BVar:
     """1-based element read; linear indices are column-major."""
-    if j is None:
-        k = i - 1
-        if not 0 <= k < a.size:
-            raise mv.ShapeMismatch("index {} out of {} elements".format(i, a.size))
-    else:
-        if not (1 <= i <= a.rows and 1 <= j <= a.cols):
-            raise mv.ShapeMismatch("index ({},{}) out of {}x{}".format(i, j, a.rows, a.cols))
-        k = (i - 1) + a.rows * (j - 1)
+    k = _linear_index(a, i, j)
     elem = MatValue(a.value.dtype, 1, 1, (a.value.data[k],))
     if not a.sym:
         return BVar(None, False, elem)
@@ -909,12 +903,9 @@ def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
     rhs = _as_bvar(rhs, like=a)
     if not rhs.is_scalar:
         raise mv.ShapeMismatch("element write needs a 1x1 rhs")
-    if j is None:
-        k = i - 1
-    else:
-        k = (i - 1) + a.rows * (j - 1)
-    if not 0 <= k < a.size:
-        raise mv.ShapeMismatch("index out of range")
+    k = _linear_index(a, i, j)
+    if rhs.dtype != a.value.dtype:
+        raise mv.DtypeMismatch("element write {} into {}".format(rhs.dtype, a.value.dtype))
     if not a.sym and not rhs.sym:
         a.value = a.value.set_linear(k, rhs.value.data[0])
         return a
@@ -924,8 +915,6 @@ def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
         name = ctx.getunique()
         ctx.declare(name, a.value.dtype, a.rows, a.cols, init=a.value)
         a.ctx, a.sym, a.name, a.storage = ctx, True, name, "local"
-    if rhs.dtype != a.value.dtype:
-        raise mv.DtypeMismatch("element write {} into {}".format(rhs.dtype, a.value.dtype))
     ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
     a.value = a.value.set_linear(k, rhs.value.data[0])
     return a
@@ -953,11 +942,8 @@ def bv_convert(a, dtype: Dtype) -> BVar:
         # pin the definition so the conversion point survives optimization
         ctx.pinned.add(a.name)
         return BVar(ctx, True, a.value, a.name, storage=a.storage, view_dtype=dtype)
-    nominal = mv.convert(a.value, dtype)
-    res = _new_array(ctx, nominal)
-    for k in range(a.size):
-        ctx.emit(SetElem(res.name, k + 1, Cast(dtype, _elem_expr(a, k))))
-    return res
+    return _per_element(ctx, mv.convert(a.value, dtype), lambda k: Cast(dtype, _elem_expr(a, k)),
+                        range(a.size))
 
 
 def bv_sum(a) -> BVar:
@@ -978,19 +964,10 @@ def bv_compare(op: str, a, b) -> BVar:
     nominal = mv.compare(op, a.value, b.value)
     if not (a.sym or b.sym):
         return BVar(None, False, nominal)
-    ctx = _ctx_of(a, b)
     sym = _SPELLING[op]
-    if nominal.is_scalar:
-        return _def_scalar(ctx, Bin(sym, _operand_expr(a), _operand_expr(b)), nominal)
-    res = _new_array(ctx, nominal)
-    rows, cols = nominal.shape
-    for i in range(rows):
-        for j in range(cols):
-            k = i + rows * j
-            ea = _elem_expr(a, 0 if a.is_scalar else k)
-            eb = _elem_expr(b, 0 if b.is_scalar else k)
-            ctx.emit(SetElem(res.name, k + 1, Bin(sym, ea, eb)))
-    return res
+    return _per_element(_ctx_of(a, b), nominal,
+                        lambda k: Bin(sym, _elem_expr(a, k), _elem_expr(b, k)),
+                        _row_major(*nominal.shape))
 
 
 def bv_elem_math(fn: str, *args) -> BVar:
@@ -1001,14 +978,9 @@ def bv_elem_math(fn: str, *args) -> BVar:
         raise mv.ShapeMismatch("atan2 args {} vs {}".format(args[0].shape, args[1].shape))
     shape = args[0].shape
     nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *shape), fn, *[_nom(a) for a in args])
-    ctx = _ctx_of(*args)
-    if nominal.is_scalar:
-        return _def_scalar(ctx, CallFn(fn, tuple(_operand_expr(a) for a in args)), nominal)
-    res = _new_array(ctx, nominal)
-    for k in range(nominal.size):
-        ctx.emit(SetElem(res.name, k + 1,
-                         CallFn(fn, tuple(_elem_expr(a, 0 if a.is_scalar else k) for a in args))))
-    return res
+    return _per_element(_ctx_of(*args), nominal,
+                        lambda k: CallFn(fn, tuple(_elem_expr(a, k) for a in args)),
+                        range(nominal.size))
 
 
 def sqrt(a):
@@ -1065,18 +1037,10 @@ def bv_inv(a) -> BVar:
         bv_index_set(out, 2, 1, rhs=bv_neg(bv_index_get(a, 2, 1)))
         det = bv_index_get(a, 1, 1) * bv_index_get(a, 2, 2) - bv_index_get(a, 1, 2) * bv_index_get(a, 2, 1)
         return bv_binop("div_elem", out, det)
-    if a.dtype != F64:
-        raise TraceError("helper-call inverse supports f64 only")
     if n > 8:
         raise TraceError("helper-call inverse limited to 8x8")
-    ctx.emit(Annot("Inverse of matrix of size {}>2: calling external function".format(n * n)))
-    an = _force_named(ctx, a)
-    dim = _materialize(ctx, mv.scalar(float(n)))
-    # nominal kept at zeros: the value is computed by the emitted helper
-    res = _new_array(ctx, mv.zeros(F64, n, n))
-    ctx.use_helper("matinv")
-    ctx.emit(Call("matinv", (res.name, an.name, dim.name)))
-    return res
+    return _helper_call(ctx, "matinv", "Inverse of matrix of size {}>2: calling external "
+                        "function".format(n * n), (n, n), (a,), (n,))
 
 
 def bv_div(a, b, _scalar_path=False) -> BVar:

@@ -13,6 +13,10 @@ from blockgen.cemit import (
     EmitConfig, SymTab, code_printer_c, decl_line, emit_helper, emit_program,
     expr_str, format_number, instr_lines,
 )
+from blockgen.directives import (
+    codegen_init, end_function, finalize_program, if_exp, inouts, inouts_insert,
+    select_exp, start_function,
+)
 from blockgen import trace as tr
 from blockgen.trace import (
     Bin, CallFn, Cast, CallTarget, Cond, CopyMat, Decl, ElemRef, IfExpr, Lit,
@@ -243,10 +247,114 @@ def test_unknown_helper_rejected():
         emit_helper("gemm")
 
 
-@pytest.mark.parametrize("name", ["twodelays", "coding", "kalman", "chain40"])
+@pytest.mark.parametrize("name", ["twodelays", "coding", "kalman", "chain40",
+                                  "twodelays.raw", "coding.raw", "kalman.raw", "chain40.raw"])
 def test_generated_c_matches_golden(name):
     # tests/golden holds the runtime-emit C of each fixture; any change to
-    # scheduling, tracing, optimizing or printing that alters it shows here
-    model = parse_model(load_model_text(name + ".model"))
-    text = generate(model, EmitConfig(block_id=model.base_id)).text
+    # scheduling, tracing, optimizing or printing that alters it shows here.
+    # <fixture>.raw.c is the trace emitted unoptimized, so that a change in
+    # the tracer shows even where inlining would hide it.
+    fixture, _, raw = name.partition(".")
+    model = parse_model(load_model_text(fixture + ".model"))
+    text = generate(model, EmitConfig(block_id=model.base_id), optimize=not raw).text
     assert text == (GOLDEN / (name + ".c")).read_text()
+
+
+MATRIX_OPS_INPUTS = {
+    "a": mv.from_rows([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]]),
+    "b": mv.from_rows([[2.0, 1.0, -3.0], [1.5, -4.0, 2.0]]),
+    "c": mv.from_rows([[1.0, 2.0], [-1.0, 0.5], [3.0, 1.0]]),
+    "s": mv.scalar(2.5),
+    "r": mv.from_rows([[1.0, 2.0, 3.0, 4.0]]),
+    "q": mv.from_rows([[4.0], [3.0], [2.0], [1.0]]),
+    "m": mv.from_rows([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
+    "sel": mv.make(I32, 1, 1, [2]),
+}
+
+
+def _matrix_ops(ctx, v):
+    """Every per-element and helper-call site of the tracer, at non-square
+    shapes where the shape matters: a and b are 2x3, c is 3x2, r is 1x4, q
+    is 4x1, m is 3x3, s and sel are 1x1. Results are yielded one at a time,
+    so that each can be stored before the next is traced."""
+    a, b, c, s, r, q, m, sel = (v[k] for k in ("a", "b", "c", "s", "r", "q", "m", "sel"))
+    mask = tr.numerics(mv.from_rows([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]))
+    picks = tr.numerics(mv.from_rows([[1.0, 0.0], [0.0, 0.0], [2.0, 1.0]]))
+    # elementwise arithmetic, broadcasting and the numeric-operand identities
+    yield a + b
+    yield a - s
+    yield s - c
+    yield tr.el_mul(s, a)
+    yield a / s
+    yield a + 0
+    yield 0 - a
+    yield 1 * a
+    yield tr.el_mul(0, a)
+    yield a + mask
+    yield mask - a
+    yield tr.el_mul(a, mask)
+    yield -a
+    yield -c
+    yield -s
+    # transposes: unrolled, and through quote
+    yield a.T
+    yield c.T
+    yield m.T
+    # concatenations, conversions, comparisons and math functions
+    yield tr.vertcat(a, b, tr.numerics(mv.from_rows([[7.0, 8.0, 9.0]])))
+    yield tr.vertcat(c, s * c)
+    yield tr.horzcat(a, tr.numerics(mv.from_rows([[5.0], [6.0]])))
+    yield tr.horzcat(s, s, r)
+    yield tr.bv_convert(a, I32)
+    yield tr.bv_convert(c, BOOL)
+    yield tr.bv_convert(s, I32)
+    yield tr.bv_compare("gt", a, b)
+    yield tr.bv_compare("lt", c, 0.0)
+    yield tr.bv_compare("ge", 1.0, s)
+    yield tr.sin(a)
+    yield tr.cos(c)
+    yield tr.sqrt(s)
+    yield tr.atan2(a, b)
+    yield tr.atan2(s, 1.0)
+    # products: unrolled, with statically zero terms, 1x1, and through mult
+    yield a * c
+    yield c * tr.numerics(mv.from_rows([[1.0, 0.0], [1.0, 0.0]]))
+    yield a * picks
+    yield r * q
+    yield q * r
+    yield m * m
+    yield s * m
+    # inverses: through matinv, the unrolled 2x2, and a right division
+    yield tr.bv_inv(m)
+    yield tr.bv_inv(a * c)
+    yield a / m
+    yield tr.bv_sum(a)
+    yield tr.bv_index_get(a, 2, 3)
+    yield tr.bv_index_get(c, 5)
+    t = tr.numerics(mv.zeros(F64, 2, 2))
+    t[1, 2] = s
+    yield t
+    cond = tr.bv_compare("gt", s, 0.0)
+    yield if_exp(ctx, cond, a, b)
+    yield if_exp(ctx, cond, s, -s)
+    yield select_exp(ctx, sel, a, b, a + b)
+
+
+@pytest.mark.parametrize("name", ["matrix_ops", "matrix_ops.raw"])
+def test_matrix_ops_c_matches_golden(name):
+    # a directive-built program that reaches each tracer site at shapes the
+    # fixtures do not: kalman's products are 4x4, its vectors 4x1 and 2x1
+    probe = list(_matrix_ops(None, {k: tr.numerics(x) for k, x in MATRIX_OPS_INPUTS.items()}))
+    ctx = codegen_init()
+    io = inouts(ctx)
+    for k, x in MATRIX_OPS_INPUTS.items():
+        inouts_insert(io, k, x)
+    for k, out in enumerate(probe, 1):
+        inouts_insert(io, "out{}".format(k), mv.zeros(out.dtype, out.rows, out.cols))
+    start_function(ctx, "ops", io)
+    for k, out in enumerate(_matrix_ops(ctx, io.entries), 1):
+        inouts_insert(io, "out{}".format(k), out)
+    end_function(ctx, "ops", io)
+    program = finalize_program(ctx, optimize=name == "matrix_ops")
+    assert program.helpers == ["quote", "mult", "matinv"]
+    assert cemit.render_core(program) == (GOLDEN / (name + ".c")).read_text()

@@ -180,6 +180,31 @@ def test_out_of_range_indexing():
         bv_index_get(numerics(mv.zeros(F64, 2, 2)), 3, 1)
 
 
+@pytest.mark.parametrize("sym", [False, True])
+@pytest.mark.parametrize("key", [(3, 1), (0, 2), (1, 3), (5, None), (0, None)])
+def test_index_set_checks_each_index(sym, key):
+    # reads and writes resolve indexes alike: (3, 1) on a 2x2 is out of
+    # range even though its linear index 3 is not
+    ctx = codegen_init()
+    a = symbolics(ctx, mv.zeros(F64, 2, 2), "a") if sym else numerics(mv.zeros(F64, 2, 2))
+    with pytest.raises(mv.ShapeMismatch):
+        bv_index_get(a, *key)
+    with pytest.raises(mv.ShapeMismatch):
+        bv_index_set(a, *key, rhs=7.0)
+    assert a.value == mv.zeros(F64, 2, 2) and not ctx.module.body
+
+
+@pytest.mark.parametrize("sym", [False, True])
+def test_index_set_checks_dtype_before_promoting(sym):
+    ctx = codegen_init()
+    a = numerics(mv.from_rows([[1.0, 2.0]]))
+    rhs = symbolics(ctx, mv.zeros(I32, 1, 1), "x") if sym else numerics(mv.zeros(I32, 1, 1))
+    with pytest.raises(mv.DtypeMismatch):
+        bv_index_set(a, 1, 2, rhs=rhs)
+    assert not a.sym and list(a.value.data) == [1.0, 2.0]
+    assert not ctx.module.decls and not ctx.module.body
+
+
 def test_sum_vector_emits_single_def():
     ctx = codegen_init()
     v = symbolics(ctx, mv.zeros(F64, 3, 1), "v")
