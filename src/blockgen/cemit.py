@@ -1,10 +1,12 @@
 """Pretty-print optimized pseudo-code as a C translation unit.
 
-Conventions mirrored from the generated listings: 1x1 values declare as
-scalar C variables, everything else as arrays; function arguments are always
-pointers; 1-based trace indices shift to 0-based; element reads print
-parenthesized, bare names do not; copies of one element are assignments, of
-two elements a pair of assignments, of three or more a memcpy.
+Conventions mirrored from the generated listings: every named storage
+declares from its one record (trace.Decl), a 1x1 one as a scalar C variable,
+anything else as an array, with `static` and an initializer when it has
+them; function arguments are always pointers; 1-based trace indices shift to
+0-based; element reads print parenthesized, bare names do not; copies of one
+element are assignments, of two elements a pair of assignments, of three or
+more a memcpy.
 """
 
 from __future__ import annotations
@@ -64,25 +66,20 @@ def format_init_list(value: MatValue) -> str:
 
 @dataclass
 class SymTab:
-    """Storage classes for every name visible inside one function."""
-    args: dict = field(default_factory=dict)     # name -> Param
-    locals: dict = field(default_factory=dict)   # name -> Decl
-    statics: dict = field(default_factory=dict)  # name -> StaticDecl
+    """Every name visible inside one function, and which are its arguments."""
+    decls: dict = field(default_factory=dict)  # name -> Decl
+    args: frozenset = frozenset()
 
     def is_arg(self, name):
         return name in self.args
 
     def is_scalar(self, name):
-        for pool in (self.args, self.locals, self.statics):
-            if name in pool:
-                return pool[name].is_scalar
-        return False  # free names keep their subscripts
+        d = self.decls.get(name)
+        return d is not None and d.is_scalar  # free names keep their subscripts
 
     def dtype_of(self, name):
-        for pool in (self.args, self.locals, self.statics):
-            if name in pool:
-                return pool[name].dtype
-        return F64
+        d = self.decls.get(name)
+        return F64 if d is None else d.dtype
 
 
 def _ref_str(name: str, tab: SymTab) -> str:
@@ -104,6 +101,10 @@ def _addr_str(name: str, tab: SymTab) -> str:
 # expressions
 
 
+def _parenthesized(text: str) -> str:
+    return text if text.startswith("(") else "(" + text + ")"
+
+
 def expr_str(e, tab: SymTab) -> str:
     if isinstance(e, Lit):
         return format_number(e.value.data[0], e.value.dtype)
@@ -115,13 +116,12 @@ def expr_str(e, tab: SymTab) -> str:
         sep = "/ " if e.op == "/" else e.op
         return "({}{}{})".format(expr_str(e.a, tab), sep, expr_str(e.b, tab))
     if isinstance(e, Un):
-        inner = expr_str(e.a, tab)
-        if not inner.startswith("("):
-            inner = "(" + inner + ")"
-        return "({}{})".format(e.op, inner)
+        return "({}{})".format(e.op, _parenthesized(expr_str(e.a, tab)))
     if isinstance(e, CallFn):
         return "{}({})".format(e.fn, ",".join(expr_str(a, tab) for a in e.args))
     if isinstance(e, Cast):
+        if e.dtype.is_bool:  # C's conversion to int would truncate
+            return "({}!=0)".format(_parenthesized(expr_str(e.a, tab)))
         return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab))
     if isinstance(e, Cond):
         return "({}? {} : {})".format(expr_str(e.cond, tab), expr_str(e.a, tab),
@@ -136,8 +136,9 @@ def _assign_target(name: str, index, tab: SymTab) -> str:
 
 
 def _store_rhs(e, dst_dtype: Dtype, tab: SymTab) -> str:
-    # a top-level cast to the destination dtype is C's implicit conversion
-    if isinstance(e, Cast) and e.dtype == dst_dtype:
+    # a top-level cast to the destination dtype is C's implicit conversion,
+    # except to bool, which C's int would not truncate to 0 or 1
+    if isinstance(e, Cast) and e.dtype == dst_dtype and not dst_dtype.is_bool:
         e = e.a
     return expr_str(e, tab)
 
@@ -189,57 +190,28 @@ def decl_line(d: Decl) -> str:
     return "{}{} {}[{}];".format(prefix, ctype(d.dtype), d.name, d.size)
 
 
-def static_line(s) -> str:
-    if s.is_scalar:
-        return "static {} {}={};".format(ctype(s.dtype), s.name,
-                                         format_number(s.default.data[0], s.dtype))
-    return "static {} {}[]={};".format(ctype(s.dtype), s.name,
-                                       format_init_list(s.default))
-
-
-def code_printer_c(code, declarations, statics=None, params=None):
-    """One line per declaration and instruction, in order."""
-    tab = SymTab()
-    if isinstance(declarations, dict):
-        tab.locals = dict(declarations)
-    if statics:
-        tab.statics = dict(statics)
-    if params:
-        tab.args = {p.name: p for p in params}
-    lines = []
-    if isinstance(declarations, dict):
-        for d in declarations.values():
-            lines.append(decl_line(d))
-    for instr in code:
-        lines.extend(instr_lines(instr, tab))
-    return lines
+def code_printer_c(code, declarations, statics=(), params=()):
+    """One line per declaration (name -> Decl) and instruction, in order;
+    statics and params are Decls the code may also name."""
+    decls = {d.name: d for d in (*statics, *declarations.values(), *params)}
+    tab = SymTab(decls, frozenset(p.name for p in params))
+    return [decl_line(d) for d in declarations.values()] + \
+        [line for instr in code for line in instr_lines(instr, tab)]
 
 
 def render_function(fn, statics, indent="  ") -> str:
-    tab = SymTab(args={p.name: p for p in fn.params},
-                 locals=dict(fn.decls),
-                 statics=dict(statics))
     params = ",".join("{} *{}".format(ctype(p.dtype), p.name) for p in fn.params)
-    out = ["void {}({}){{".format(fn.name, params)]
-    for d in fn.decls.values():
-        out.append(indent + decl_line(d))
-    for instr in fn.body:
-        for line in instr_lines(instr, tab):
-            out.append(indent + line)
-    out.append("}")
-    return "\n".join(out)
+    body = code_printer_c(fn.body, fn.decls, statics, fn.params)
+    return "\n".join(["void {}({}){{".format(fn.name, params)]
+                     + [indent + line for line in body] + ["}"])
 
 
 def render_core(program: Program) -> str:
     """Statics, the initialize function and the recorded functions:
     the shape returned by the finalize directive."""
-    statics = {s.name: s for s in program.statics}
-    parts = []
-    if program.statics:
-        parts.append("\n".join(static_line(s) for s in program.statics))
-    parts.append(render_function(program.init_fn, statics))
-    for fn in program.functions:
-        parts.append(render_function(fn, statics))
+    parts = ["\n".join(decl_line(s) for s in program.statics)] if program.statics else []
+    for fn in [program.init_fn, *program.functions]:
+        parts.append(render_function(fn, program.statics))
     return "\n\n".join(parts) + "\n"
 
 
@@ -351,16 +323,7 @@ def emit_program(program: Program, cfg: EmitConfig = None) -> str:
     for h in program.helpers:
         out.append(emit_helper(h))
         out.append("")
-    statics = {s.name: s for s in program.statics}
-    for s in program.statics:
-        out.append(static_line(s))
-    if program.statics:
-        out.append("")
-    out.append(render_function(program.init_fn, statics))
-    out.append("")
-    for fn in program.functions:
-        out.append(render_function(fn, statics))
-        out.append("")
+    out.append(render_core(program))
     out.append("/* End{}*/".format(cfg.block_id))
     out.append("")
     out.extend(_dispatcher(program, cfg, ports))
@@ -387,11 +350,13 @@ def _dispatcher(program, cfg, ports):
         args = [p["name"] for p in ports]
     call_args = ",".join(args)
     lines = ["void toto{}({})".format(cfg.block_id, sig), "{"]
-    update_output = program.meta.get("update_output")
-    update_state = program.meta.get("update_state")
-    if update_output:
-        lines += ["if (flag == 1) {", "  {}({});".format(update_output, call_args), "}"]
-    if update_state:
-        lines += ["else if (flag == 2) {", "  {}({});".format(update_state, call_args), "}"]
-    lines += ["else if (flag == 4) {", "  {}();".format(program.init_fn.name), "}", "}"]
-    return lines
+    calls = [(1, program.meta.get("update_output"), call_args),
+             (2, program.meta.get("update_state"), call_args),
+             (4, program.init_fn.name, "")]
+    keyword = "if"  # opens the chain at the first function present
+    for flag, fn, fn_args in calls:
+        if fn:
+            lines += ["{} (flag == {}) {{".format(keyword, flag),
+                      "  {}({});".format(fn, fn_args), "}"]
+            keyword = "else if"
+    return lines + ["}"]

@@ -128,7 +128,7 @@ def cmd_dump_ir(args) -> int:
     prog = result.program
     for s in prog.statics:
         print("static {} {} {}x{} = {}".format(
-            s.name, s.dtype, s.rows, s.cols, list(s.default.data)))
+            s.name, s.dtype, s.rows, s.cols, list(s.init.data)))
     for fn in [prog.init_fn] + prog.functions:
         print("function {}({})".format(fn.name, ", ".join(p.name for p in fn.params)))
         for d in fn.decls.values():

@@ -8,17 +8,16 @@ EndFunction are exported as aliases of start_function/end_function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import matval as mv
-from .matval import MatValue
 from . import optimizer
 from . import cemit
 from .trace import (
-    Annot, BVar, Call, CallTarget, Cond, CopyMat, Decl, FunctionDef, IfExpr,
-    Lit, NestedFunction, Program, Ref, Store, TraceContext,
+    BVar, Call, CallTarget, Cond, CopyMat, FunctionDef, IfExpr,
+    NestedFunction, Program, Ref, Store, TraceContext,
     UnbalancedFunction, bv_compare, bvarcopy, bvarempty, expand,
-    _as_bvar, _as_matvalue, _constant_decl, _operand_expr, _elem_expr, _per_element,
+    _as_bvar, _as_matvalue, _copy_into, _operand_expr, _elem_expr, _per_element,
 )
 
 
@@ -54,39 +53,23 @@ def inouts(ctx: TraceContext) -> IoSeq:
 
 def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
     """First insertion declares an argument; re-insertion copies into it."""
-    ctx = io.ctx
-    value = _as_matvalue(v)
-    if name not in io.entries:
-        ctx.claim_name(name)
-        io.entries[name] = BVar(ctx, True, value, name, storage="arg")
-        return io
-    handle = io.entries[name]
-    dtype = v.dtype if isinstance(v, BVar) else value.dtype
-    if value.shape != handle.value.shape:
-        raise mv.ShapeMismatch("argument {}: {} vs {}".format(name, value.shape,
-                                                              handle.value.shape))
-    if dtype != handle.value.dtype:
-        raise mv.DtypeMismatch("argument {}: {} vs {}".format(name, dtype,
-                                                              handle.value.dtype))
-    _emit_copy_into(ctx, name, v, value)
+    if name in io.entries:
+        _reinsert("argument", io.entries[name], v)
+    else:
+        io.ctx.claim_name(name)
+        io.entries[name] = BVar(io.ctx, True, _as_matvalue(v), name, storage="arg")
     return io
 
 
-def _emit_copy_into(ctx, dst_name: str, v, value: MatValue):
-    """Copy a value into named storage: scalars assign, n<=2 unrolls,
-    larger matrices materialize a local constant and memcpy."""
-    b = v if isinstance(v, BVar) else None
-    if value.is_scalar:
-        if b is not None and b.sym:
-            ctx.emit(Store(dst_name, _operand_expr(b)))
-        else:
-            ctx.emit(Store(dst_name, Lit(value)))
-        return
-    if b is not None and b.sym:
-        ctx.emit(CopyMat(dst_name, b.name, value.size))
-    else:
-        local = _constant_decl(ctx, value)
-        ctx.emit(CopyMat(dst_name, local.name, value.size))
+def _reinsert(what: str, handle: BVar, v):
+    """Copy v into the storage of an existing entry, whose shape and dtype
+    it must have."""
+    b = _as_bvar(v)
+    if b.shape != handle.shape:
+        raise mv.ShapeMismatch("{} {}: {} vs {}".format(what, handle.name, b.shape, handle.shape))
+    if b.dtype != handle.dtype:
+        raise mv.DtypeMismatch("{} {}: {} vs {}".format(what, handle.name, b.dtype, handle.dtype))
+    _copy_into(handle.ctx, handle.name, b)
 
 
 def start_function(ctx: TraceContext, name: str, io: IoSeq):
@@ -119,20 +102,12 @@ def persistent_create(ctx: TraceContext) -> PersistentPool:
 
 def persistent_insert(pool: PersistentPool, name: str, v) -> PersistentPool:
     """First insertion registers the default; later ones emit a copy."""
-    ctx = pool.ctx
-    value = _as_matvalue(v)
-    if name not in pool.entries:
-        ctx.register_static(name, value)
-        pool.entries[name] = BVar(ctx, True, value, name, storage="static")
-        return pool
-    handle = pool.entries[name]
-    if value.shape != handle.value.shape:
-        raise mv.ShapeMismatch("persistent {}: {} vs {}".format(name, value.shape,
-                                                                handle.value.shape))
-    if value.dtype != handle.value.dtype:
-        raise mv.DtypeMismatch("persistent {}: {} vs {}".format(name, value.dtype,
-                                                                handle.value.dtype))
-    _emit_copy_into(ctx, name, v, value)
+    if name in pool.entries:
+        _reinsert("persistent", pool.entries[name], v)
+    else:
+        value = _as_matvalue(v)
+        pool.ctx.register_static(name, value)
+        pool.entries[name] = BVar(pool.ctx, True, value, name, storage="static")
     return pool
 
 
@@ -247,12 +222,9 @@ def finalize_program(ctx: TraceContext, optimize: bool = True,
     init_fn = FunctionDef(init_name, [])
     for s in used:
         local = ctx.getunique()
-        init_fn.decls[local] = Decl(local, s.dtype, s.rows, s.cols,
-                                    init=s.default, static=True)
-        if s.is_scalar:
-            init_fn.body.append(Store(s.name, Ref(local)))
-        else:
-            init_fn.body.append(CopyMat(s.name, local, s.rows * s.cols))
+        init_fn.decls[local] = replace(s, name=local)
+        init_fn.body.append(Store(s.name, Ref(local)) if s.is_scalar
+                            else CopyMat(s.name, local, s.size))
     return Program(statics=used, init_fn=init_fn, functions=list(ctx.functions),
                    helpers=list(ctx.helpers_used), meta=meta or {})
 

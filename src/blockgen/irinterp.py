@@ -44,20 +44,15 @@ class _Scope:
 
     def __init__(self, fn, program: Program):
         self.fn = fn
-        self.where = {}     # name -> (frame index, declaration or initial value)
-        self.inits = []     # each local's initial elements, in frame order
-        self.base = len(fn.params) + len(program.statics)
-        for i, s in enumerate(program.statics):
-            self.where[s.name] = (len(fn.params) + i, s.default)
-        for i, p in enumerate(fn.params):
-            self.where[p.name] = (i, p)
-        for d in fn.decls.values():
-            value = d.init if d.init is not None else mv.zeros(d.dtype, d.rows, d.cols)
-            self.where[d.name] = (self.base + len(self.inits), value)
-            self.inits.append(list(value.data))
+        # name -> (frame index, declaration)
+        self.where = {d.name: (i, d) for i, d in
+                      enumerate([*fn.params, *program.statics, *fn.decls.values()])}
+        # each local's initial elements, in frame order
+        self.inits = [list(mv.zeros(d.dtype, d.rows, d.cols).data if d.init is None
+                           else d.init.data) for d in fn.decls.values()]
 
     def lookup(self, name):
-        """(frame index, declaration or initial value) of a name."""
+        """(frame index, declaration) of a name."""
         try:
             return self.where[name]
         except KeyError:
@@ -65,11 +60,11 @@ class _Scope:
 
     def element(self, name, k):
         """(frame index, dtype) of element k (0-based) of a name."""
-        i, like = self.lookup(name)
-        if not 0 <= k < like.rows * like.cols:
+        i, d = self.lookup(name)
+        if not 0 <= k < d.size:
             raise InterpError("{}: element {} of {} is outside its {} elements".format(
-                self.fn.name, k + 1, name, like.rows * like.cols))
-        return i, like.dtype
+                self.fn.name, k + 1, name, d.size))
+        return i, d.dtype
 
     def slot(self, name, k):
         """Element k of a name as lower_expr's leaf: (fn(frame), dtype)."""
@@ -109,13 +104,13 @@ class Machine:
     def __init__(self, program: Program):
         self.program = program
         # one buffer per static, shared by every frame
-        self._buffers = [list(s.default.data) for s in program.statics]
+        self._buffers = [list(s.init.data) for s in program.statics]
         self._lowered = {}  # function name -> runner, filled on first call
 
     @property
     def statics(self):
         """Each static's current value."""
-        return {s.name: MatValue(s.default.dtype, s.default.rows, s.default.cols, tuple(buf))
+        return {s.name: MatValue(s.dtype, s.rows, s.cols, tuple(buf))
                 for s, buf in zip(self.program.statics, self._buffers)}
 
     # -- lowering -----------------------------------------------------------

@@ -16,16 +16,13 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 
 from . import matval as mv
-from .matval import Dtype, MatValue, BOOL, F64
+from .matval import Dtype, MatValue, BOOL
 from . import blocks as blockmod
 from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import (
-    BVar, CopyMat, Program, Store, TraceContext, _force_named, _nom,
-    _operand_expr, numerics,
-)
+from .trace import BVar, Program, TraceContext, _copy_into, _nom, numerics
 
 
 class ModelError(Exception):
@@ -761,7 +758,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
                 link.id, value.dtype, link.dtype))
         port_dsts = [d for d in link.dsts if d[0] == "out"]
         for d in port_dsts:
-            _copy_into_storage(ctx, out_port_names[d[1]], value, link)
+            _copy_into(ctx, out_port_names[d[1]], value)
         if port_dsts:
             linkvals[link.id] = io.entries[out_port_names[port_dsts[0][1]]]
             return
@@ -771,14 +768,13 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.convert(_nom(value), link.dtype))
-            _copy_into_storage(ctx, sname, value, link)
-            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].default,
-                                     sname, storage="static")
+            _copy_into(ctx, sname, value)
+            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].init, sname, storage="static")
             return
         linkvals[link.id] = value
 
     def run(bid, flag, branch=None):
-        st_vals = [BVar(ctx, True, ctx.statics[name].default, name, storage="static")
+        st_vals = [BVar(ctx, True, ctx.statics[name].init, name, storage="static")
                    for name in state_names.get(bid, [])]
         values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.OUTPUT:
@@ -788,7 +784,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         else:
             for k, entry in enumerate(st.entries):
                 if k in st.written:
-                    _copy_into_storage(ctx, state_names[bid][k], entry, None)
+                    _copy_into(ctx, state_names[bid][k], entry)
 
     def lower_region(region: RegionSpec):
         """Trace both branches into functions called from one `if`."""
@@ -803,9 +799,13 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             ctx.pop_function(fids[-1])
         if_cos(ctx, cond, CallTarget(fids[0], io_names), CallTarget(fids[1], io_names))
 
-    # ---- output phase
+    # ---- output phase; folded blocks never run, so the constants they feed
+    # to ports are written first
     update_output = "updateOutput{}".format(main_id)
     ctx.push_function(update_output, io)
+    for k, link in g.fed_by.items():
+        if link.const_value is not None:
+            _copy_into(ctx, out_port_names[k], numerics(link.const_value))
     for node in sched.output_order:
         if isinstance(node, tuple):
             lower_region(node[1])
@@ -827,15 +827,6 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     return CodegenResult(text, program, ctx, model, sched)
 
 
-def _copy_into_storage(ctx, dst_name, value: BVar, link):
-    """Emit the copy of a block output into a port or static."""
-    if value.is_scalar:
-        ctx.emit(Store(dst_name, _operand_expr(value)))
-        return
-    src = _force_named(ctx, value)
-    ctx.emit(CopyMat(dst_name, src.name, value.size))
-
-
 # ---------------------------------------------------------------------------
 # direct numeric simulation
 
@@ -851,6 +842,9 @@ def simulate(model: Model, inputs_per_step, steps: int):
     g = model.graph
     scratch = _numeric_context()
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
+    for k, link in g.fed_by.items():
+        if link.const_value is not None:  # folded blocks never run
+            port_buffers[k] = link.const_value
     linkvals = _const_links(model)
 
     def run(bid, flag, branch=None):

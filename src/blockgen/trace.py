@@ -284,6 +284,8 @@ class Call(Instr):
 
 @dataclass
 class Decl:
+    """Named storage: a function argument, a local, or a program static
+    (static=True, reset to init by the initialize function)."""
     name: str
     dtype: Dtype
     rows: int
@@ -301,42 +303,17 @@ class Decl:
 
 
 @dataclass
-class Param:
-    name: str
-    dtype: Dtype
-    rows: int
-    cols: int
-
-    @property
-    def is_scalar(self):
-        return self.rows == 1 and self.cols == 1
-
-
-@dataclass
 class FunctionDef:
     name: str
-    params: list  # of Param
+    params: list  # of Decl
     decls: dict = field(default_factory=dict)  # name -> Decl, creation order
     body: list = field(default_factory=list)   # of Instr
 
 
 @dataclass
-class StaticDecl:
-    name: str
-    dtype: Dtype
-    rows: int
-    cols: int
-    default: MatValue
-
-    @property
-    def is_scalar(self):
-        return self.rows == 1 and self.cols == 1
-
-
-@dataclass
 class Program:
     """A finalized, optimized unit ready for printing or interpretation."""
-    statics: list                 # of StaticDecl, registration order
+    statics: list                 # of static Decl, registration order
     init_fn: FunctionDef
     functions: list               # of FunctionDef, completion order
     helpers: list                 # helper names used, stable order
@@ -359,7 +336,7 @@ class TraceContext:
         self.module = FunctionDef("<module>", [])
         self._open = []            # stack of (FunctionDef, IoSeq)
         self.functions = []        # sealed FunctionDefs, completion order
-        self.statics = {}          # name -> StaticDecl, registration order
+        self.statics = {}          # name -> static Decl, registration order
         self.pinned = set()        # def names that must not be inlined
         self.helpers_used = []
         self._names = set()        # every name handed out or registered
@@ -401,12 +378,13 @@ class TraceContext:
         if name in self.statics:
             raise DuplicateName(name)
         self.claim_name(name)
-        self.statics[name] = StaticDecl(name, default.dtype, default.rows, default.cols, default)
+        self.statics[name] = Decl(name, default.dtype, default.rows, default.cols, default,
+                                  static=True)
 
     # internal push/pop used both by the directives and the model driver;
     # the public StartFunction/EndFunction wrappers forbid nesting
     def push_function(self, name, io):
-        fn = FunctionDef(name, [Param(e.name, e.value.dtype, e.value.rows, e.value.cols)
+        fn = FunctionDef(name, [Decl(e.name, e.value.dtype, e.value.rows, e.value.cols)
                                 for e in io.entries.values()])
         self._open.append((fn, io))
         return fn
@@ -644,7 +622,7 @@ def _helper_call(ctx, fn: str, note: str, shape, operands, dims) -> BVar:
     if any(b.dtype != F64 for b in operands):
         raise TraceError("runtime helper {} supports f64 only".format(fn))
     ctx.emit(Annot(note))
-    names = tuple(_force_named(ctx, b).name for b in operands)
+    names = tuple(b.name if b.sym else _materialize(ctx, b.value).name for b in operands)
     names += tuple(_materialize(ctx, mv.scalar(float(d))).name for d in dims)
     res = _new_array(ctx, mv.zeros(F64, *shape))
     ctx.use_helper(fn)
@@ -655,6 +633,16 @@ def _helper_call(ctx, fn: str, note: str, shape, operands, dims) -> BVar:
 def _constant_decl(ctx, value: MatValue) -> BVar:
     """Declare a fresh local initialized with a concrete value."""
     return _new_array(ctx, value, init=value)
+
+
+def _copy_into(ctx, dst: str, b: BVar):
+    """Copy a value into existing named storage of its shape and dtype: one
+    store for a 1x1 value, else one whole copy from the value's own storage
+    or, for a numeric matrix, from a fresh initialized local."""
+    if b.is_scalar:
+        ctx.emit(Store(dst, _operand_expr(b)))
+    else:
+        ctx.emit(CopyMat(dst, (b if b.sym else _constant_decl(ctx, b.value)).name, b.size))
 
 
 def _materialize(ctx, value: MatValue) -> BVar:
@@ -669,13 +657,6 @@ def _materialize(ctx, value: MatValue) -> BVar:
         for k in range(value.size):
             ctx.emit(SetElem(out.name, k + 1, Lit(MatValue(value.dtype, 1, 1, (value.data[k],)))))
     return out
-
-
-def _force_named(ctx, b: BVar) -> BVar:
-    """A named array the emitter can reference; materializes numerics."""
-    if b.sym:
-        return b
-    return _materialize(ctx, b.value)
 
 
 def _lit_is(e: Expr, v) -> bool:
@@ -911,10 +892,8 @@ def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
         return a
     ctx = _ctx_of(a, rhs)
     if not a.sym:
-        # promote: declare a fresh symbolic initialized with the current value
-        name = ctx.getunique()
-        ctx.declare(name, a.value.dtype, a.rows, a.cols, init=a.value)
-        a.ctx, a.sym, a.name, a.storage = ctx, True, name, "local"
+        # promote: a fresh local initialized with the current value
+        a.ctx, a.sym, a.name, a.storage = ctx, True, _constant_decl(ctx, a.value).name, "local"
     ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
     a.value = a.value.set_linear(k, rhs.value.data[0])
     return a
@@ -1064,20 +1043,14 @@ def bvarempty(ctx: TraceContext, in_) -> BVar:
     A numeric source contributes its value as the declaration initializer.
     """
     b = _as_bvar(in_)
-    init = b.value if not b.sym else None
-    return _new_array(ctx, b.value, init=init)
+    return _new_array(ctx, _nom(b), init=None if b.sym else b.value)
 
 
 def bvarcopy(ctx: TraceContext, in_) -> BVar:
     """Like bvarempty, plus code copying the source into the new variable."""
     b = _as_bvar(in_)
-    src = b if b.sym else _constant_decl(ctx, b.value)
-    init = b.value if not b.sym else None
-    res = _new_array(ctx, b.value, init=init)
-    if b.size == 1:
-        ctx.emit(Store(res.name, Ref(src.name)))
-    else:
-        ctx.emit(CopyMat(res.name, src.name, b.size))
+    res = bvarempty(ctx, b)
+    _copy_into(ctx, res.name, b)
     return res
 
 

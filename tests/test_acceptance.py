@@ -216,8 +216,8 @@ def test_criterion_5_kalman():
     model = bg.parse_model(load_model_text("kalman.model"))
     result = bg.generate(model)
     statics = {s.name: s for s in result.program.statics}
-    assert list(statics["z_10021"].default.data) == [-900.0, 80.0, 950.0, 20.0]
-    assert list(statics["z_10022"].default.data) == [0.0] * 16
+    assert list(statics["z_10021"].init.data) == [-900.0, 80.0, 950.0, 20.0]
+    assert list(statics["z_10022"].init.data) == [0.0] * 16
     # helper calls appear exactly for the >6-element products/transposes:
     # seven products and the two transposes of the symbolic 2x4 Jacobian
     main = result.program.function("updateOutput10021")

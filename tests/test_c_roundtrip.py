@@ -14,7 +14,9 @@ import pytest
 
 import blockgen as bg
 from blockgen import matval as mv
+from blockgen import trace as tr
 from blockgen.cemit import EmitConfig
+from blockgen.directives import finalize_program
 from blockgen.irinterp import Machine
 
 from conftest import load_model_text, random_matvalue
@@ -156,6 +158,58 @@ def test_compiled_nonfinite_literals(tmp_path):
     from test_cemit import NONFINITE_MODEL
     model = bg.parse_model(NONFINITE_MODEL)
     _roundtrip(tmp_path, model, _inputs_for(model, STEPS, 11))
+
+
+def test_compiled_constant_fed_ports(tmp_path):
+    from test_model import CONST_PORT_MODEL
+    model = bg.parse_model(CONST_PORT_MODEL)
+    _roundtrip(tmp_path, model, [[]] * STEPS)
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_conversion_to_bool(tmp_path, opt):
+    """A conversion to bool gives 0 or 1 in C, as in the interpreter: of a
+    1x2 f64 array, and of a 1x1 f64 and a 1x1 i32 through a dtype view. The
+    directive-built program has no update functions, so its dispatcher
+    opens with the initialize branch."""
+    sources = {"x": mv.from_rows([[0.5, -0.25]]), "y": mv.scalar(0.25),
+               "n": mv.make(mv.I32, 1, 1, [2])}
+    ctx = bg.codegen_init()
+    io = bg.inouts(ctx)
+    for name, v in sources.items():
+        bg.inouts_insert(io, name, v)
+        bg.inouts_insert(io, "b" + name, mv.zeros(mv.BOOL, v.rows, v.cols))
+    bg.start_function(ctx, "convert", io)
+    for name in sources:
+        bg.inouts_insert(io, "b" + name, tr.bv_convert(io.entries[name], mv.BOOL))
+    bg.end_function(ctx, "convert", io)
+    program = finalize_program(ctx)
+    fn = program.function("convert")
+    values = [sources.get(p.name, mv.zeros(p.dtype, p.rows, p.cols)) for p in fn.params]
+    want = Machine(program).run_init().run_function("convert", values)
+    unit = tmp_path / "gen.c"
+    unit.write_text(bg.emit_program(program, EmitConfig(include_runtime_header=False)))
+    driver = tmp_path / "main.c"
+    driver.write_text("\n".join(
+        ["#include <stdio.h>", "#include <stdint.h>",
+         "void toto1000(int flag);",
+         "void convert({});".format(",".join("{} *{}".format(p.dtype.ctype, p.name)
+                                             for p in fn.params)),
+         "int main(void){"]
+        + ["  {} {}[] = {{{}}};".format(p.dtype.ctype, p.name,
+                                       ",".join(_c_literal(x, p.dtype) for x in v.data))
+           for p, v in zip(fn.params, values)]
+        + ["  toto1000(4);", "  convert({});".format(",".join(p.name for p in fn.params))]
+        + ['  for (int i = 0; i < {}; i++) printf("%d ", {}[i]);'.format(p.size, p.name)
+           for p in fn.params if p.dtype is mv.BOOL]
+        + ["  return 0;", "}", ""]))
+    exe = tmp_path / "prog"
+    subprocess.run(["cc", opt, "-o", str(exe), str(unit), str(driver), "-lm"],
+                   check=True, capture_output=True)
+    run = subprocess.run([str(exe)], check=True, capture_output=True, text=True)
+    assert run.stdout.split() == [str(int(x)) for v in want if v.dtype is mv.BOOL
+                                  for x in v.data]
+    assert run.stdout.split() == ["1"] * 4
 
 
 def test_random_models_compile(tmp_path):

@@ -20,7 +20,7 @@ from blockgen.directives import (
 from blockgen import trace as tr
 from blockgen.trace import (
     Bin, CallFn, Cast, CallTarget, Cond, CopyMat, Decl, ElemRef, IfExpr, Lit,
-    Param, Ref, SetElem, Store, Un,
+    Ref, SetElem, Store, Un,
 )
 
 from conftest import load_model_text
@@ -28,10 +28,8 @@ from conftest import load_model_text
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
-def tab_with(**decls):
-    t = SymTab()
-    t.locals = {n: d for n, d in decls.items()}
-    return t
+def tab_with(args=(), **decls):
+    return SymTab(decls, frozenset(args))
 
 
 def test_dtype_map_total():
@@ -94,9 +92,8 @@ def test_decl_lines():
 
 
 def test_expr_printing_conventions():
-    tab = tab_with(t=Decl("t", F64, 1, 1))
-    tab.args = {"inouts1": Param("inouts1", F64, 1, 1),
-                "inouts2": Param("inouts2", F64, 2, 1)}
+    tab = tab_with(("inouts1", "inouts2"), t=Decl("t", F64, 1, 1),
+                   inouts1=Decl("inouts1", F64, 1, 1), inouts2=Decl("inouts2", F64, 2, 1))
     assert expr_str(Ref("t"), tab) == "t"
     assert expr_str(Ref("inouts1"), tab) == "*inouts1"
     assert expr_str(ElemRef("z", 1), tab) == "(z[0])"
@@ -146,9 +143,9 @@ def test_copy_size_rule():
 
 def test_call_argument_addressing():
     tab = tab_with(res=Decl("res", F64, 4, 1), a=Decl("a", F64, 4, 2),
-                   d1=Decl("d1", F64, 1, 1), d2=Decl("d2", F64, 1, 1))
-    tab.args = {"inouts1": Param("inouts1", F64, 1, 1)}
-    tab.statics = {"z": tr.StaticDecl("z", F64, 8, 1, mv.zeros(F64, 8, 1))}
+                   d1=Decl("d1", F64, 1, 1), d2=Decl("d2", F64, 1, 1),
+                   args=("inouts1",), inouts1=Decl("inouts1", F64, 1, 1),
+                   z=Decl("z", F64, 8, 1, mv.zeros(F64, 8, 1), static=True))
     (line,) = instr_lines(tr.Call("quote", ("res", "a", "d1", "d2")), tab)
     assert line == "quote(res,a,&d1,&d2);"
     (line,) = instr_lines(tr.Call("f", ("inouts1", "z")), tab)

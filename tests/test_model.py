@@ -854,6 +854,29 @@ def test_vector_links_matrix_gain_equivalence():
     _equivalence(model, inputs, 20, exact=False)
 
 
+# folded blocks never run, so no block writes the ports their constants
+# feed: 3.5 * 2 and a constant 2x1 vector
+CONST_PORT_MODEL = """
+model 7
+output 1 f64 1 1
+output 2 f64 2 1
+block 1 const value=f64[1x1](3.5)
+block 2 gain gain=f64[1x1](2)
+block 3 const value=f64[2x1](1 2)
+link 1 1.1 -> 2.1
+link 2 2.1 -> out:1
+link 3 3.1 -> out:2
+"""
+
+
+def test_constant_fed_output_ports():
+    model = parse_model(CONST_PORT_MODEL)
+    simulated = simulate(model, [[]] * 3, 3)
+    interpreted = Machine(bg.generate(model).program).run_init().run_steps([[]] * 3, 3)
+    for row in simulated + interpreted:
+        assert [list(v.data) for v in row] == [[7.0], [1.0, 2.0]]
+
+
 BOOL_MODEL = """
 model 5000
 input 1 i32 1 1
@@ -1058,7 +1081,7 @@ def test_initialize_restores_every_static():
         machine.run_steps(make_inputs(), 8)
         machine.run_init()
         for s in result.program.statics:
-            assert machine.statics[s.name] == s.default, s.name
+            assert machine.statics[s.name] == s.init, s.name
 
 
 def test_region_input_from_temp_gets_a_static_home():

@@ -13,7 +13,7 @@ from blockgen.cemit import SymTab, expr_str, format_number
 from blockgen.irinterp import Machine
 from blockgen.optimizer import fold_expr
 from blockgen.trace import (
-    OPS, Bin, Decl, Def, FunctionDef, Lit, Param, Program, Ref, Store,
+    OPS, Bin, Decl, Def, FunctionDef, Lit, Program, Ref, Store,
 )
 
 # two operands per numeric dtype, chosen so that +, - or * wraps on the
@@ -47,7 +47,7 @@ def _reference(op, x, y, dtype):
 
 def _machine_value(expr, dtype):
     """Run `t = expr; res = t` as a one-function program."""
-    fn = FunctionDef("f", [Param("res", dtype, 1, 1)],
+    fn = FunctionDef("f", [Decl("res", dtype, 1, 1)],
                      decls={"t": Decl("t", dtype, 1, 1)},
                      body=[Def("t", expr), Store("res", Ref("t"))])
     program = Program(statics=[], init_fn=FunctionDef("init", []), functions=[fn],

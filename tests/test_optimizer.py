@@ -95,8 +95,8 @@ def test_inline_blocked_by_intervening_write():
         Store("out", Ref("t")),
     ]
     decls = {"t": tr.Decl("t", F64, 1, 1)}
-    statics = {"s": tr.StaticDecl("s", F64, 1, 1, mv.scalar(0.0)),
-               "out": tr.StaticDecl("out", F64, 1, 1, mv.scalar(0.0))}
+    statics = {"s": tr.Decl("s", F64, 1, 1, mv.scalar(0.0), static=True),
+               "out": tr.Decl("out", F64, 1, 1, mv.scalar(0.0), static=True)}
     out, _, _ = code_optimize(body, decls, statics)
     assert any(isinstance(i, Def) and i.name == "t" for i in out)
 
@@ -113,8 +113,8 @@ def test_annotations_preserved_and_not_counted_as_uses():
 
 
 def test_unused_static_pruned_by_code_optimize():
-    statics = {"dead": tr.StaticDecl("dead", F64, 1, 1, mv.scalar(0.0)),
-               "live": tr.StaticDecl("live", F64, 1, 1, mv.scalar(0.0))}
+    statics = {"dead": tr.Decl("dead", F64, 1, 1, mv.scalar(0.0), static=True),
+               "live": tr.Decl("live", F64, 1, 1, mv.scalar(0.0), static=True)}
     body = [Store("live", Lit(mv.scalar(1.0)))]
     _, _, top = code_optimize(body, {}, statics)
     assert list(top) == ["live"]
@@ -126,7 +126,7 @@ def test_malformed_ir_rejected():
 
 
 def _scalar_statics(*names):
-    return {n: tr.StaticDecl(n, F64, 1, 1, mv.scalar(0.0)) for n in names}
+    return {n: tr.Decl(n, F64, 1, 1, mv.scalar(0.0), static=True) for n in names}
 
 
 @pytest.mark.parametrize("between, inlined", [
