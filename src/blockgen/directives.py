@@ -8,13 +8,13 @@ EndFunction are exported as aliases of start_function/end_function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import matval as mv
 from . import optimizer
 from . import cemit
 from .trace import (
-    BVar, Call, CallTarget, Cond, CopyMat, FunctionDef, IfExpr,
+    BVar, Call, CallTarget, Cond, CopyMat, Decl, FunctionDef, IfExpr,
     NestedFunction, Program, Ref, Store, TraceContext,
     UnbalancedFunction, bv_compare, bvarcopy, bvarempty, expand,
     _as_bvar, _as_matvalue, _copy_into, _operand_expr, _elem_expr, _per_element,
@@ -213,16 +213,17 @@ def finalize_program(ctx: TraceContext, optimize: bool = True,
     if ctx.open_depth:
         raise UnbalancedFunction("a function is still open")
     known = set(ctx._names) | set(ctx.statics)
+    referenced = set()
     for fn in ctx.functions:
         params = [p.name for p in fn.params]
-        fn.body = optimizer.optimize_body(fn.body, fn.decls, params, ctx.statics,
-                                          ctx.pinned, optimize, extra_names=known)
-    referenced = optimizer.referenced(i for fn in ctx.functions for i in fn.body)
+        fn.body, names = optimizer.optimize_body(fn.body, fn.decls, params, ctx.statics,
+                                                 ctx.pinned, optimize, extra_names=known)
+        referenced |= names
     used = [s for s in ctx.statics.values() if s.name in referenced]
     init_fn = FunctionDef(init_name, [])
     for s in used:
         local = ctx.getunique()
-        init_fn.decls[local] = replace(s, name=local)
+        init_fn.decls[local] = Decl(local, s.dtype, s.rows, s.cols, s.init, static=True)
         init_fn.body.append(Store(s.name, Ref(local)) if s.is_scalar
                             else CopyMat(s.name, local, s.size))
     return Program(statics=used, init_fn=init_fn, functions=list(ctx.functions),

@@ -799,13 +799,15 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             ctx.pop_function(fids[-1])
         if_cos(ctx, cond, CallTarget(fids[0], io_names), CallTarget(fids[1], io_names))
 
-    # ---- output phase; folded blocks never run, so the constants they feed
-    # to ports are written first
+    # ---- output phase; no block writes a port fed by a folded constant or
+    # straight from an input port, so those ports are written first
     update_output = "updateOutput{}".format(main_id)
     ctx.push_function(update_output, io)
     for k, link in g.fed_by.items():
         if link.const_value is not None:
             _copy_into(ctx, out_port_names[k], numerics(link.const_value))
+        elif link.src[0] == "in":
+            _copy_into(ctx, out_port_names[k], linkvals[link.id])
     for node in sched.output_order:
         if isinstance(node, tuple):
             lower_region(node[1])
@@ -846,6 +848,9 @@ def simulate(model: Model, inputs_per_step, steps: int):
         if link.const_value is not None:  # folded blocks never run
             port_buffers[k] = link.const_value
     linkvals = _const_links(model)
+    # per input port: the links it feeds and the output ports it feeds directly
+    sources = [(p, g.feeds[k], [j for j, l in g.fed_by.items() if l.src == ("in", k)])
+               for k, p in g.inputs.items()]
 
     def run(bid, flag, branch=None):
         vals = states.get(bid)
@@ -871,13 +876,15 @@ def simulate(model: Model, inputs_per_step, steps: int):
         if len(inputs_per_step[step]) != len(g.inputs):
             raise ModelError("step {}: {} input values for {} input ports"
                              .format(step, len(inputs_per_step[step]), len(g.inputs)))
-        for p, v in zip(g.inputs.values(), inputs_per_step[step]):
+        for (p, links, ports), v in zip(sources, inputs_per_step[step]):
             v = mv.convert(v if isinstance(v, MatValue) else mv.scalar(v), p.dtype)
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))
-            for l in g.feeds[p.index]:
+            for l in links:
                 linkvals[l.id] = numerics(v)
+            for k in ports:
+                port_buffers[k] = v
         for node in sched.output_order:
             if isinstance(node, tuple):
                 # run only the taken branch

@@ -2,6 +2,10 @@
 
 One pipeline: literal folding, one forward pass that inlines single-use
 scalar definitions into their (sole) use site, and dead-code elimination.
+Each instruction is walked once per body for the names it reads (in
+expression slots, with counts, and in name slots) and writes; validation,
+every pass and the pruning of declarations and statics reuse that record,
+and inlining updates only its use site's.
 Folding lowers an all-literal expression through trace.lower_expr, the
 interpreter's own lowering, and calls it once, so a folded literal is the
 value the interpreter would compute.
@@ -21,7 +25,7 @@ from dataclasses import replace
 from . import matval as mv
 from .trace import (
     Call, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem, Store, children,
-    expr_refs, lower_expr, map_children,
+    lower_expr, map_children,
 )
 
 
@@ -37,14 +41,6 @@ def _subst(e, name, replacement):
     if isinstance(e, Ref) and e.name == name:
         return replacement
     return map_children(e, lambda c: _subst(c, name, replacement))
-
-
-def _ref_names(e):
-    """Every name an expression reads, once per occurrence."""
-    if isinstance(e, (Ref, ElemRef)):
-        yield e.name
-    for c in children(e):
-        yield from _ref_names(c)
 
 
 def fold_expr(e):
@@ -64,38 +60,32 @@ def fold_expr(e):
 
 
 # ---------------------------------------------------------------------------
-# instruction helpers
+# per-instruction names
 
 
-def _instr_exprs(i):
-    return [i.expr] if isinstance(i, (Def, Store, SetElem)) else []
+def _count_names(e, counts):
+    """Add one to counts[name] for each time expression e reads name."""
+    if isinstance(e, (Ref, ElemRef)):
+        counts[e.name] = counts.get(e.name, 0) + 1
+    else:
+        for c in children(e):
+            _count_names(c, counts)
+    return counts
 
 
-def _instr_reads(i) -> set:
-    out = set()
-    for e in _instr_exprs(i):
-        out |= expr_refs(e)
-    if isinstance(i, CopyMat):
-        out.add(i.src)
-    if isinstance(i, Call):
-        out.update(i.args)
-    if isinstance(i, IfExpr):
-        out.add(i.cond)
-        out.update(i.then_call.args)
-        out.update(i.else_call.args)
-    return out
-
-
-def _instr_writes(i) -> set:
+def _names_of(i):
+    """The names one instruction touches: (expression-slot reads as
+    name -> count, name-slot reads, writes)."""
     if isinstance(i, (Def, Store, SetElem)):
-        return {i.name}
+        return _count_names(i.expr, {}), (), (i.name,)
     if isinstance(i, CopyMat):
-        return {i.dst}
+        return {}, (i.src,), (i.dst,)
     if isinstance(i, Call):
-        return set(i.args)  # helper results / branch-visible buffers
+        return {}, i.args, i.args  # helper results / branch-visible buffers
     if isinstance(i, IfExpr):
-        return set(i.then_call.args) | set(i.else_call.args)
-    return set()
+        args = (*i.then_call.args, *i.else_call.args)
+        return {}, (i.cond, *args), args
+    return {}, (), ()
 
 
 def _any_between(positions, lo, hi) -> bool:
@@ -104,25 +94,27 @@ def _any_between(positions, lo, hi) -> bool:
     return k < len(positions) and positions[k] < hi
 
 
-def referenced(instrs) -> set:
-    """Every name the instructions read or write."""
-    out = set()
-    for instr in instrs:
-        out |= _instr_reads(instr) | _instr_writes(instr)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # passes
 
 
 def _pass_fold(body):
-    return [replace(i, expr=fold_expr(i.expr)) if isinstance(i, (Def, Store, SetElem)) else i
-            for i in body]
+    """Fold the literal subtrees of every expression; an instruction with
+    nothing to fold is kept as the same object. Folding only evaluates
+    name-free subtrees, so it leaves every instruction's names as they were."""
+    out = []
+    for i in body:
+        if isinstance(i, (Def, Store, SetElem)):
+            e = fold_expr(i.expr)
+            if e is not i.expr:
+                i = replace(i, expr=e)
+        out.append(i)
+    return out
 
 
-def _pass_inline(body, nonlocals, pinned):
-    """Fold each single-use scalar def into its use site, when safe.
+def _pass_inline(body, names, nonlocals, pinned):
+    """Fold each single-use scalar def into its use site, when safe; returns
+    the new body and its names (see _names_of), one record per instruction.
 
     One forward pass over use positions counted once. A def is inlined when
     it is not pinned, its only use is in an expression slot, none of its
@@ -130,86 +122,93 @@ def _pass_inline(body, nonlocals, pinned):
     param or static, no call or if lies between them (the callee may write
     it). Def names are unique, so a def's operands are defined before it:
     walking forward, each def sees its operands already inlined, and the
-    positions recorded here stay valid for every def not yet visited."""
-    uses = {}            # name -> positions of its expression-slot reads
+    positions recorded here stay valid for every def not yet visited. The
+    use site's record takes the def's reads in place of the def's name."""
+    uses = {}            # name -> (expression-slot reads, position of the last)
     keep = set(pinned)   # plus every name read from a name slot
     writes = {}          # name -> ascending positions of its writes
     barriers = []        # ascending positions of calls and ifs
-    for pos, instr in enumerate(body):
-        for e in _instr_exprs(instr):
-            for name in _ref_names(e):
-                uses.setdefault(name, []).append(pos)
-        if isinstance(instr, (CopyMat, Call, IfExpr)):
-            keep |= _instr_reads(instr)
+    for pos, (instr, (counts, reads, written)) in enumerate(zip(body, names)):
+        for name, n in counts.items():
+            uses[name] = (uses[name][0] + n if name in uses else n, pos)
+        keep.update(reads)
         if isinstance(instr, (Call, IfExpr)):
             barriers.append(pos)
-        for name in _instr_writes(instr):
+        for name in written:
             writes.setdefault(name, []).append(pos)
-    out = list(body)
+    out, names = list(body), list(names)
     for pos, instr in enumerate(out):
         if not isinstance(instr, Def) or instr.name in keep:
             continue
-        at = uses.get(instr.name, ())
-        if len(at) != 1 or at[0] <= pos:
+        n, use = uses.get(instr.name, (0, pos))
+        if n != 1 or use <= pos:
             continue
-        use = at[0]
-        refs = expr_refs(instr.expr)
+        refs = names[pos][0]
         if any(_any_between(writes.get(r, ()), pos, use) for r in refs):
             continue
-        if refs & nonlocals and _any_between(barriers, pos, use):
+        if not nonlocals.isdisjoint(refs) and _any_between(barriers, pos, use):
             continue
         target = out[use]
         out[use] = replace(target, expr=_subst(target.expr, instr.name, instr.expr))
-        out[pos] = None
-    return [i for i in out if i is not None]
+        counts = names[use][0]
+        del counts[instr.name]
+        for r, k in refs.items():
+            counts[r] = counts.get(r, 0) + k
+        out[pos] = names[pos] = None
+    return [i for i in out if i is not None], [r for r in names if r is not None]
 
 
-def _pass_dce(body, locals_):
-    """Drop definitions whose names are never read afterwards, transitively.
+def _pass_dce(body, names, locals_):
+    """Drop definitions whose names are never read afterwards, transitively;
+    returns the new body and its names.
 
     Only defs are removable: element stores and copies keep their targets
     alive even when nothing reads them (generated listings retain, e.g., the
     element stores of an otherwise-unused result array)."""
     live = set()
-    out = []
-    for instr in reversed(body):
-        keep = True
+    out, kept = [], []
+    for instr, rec in zip(reversed(body), reversed(names)):
         if isinstance(instr, Def):
-            keep = instr.name in live or instr.name not in locals_
-            if keep:
-                live.discard(instr.name)
-        if keep:
-            live |= _instr_reads(instr)
-            out.append(instr)
+            if instr.name not in live and instr.name in locals_:
+                continue
+            live.discard(instr.name)
+        live.update(rec[0], rec[1])
+        out.append(instr)
+        kept.append(rec)
     out.reverse()
-    return out
+    kept.reverse()
+    return out, kept
 
 
-def _validate(body, known):
-    for instr in body:
-        for name in _instr_reads(instr) | _instr_writes(instr):
+def _validate(names, known):
+    for counts, reads, writes in names:
+        for name in (*counts, *reads, *writes):
             if name not in known:
                 raise MalformedIR("dangling reference to {!r}".format(name))
 
 
 def optimize_body(body, decls, params, statics, pinned, optimize=True,
                   extra_names=()):
-    """Optimize one straight-line instruction list; returns the new body and
-    prunes unused local declarations. extra_names are free symbols accepted
-    by validation only. With optimize=False the body is returned as recorded."""
+    """Optimize one straight-line instruction list and prune unused local
+    declarations; returns the new body and every name it reads or writes.
+    extra_names are free symbols accepted by validation only. With
+    optimize=False the body is returned as recorded."""
     local_names = set(decls)
     nonlocals = set(params) | set(statics)
-    _validate(body, local_names | nonlocals | set(extra_names))
+    names = [_names_of(i) for i in body]
+    _validate(names, local_names | nonlocals | set(extra_names))
     out = list(body)
     if optimize:
         out = _pass_fold(out)
-        out = _pass_inline(out, nonlocals, pinned)
-        out = _pass_dce(out, local_names)
-    used = referenced(out)
+        out, names = _pass_inline(out, names, nonlocals, pinned)
+        out, names = _pass_dce(out, names, local_names)
+    used = set()
+    for counts, reads, writes in names:
+        used.update(counts, reads, writes)
     for name in list(decls):
         if name not in used:
             del decls[name]
-    return out
+    return out, used
 
 
 def code_optimize(code, declarations, top_declarations, optimize=True,
@@ -221,8 +220,7 @@ def code_optimize(code, declarations, top_declarations, optimize=True,
     static pool; both are pruned to what the surviving code references.
     """
     decls = dict(declarations)
-    body = optimize_body(list(code), decls, params, top_declarations, set(pinned),
-                         optimize, extra_names=extra_names)
-    used = referenced(body)
+    body, used = optimize_body(list(code), decls, params, top_declarations, set(pinned),
+                               optimize, extra_names=extra_names)
     top = {k: v for k, v in top_declarations.items() if k in used}
     return body, decls, top

@@ -205,16 +205,6 @@ def map_children(e: Expr, f) -> Expr:
     raise TypeError("unknown expression {!r}".format(e))
 
 
-def expr_refs(e: Expr) -> set:
-    """All names an expression reads."""
-    if isinstance(e, (Ref, ElemRef)):
-        return {e.name}
-    out = set()
-    for c in children(e):
-        out |= expr_refs(c)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # instructions
 

@@ -129,6 +129,7 @@ def _roundtrip(tmp_path, model, inputs):
                 assert cvals == list(ival.data), "step {}".format(step)
             else:
                 assert cvals == [int(v) for v in ival.data], "step {}".format(step)
+    return compiled
 
 
 @pytest.mark.parametrize("fixture,seed", [
@@ -164,6 +165,17 @@ def test_compiled_constant_fed_ports(tmp_path):
     from test_model import CONST_PORT_MODEL
     model = bg.parse_model(CONST_PORT_MODEL)
     _roundtrip(tmp_path, model, [[]] * STEPS)
+
+
+def test_compiled_input_fed_ports(tmp_path):
+    from test_model import ECHO_PORT_MODEL
+    model = bg.parse_model(ECHO_PORT_MODEL)
+    inputs = _inputs_for(model, STEPS, 12)
+    compiled = _roundtrip(tmp_path, model, inputs)
+    simulated = bg.simulate(bg.parse_model(ECHO_PORT_MODEL), inputs, STEPS)
+    for row, crow, srow in zip(inputs, compiled, simulated):
+        assert crow[0] == list(srow[0].data) == list(row[0].data)
+        assert crow[2] == list(srow[2].data) == list(row[1].data)
 
 
 @pytest.mark.parametrize("opt", ["-O0", "-O2"])

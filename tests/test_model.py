@@ -877,6 +877,33 @@ def test_constant_fed_output_ports():
         assert [list(v.data) for v in row] == [[7.0], [1.0, 2.0]]
 
 
+# no block writes a port that an input port feeds directly: out:1 shares
+# its link with the gain's input, out:3 has a link of its own
+ECHO_PORT_MODEL = """
+model 91
+input 1 f64 1 1
+input 2 f64 2 1
+output 1 f64 1 1
+output 2 f64 1 1
+output 3 f64 2 1
+block 1 gain gain=f64[1x1](2)
+link 1 in:1 -> 1.1, out:1
+link 2 1.1 -> out:2
+link 3 in:2 -> out:3
+"""
+
+
+def test_input_fed_output_ports():
+    inputs = [[mv.scalar(x), mv.from_rows([[x + 1], [-x]])] for x in (3.0, -1.5, 0.25)]
+    simulated = simulate(parse_model(ECHO_PORT_MODEL), inputs, 3)
+    program = bg.generate(parse_model(ECHO_PORT_MODEL)).program
+    interpreted = Machine(program).run_init().run_steps(inputs, 3)
+    for rows in (simulated, interpreted):
+        for (a, b), row in zip(inputs, rows):
+            assert [list(v.data) for v in row] == [list(a.data), [2 * a.data[0]],
+                                                  list(b.data)]
+
+
 BOOL_MODEL = """
 model 5000
 input 1 i32 1 1

@@ -2,6 +2,7 @@
 inlining, and the semantic-preservation / idempotence / monotone-size
 properties over randomized straight-line traces."""
 
+import copy
 import random
 
 import pytest
@@ -10,14 +11,14 @@ from blockgen import matval as mv
 from blockgen.matval import F64, I32
 from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert, start_function, end_function
 from blockgen.irinterp import Machine
-from blockgen.optimizer import MalformedIR, code_optimize
+from blockgen.optimizer import MalformedIR, _pass_fold, code_optimize
 from blockgen import trace as tr
 from blockgen.trace import (
-    Annot, Bin, Call, CallTarget, Def, IfExpr, Lit, Ref, SetElem, Store, Un,
-    numerics, symbolics,
+    Annot, Bin, Call, CallTarget, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem,
+    Store, Un, numerics, symbolics,
 )
 
-from conftest import assert_close, random_matvalue
+from conftest import assert_close, load_model_text, random_matvalue
 
 
 def test_unused_def_removed():
@@ -240,7 +241,6 @@ def test_semantic_preservation_and_idempotence_random():
 
 
 def finalize_program_copy(ctx, optimize=True):
-    import copy
     return finalize_program(copy.deepcopy(ctx), optimize)
 
 
@@ -257,3 +257,86 @@ def test_deep_copied_context_finalizes_identically():
             [repr(i) for i in original.functions[0].body]
         assert render_core(copied) == render_core(original)
         assert all(s.dtype is F64 for s in copied.statics)
+
+
+# ---------------------------------------------------------------------------
+# the names each pass reuses stay those of the surviving code
+
+
+def _walked_names(body):
+    """Every name a body reads or writes, found by a walk of its own: the
+    expressions through their dataclass fields, not the optimizer's helpers."""
+    names = set()
+
+    def walk(e):
+        if isinstance(e, (Ref, ElemRef)):
+            names.add(e.name)
+        for value in vars(e).values():
+            for part in value if isinstance(value, tuple) else (value,):
+                if isinstance(part, tr.Expr):
+                    walk(part)
+
+    for i in body:
+        if isinstance(i, (Def, Store, SetElem)):
+            names.add(i.name)
+            walk(i.expr)
+        elif isinstance(i, CopyMat):
+            names.update((i.dst, i.src))
+        elif isinstance(i, Call):
+            names.update(i.args)
+        elif isinstance(i, IfExpr):
+            names.update((i.cond, *i.then_call.args, *i.else_call.args))
+    return names
+
+
+def _assert_pruned_to_walk(program, static_names):
+    """Each function keeps exactly the locals its body names, and the
+    program exactly the statics some function body names."""
+    walked = set()
+    for fn in program.functions:
+        names = _walked_names(fn.body)
+        walked |= names
+        assert set(fn.decls) == names - {p.name for p in fn.params} - static_names, fn.name
+    assert {s.name for s in program.statics} == walked & static_names
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "raw"])
+@pytest.mark.parametrize("fixture", ["chain40", "coding", "kalman", "twodelays"])
+def test_fixture_decls_and_statics_match_a_fresh_walk(fixture, optimize):
+    from blockgen import model as md
+    result = md.generate(md.parse_model(load_model_text(fixture + ".model")),
+                         optimize=optimize)
+    _assert_pruned_to_walk(result.program, set(result.context.statics))
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "raw"])
+def test_random_decls_and_statics_match_a_fresh_walk(optimize):
+    rng = random.Random(73)
+    for trial in range(100):
+        ctx, _ = build_random_trace(rng)
+        _assert_pruned_to_walk(finalize_program_copy(ctx, optimize), set(ctx.statics))
+
+
+def test_fold_keeps_instructions_without_a_foldable_literal():
+    one = Lit(mv.scalar(1.0))
+    body = [Def("t", Bin("+", Ref("a"), one)),
+            Store("out", Un("-", Ref("t"))),
+            SetElem("m", 2, Bin("*", ElemRef("m", 1), one)),
+            CopyMat("n", "m", 4),
+            Call("helper", ("m", "n")),
+            Annot("end")]
+    out = _pass_fold(body)
+    assert len(out) == len(body) and all(x is y for x, y in zip(out, body))
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["opt", "raw"])
+@pytest.mark.parametrize("instr", [
+    Call("helper", ("u", "ghost")),
+    CopyMat("m", "ghost", 2),
+    IfExpr("ghost", CallTarget("f1", ("u",)), CallTarget("f2", ("u",))),
+], ids=["call-arg", "copy-source", "if-condition"])
+def test_dangling_name_slot_rejected(instr, optimize):
+    statics = {**_scalar_statics("u"),
+               "m": tr.Decl("m", F64, 2, 1, mv.zeros(F64, 2, 1), static=True)}
+    with pytest.raises(MalformedIR, match="ghost"):
+        code_optimize([instr], {}, statics, optimize=optimize)
