@@ -16,6 +16,18 @@ Each operator's effect on one element is defined once, by elem_kernel and
 convert_kernel; the MatValue operations here and the interpreter's lowered
 code are both built on them, and the matrix product, transpose and inverse
 loops run on flat sequences so that the interpreter shares them too.
+
+The f64 matrix product is the one exception to looping over kernels: for
+each inner dimension n, the first product builds (and caches) one function
+whose source spells every dot product out as 0.0 + r[0]*c[0] + ... +
+r[n-1]*c[n-1]. Python evaluates that left to right, so it adds the same
+products in the same k-ascending order as reduce(add, map(mul, row, col),
+0.0) and as the C helper's res=0; res+=a*b, and elem_kernel's f64 add and
+mul are exactly operator.add and operator.mul: every result is bit for bit
+the one the loop gives, at less than half its cost. (Only a NaN's sign and
+payload are not fixed: where two NaNs meet, the one that comes out depends on
+the machine instruction's operand order, in the loop as in C.) Integer
+products keep the loop over their wrapping kernels.
 """
 
 from __future__ import annotations
@@ -360,6 +372,29 @@ def neg(a: MatValue) -> MatValue:
     return _unchecked((a.dtype, a.rows, a.cols, tuple(map(elem_kernel("neg", a.dtype), a.data))))
 
 
+# inner dimension n -> the f64 product kernel built for it
+_F64_PRODUCTS = {}
+
+
+def _f64_product(n: int):
+    """fn(rows, cols): every f64 dot product of rows (length-n sequences)
+    with cols, column-major, each spelled out as 0.0 + r[0]*c[0] + ... so
+    that it adds in k-ascending order, as the reduce loop does."""
+    fn = _F64_PRODUCTS.get(n)
+    if fn is None:
+        dot = "0.0" + "".join(" + r[{0}]*c[{0}]".format(k) for k in range(n))
+        source = "lambda rows, cols: [{} for c in cols for r in rows]".format(dot)
+        fn = _F64_PRODUCTS[n] = eval(source)
+    return fn
+
+
+def _check_product(dtype: Dtype, ar: int, ac: int, br: int, bc: int):
+    if ac != br:
+        raise ShapeMismatch("inner dims {}x{} * {}x{}".format(ar, ac, br, bc))
+    if dtype.is_bool:
+        raise DtypeMismatch("bool matmul")
+
+
 def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
     """The matrix product of flat column-major ar x ac and br x bc data:
     (rows, cols, data). A 1x1 operand scales the other elementwise."""
@@ -368,17 +403,23 @@ def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
         if ar == ac == 1:
             return br, bc, [mul(a[0], y) for y in b]
         return ar, ac, [mul(x, b[0]) for x in a]
-    if ac != br:
-        raise ShapeMismatch("inner dims {}x{} * {}x{}".format(ar, ac, br, bc))
-    if dtype.is_bool:
-        raise DtypeMismatch("bool matmul")
-    mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
-    zero = 0.0 if dtype.is_float else 0
+    _check_product(dtype, ar, ac, br, bc)
     rows = [a[i::ar] for i in range(ar)]
     cols = [b[j * br:(j + 1) * br] for j in range(bc)]
     # accumulate in k-ascending order; the emitted helper and the unrolled
     # expression both use exactly this order
-    return ar, bc, [reduce(add, map(mul, row, col), zero) for col in cols for row in rows]
+    if dtype is F64:
+        return ar, bc, _f64_product(ac)(rows, cols)
+    mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
+    return ar, bc, [reduce(add, map(mul, row, col), 0) for col in cols for row in rows]
+
+
+def matmul_shape(a, b):
+    """The (rows, cols) of the product of a and b (anything with dtype, rows
+    and cols, neither 1x1), raising as matmul does, without computing it."""
+    _same_dtype(a, b)
+    _check_product(a.dtype, a.rows, a.cols, b.rows, b.cols)
+    return a.rows, b.cols
 
 
 def matmul(a: MatValue, b: MatValue) -> MatValue:

@@ -271,9 +271,11 @@ def parse_model(text: str) -> Model:
     return model
 
 
-def _attach(table, port, link, what):
+def _attach(table, port, link, what, *args):
+    """table[port] = link, unless port has a link already: then raise,
+    naming the port by what.format(*args), formatted only then."""
     if port in table:
-        raise ParseError("{} links {} and {}".format(what, table[port].id, link.id))
+        raise ParseError("{} links {} and {}".format(what.format(*args), table[port].id, link.id))
     table[port] = link
 
 
@@ -296,17 +298,16 @@ def _build_graph(model: Model) -> Graph:
             _, bid, port = link.src
             if bid not in model.blocks:
                 raise ParseError("link {}: unknown source block {}".format(link.id, bid))
-            _attach(out_ports[bid], port, link, "block {} output {} drives".format(bid, port))
+            _attach(out_ports[bid], port, link, "block {} output {} drives", bid, port)
         for d in link.dsts:
             if d[0] == "out":
                 if d[1] not in outputs:
                     raise ParseError("link {}: unknown output port {}".format(link.id, d[1]))
-                _attach(fed_by, d[1], link, "output port {} is fed by".format(d[1]))
+                _attach(fed_by, d[1], link, "output port {} is fed by", d[1])
             else:
                 if d[1] not in model.blocks:
                     raise ParseError("link {}: unknown destination block {}".format(link.id, d[1]))
-                _attach(in_ports[d[1]], d[2], link,
-                        "block {} input {} is fed by".format(d[1], d[2]))
+                _attach(in_ports[d[1]], d[2], link, "block {} input {} is fed by", d[1], d[2])
     ins, outs, slots = {}, {}, {}
     for b in model.blocks.values():
         by_port = in_ports[b.id]

@@ -751,12 +751,13 @@ def bv_matmul(a, b) -> BVar:
         return BVar(None, False, mv.matmul(a.value, b.value))  # a 1x1 operand scales
     if a.is_scalar or b.is_scalar:
         return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
-    nominal = mv.matmul(_nom(a), _nom(b))
+    rows, cols = mv.matmul_shape(a, b)
     ctx = _ctx_of(a, b)
-    if nominal.size > UNROLL_LIMIT:
+    if rows * cols > UNROLL_LIMIT:  # the helper computes the value: no nominal product
         return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
-                            "external function".format(nominal.size, UNROLL_LIMIT),
-                            nominal.shape, (a, b), (a.rows, a.cols, b.rows, b.cols))
+                            "external function".format(rows * cols, UNROLL_LIMIT),
+                            (rows, cols), (a, b), (a.rows, a.cols, b.rows, b.cols))
+    nominal = mv.matmul(_nom(a), _nom(b))
 
     def expr_at(k):
         # row i of a times column j of b, without the statically zero terms

@@ -5,9 +5,11 @@ exact for doubles (both sides perform the operations in the same order).
 Skipped when no C compiler is on PATH or BLOCKGEN_SKIP_CC is set.
 """
 
+import math
 import os
 import random
 import shutil
+import struct
 import subprocess
 
 import pytest
@@ -15,7 +17,7 @@ import pytest
 import blockgen as bg
 from blockgen import matval as mv
 from blockgen import trace as tr
-from blockgen.cemit import EmitConfig
+from blockgen.cemit import EmitConfig, format_number
 from blockgen.directives import finalize_program
 from blockgen.irinterp import Machine
 
@@ -45,7 +47,7 @@ def _inputs_for(model, steps, seed):
 
 def _c_literal(v, dtype):
     if dtype.is_float:
-        return float(v).hex()
+        return float(v).hex() if math.isfinite(v) else format_number(v, dtype)
     return str(int(v))
 
 
@@ -53,7 +55,8 @@ def _driver_source(model, entry, inputs):
     ports = sorted(model.inputs, key=lambda p: p.index) + \
         sorted(model.outputs, key=lambda p: p.index)
     names = ["inouts{}".format(k + 1) for k in range(len(ports))]
-    lines = ["#include <stdio.h>", "#include <string.h>", "#include <stdint.h>", ""]
+    lines = ["#include <math.h>", "#include <stdio.h>", "#include <string.h>",
+             "#include <stdint.h>", ""]
     lines.append("extern void {}(int flag,{});".format(
         entry, ",".join("{} *{}".format(p.dtype.ctype, n)
                         for p, n in zip(ports, names))))
@@ -105,7 +108,12 @@ def _parse_output(text, model):
     return rows
 
 
-def _roundtrip(tmp_path, model, inputs):
+def _same_f64(x, y):
+    """Equal bit patterns, or NaN on both sides (as `validate` counts it)."""
+    return struct.pack("<d", x) == struct.pack("<d", y) or (math.isnan(x) and math.isnan(y))
+
+
+def _roundtrip(tmp_path, model, inputs, opt="-O0"):
     model = bg.infer(model)
     result = bg.generate(model, EmitConfig(block_id=model.base_id,
                                            include_runtime_header=False))
@@ -115,7 +123,7 @@ def _roundtrip(tmp_path, model, inputs):
     driver = tmp_path / "main.c"
     driver.write_text(_driver_source(model, entry, inputs))
     exe = tmp_path / "prog"
-    subprocess.run(["cc", "-O0", "-o", str(exe), str(unit), str(driver), "-lm"],
+    subprocess.run(["cc", opt, "-o", str(exe), str(unit), str(driver), "-lm"],
                    check=True, capture_output=True)
     run = subprocess.run([str(exe)], check=True, capture_output=True, text=True)
     compiled = _parse_output(run.stdout, model)
@@ -126,7 +134,8 @@ def _roundtrip(tmp_path, model, inputs):
     for step, (crow, irow) in enumerate(zip(compiled, interpreted)):
         for cvals, ival in zip(crow, irow):
             if ival.dtype.is_float:
-                assert cvals == list(ival.data), "step {}".format(step)
+                assert len(cvals) == ival.size and all(map(_same_f64, cvals, ival.data)), \
+                    "step {}: {} vs {}".format(step, cvals, list(ival.data))
             else:
                 assert cvals == [int(v) for v in ival.data], "step {}".format(step)
     return compiled
@@ -222,6 +231,37 @@ def test_compiled_conversion_to_bool(tmp_path, opt):
     assert run.stdout.split() == [str(int(x)) for v in want if v.dtype is mv.BOOL
                                   for x in v.data]
     assert run.stdout.split() == ["1"] * 4
+
+
+# a 3x5 gain times a 5x3 input: a 3x3 `mult` helper call, inner dimension 5
+PRODUCT_MODEL = """model 95
+input 1 f64 5 3
+output 1 f64 3 3
+block 1 gain gain=f64[3x5](0 -0 1e300 -1e300 2 inf 1 -0 3 0.5 1e-310 -1 1e308 -inf 0.25)
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_product_helper_nonfinite(tmp_path, opt):
+    """The `mult` helper, the interpreter and simulate agree bit for bit on
+    products of signed zeros, infinities and overflowing finite values."""
+    rng = random.Random(95)
+    pool = [0.0, -0.0, 1e308, -1e308, 1e300, 3.5, -0.75, 5e-324]
+    rows = [[0.0, -0.0] * 8, [1e308, -1e308, 1e300] * 5, [math.inf, -math.inf, -0.0] * 5]
+    rows += [[rng.choice([math.inf, -math.inf]) if rng.random() < 0.15 else rng.choice(pool)
+              for _ in range(15)] for _ in range(60)]
+    inputs = [[mv.make(mv.F64, 5, 3, row[:15])] for row in rows]
+    model = bg.parse_model(PRODUCT_MODEL)
+    assert "mult(" in bg.generate(bg.infer(model)).text
+    compiled = _roundtrip(tmp_path, model, inputs, opt)
+    simulated = bg.simulate(bg.parse_model(PRODUCT_MODEL), inputs, len(inputs))
+    for step, (crow, srow) in enumerate(zip(compiled, simulated)):
+        assert all(map(_same_f64, crow[0], srow[0].data)), "step {}".format(step)
+    values = [v for crow in compiled for v in crow[0]]
+    assert any(map(math.isnan, values)) and math.inf in values and -math.inf in values
+    assert any(v != 0 and math.isfinite(v) for v in values) and 0.0 in values
 
 
 def test_random_models_compile(tmp_path):

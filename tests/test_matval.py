@@ -4,11 +4,15 @@ arithmetic agree bit for bit."""
 
 import copy
 import math
+import operator
 import pickle
 import random
+import struct
+from functools import reduce
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blockgen import matval as mv
 from blockgen.matval import BOOL, F64, I8, I16, I32, U8, U16, U32
@@ -149,6 +153,68 @@ def test_matmul_associativity():
         left = mv.matmul(mv.matmul(a, b), c)
         right = mv.matmul(a, mv.matmul(b, c))
         np.testing.assert_allclose(to_np(left), to_np(right), rtol=1e-9, atol=1e-9)
+
+
+def _reference_matmul_flat(a, ar, ac, b, br, bc):
+    """The f64 product as matmul_flat computed it with a loop over the
+    element kernels: a 1x1 operand scales, else each element is
+    reduce(add, map(mul, row, col), 0.0)."""
+    if ar == ac == 1:
+        return [a[0] * y for y in b]
+    if br == bc == 1:
+        return [x * b[0] for x in a]
+    rows = [a[i::ar] for i in range(ar)]
+    cols = [b[j * br:(j + 1) * br] for j in range(bc)]
+    return [reduce(operator.add, map(operator.mul, row, col), 0.0) for col in cols for row in rows]
+
+
+def _bits(values):
+    """Each value's bit pattern; every NaN alike. Where two NaNs meet, which
+    one an add or multiply returns depends on the machine instruction's
+    operand order, which differs even between operator.add and the `+`
+    bytecode's float path, so a NaN's sign and payload are not part of the
+    semantics."""
+    return [b"nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+def _assert_product_bits(a, ar, n, b, bc):
+    rows, cols, got = mv.matmul_flat(F64, a, ar, n, b, n, bc)
+    assert (rows, cols) == (ar, bc)
+    assert _bits(got) == _bits(_reference_matmul_flat(a, ar, n, b, n, bc))
+
+
+SPECIAL_F64 = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+               -1.5e-310, 1e308, -1e308, 1.7976931348623157e308, 1e200, -3.0, 0.1, 1.0]
+
+
+def test_f64_product_kernels_are_the_element_kernels():
+    assert mv.elem_kernel("add", F64) is operator.add
+    assert mv.elem_kernel("mul", F64) is operator.mul
+
+
+def test_f64_product_every_shape_matches_loop():
+    rng = random.Random(17)
+    for ar in range(9):
+        for n in range(9):
+            for bc in range(9):
+                a = [rng.choice(SPECIAL_F64) for _ in range(ar * n)]
+                b = [rng.choice(SPECIAL_F64) for _ in range(n * bc)]
+                _assert_product_bits(a, ar, n, b, bc)
+
+
+@st.composite
+def _f64_operands(draw):
+    ar, n, bc = (draw(st.integers(0, 8)) for _ in range(3))
+    elem = st.one_of(st.sampled_from(SPECIAL_F64), st.floats(-1e3, 1e3), st.floats())
+    a = draw(st.lists(elem, min_size=ar * n, max_size=ar * n))
+    b = draw(st.lists(elem, min_size=n * bc, max_size=n * bc))
+    return a, ar, n, b, bc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_f64_operands())
+def test_f64_product_matches_loop_bit_for_bit(operands):
+    _assert_product_bits(*operands)
 
 
 def test_matmul_shape_error():
