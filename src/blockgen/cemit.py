@@ -50,6 +50,8 @@ def format_number(v, dtype: Dtype) -> str:
             return "NAN"
         if math.isinf(v):
             return "INFINITY" if v > 0 else "-INFINITY"
+        if v == 0 and math.copysign(1.0, v) < 0:
+            return "-0.0"  # int() would drop the sign
         if v == int(v) and abs(v) < 1e16:
             return str(int(v))
         return repr(v)

@@ -57,7 +57,7 @@ def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
         _reinsert("argument", io.entries[name], v)
     else:
         io.ctx.claim_name(name)
-        io.entries[name] = BVar(io.ctx, True, _as_matvalue(v), name, storage="arg")
+        io.entries[name] = BVar(io.ctx, True, _as_matvalue(v), name)
     return io
 
 
@@ -107,7 +107,7 @@ def persistent_insert(pool: PersistentPool, name: str, v) -> PersistentPool:
     else:
         value = _as_matvalue(v)
         pool.ctx.register_static(name, value)
-        pool.entries[name] = BVar(pool.ctx, True, value, name, storage="static")
+        pool.entries[name] = BVar(pool.ctx, True, value, name)
     return pool
 
 
@@ -115,7 +115,7 @@ def persistent_extract(pool: PersistentPool, name: str) -> BVar:
     if name not in pool.entries:
         raise UnknownName(name)
     handle = pool.entries[name]
-    return BVar(pool.ctx, True, handle.value, name, storage="static")
+    return BVar(pool.ctx, True, handle.value, name)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def constant(ctx: TraceContext, v, name: str) -> BVar:
     value = _as_matvalue(v)
     ctx.claim_name(name)
     ctx.declare(name, value.dtype, value.rows, value.cols, init=value)
-    return BVar(ctx, True, value, name, storage="local")
+    return BVar(ctx, True, value, name)
 
 
 def put_annotation(ctx: TraceContext, text: str):

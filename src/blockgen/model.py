@@ -22,7 +22,7 @@ from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import BVar, Program, TraceContext, _copy_into, _nom, numerics
+from .trace import BVar, Program, TraceContext, _copy_into, numerics
 
 
 class ModelError(Exception):
@@ -134,13 +134,20 @@ _LITERAL = re.compile(r"^(f64|bool|i8|i16|i32|u8|u16|u32)\[(\d+)x(\d+)\](?:\((.*
 _NUMBER = re.compile(r"^-?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)$")
 
 
+def _dims(rows: int, cols: int):
+    """A port's or signature's (rows, cols), each at least 1."""
+    if rows < 1 or cols < 1:
+        raise ParseError("dimensions {}x{}: each must be at least 1".format(rows, cols))
+    return rows, cols
+
+
 def _parse_value(text: str):
     m = _LITERAL.match(text)
     if m:
         dtype = mv.DTYPES[m.group(1)]
         rows, cols = int(m.group(2)), int(m.group(3))
         if m.group(4) is None:
-            return ("sig", dtype, rows, cols)
+            return ("sig", dtype) + _dims(rows, cols)
         raw = m.group(4).replace(",", " ").split()
         if len(raw) != rows * cols:
             raise ParseError("literal needs {} entries, got {}".format(rows * cols, len(raw)))
@@ -215,7 +222,7 @@ def parse_model(text: str) -> Model:
                 seen_model = True
             elif head in ("input", "output"):
                 idx, dt, r, c = rest.split()
-                port = PortSpec(int(idx), mv.DTYPES[dt], int(r), int(c), head == "input")
+                port = PortSpec(int(idx), mv.DTYPES[dt], *_dims(int(r), int(c)), head == "input")
                 ports = model.inputs if head == "input" else model.outputs
                 if any(p.index == port.index for p in ports):
                     raise ParseError("duplicate {} port {}".format(head, port.index))
@@ -763,19 +770,19 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         if port_dsts:
             linkvals[link.id] = io.entries[out_port_names[port_dsts[0][1]]]
             return
-        durable = (not value.sym) or value.storage in ("arg", "static")
+        durable = not value.sym or value.name in io.entries or value.name in ctx.statics
         needs_durable = link.id in state_read_links or link.id in region_read_links
         if link.id in region_out_links or (needs_durable and not durable):
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
-                ctx.register_static(sname, mv.convert(_nom(value), link.dtype))
+                ctx.register_static(sname, mv.convert(value.value, link.dtype))
             _copy_into(ctx, sname, value)
-            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].init, sname, storage="static")
+            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].init, sname)
             return
         linkvals[link.id] = value
 
     def run(bid, flag, branch=None):
-        st_vals = [BVar(ctx, True, ctx.statics[name].init, name, storage="static")
+        st_vals = [BVar(ctx, True, ctx.statics[name].init, name)
                    for name in state_names.get(bid, [])]
         values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.OUTPUT:

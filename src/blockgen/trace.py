@@ -3,8 +3,10 @@
 A BVar is either numeric (its value is authoritative) or symbolic (only the
 dtype and shape of its value are meaningful; the entries are a nominal value
 carried along to keep shape inference honest, never consulted for folding).
-Operations on all-numeric operands fold silently; anything touching a
-symbolic operand appends pseudo-code instructions to the active session.
+Its dtype is always its value's. Operations on all-numeric operands fold
+silently; anything touching a symbolic operand appends pseudo-code
+instructions to the active session. A conversion is one such operation: a
+converted symbolic value is a new one defined by a Cast per element.
 
 Each operation says only what element k of its result is. _per_element
 records that as one definition for a 1x1 result (the optimizer later folds
@@ -399,21 +401,20 @@ class TraceContext:
 
 
 class BVar:
-    """A matrix value tagged numeric or symbolic, with an IR name."""
+    """A matrix value, numeric or symbolic; a symbolic one also has its
+    recording session and its IR name. The dtype is the value's."""
 
-    __slots__ = ("ctx", "sym", "value", "name", "storage", "view_dtype")
+    __slots__ = ("ctx", "sym", "value", "name")
 
-    def __init__(self, ctx, sym, value, name="", storage=None, view_dtype=None):
+    def __init__(self, ctx, sym, value, name=""):
         self.ctx = ctx
         self.sym = sym
         self.value = value
         self.name = name
-        self.storage = storage          # "arg" | "static" | "local" | "free" | None
-        self.view_dtype = view_dtype    # dtype alias from convert(), if any
 
     @property
     def dtype(self):
-        return self.view_dtype or self.value.dtype
+        return self.value.dtype
 
     @property
     def shape(self):
@@ -506,7 +507,7 @@ def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
         name = ctx.getunique()
     else:
         ctx.claim_name(name)
-    return BVar(ctx, True, value, name, storage="free")
+    return BVar(ctx, True, value, name)
 
 
 def _as_matvalue(v) -> MatValue:
@@ -554,12 +555,7 @@ def unwrap(b: BVar) -> MatValue:
 
 def _operand_expr(b: BVar) -> Expr:
     """Embed a scalar bvar as an expression operand."""
-    if not b.sym:
-        return Lit(b.value)
-    e = Ref(b.name)
-    if b.view_dtype is not None and b.view_dtype != b.value.dtype:
-        e = Cast(b.view_dtype, e)
-    return e
+    return Ref(b.name) if b.sym else Lit(b.value)
 
 
 def _elem_expr(b: BVar, k: int) -> Expr:
@@ -569,23 +565,20 @@ def _elem_expr(b: BVar, k: int) -> Expr:
         return _operand_expr(b)
     if not b.sym:
         return Lit(MatValue(b.value.dtype, 1, 1, (b.value.data[k],)))
-    e = ElemRef(b.name, k + 1)
-    if b.view_dtype is not None and b.view_dtype != b.value.dtype:
-        e = Cast(b.view_dtype, e)
-    return e
+    return ElemRef(b.name, k + 1)
 
 
 def _def_scalar(ctx, expr: Expr, nominal: MatValue) -> BVar:
     name = ctx.getunique()
     ctx.declare(name, nominal.dtype, 1, 1)
     ctx.emit(Def(name, expr))
-    return BVar(ctx, True, nominal, name, storage="local")
+    return BVar(ctx, True, nominal, name)
 
 
 def _new_array(ctx, nominal: MatValue, init: MatValue = None) -> BVar:
     name = ctx.getunique()
     ctx.declare(name, nominal.dtype, nominal.rows, nominal.cols, init=init)
-    return BVar(ctx, True, nominal, name, storage="local")
+    return BVar(ctx, True, nominal, name)
 
 
 def _per_element(ctx, nominal: MatValue, expr_at, order) -> BVar:
@@ -688,13 +681,6 @@ def _soft_nominal(fn, fallback: MatValue, *args):
         return fallback
 
 
-def _nom(b: BVar) -> MatValue:
-    """Nominal value seen through any dtype-retag alias."""
-    if b.view_dtype is not None and b.view_dtype != b.value.dtype:
-        return mv.convert(b.value, b.view_dtype)
-    return b.value
-
-
 # ---------------------------------------------------------------------------
 # overloaded operations
 
@@ -709,7 +695,7 @@ def bv_binop(op: str, a, b) -> BVar:
     if a.dtype.is_bool:
         raise mv.DtypeMismatch("bool participates in arithmetic only after conversion")
     rows, cols = mv.broadcast_pair(a.value, b.value)
-    nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, _nom(a), _nom(b))
+    nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, a.value, b.value)
     sym = _SPELLING[mv.ELEM_OPS[op]]
     # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
     num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
@@ -757,7 +743,7 @@ def bv_matmul(a, b) -> BVar:
         return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
                             "external function".format(rows * cols, UNROLL_LIMIT),
                             (rows, cols), (a, b), (a.rows, a.cols, b.rows, b.cols))
-    nominal = mv.matmul(_nom(a), _nom(b))
+    nominal = mv.matmul(a.value, b.value)
 
     def expr_at(k):
         # row i of a times column j of b, without the statically zero terms
@@ -834,19 +820,21 @@ def bv_concat_cols(a, b) -> BVar:
     return res
 
 
-def vertcat(*parts) -> BVar:
-    out = parts[0] if isinstance(parts[0], BVar) else _as_bvar(parts[0])
+def _concat(join, parts) -> BVar:
+    """The parts joined left to right; a bare number adopts the dtype of
+    what it is joined to."""
+    out = _as_bvar(parts[0])
     for p in parts[1:]:
-        out = bv_concat_rows(out, p)
+        out = join(out, _as_bvar(p, like=out))
     return out
+
+
+def vertcat(*parts) -> BVar:
+    return _concat(bv_concat_rows, parts)
 
 
 def horzcat(*parts) -> BVar:
-    first = parts[0]
-    out = first if isinstance(first, BVar) else _as_bvar(first)
-    for p in parts[1:]:
-        out = bv_concat_cols(out, _as_bvar(p, like=out))
-    return out
+    return _concat(bv_concat_cols, parts)
 
 
 def _linear_index(a: BVar, i, j) -> int:
@@ -884,7 +872,7 @@ def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
     ctx = _ctx_of(a, rhs)
     if not a.sym:
         # promote: a fresh local initialized with the current value
-        a.ctx, a.sym, a.name, a.storage = ctx, True, _constant_decl(ctx, a.value).name, "local"
+        a.ctx, a.sym, a.name = ctx, True, _constant_decl(ctx, a.value).name
     ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
     a.value = a.value.set_linear(k, rhs.value.data[0])
     return a
@@ -902,18 +890,14 @@ def bv_datatype(a: BVar) -> Dtype:
 def bv_convert(a, dtype: Dtype) -> BVar:
     if not isinstance(a, BVar):
         a = _as_bvar(a)
-    if not a.sym:
-        return a if a.value.dtype is dtype else BVar(None, False, mv.convert(a.value, dtype))
     if a.dtype is dtype:
         return a
-    ctx = a.ctx
-    if a.is_scalar:
-        # the conversion itself rides on C's implicit assignment conversion;
-        # pin the definition so the conversion point survives optimization
-        ctx.pinned.add(a.name)
-        return BVar(ctx, True, a.value, a.name, storage=a.storage, view_dtype=dtype)
-    return _per_element(ctx, mv.convert(a.value, dtype), lambda k: Cast(dtype, _elem_expr(a, k)),
-                        range(a.size))
+    if not a.sym:
+        return BVar(None, False, mv.convert(a.value, dtype))
+    # pin the source's definition so the conversion point survives optimization
+    a.ctx.pinned.add(a.name)
+    return _per_element(a.ctx, mv.convert(a.value, dtype),
+                        lambda k: Cast(dtype, _elem_expr(a, k)), range(a.size))
 
 
 def bv_sum(a) -> BVar:
@@ -947,7 +931,7 @@ def bv_elem_math(fn: str, *args) -> BVar:
     if fn == "atan2" and args[0].shape != args[1].shape:
         raise mv.ShapeMismatch("atan2 args {} vs {}".format(args[0].shape, args[1].shape))
     shape = args[0].shape
-    nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *shape), fn, *[_nom(a) for a in args])
+    nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *shape), fn, *[a.value for a in args])
     return _per_element(_ctx_of(*args), nominal,
                         lambda k: CallFn(fn, tuple(_elem_expr(a, k) for a in args)),
                         range(nominal.size))
@@ -998,7 +982,7 @@ def bv_inv(a) -> BVar:
     ctx = a.ctx
     n = a.rows
     if n == 1:
-        return bv_div(numerics(mv.scalar(1.0)), a, _scalar_path=True)
+        return bv_div(numerics(mv.scalar(1.0)), a)
     if n == 2:
         out = bvarempty(ctx, a)
         bv_index_set(out, 1, 1, rhs=bv_index_get(a, 2, 2))
@@ -1013,7 +997,7 @@ def bv_inv(a) -> BVar:
                         "function".format(n * n), (n, n), (a,), (n,))
 
 
-def bv_div(a, b, _scalar_path=False) -> BVar:
+def bv_div(a, b) -> BVar:
     """a / b: elementwise when b is 1x1, else a * inv(b) for square b."""
     a, b = _coerce_pair(a, b)
     if b.is_scalar:
@@ -1034,7 +1018,7 @@ def bvarempty(ctx: TraceContext, in_) -> BVar:
     A numeric source contributes its value as the declaration initializer.
     """
     b = _as_bvar(in_)
-    return _new_array(ctx, _nom(b), init=None if b.sym else b.value)
+    return _new_array(ctx, b.value, init=None if b.sym else b.value)
 
 
 def bvarcopy(ctx: TraceContext, in_) -> BVar:

@@ -17,14 +17,14 @@ static int32_t link10046=0;
 static int32_t link10048=1;
 
 void initialize1004(){
-  static int32_t tmp_6=0;
   static int32_t tmp_7=0;
   static int32_t tmp_8=0;
-  static int32_t tmp_9=1;
-  z_10041=tmp_6;
-  z_10042=tmp_7;
-  link10046=tmp_8;
-  link10048=tmp_9;
+  static int32_t tmp_9=0;
+  static int32_t tmp_10=1;
+  z_10041=tmp_7;
+  z_10042=tmp_8;
+  link10046=tmp_9;
+  link10048=tmp_10;
 }
 
 void updateOutput10041(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
@@ -41,14 +41,14 @@ void updateOutput10042(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
 
 void updateOutput10043(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
   int tmp_2;
-  int tmp_4;
+  int tmp_5;
   /* RELATIONALOP block starts*/
   tmp_2=(*inouts1!=z_10041);
   /* RELATIONALOP block ends*/
   *inouts3=tmp_2;
   *inouts2=z_10042;
-  tmp_4=(*inouts3>0);
-  if (tmp_4) {
+  tmp_5=(*inouts3>0);
+  if (tmp_5) {
     updateOutput10041(inouts1,inouts2,inouts3);
   } else {
     updateOutput10042(inouts1,inouts2,inouts3);

@@ -187,11 +187,67 @@ def test_compiled_input_fed_ports(tmp_path):
         assert crow[2] == list(srow[2].data) == list(row[1].data)
 
 
+# a comparison drives an i32 link into block 2, whose other input (if any)
+# is input 1; the block kind and its parameters fill the gap
+COMPARE_FEED_MODEL = """model 96
+input 1 i32 1 1
+input 2 i32 1 1
+output 1 i32 {rows} 1
+block 1 relational_op op=gt
+block 2 {block}
+link 1 in:1 -> 1.1{second}
+link 2 in:2 -> 1.2
+link 3 1.1 -> 2.1
+link 4 2.1 -> out:1
+"""
+
+COMPARE_FEEDS = {
+    "mux": ("mux", True, 2),
+    "relational_op": ("relational_op op=ne", True, 1),
+    "summation1": ("summation signs=f64[1x1](-1)", False, 1),
+    "summation": ("summation signs=f64[1x2](1 -1)", True, 1),
+    "gain": ("gain gain=f64[1x1](3)", False, 1),
+    "unit_delay": ("unit_delay init=i32[1x1](5)", False, 1),
+}
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+@pytest.mark.parametrize("feed", sorted(COMPARE_FEEDS))
+def test_compiled_comparison_through_i32_link(tmp_path, feed, opt):
+    """A comparison converted to an i32 link reaches each consumer as an
+    i32 value: simulate, the interpreter and the C agree."""
+    block, second, rows = COMPARE_FEEDS[feed]
+    text = COMPARE_FEED_MODEL.format(block=block, rows=rows, second=", 2.2" if second else "")
+    assert bg.infer(bg.parse_model(text)).links[3].dtype is mv.I32
+    model = bg.parse_model(text)
+    inputs = _inputs_for(model, STEPS, 13)
+    compiled = _roundtrip(tmp_path, model, inputs, opt)
+    simulated = bg.simulate(bg.parse_model(text), inputs, STEPS)
+    assert [[list(v.data) for v in row] for row in simulated] == compiled
+
+
+NEGATIVE_ZERO_MODEL = """model 97
+output 1 f64 1 1
+block 1 const value=f64[1x1](-0)
+link 1 1.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_negative_zero_literal(tmp_path, opt):
+    """A negative zero keeps its sign in simulate, the interpreter and the C."""
+    model = bg.parse_model(NEGATIVE_ZERO_MODEL)
+    compiled = _roundtrip(tmp_path, model, [[]] * 3, opt)
+    simulated = bg.simulate(bg.parse_model(NEGATIVE_ZERO_MODEL), [[]] * 3, 3)
+    for crow, srow in zip(compiled, simulated):
+        assert math.copysign(1.0, crow[0][0]) == math.copysign(1.0, srow[0].data[0]) == -1.0
+
+
 @pytest.mark.parametrize("opt", ["-O0", "-O2"])
 def test_compiled_conversion_to_bool(tmp_path, opt):
     """A conversion to bool gives 0 or 1 in C, as in the interpreter: of a
-    1x2 f64 array, and of a 1x1 f64 and a 1x1 i32 through a dtype view. The
-    directive-built program has no update functions, so its dispatcher
+    1x2 f64 array, and of a 1x1 f64 and a 1x1 i32 through a Cast definition.
+    The directive-built program has no update functions, so its dispatcher
     opens with the initialize branch."""
     sources = {"x": mv.from_rows([[0.5, -0.25]]), "y": mv.scalar(0.25),
                "n": mv.make(mv.I32, 1, 1, [2])}

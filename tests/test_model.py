@@ -63,6 +63,13 @@ def test_parse_rejects_unknown_kind():
         parse_model("model 1\nblock 1 warp\n")
 
 
+@pytest.mark.parametrize("line", ["input 1 f64 0 1", "input 1 f64 1 -1", "output 1 i32 2 0",
+                                  "block 1 sciblk behavior=b out1=f64[0x1]"])
+def test_parse_rejects_dimensions_below_one(line):
+    with pytest.raises(ParseError, match=r"^line 2: dimensions"):
+        parse_model("model 1\n" + line + "\n")
+
+
 def test_parse_rejects_bad_arity():
     text = """
 model 1

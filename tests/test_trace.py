@@ -220,13 +220,48 @@ def test_compare_scalar_bool_def():
     assert out.dtype == BOOL and out.sym
 
 
-def test_convert_scalar_retags_and_pins():
+def test_convert_scalar_defines_a_cast_and_pins():
     ctx = codegen_init()
     x = symbolics(ctx, mv.zeros(BOOL, 1, 1), "flagv")
     out = bv_convert(x, I32)
-    assert out.name == x.name and out.dtype == I32
+    assert out.sym and out.dtype == I32 and out.value.dtype == I32
     assert x.name in ctx.pinned
-    assert not ctx.module.body
+    assert ctx.module.body == [Def(out.name, tr.Cast(I32, tr.Ref("flagv")))]
+
+
+CONVERTED_SCALAR_OPS = {
+    "neg": lambda c: -c,
+    "compare": lambda c: bv_compare("lt", c, 3),
+    "vertcat": lambda c: tr.vertcat(c, c),
+    "horzcat": lambda c: tr.horzcat(c, c),
+    "index_get": lambda c: bv_index_get(c, 1),
+    "sum": bv_sum,
+}
+
+
+@pytest.mark.parametrize("op", sorted(CONVERTED_SCALAR_OPS))
+def test_ops_on_converted_scalar_see_its_dtype(op):
+    """A converted symbolic scalar is an ordinary scalar of the new dtype:
+    every operation reads that dtype and replays the conversion."""
+    fn = CONVERTED_SCALAR_OPS[op]
+    out = fn(bv_convert(symbolics(codegen_init(), mv.zeros(BOOL, 1, 1), "flagv"), I32))
+    assert out.sym and out.dtype == (BOOL if op == "compare" else I32)
+    program, template = trace_op(lambda b: fn(bv_convert(b, I32)), [mv.zeros(BOOL, 1, 1)])
+    for flag in (False, True):
+        arg = mv.make(BOOL, 1, 1, [flag])
+        assert run_traced(program, template, [arg]) == fn(numerics(mv.convert(arg, I32))).value
+
+
+@pytest.mark.parametrize("cat,shape", [(tr.vertcat, (2, 1)), (tr.horzcat, (1, 2))])
+@pytest.mark.parametrize("sym", [False, True])
+def test_concat_coerces_bare_numbers(cat, shape, sym):
+    """A bare number joined to an i32 bvar becomes an i32 element."""
+    ctx = codegen_init()
+    x = symbolics(ctx, mv.zeros(I32, 1, 1), "x") if sym else numerics(mv.make(I32, 1, 1, [5]))
+    out = cat(x, 0)
+    assert out.dtype == I32 and out.shape == shape and out.sym == sym
+    if not sym:
+        assert list(out.value.data) == [5, 0]
 
 
 def test_convert_same_dtype_is_identity():
