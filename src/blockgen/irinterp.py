@@ -1,16 +1,17 @@
 """Reference executor for finalized programs.
 
 Runs the same optimized pseudo-code the C emitter prints. Each function is
-lowered once, on its first call, into one closure per instruction over a
-frame: a list holding one flat, mutable element list per storage name (the
-caller's buffers for the params, every static's buffer, fresh copies of the
-locals). Expressions are lowered by trace.lower_expr, whose kernels come
-from matval's one table of operator semantics; a store converts to the
-destination dtype the way a C assignment does, and the matrix helpers run
-matval's flat-list loops. Every check that depends only on the program
-(names, dtypes, sizes, arity, element indexes) runs at lowering time. It is
-the in-process stand-in for "compile the generated C and run it" and the
-oracle the validation command compares simulation against.
+lowered once, on its first call, in one pass: its names are resolved into a
+table of frame index, dtype and element count, and Machine._exec turns each
+instruction into one step over a frame, a list holding one flat element list
+per name (every static's buffer, the caller's buffers for the params, fresh
+copies of the locals). trace.lower_expr lowers expressions with matval's
+kernels; a store converts to its destination's dtype as a C assignment does,
+and one of a cell or a literal is a direct copy or a constant store. Checks
+that depend only on the program (names, dtypes, sizes, arity, element
+indexes) run at lowering time; nothing is evaluated there. It is the
+in-process stand-in for "compile the generated C and run it" and the oracle
+the validation command compares simulation against.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from . import matval as mv
 from .matval import MatValue
 from .trace import (
-    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, lower_expr,
+    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, kernel_fn, lower_expr,
 )
 
 
@@ -30,56 +31,52 @@ class UnboundName(InterpError):
     pass
 
 
-def _check(what, want, got):
-    """Raise unless got (a value or declaration) has want's dtype and shape;
-    the lowered code assumes them."""
+def _check(want, got, what, *args):
+    """Raise unless got (a value or declaration) has want's dtype and shape,
+    which the lowered code assumes, naming got by what.format(*args)."""
     if (got.dtype, got.rows, got.cols) != (want.dtype, want.rows, want.cols):
         raise InterpError("{} is {} {}x{}, got {} {}x{}".format(
-            what, want.dtype, want.rows, want.cols, got.dtype, got.rows, got.cols))
+            what.format(*args), want.dtype, want.rows, want.cols,
+            got.dtype, got.rows, got.cols))
 
 
-class _Scope:
-    """Where each name of one function lives in its frame: the params'
-    buffers first, then every static's, then the locals'."""
+class _Scope(dict):
+    """One function's names, each resolved once: name -> (frame index,
+    dtype, element count). The frame holds every static's buffer first,
+    then the params' buffers, then the locals'."""
 
-    def __init__(self, fn, program: Program):
+    def __init__(self, fn, program: Program, statics: dict):
+        super().__init__(statics)  # the statics' entries, the same in every function
         self.fn = fn
-        # name -> (frame index, declaration)
-        self.where = {d.name: (i, d) for i, d in
-                      enumerate([*fn.params, *program.statics, *fn.decls.values()])}
+        self.decls = [*program.statics, *fn.params, *fn.decls.values()]
+        self.update((d.name, (i, d.dtype, d.rows * d.cols))
+                    for i, d in enumerate(self.decls[len(statics):], len(statics)))
         # each local's initial elements, in frame order
-        self.inits = [list(mv.zeros(d.dtype, d.rows, d.cols).data if d.init is None
-                           else d.init.data) for d in fn.decls.values()]
+        self.inits = [mv.zeros(d.dtype, d.rows, d.cols).data if d.init is None else d.init.data
+                      for d in fn.decls.values()]
 
-    def lookup(self, name):
-        """(frame index, declaration) of a name."""
-        try:
-            return self.where[name]
-        except KeyError:
-            raise UnboundName("{}: {}".format(self.fn.name, name)) from None
+    def __missing__(self, name):
+        raise UnboundName("{}: {}".format(self.fn.name, name))
 
-    def element(self, name, k):
-        """(frame index, dtype) of element k (0-based) of a name."""
-        i, d = self.lookup(name)
-        if not 0 <= k < d.size:
+    def cell(self, name, k):
+        """Element k (0-based) of a name as lower_expr's leaf: ((frame
+        index, k), dtype)."""
+        i, dtype, n = self[name]
+        if not 0 <= k < n:
             raise InterpError("{}: element {} of {} is outside its {} elements".format(
-                self.fn.name, k + 1, name, d.size))
-        return i, d.dtype
-
-    def slot(self, name, k):
-        """Element k of a name as lower_expr's leaf: (fn(frame), dtype)."""
-        i, dtype = self.element(name, k)
-        return (lambda f: f[i][k]), dtype
+                self.fn.name, k + 1, name, n))
+        return (i, k), dtype
 
 
 def _shaped(scope, name, rows_name, cols_name):
     """A runtime helper's operand: fn(frame) gives its buffer and the rows
     and cols its dimension arguments hold."""
-    i = scope.lookup(name)[0]
-    rows_fn, cols_fn = scope.slot(rows_name, 0)[0], scope.slot(cols_name, 0)[0]
+    i = scope[name][0]
+    (r, _), _ = scope.cell(rows_name, 0)
+    (c, _), _ = scope.cell(cols_name, 0)
 
     def operand(f):
-        buf, rows, cols = f[i], int(rows_fn(f)), int(cols_fn(f))
+        buf, rows, cols = f[i], int(f[r][0]), int(f[c][0])
         if rows * cols != len(buf):
             raise InterpError("dimension args disagree with {}".format(name))
         return buf, rows, cols
@@ -89,7 +86,7 @@ def _shaped(scope, name, rows_name, cols_name):
 def _helper(scope, res, compute):
     """A runtime helper call: compute(frame) gives the result's elements,
     which overwrite res in place."""
-    r = scope.lookup(res)[0]
+    r = scope[res][0]
 
     def helper(f):
         data = compute(f)
@@ -105,6 +102,8 @@ class Machine:
         self.program = program
         # one buffer per static, shared by every frame
         self._buffers = [list(s.init.data) for s in program.statics]
+        self._static_names = {s.name: (i, s.dtype, s.rows * s.cols)
+                              for i, s in enumerate(program.statics)}
         self._lowered = {}  # function name -> runner, filled on first call
 
     @property
@@ -124,14 +123,14 @@ class Machine:
         return run
 
     def _lower(self, fn):
-        scope = _Scope(fn, self.program)
+        scope = _Scope(fn, self.program, self._static_names)
         steps = [self._exec(instr, scope) for instr in fn.body]
         steps = [step for step in steps if step is not None]
         shared, inits = self._buffers, scope.inits
 
         def run(args):
-            f = args + shared
-            f.extend(map(list.copy, inits))
+            f = shared + args
+            f.extend(map(list, inits))
             for step in steps:
                 step(f)
         return run
@@ -140,49 +139,54 @@ class Machine:
         """Lower one instruction into the closure that runs it on a frame
         (None for an annotation); every decision that depends only on the
         instruction is taken here, once."""
-        if isinstance(instr, Annot):
+        t = type(instr)
+        if t is Annot:
             return None
-        if isinstance(instr, (Def, Store, SetElem)):
+        if t is Def or t is Store or t is SetElem:
             # a Def stores into its declared local, as the emitted C does
-            fn, src = lower_expr(instr.expr, scope.slot)
-            k = instr.index - 1 if isinstance(instr, SetElem) else 0
-            i, dst = scope.element(instr.name, k)
-            if src == dst:
-                def store(f):
-                    f[i][k] = fn(f)
-            else:
-                conv = mv.convert_kernel(src, dst)
+            x, src = lower_expr(instr.expr, scope.cell)
+            (i, k), dst = scope.cell(instr.name, instr.index - 1 if t is SetElem else 0)
+            if src != dst:
+                x = kernel_fn(mv.convert_kernel(src, dst), x)
+            # the steps take what they use as defaults (see trace.kernel_fn)
+            if type(x) is tuple:
+                def copy(f, i=i, k=k, j=x[0], m=x[1]):
+                    f[i][k] = f[j][m]
+                return copy
+            if callable(x):
+                def store(f, i=i, k=k, x=x):
+                    f[i][k] = x(f)
+                return store
 
-                def store(f):
-                    f[i][k] = conv(fn(f))
-            return store
-        if isinstance(instr, CopyMat):
-            d, dst = scope.lookup(instr.dst)
-            s, src = scope.lookup(instr.src)
-            if (src.dtype != dst.dtype or src.rows * src.cols != instr.n
-                    or dst.rows * dst.cols != instr.n):
+            def constant(f, i=i, k=k, x=x):
+                f[i][k] = x
+            return constant
+        if t is CopyMat:
+            d, dtype, n = scope[instr.dst]
+            s, other, m = scope[instr.src]
+            if other != dtype or n != instr.n or m != instr.n:
                 raise InterpError("{}: bad copy {} <- {}".format(
                     scope.fn.name, instr.dst, instr.src))
 
-            def copy(f):
+            def copy_all(f, d=d, s=s):
                 f[d][:] = f[s]
-            return copy
-        if isinstance(instr, Call):
+            return copy_all
+        if t is Call:
             return self._call_site(instr.fn, instr.args, scope)
-        if isinstance(instr, IfExpr):
-            cond, _ = scope.slot(instr.cond, 0)
+        if t is IfExpr:
+            (c, _), _ = scope.cell(instr.cond, 0)
             then = self._call_site(instr.then_call.fn, instr.then_call.args, scope)
             other = self._call_site(instr.else_call.fn, instr.else_call.args, scope)
 
-            def branch(f):
-                (then if cond(f) else other)(f)
+            def branch(f, c=c, then=then, other=other):
+                (then if f[c][0] else other)(f)
             return branch
         raise InterpError("unknown instruction {!r}".format(instr))
 
     def _call_site(self, name, argnames, scope):
         if name == "mult":
             res, a, b, m1, n1, m2, n2 = argnames
-            dtype, other = scope.lookup(a)[1].dtype, scope.lookup(b)[1].dtype
+            dtype, other = scope[a][1], scope[b][1]
             if other != dtype:
                 raise mv.DtypeMismatch("{} vs {}".format(dtype, other))
             ad, bd = _shaped(scope, a, m1, n1), _shaped(scope, b, m2, n2)
@@ -193,7 +197,7 @@ class Machine:
             return _helper(scope, res, lambda f: mv.transpose_flat(*ad(f)))
         if name == "matinv":
             res, a, dn = argnames
-            if scope.lookup(a)[1].dtype != mv.F64:
+            if scope[a][1] != mv.F64:
                 raise mv.DtypeMismatch("inverse needs f64")
             ad = _shaped(scope, a, dn, dn)
             return _helper(scope, res, lambda f: mv.invert_flat(*ad(f)[:2]))
@@ -204,9 +208,9 @@ class Machine:
                 name, len(callee.params), len(argnames)))
         slots = []
         for arg, p in zip(argnames, callee.params):
-            i, like = scope.lookup(arg)
-            _check("{}'s {} passed from {} in {}".format(name, p.name, arg, scope.fn.name),
-                   p, like)
+            i = scope[arg][0]
+            _check(p, scope.decls[i], "{}'s {} passed from {} in {}",
+                   name, p.name, arg, scope.fn.name)
             slots.append(i)
         function = self._function
 
@@ -222,7 +226,7 @@ class Machine:
             raise InterpError("{} expects {} args, got {}".format(
                 name, len(fn.params), len(values)))
         for p, v in zip(fn.params, values):
-            _check("{}'s {}".format(name, p.name), p, v)
+            _check(p, v, "{}'s {}", name, p.name)
 
     def run_init(self):
         self.run_function(self.program.init_fn.name, [])
@@ -258,8 +262,7 @@ class Machine:
                 raise InterpError("step {}: {} input values for {} input ports"
                                   .format(step, len(stimuli), len(inputs)))
             for n, (p, z, buf) in enumerate(inputs):
-                _check("step {}: input port {} ({})".format(step, n + 1, p["name"]),
-                       z, stimuli[n])
+                _check(z, stimuli[n], "step {}: input port {} ({})", step, n + 1, p["name"])
                 buf[:] = stimuli[n].data
             self._function(update_output)(buffers)
             outputs.append([MatValue(z.dtype, z.rows, z.cols, tuple(buf))

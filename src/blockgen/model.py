@@ -22,7 +22,7 @@ from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import BVar, Program, TraceContext, _copy_into, numerics
+from .trace import BVar, Program, TraceContext, _copy_into, bv_convert, numerics
 
 
 class ModelError(Exception):
@@ -761,9 +761,8 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     def route_output(link, value: BVar):
         if not value.sym:
             value = numerics(mv.convert(value.value, link.dtype))
-        elif not value.is_scalar and value.dtype != link.dtype:
-            raise ModelError("link {}: produced {} but link is {}".format(
-                link.id, value.dtype, link.dtype))
+        elif value.dtype != link.dtype:
+            value = bv_convert(value, link.dtype)
         port_dsts = [d for d in link.dsts if d[0] == "out"]
         for d in port_dsts:
             _copy_into(ctx, out_port_names[d[1]], value)

@@ -25,7 +25,7 @@ from dataclasses import replace
 from . import matval as mv
 from .trace import (
     Call, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem, Store, children,
-    lower_expr, map_children,
+    lower_expr, map_children, operand_fn,
 )
 
 
@@ -52,8 +52,8 @@ def fold_expr(e):
     e = map_children(e, fold_expr)
     if all(isinstance(c, Lit) for c in children(e)):
         try:
-            fn, dtype = lower_expr(e, None)
-            return Lit(mv.MatValue(dtype, 1, 1, (fn(None),)))
+            x, dtype = lower_expr(e, None)
+            return Lit(mv.MatValue(dtype, 1, 1, (operand_fn(x)(None),)))
         except (mv.MatError, ValueError, OverflowError):
             pass
     return e

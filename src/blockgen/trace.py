@@ -126,46 +126,81 @@ def _common_dtype(dtypes) -> Dtype:
     return first
 
 
-def lower_expr(e: Expr, slot):
-    """Lower an expression once into (fn, dtype): fn(env) computes its one
-    element as a raw float, int or bool, and dtype, resolved here, is that
-    element's dtype. slot(name, k) lowers the read of element k (0-based) of
-    a name the same way. Each operator's kernel comes from
-    matval.elem_kernel, its one definition. Only the taken arm of a Cond runs."""
-    if isinstance(e, Lit):
-        v = e.value.data[0]
-        return (lambda env: v), e.value.dtype
-    if isinstance(e, Ref):
-        return slot(e.name, 0)
-    if isinstance(e, ElemRef):
-        return slot(e.name, e.index - 1)
-    if isinstance(e, Bin):
-        (fa, da), (fb, db) = lower_expr(e.a, slot), lower_expr(e.b, slot)
+# The lowered functions below take what they read as parameter defaults, not
+# closure cells: a function that holds cells (also for a comprehension that
+# reads its locals) makes every one of them on each call, whichever branch
+# runs, and building and reading defaults is cheaper.
+
+def operand_fn(x):
+    """A lowered operand as fn(env): x is a cell, a literal constant or
+    already such a function (see lower_expr)."""
+    if type(x) is tuple:
+        return lambda env, i=x[0], k=x[1]: env[i][k]
+    return x if callable(x) else (lambda env, x=x: x)
+
+
+def kernel_fn(kernel, a, b=None):
+    """fn(env) applying kernel to the lowered operand a, or to a and b; a
+    cell or literal operand is read inline rather than through a call."""
+    if b is None:
+        if type(a) is tuple:
+            return lambda env, f=kernel, i=a[0], k=a[1]: f(env[i][k])
+        return lambda env, f=kernel, a=operand_fn(a): f(a(env))
+    if type(a) is tuple:
+        if type(b) is tuple:
+            return lambda env, f=kernel, i=a[0], k=a[1], j=b[0], m=b[1]: f(env[i][k], env[j][m])
+        if callable(b):
+            return lambda env, f=kernel, i=a[0], k=a[1], b=b: f(env[i][k], b(env))
+        return lambda env, f=kernel, i=a[0], k=a[1], b=b: f(env[i][k], b)
+    if callable(a):
+        if type(b) is tuple:
+            return lambda env, f=kernel, a=a, j=b[0], m=b[1]: f(a(env), env[j][m])
+        if callable(b):
+            return lambda env, f=kernel, a=a, b=b: f(a(env), b(env))
+        return lambda env, f=kernel, a=a, b=b: f(a(env), b)
+    if type(b) is tuple:
+        return lambda env, f=kernel, a=a, j=b[0], m=b[1]: f(a, env[j][m])
+    return lambda env, f=kernel, a=a, b=operand_fn(b): f(a, b(env))
+
+
+def lower_expr(e: Expr, cell):
+    """Lower an expression in one pass into (x, dtype): dtype, resolved
+    here, is its element's dtype, and x the operand computing that element
+    as a raw float, int or bool. x is a cell, the pair (i, k) standing for
+    env[i][k]; a literal constant; or else a function fn(env). cell(name, k)
+    resolves element k (0-based) of a name to (cell, dtype). Each operator's
+    kernel comes from matval.elem_kernel, its one definition. Nothing is
+    evaluated here, and only the taken arm of a Cond runs."""
+    t = type(e)
+    if t is Ref:
+        return cell(e.name, 0)
+    if t is ElemRef:
+        return cell(e.name, e.index - 1)
+    if t is Lit:
+        return e.value.data[0], e.value.dtype
+    if t is Bin:
+        (a, da), (b, db) = lower_expr(e.a, cell), lower_expr(e.b, cell)
+        if db is not da:
+            raise mv.DtypeMismatch("{} vs {}".format(da, db))
         op = OPS[e.op]
-        kernel = mv.elem_kernel(op, _common_dtype((da, db)))
-        return (lambda env: kernel(fa(env), fb(env))), (mv.BOOL if op in mv.COMPARE else da)
-    if isinstance(e, Un):
-        fa, da = lower_expr(e.a, slot)
-        kernel = mv.elem_kernel("neg", da)
-        return (lambda env: kernel(fa(env))), da
-    if isinstance(e, Cast):
-        fa, da = lower_expr(e.a, slot)
+        return kernel_fn(mv.elem_kernel(op, da), a, b), (mv.BOOL if op in mv.COMPARE else da)
+    if t is Un:
+        a, da = lower_expr(e.a, cell)
+        return kernel_fn(mv.elem_kernel("neg", da), a), da
+    if t is Cast:
+        a, da = lower_expr(e.a, cell)
         if da == e.dtype:
-            return fa, da
-        kernel = mv.convert_kernel(da, e.dtype)
-        return (lambda env: kernel(fa(env))), e.dtype
-    if isinstance(e, CallFn):
-        args = [lower_expr(a, slot) for a in e.args]
+            return a, da
+        return kernel_fn(mv.convert_kernel(da, e.dtype), a), e.dtype
+    if t is CallFn:
+        args = list(map(lower_expr, e.args, [cell] * len(e.args)))
         kernel = mv.elem_kernel(e.fn, _common_dtype([d for _, d in args]))
-        if len(args) == 1:
-            (fa, _), = args
-            return (lambda env: kernel(fa(env))), F64
-        (fa, _), (fb, _) = args
-        return (lambda env: kernel(fa(env), fb(env))), F64
-    if isinstance(e, Cond):
-        fc, _ = lower_expr(e.cond, slot)
-        (fa, da), (fb, db) = lower_expr(e.a, slot), lower_expr(e.b, slot)
-        return (lambda env: fa(env) if fc(env) else fb(env)), _common_dtype((da, db))
+        return kernel_fn(kernel, *[x for x, _ in args]), F64
+    if t is Cond:
+        (c, _), (a, da), (b, db) = (lower_expr(e.cond, cell), lower_expr(e.a, cell),
+                                    lower_expr(e.b, cell))
+        return (lambda env, c=operand_fn(c), a=operand_fn(a), b=operand_fn(b):
+                a(env) if c(env) else b(env)), _common_dtype((da, db))
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -822,8 +857,8 @@ def bv_concat_cols(a, b) -> BVar:
 
 def _concat(join, parts) -> BVar:
     """The parts joined left to right; a bare number adopts the dtype of
-    what it is joined to."""
-    out = _as_bvar(parts[0])
+    what it is joined to, a leading one that of the first bvar part."""
+    out = _as_bvar(parts[0], like=next((p for p in parts if isinstance(p, BVar)), None))
     for p in parts[1:]:
         out = join(out, _as_bvar(p, like=out))
     return out

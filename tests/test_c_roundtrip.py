@@ -15,6 +15,7 @@ import subprocess
 import pytest
 
 import blockgen as bg
+from blockgen import blocks
 from blockgen import matval as mv
 from blockgen import trace as tr
 from blockgen.cemit import EmitConfig, format_number
@@ -318,6 +319,48 @@ def test_compiled_product_helper_nonfinite(tmp_path, opt):
     values = [v for crow in compiled for v in crow[0]]
     assert any(map(math.isnan, values)) and math.inf in values and -math.inf in values
     assert any(v != 0 and math.isfinite(v) for v in values) and 0.0 in values
+
+
+def _sqrt_of_i32(blk, flag):
+    """A registered behavior writing an f64 value to its i32 output."""
+    if flag == blocks.OUTPUT:
+        blk.io[2] = tr.sqrt(tr.bv_convert(blk.io[1], mv.F64))
+
+
+# the behavior's matrix output goes to an output port; its 1x1 output feeds
+# a gain, which must see the link's i32 value
+CONVERTED_OUTPUT_MODELS = {
+    "matrix": ("""model 96
+input 1 i32 2 1
+output 1 i32 2 1
+block 1 sciblk behavior=sqrt_of_i32 out1=i32[2x1]
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+""", [[2, 5], [9, 16]], [[1, 2], [3, 4]]),
+    "scalar": ("""model 97
+input 1 i32 1 1
+output 1 i32 1 1
+block 1 sciblk behavior=sqrt_of_i32 out1=i32[1x1]
+block 2 gain gain=i32[1x1](3)
+link 1 in:1 -> 1.1
+link 2 1.1 -> 2.1
+link 3 2.1 -> out:1
+""", [[2], [9]], [[3], [9]]),
+}
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+@pytest.mark.parametrize("shape", sorted(CONVERTED_OUTPUT_MODELS))
+def test_block_output_converts_to_its_link_dtype(tmp_path, monkeypatch, opt, shape):
+    """A symbolic block output of another dtype than its link is converted
+    to the link's dtype, as simulate converts it: simulate, the interpreter
+    and the C agree."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "sqrt_of_i32", _sqrt_of_i32)
+    text, stimuli, want = CONVERTED_OUTPUT_MODELS[shape]
+    inputs = [[mv.make(mv.I32, len(v), 1, v)] for v in stimuli]
+    compiled = _roundtrip(tmp_path, bg.parse_model(text), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(text), inputs, len(inputs))
+    assert [list(row[0].data) for row in simulated] == [row[0] for row in compiled] == want
 
 
 def test_random_models_compile(tmp_path):

@@ -16,8 +16,8 @@ from blockgen.irinterp import InterpError, Machine, UnboundName
 from blockgen import trace as tr
 from blockgen.optimizer import fold_expr
 from blockgen.trace import (
-    Bin, Call, CallTarget, Cond, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit,
-    Program, Ref, SetElem, Store, numerics,
+    Bin, Call, CallFn, CallTarget, Cast, Cond, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit,
+    Program, Ref, SetElem, Store, Un, numerics,
 )
 
 from conftest import random_matvalue
@@ -271,3 +271,223 @@ def test_callee_writes_through_to_caller_local_and_static():
     (res,) = machine.run_function("f", [mv.scalar(0.0)])
     assert res.scalar() == 5.0
     assert machine.statics["acc"].scalar() == 6.0
+
+
+# -- the lowering, operand kind by operand kind -------------------------------
+#
+# Function f(l, r, t, res) computes one expression into res. Each operand is
+# one of three kinds, which the lowering treats differently: a cell (element
+# 2 of the 2x1 param l on the left, the 1x1 param r on the right), a literal,
+# or a nested expression (a Cond whose taken arm reads l or r). l holds the
+# left value twice, r the right one, and t is true.
+
+KINDS = ("cell", "literal", "nested")
+PAIRS = [(a, b) for a in KINDS for b in KINDS]
+EDGE_F64 = [(1.0, 0.0), (-0.0, 0.0), (math.inf, -math.inf), (math.nan, 2.5), (-3.5, -0.0)]
+
+
+def _operand(kind, side, dtype, v):
+    name = "l" if side == 0 else "r"
+    cell = ElemRef("l", 2) if side == 0 else Ref("r")
+    if kind == "cell":
+        return cell
+    if kind == "literal":
+        return Lit(mv.make(dtype, 1, 1, [v]))
+    return Cond(Ref("t"), ElemRef(name, 1), cell)
+
+
+def _lowered(expr, dtype, res_dtype):
+    return _hand_program([Store("res", expr)],
+                         [Decl("l", dtype, 2, 1), Decl("r", dtype, 1, 1),
+                          Decl("t", mv.BOOL, 1, 1), Decl("res", res_dtype, 1, 1)])
+
+
+def _run(program, dtype, x, y, res_dtype, taken=True):
+    """res after f runs on l = [x, x], r = y and t = taken."""
+    args = [mv.make(dtype, 2, 1, [x, x]), mv.make(dtype, 1, 1, [y]),
+            mv.make(mv.BOOL, 1, 1, [taken]), mv.zeros(res_dtype, 1, 1)]
+    return Machine(program).run_function("f", args)[-1].data[0]
+
+
+def _values(dtype, seed):
+    """Pairs of element values: random ones, plus IEEE edge cases for f64
+    and zero divisors and the extremes for the integers."""
+    rng = random.Random(seed)
+    pairs = [tuple(random_matvalue(rng, dtype, 1, 2).data) for _ in range(3)]
+    if dtype.is_float:
+        return pairs + EDGE_F64
+    if dtype.is_int:
+        top = (1 << (dtype.width - (1 if dtype.signed else 0))) - 1
+        bottom = -top - 1 if dtype.signed else 0
+        return pairs + [(top, 1), (bottom, -1 if dtype.signed else 1), (top, 0)]
+    return pairs + [(False, True), (True, True)]
+
+
+def _same(got, want):
+    """Equal in type and value: -0.0 is not 0.0, 1 is not True, NaN is NaN."""
+    return repr(got) == repr(want)
+
+
+def _expect(kernel, *args):
+    """kernel's element, or the exception type it raises."""
+    try:
+        return kernel(*args)
+    except (mv.MatError, ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+def _check_element(program, want, dtype, x, y, res_dtype, taken=True):
+    if isinstance(want, type):
+        with pytest.raises(want):
+            _run(program, dtype, x, y, res_dtype, taken)
+    else:
+        got = _run(program, dtype, x, y, res_dtype, taken)
+        assert _same(got, want), (got, want)
+
+
+def _check_fold(expr, want, dtype):
+    """An all-literal expression folds to the element the interpreter
+    computes, through the same lowering, or stays unfolded when computing it
+    fails."""
+    folded = fold_expr(expr)
+    if isinstance(want, type):
+        assert folded == expr
+    else:
+        assert isinstance(folded, Lit) and folded.value.dtype is dtype
+        assert _same(folded.value.data[0], want)
+
+
+@pytest.mark.parametrize("op", list(tr.OPS))
+def test_lowered_binary_operator_matches_its_kernel(op):
+    name = tr.OPS[op]
+    for dtype in mv.DTYPES.values():
+        try:
+            kernel = mv.elem_kernel(name, dtype)
+        except mv.MatError as exc:
+            # refused at lowering, with the kernel table's message
+            with pytest.raises(type(exc), match="^{}$".format(exc)):
+                _run(_lowered(Bin(op, ElemRef("l", 2), Ref("r")), dtype, dtype),
+                     dtype, True, True, dtype)
+            continue
+        res_dtype = mv.BOOL if name in mv.COMPARE else dtype
+        for x, y in _values(dtype, len(op) + dtype.width):
+            want = _expect(kernel, x, y)
+            for left, right in PAIRS:
+                expr = Bin(op, _operand(left, 0, dtype, x), _operand(right, 1, dtype, y))
+                _check_element(_lowered(expr, dtype, res_dtype), want, dtype, x, y, res_dtype)
+                if left == right == "literal":
+                    _check_fold(expr, want, res_dtype)
+
+
+def test_lowered_negation_matches_its_kernel():
+    for dtype in mv.DTYPES.values():
+        if dtype.is_bool:
+            with pytest.raises(mv.DtypeMismatch, match="^bool negation$"):
+                _run(_lowered(Un("-", Ref("r")), dtype, dtype), dtype, True, True, dtype)
+            continue
+        kernel = mv.elem_kernel("neg", dtype)
+        for x, _ in _values(dtype, 7):
+            want = _expect(kernel, x)
+            for kind in KINDS:
+                expr = Un("-", _operand(kind, 0, dtype, x))
+                _check_element(_lowered(expr, dtype, dtype), want, dtype, x, x, dtype)
+                if kind == "literal":
+                    _check_fold(expr, want, dtype)
+
+
+def test_lowered_cast_matches_its_conversion():
+    for src in mv.DTYPES.values():
+        for dst in mv.DTYPES.values():
+            kernel = mv.convert_kernel(src, dst)
+            for x, _ in _values(src, 11):
+                want = kernel(x) if src is not dst else x
+                for kind in KINDS:
+                    expr = Cast(dst, _operand(kind, 0, src, x))
+                    _check_element(_lowered(expr, src, dst), want, src, x, x, dst)
+                    if kind == "literal":
+                        _check_fold(expr, want, dst)
+
+
+@pytest.mark.parametrize("fn", ["sqrt", "sin", "cos", "atan2"])
+def test_lowered_math_call_matches_its_kernel(fn):
+    kernel = mv.elem_kernel(fn, F64)
+    for x, y in _values(F64, 13) + [(4.0, 9.0), (-1.0, 0.5)]:
+        want = _expect(kernel, x, y) if fn == "atan2" else _expect(kernel, x)
+        pairs = PAIRS if fn == "atan2" else [(k, None) for k in KINDS]
+        for left, right in pairs:
+            args = (_operand(left, 0, F64, x),)
+            if right is not None:
+                args += (_operand(right, 1, F64, y),)
+            expr = CallFn(fn, args)
+            _check_element(_lowered(expr, F64, F64), want, F64, x, y, F64)
+            if all(isinstance(a, Lit) for a in args):
+                _check_fold(expr, want, F64)
+    args = (Ref("r"),) * (2 if fn == "atan2" else 1)
+    with pytest.raises(mv.DtypeMismatch, match="^{} needs f64$".format(fn)):
+        _run(_lowered(CallFn(fn, args), I32, F64), I32, 1, 1, F64)
+
+
+@pytest.mark.parametrize("cond", KINDS)
+def test_lowered_cond_runs_the_taken_arm(cond):
+    for dtype in mv.DTYPES.values():
+        for x, y in _values(dtype, 17):
+            for taken in (True, False):
+                test = {"cell": Ref("t"), "literal": Lit(mv.make(mv.BOOL, 1, 1, [taken])),
+                        "nested": Cond(Ref("t"), Ref("t"), Ref("t"))}[cond]
+                for left, right in PAIRS:
+                    expr = Cond(test, _operand(left, 0, dtype, x), _operand(right, 1, dtype, y))
+                    _check_element(_lowered(expr, dtype, dtype), x if taken else y,
+                                   dtype, x, y, dtype, taken)
+                    if cond == left == right == "literal":
+                        _check_fold(expr, x if taken else y, dtype)
+
+
+@pytest.mark.parametrize("leaf", ["literal", "ref", "elemref"])
+def test_lowered_leaf_store_copies_its_element(leaf):
+    for dtype in mv.DTYPES.values():
+        for x, _ in _values(dtype, 19):
+            expr = {"literal": Lit(mv.make(dtype, 1, 1, [x])), "ref": Ref("r"),
+                    "elemref": ElemRef("l", 2)}[leaf]
+            _check_element(_lowered(expr, dtype, dtype), x, dtype, x, x, dtype)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lowered_stores_convert_to_their_destination(kind):
+    """Def, Store and SetElem store a cell, a literal or a nested value,
+    converting it the way a C assignment does when the destination's dtype
+    differs."""
+    for src in mv.DTYPES.values():
+        for dst in mv.DTYPES.values():
+            for x, _ in _values(src, 23):
+                want = mv.convert_kernel(src, dst)(x)
+                value = _operand(kind, 0, src, x)
+                program = _hand_program(
+                    [Def("d", value), Store("s", value), SetElem("e", 2, value),
+                     Store("res", Ref("d"))],
+                    [Decl("l", src, 2, 1), Decl("r", src, 1, 1), Decl("t", mv.BOOL, 1, 1),
+                     Decl("s", dst, 1, 1), Decl("e", dst, 2, 1), Decl("res", dst, 1, 1)],
+                    decls=[Decl("d", dst, 1, 1)])
+                zero = mv.zeros(dst, 1, 1).data[0]
+                out = Machine(program).run_function("f", [
+                    mv.make(src, 2, 1, [x, x]), mv.make(src, 1, 1, [x]),
+                    mv.make(mv.BOOL, 1, 1, [True]), mv.zeros(dst, 1, 1), mv.zeros(dst, 2, 1),
+                    mv.zeros(dst, 1, 1)])
+                s, e, res = (v.data for v in out[3:])
+                assert all(map(_same, (s[0], e[0], e[1], res[0]), (want, zero, want, want)))
+
+
+@pytest.mark.parametrize("expr,error,message", [
+    (Ref("ghost"), UnboundName, "f: ghost"),
+    (Bin("+", Ref("r"), ElemRef("ghost", 1)), UnboundName, "f: ghost"),
+    (ElemRef("l", 3), InterpError, "f: element 3 of l is outside its 2 elements"),
+    (Bin("*", Lit(mv.scalar(1.0)), ElemRef("l", 0)), InterpError,
+     "f: element 0 of l is outside its 2 elements"),
+    (Bin("+", Ref("r"), Lit(_i32(1))), mv.DtypeMismatch, "f64 vs i32"),
+    (Cond(Ref("t"), Ref("r"), Lit(_i32(1))), mv.DtypeMismatch, "f64 vs i32"),
+    (CallFn("atan2", (Ref("r"), Lit(_i32(1)))), mv.DtypeMismatch, "f64 vs i32"),
+    (Bin("+", Ref("t"), Ref("t")), mv.DtypeMismatch,
+     "bool participates in arithmetic only after conversion"),
+])
+def test_lowering_errors_keep_their_messages(expr, error, message):
+    with pytest.raises(error, match="^{}$".format(message)):
+        _run(_lowered(expr, F64, F64), F64, 1.0, 2.0, F64)

@@ -264,6 +264,22 @@ def test_concat_coerces_bare_numbers(cat, shape, sym):
         assert list(out.value.data) == [5, 0]
 
 
+@pytest.mark.parametrize("cat,shape", [(tr.vertcat, (2, 1)), (tr.horzcat, (1, 2))])
+@pytest.mark.parametrize("sym", [False, True])
+def test_concat_leading_bare_number_adopts_the_first_bvar_dtype(cat, shape, sym):
+    """A bare number before an i32 bvar becomes an i32 element too, and the
+    recorded join replays to the same elements."""
+    ctx = codegen_init()
+    x = symbolics(ctx, mv.zeros(I32, 1, 1), "x") if sym else numerics(mv.make(I32, 1, 1, [5]))
+    out = cat(0, x)
+    assert out.dtype == I32 and out.shape == shape and out.sym == sym
+    want = mv.make(I32, *shape, [0, 5])
+    if not sym:
+        assert out.value == want
+    program, template = trace_op(lambda b: cat(0, b), [mv.zeros(I32, 1, 1)])
+    assert run_traced(program, template, [mv.make(I32, 1, 1, [5])]) == want
+
+
 def test_convert_same_dtype_is_identity():
     ctx = codegen_init()
     x = symbolics(ctx, mv.zeros(F64, 2, 2), "x")
