@@ -12,9 +12,9 @@ more a memcpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
-from .matval import Dtype, MatValue, F64
+from .matval import Dtype, MatValue, F64, Record
 from .trace import (
     Annot, Bin, Call, CallFn, Cast, Cond, CopyMat, Decl, Def, ElemRef, IfExpr,
     Lit, Program, Ref, SetElem, Store, Un,
@@ -28,14 +28,16 @@ class UnsupportedInstr(Exception):
 COPY_UNROLL_LIMIT = 2  # copies of more elements than this use memcpy
 
 
-@dataclass
-class EmitConfig:
-    block_id: int = 1000  # the entry point is toto<block_id>
-    include_runtime_header: bool = True
+class EmitConfig(Record, namedtuple("EmitConfig", "block_id include_runtime_header")):
+    """block_id names the entry point, toto<block_id>."""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.block_id < 0:
+    def __new__(cls, block_id=1000, include_runtime_header=True):
+        if block_id < 0:
             raise ValueError("block_id must be nonnegative")
+        return tuple.__new__(cls, (block_id, include_runtime_header))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that _replace checks too
 
 
 def ctype(d: Dtype) -> str:
@@ -66,11 +68,12 @@ def format_init_list(value: MatValue) -> str:
 # name resolution
 
 
-@dataclass
 class SymTab:
     """Every name visible inside one function, and which are its arguments."""
-    decls: dict = field(default_factory=dict)  # name -> Decl
-    args: frozenset = frozenset()
+    __slots__ = ("decls", "args")
+
+    def __init__(self, decls=None, args=frozenset()):
+        self.decls, self.args = {} if decls is None else decls, args  # name -> Decl
 
     def is_arg(self, name):
         return name in self.args

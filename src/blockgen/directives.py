@@ -8,8 +8,6 @@ EndFunction are exported as aliases of start_function/end_function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import matval as mv
 from . import optimizer
 from . import cemit
@@ -34,11 +32,12 @@ def codegen_init() -> TraceContext:
 # function arguments
 
 
-@dataclass
 class IoSeq:
     """Ordered function arguments; insertion order is parameter order."""
-    ctx: TraceContext
-    entries: dict = field(default_factory=dict)  # name -> BVar handle
+    __slots__ = ("ctx", "entries")
+
+    def __init__(self, ctx: TraceContext):
+        self.ctx, self.entries = ctx, {}  # name -> BVar handle
 
     def __getattr__(self, name):
         entries = object.__getattribute__(self, "entries")
@@ -90,10 +89,11 @@ EndFunction = end_function
 # persistent variables
 
 
-@dataclass
 class PersistentPool:
-    ctx: TraceContext
-    entries: dict = field(default_factory=dict)  # name -> BVar handle
+    __slots__ = ("ctx", "entries")
+
+    def __init__(self, ctx: TraceContext):
+        self.ctx, self.entries = ctx, {}  # name -> BVar handle
 
 
 def persistent_create(ctx: TraceContext) -> PersistentPool:
@@ -227,7 +227,7 @@ def finalize_program(ctx: TraceContext, optimize: bool = True,
         init_fn.body.append(Store(s.name, Ref(local)) if s.is_scalar
                             else CopyMat(s.name, local, s.size))
     return Program(statics=used, init_fn=init_fn, functions=list(ctx.functions),
-                   helpers=list(ctx.helpers_used), meta=meta or {})
+                   helpers=list(ctx.helpers_used), meta=meta)
 
 
 def codegen_finalize(ctx: TraceContext, optimize: bool = True) -> str:

@@ -6,7 +6,7 @@ integer arithmetic wraps two's-complement style, float->int conversion
 truncates toward zero, and f64 division follows IEEE-754 (x/0 is inf).
 Matrices are stored as flat column-major tuples.
 
-A MatValue is an immutable tuple-backed record (dtype, rows, cols, data)
+A MatValue is an immutable tuple-backed Record (dtype, rows, cols, data)
 that equals only another MatValue. Each dtype is one interned Dtype
 instance, so dtypes compare by identity; never construct a Dtype outside
 this module (Dtype(tag) returns the interned instance, and copies and
@@ -116,21 +116,15 @@ def wrap_int(v: int, dtype: Dtype) -> int:
     return convert_kernel(dtype, dtype)(v)
 
 
-class MatValue(namedtuple("MatValue", "dtype rows cols data")):
-    """A rectangular matrix: dtype, shape, flat column-major data. An
-    immutable tuple-backed record, equal only to another MatValue."""
+class Record(tuple):
+    """The base of the package's immutable records, each also derived from a
+    collections.namedtuple: a record equals only a record of its own class,
+    never a bare tuple, and has none of the tuple's arithmetic."""
 
     __slots__ = ()
 
-    def __new__(cls, dtype, rows, cols, data):
-        if rows < 0 or cols < 0:
-            raise ShapeMismatch("negative dimension")
-        if len(data) != rows * cols:
-            raise ShapeMismatch("data length {} != {}x{}".format(len(data), rows, cols))
-        return tuple.__new__(cls, (dtype, rows, cols, data))
-
     def __eq__(self, other):
-        return isinstance(other, MatValue) and tuple.__eq__(self, other)
+        return type(other) is type(self) and tuple.__eq__(self, other)
 
     def __ne__(self, other):
         return not self == other
@@ -141,6 +135,19 @@ class MatValue(namedtuple("MatValue", "dtype rows cols data")):
         return NotImplemented
 
     __add__ = __radd__ = __mul__ = __rmul__ = _no_arithmetic
+
+
+class MatValue(Record, namedtuple("MatValue", "dtype rows cols data")):
+    """A rectangular matrix: dtype, shape, flat column-major data."""
+
+    __slots__ = ()
+
+    def __new__(cls, dtype, rows, cols, data):
+        if rows < 0 or cols < 0:
+            raise ShapeMismatch("negative dimension")
+        if len(data) != rows * cols:
+            raise ShapeMismatch("data length {} != {}x{}".format(len(data), rows, cols))
+        return tuple.__new__(cls, (dtype, rows, cols, data))
 
     @property
     def shape(self):

@@ -13,16 +13,15 @@ import heapq
 import itertools
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
 
 from . import matval as mv
-from .matval import Dtype, MatValue, BOOL
+from .matval import Dtype, MatValue, BOOL, Record
 from . import blocks as blockmod
 from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import BVar, Program, TraceContext, _copy_into, bv_convert, numerics
+from .trace import BVar, HeldValue, TraceContext, _copy_into, bv_convert, numerics
 
 
 class ModelError(Exception):
@@ -49,81 +48,75 @@ class AlgebraicLoop(ModelError):
 # the model
 
 
-@dataclass
 class BlockSpec:
-    id: int
-    kind: str
-    params: dict = field(default_factory=dict)
-    out_sig: dict = field(default_factory=dict)  # port -> (dtype, rows, cols)
+    """A parsed block line. Nothing reassigns it, yet it is slotted, not
+    tuple-backed, as are Graph and trace.Decl: their fields are read on
+    every block run or traced value, and CPython 3.11 reads a slot in well
+    under half the time of a namedtuple field."""
+    __slots__ = ("id", "kind", "params", "out_sig")  # out_sig: port -> (dtype, rows, cols)
+
+    def __init__(self, id, kind, params, out_sig):
+        self.id, self.kind, self.params, self.out_sig = id, kind, params, out_sig
 
 
-@dataclass
 class LinkSpec:
-    id: int
-    src: tuple                  # ("block", id, port) or ("in", k)
-    dsts: list                  # of ("block", id, port) or ("out", k)
-    dtype: Dtype = None
-    rows: int = None
-    cols: int = None
-    const_value: MatValue = None
+    __slots__ = ("id", "src", "dsts", "dtype", "rows", "cols", "const_value")
+
+    def __init__(self, id, src, dsts, dtype=None, rows=None, cols=None, const_value=None):
+        self.id = id
+        self.src = src    # ("block", id, port) or ("in", k)
+        self.dsts = dsts  # of ("block", id, port) or ("out", k)
+        self.dtype, self.rows, self.cols, self.const_value = dtype, rows, cols, const_value
 
     @property
     def shape(self):
         return (self.rows, self.cols)
 
 
-@dataclass
-class PortSpec:
-    index: int
-    dtype: Dtype
-    rows: int
-    cols: int
-    input: bool
+class PortSpec(Record, namedtuple("PortSpec", "index dtype rows cols input")):
+    __slots__ = ()
 
 
-@dataclass
-class RegionSpec:
-    ifthenelse: int
-    then_blocks: list
-    else_blocks: list
-    select: int
+class RegionSpec(Record, namedtuple("RegionSpec", "ifthenelse then_blocks else_blocks select")):
+    __slots__ = ()
 
     @property
     def members(self):
         return {self.ifthenelse, self.select, *self.then_blocks, *self.else_blocks}
 
 
-@dataclass(frozen=True)
 class Graph:
-    """The adjacency of a parsed model, built once by `parse_model`."""
-    ins: dict        # block id -> input links, port 1 first
-    outs: dict       # block id -> connected output links, in port order
-    slots: dict      # block id -> per output port: (link or None, template link or None)
-    feeds: dict      # superblock input index -> links it feeds
-    fed_by: dict     # superblock output index -> the link feeding it
-    inputs: dict     # superblock input index -> PortSpec, ascending
-    outputs: dict    # superblock output index -> PortSpec, ascending
-    region_of: dict  # block id -> RegionSpec it belongs to
+    """The adjacency of a parsed model, built once by `parse_model`:
+    ins:       block id -> input links, port 1 first
+    outs:      block id -> connected output links, in port order
+    slots:     block id -> per output port: (link or None, template link or None)
+    feeds:     superblock input index -> links it feeds
+    fed_by:    superblock output index -> the link feeding it
+    inputs:    superblock input index -> PortSpec, ascending
+    outputs:   superblock output index -> PortSpec, ascending
+    region_of: block id -> RegionSpec it belongs to"""
+    __slots__ = ("ins", "outs", "slots", "feeds", "fed_by", "inputs", "outputs", "region_of")
+
+    def __init__(self, ins, outs, slots, feeds, fed_by, inputs, outputs, region_of):
+        self.ins, self.outs, self.slots, self.feeds = ins, outs, slots, feeds
+        self.fed_by, self.inputs, self.outputs, self.region_of = fed_by, inputs, outputs, region_of
 
 
-@dataclass
 class Model:
-    base_id: int = 1000
-    blocks: dict = field(default_factory=dict)
-    links: dict = field(default_factory=dict)
-    inputs: list = field(default_factory=list)
-    outputs: list = field(default_factory=list)
-    regions: list = field(default_factory=list)
-    inferred: bool = False
-    folded_blocks: set = field(default_factory=set)
-    graph: Graph = None
+    __slots__ = ("base_id", "blocks", "links", "inputs", "outputs", "regions", "inferred",
+                 "folded_blocks", "graph")
+
+    def __init__(self, base_id=1000):
+        self.base_id, self.inferred, self.graph = base_id, False, None
+        self.blocks, self.links, self.folded_blocks = {}, {}, set()
+        self.inputs, self.outputs, self.regions = [], [], []
 
 
-@dataclass
-class Schedule:
-    output_order: list  # block ids and ("region", RegionSpec) entries
-    state_order: list   # stateful blocks, ascending; also the init order
-    branches: dict      # ifthenelse id -> (then-branch order, else-branch order)
+class Schedule(Record, namedtuple("Schedule", "output_order state_order branches")):
+    """output_order: block ids and ("region", RegionSpec) entries; state_order:
+    the stateful blocks, ascending, also the init order; branches: ifthenelse
+    id -> (then-branch order, else-branch order)."""
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
@@ -132,6 +125,7 @@ class Schedule:
 
 _LITERAL = re.compile(r"^(f64|bool|i8|i16|i32|u8|u16|u32)\[(\d+)x(\d+)\](?:\((.*)\))?$")
 _NUMBER = re.compile(r"^-?(\d+\.?\d*([eE][+-]?\d+)?|\.\d+([eE][+-]?\d+)?)$")
+_OUT_KEY = re.compile(r"^out(\d+)$")  # a block parameter giving output port k's signature
 
 
 def _dims(rows: int, cols: int):
@@ -241,7 +235,7 @@ def parse_model(text: str) -> Model:
                         raise ParseError("bad parameter {!r}".format(kv))
                     parsed = _parse_value(val)
                     sig = type(parsed) is tuple  # a MatValue is a tuple subclass
-                    m = re.match(r"^out(\d+)$", key)
+                    m = _OUT_KEY.match(key)
                     if m and sig:
                         out_sig[int(m.group(1))] = parsed[1:]
                     elif sig:
@@ -559,7 +553,13 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     io = IoList(slots, len(plan.ins))
     st = StateList(state_vals, ctx)
     params = b.params if branch is None else {**b.params, "active_branch": branch}
-    blockmod.behavior(b.kind)(BlockRecord(ctx, io, st, params), flag)
+    try:
+        blockmod.behavior(b.kind)(BlockRecord(ctx, io, st, params), flag)
+    except HeldValue as e:
+        k = next((k for k, v in enumerate(slots[:len(plan.ins)]) if v is e.args[0]), None)
+        where = "an input" if k is None else "input slot {} (link {})".format(k + 1, plan.ins[k].id)
+        raise ModelError("block {} wrote an element of {}: a link's value is read only"
+                         .format(b.id, where)) from e
     if flag == blockmod.OUTPUT and st.written:
         raise blockmod.FlagPurityError(
             "block {} wrote state during the output phase".format(b.id))
@@ -569,9 +569,16 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     return slots, st
 
 
+def _held(value: BVar) -> BVar:
+    """value, marked as bound to a link: element writes into it now fail,
+    since every other reader of the link would see them."""
+    value.held = True
+    return value
+
+
 def _const_links(model: Model):
     """Link values known before any block runs: the folded constants."""
-    return {l.id: numerics(l.const_value) for l in model.links.values()
+    return {l.id: _held(numerics(l.const_value)) for l in model.links.values()
             if l.const_value is not None}
 
 
@@ -602,7 +609,7 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
             elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
                 ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
-                    known = {l.id: numerics(l.const_value) for l in ins}
+                    known = {l.id: _held(numerics(l.const_value)) for l in ins}
                     values, _ = _run_block(scratch, plans[b.id], blockmod.OUTPUT, known, [])
                     for k, l, _ in plans[b.id].routes:
                         l.const_value = mv.convert(values[k].value, l.dtype)
@@ -678,13 +685,8 @@ def schedule(model: Model) -> Schedule:
 # the generation driver
 
 
-@dataclass
-class CodegenResult:
-    text: str
-    program: Program
-    context: TraceContext
-    model: Model
-    schedule: Schedule
+class CodegenResult(Record, namedtuple("CodegenResult", "text program context model schedule")):
+    __slots__ = ()
 
 
 def _init_states(model: Model, sched: Schedule, plans: dict):
@@ -738,8 +740,9 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
 
     linkvals = _const_links(model)
     for k, meta in zip(g.inputs, ports_meta):
+        port = _held(io.entries[meta["name"]])
         for l in g.feeds[k]:
-            linkvals[l.id] = io.entries[meta["name"]]
+            linkvals[l.id] = port
     out_port_names = {k: meta["name"] for k, meta in zip(g.outputs, ports_meta[len(g.inputs):])}
 
     # links read by the state phase need a durable home; so do links read
@@ -767,7 +770,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         for d in port_dsts:
             _copy_into(ctx, out_port_names[d[1]], value)
         if port_dsts:
-            linkvals[link.id] = io.entries[out_port_names[port_dsts[0][1]]]
+            linkvals[link.id] = _held(io.entries[out_port_names[port_dsts[0][1]]])
             return
         durable = not value.sym or value.name in io.entries or value.name in ctx.statics
         needs_durable = link.id in state_read_links or link.id in region_read_links
@@ -776,9 +779,9 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.convert(value.value, link.dtype))
             _copy_into(ctx, sname, value)
-            linkvals[link.id] = BVar(ctx, True, ctx.statics[sname].init, sname)
+            linkvals[link.id] = _held(BVar(ctx, True, ctx.statics[sname].init, sname))
             return
-        linkvals[link.id] = value
+        linkvals[link.id] = _held(value)
 
     def run(bid, flag, branch=None):
         st_vals = [BVar(ctx, True, ctx.statics[name].init, name)
@@ -871,6 +874,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
             value = values[k]
             if value.sym or value.value.dtype is not link.dtype:
                 value = numerics(mv.convert(value.value, link.dtype))
+            value.held = True  # as _held does, without the call
             linkvals[link.id] = value
             for port in ports:
                 port_buffers[port] = value.value  # infer gave the link its port's dtype
@@ -888,8 +892,10 @@ def simulate(model: Model, inputs_per_step, steps: int):
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))
+            value = numerics(v)
+            value.held = True  # as _held does, without the call
             for l in links:
-                linkvals[l.id] = numerics(v)
+                linkvals[l.id] = value
             for k in ports:
                 port_buffers[k] = v
         for node in sched.output_order:

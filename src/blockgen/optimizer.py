@@ -20,7 +20,6 @@ and its unused declarations pruned.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import replace
 
 from . import matval as mv
 from .trace import (
@@ -107,7 +106,7 @@ def _pass_fold(body):
         if isinstance(i, (Def, Store, SetElem)):
             e = fold_expr(i.expr)
             if e is not i.expr:
-                i = replace(i, expr=e)
+                i = i._replace(expr=e)
         out.append(i)
     return out
 
@@ -149,7 +148,7 @@ def _pass_inline(body, names, nonlocals, pinned):
         if not nonlocals.isdisjoint(refs) and _any_between(barriers, pos, use):
             continue
         target = out[use]
-        out[use] = replace(target, expr=_subst(target.expr, instr.name, instr.expr))
+        out[use] = target._replace(expr=_subst(target.expr, instr.name, instr.expr))
         counts = names[use][0]
         del counts[instr.name]
         for r, k in refs.items():

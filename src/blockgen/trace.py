@@ -19,10 +19,10 @@ matinv instead, all through _helper_call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import matval as mv
-from .matval import MatValue, Dtype, F64
+from .matval import MatValue, Dtype, F64, Record
 
 
 UNROLL_LIMIT = 6
@@ -52,61 +52,50 @@ class UnbalancedFunction(TraceError):
     pass
 
 
+class HeldValue(TraceError):
+    """An element write into a bvar that a model link holds (args[0]): every
+    other reader of the link would see the write."""
+
+
 # ---------------------------------------------------------------------------
 # expressions
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Lit(Expr):
-    value: MatValue  # always 1x1
+class Lit(Expr, namedtuple("Lit", "value")):  # value: a 1x1 MatValue
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Ref(Expr):
-    name: str
+class Ref(Expr, namedtuple("Ref", "name")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ElemRef(Expr):
-    name: str
-    index: int  # 1-based linear, column-major; the emitter shifts to 0-based
+class ElemRef(Expr, namedtuple("ElemRef", "name index")):
+    """index: 1-based linear, column-major; the emitter shifts to 0-based."""
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Bin(Expr):
-    op: str  # a key of OPS
-    a: Expr
-    b: Expr
+class Bin(Expr, namedtuple("Bin", "op a b")):  # op: a key of OPS
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Un(Expr):
-    op: str  # "-"
-    a: Expr
+class Un(Expr, namedtuple("Un", "op a")):  # op: "-"
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CallFn(Expr):
-    fn: str  # sqrt sin cos atan2
-    args: tuple
+class CallFn(Expr, namedtuple("CallFn", "fn args")):  # fn: sqrt sin cos atan2; args: a tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cast(Expr):
-    dtype: Dtype
-    a: Expr
+class Cast(Expr, namedtuple("Cast", "dtype a")):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cond(Expr):
-    cond: Expr
-    a: Expr
-    b: Expr
+class Cond(Expr, namedtuple("Cond", "cond a b")):
+    __slots__ = ()
 
 
 # The C spelling of every Bin operator and the matval kernel that computes
@@ -246,79 +235,61 @@ def map_children(e: Expr, f) -> Expr:
 # instructions
 
 
-@dataclass
-class Instr:
-    pass
+class Instr(Record):
+    __slots__ = ()
 
 
-@dataclass
-class Def(Instr):
+class Def(Instr, namedtuple("Def", "name expr")):
     """Bind a fresh scalar name to an expression."""
-    name: str
-    expr: Expr
+    __slots__ = ()
 
 
-@dataclass
-class Store(Instr):
+class Store(Instr, namedtuple("Store", "name expr")):
     """Assign into existing scalar storage (local, static or argument)."""
-    name: str
-    expr: Expr
+    __slots__ = ()
 
 
-@dataclass
-class SetElem(Instr):
-    name: str
-    index: int  # 1-based linear
-    expr: Expr
+class SetElem(Instr, namedtuple("SetElem", "name index expr")):  # index: 1-based linear
+    __slots__ = ()
 
 
-@dataclass
-class CopyMat(Instr):
+class CopyMat(Instr, namedtuple("CopyMat", "dst src n")):
     """Whole-matrix copy between same-dtype storages of n >= 2 elements."""
-    dst: str
-    src: str
-    n: int
+    __slots__ = ()
 
 
-@dataclass
-class Annot(Instr):
-    text: str
+class Annot(Instr, namedtuple("Annot", "text")):
+    __slots__ = ()
 
 
-@dataclass
-class CallTarget:
-    fn: str
-    args: tuple  # argument names, resolved against the enclosing io
+class CallTarget(Record, namedtuple("CallTarget", "fn args")):
+    """args: argument names, resolved against the enclosing io."""
+    __slots__ = ()
 
 
-@dataclass
-class IfExpr(Instr):
-    cond: str  # scalar name, tested > 0 upstream
-    then_call: CallTarget
-    else_call: CallTarget
+class IfExpr(Instr, namedtuple("IfExpr", "cond then_call else_call")):
+    """cond: a scalar name, tested > 0 upstream; then_call, else_call: CallTargets."""
+    __slots__ = ()
 
 
-@dataclass
-class Call(Instr):
+class Call(Instr, namedtuple("Call", "fn args")):
     """Call a recorded function or a runtime helper; args are names."""
-    fn: str
-    args: tuple
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------
 # declarations / functions
 
 
-@dataclass
 class Decl:
     """Named storage: a function argument, a local, or a program static
-    (static=True, reset to init by the initialize function)."""
-    name: str
-    dtype: Dtype
-    rows: int
-    cols: int
-    init: MatValue = None
-    static: bool = False
+    (static=True, reset to init by the initialize function). Slotted for
+    its many field reads; see model.BlockSpec."""
+    __slots__ = ("name", "dtype", "rows", "cols", "init", "static")
+
+    def __init__(self, name, dtype, rows, cols, init=None, static=False):
+        self.name, self.dtype, self.rows, self.cols = name, dtype, rows, cols
+        self.init, self.static = init, static
 
     @property
     def is_scalar(self):
@@ -329,22 +300,25 @@ class Decl:
         return self.rows * self.cols
 
 
-@dataclass
 class FunctionDef:
-    name: str
-    params: list  # of Decl
-    decls: dict = field(default_factory=dict)  # name -> Decl, creation order
-    body: list = field(default_factory=list)   # of Instr
+    __slots__ = ("name", "params", "decls", "body")
+
+    def __init__(self, name, params, decls=None, body=None):
+        self.name, self.params = name, params  # params: a list of Decl
+        self.decls = {} if decls is None else decls  # name -> Decl, creation order
+        self.body = [] if body is None else body     # of Instr
 
 
-@dataclass
 class Program:
     """A finalized, optimized unit ready for printing or interpretation."""
-    statics: list                 # of static Decl, registration order
-    init_fn: FunctionDef
-    functions: list               # of FunctionDef, completion order
-    helpers: list                 # helper names used, stable order
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("statics", "init_fn", "functions", "helpers", "meta")
+
+    def __init__(self, statics, init_fn, functions, helpers, meta=None):
+        self.statics = statics      # of static Decl, registration order
+        self.init_fn = init_fn
+        self.functions = functions  # of FunctionDef, completion order
+        self.helpers = helpers      # helper names used, stable order
+        self.meta = {} if meta is None else meta
 
     def function(self, name):
         if self.init_fn.name == name:
@@ -437,9 +411,11 @@ class TraceContext:
 
 class BVar:
     """A matrix value, numeric or symbolic; a symbolic one also has its
-    recording session and its IR name. The dtype is the value's."""
+    recording session and its IR name. The dtype is the value's. The model
+    drivers set `held` on a value they bind to a link, which makes it read
+    only to element writes; unset, it reads as not held."""
 
-    __slots__ = ("ctx", "sym", "value", "name")
+    __slots__ = ("ctx", "sym", "value", "name", "held")
 
     def __init__(self, ctx, sym, value, name=""):
         self.ctx = ctx
@@ -895,6 +871,8 @@ def bv_index_get(a: BVar, i, j=None) -> BVar:
 
 def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
     """1-based element write; promotes a numeric target when rhs is symbolic."""
+    if getattr(a, "held", False):
+        raise HeldValue(a)
     rhs = _as_bvar(rhs, like=a)
     if not rhs.is_scalar:
         raise mv.ShapeMismatch("element write needs a 1x1 rhs")

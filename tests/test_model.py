@@ -651,6 +651,39 @@ link 4 3.1 -> out:2
         [(5.0,), (0.0,)], [(0.0,), (1.0,)], [(5.0,), (0.0,)]]
 
 
+@pytest.mark.parametrize("source", ["in:1", "3.1"], ids=["input port", "folded const"])
+def test_element_write_into_an_input_slot_fails_in_both_modes(monkeypatch, source):
+    # one value feeds two gains; a gain that writes an element of its input
+    # would change what the other gain reads (and, in the C, its caller's
+    # input), so the write fails and names the block, slot and link
+    original = blocks.BEHAVIORS["gain"]
+
+    def writes_its_input(blk, flag):
+        if flag == blocks.OUTPUT:
+            x = blk.io[1]
+            x[1] = 99
+        original(blk, flag)
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "gain", writes_its_input)
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+output 2 f64 1 1
+block 1 gain gain=f64[1x1](2)
+block 2 gain gain=f64[1x1](3)
+block 3 const value=f64[1x1](1)
+link 1 {} -> 1.1, 2.1
+link 2 1.1 -> out:1
+link 3 2.1 -> out:2
+""".format(source)
+    message = r"block 1 wrote an element of input slot 1 \(link 1\)"
+    with pytest.raises(md.ModelError, match=message):
+        simulate(parse_model(text), [[1.0]], 1)
+    with pytest.raises(md.ModelError, match=message):
+        bg.generate(parse_model(text))
+
+
 def test_reading_an_uncomputed_link_names_block_and_link(monkeypatch):
     # one chain stage: the delay runs first, before the summation computes
     # the link feeding it, so a delay that reads its input at flag 1 fails

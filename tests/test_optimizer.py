@@ -265,14 +265,14 @@ def test_deep_copied_context_finalizes_identically():
 
 def _walked_names(body):
     """Every name a body reads or writes, found by a walk of its own: the
-    expressions through their dataclass fields, not the optimizer's helpers."""
+    expressions through their record fields, not the optimizer's helpers."""
     names = set()
 
     def walk(e):
         if isinstance(e, (Ref, ElemRef)):
             names.add(e.name)
-        for value in vars(e).values():
-            for part in value if isinstance(value, tuple) else (value,):
+        for value in e:  # a record is the tuple of its fields; CallFn.args a bare tuple
+            for part in value if type(value) is tuple else (value,):
                 if isinstance(part, tr.Expr):
                     walk(part)
 

@@ -53,14 +53,16 @@ def test_simulate_matches_golden(name):
 
 
 def test_simulate_builds_no_annotations_but_generate_keeps_them(monkeypatch):
+    # every construction of a class goes through its __new__, however the
+    # class initializes its fields
     built = []
-    original = tr.Annot.__init__
+    original = tr.Annot.__new__
 
-    def counting(self, *args, **kwargs):
-        built.append(self)
-        original(self, *args, **kwargs)
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
 
-    monkeypatch.setattr(tr.Annot, "__init__", counting)
+    monkeypatch.setattr(tr.Annot, "__new__", counting)
     for name in NAMES:
         render(name)
     assert built == []
