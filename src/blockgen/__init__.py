@@ -12,7 +12,7 @@ from .matval import (
     MatValue, NonSquare, ShapeMismatch, Singular,
 )
 from .trace import (
-    BVar, Program, TraceContext, bvarcopy, bvarempty, expand, numerics,
+    BVar, Handle, Num, Program, TraceContext, bvarcopy, bvarempty, expand, numerics,
     symbolics, unwrap,
 )
 from .directives import (

@@ -1,11 +1,14 @@
 """The block library.
 
 Each behavior is an ordinary function over a block record and a flag
-(-1 init, 1 output update, 2 state update), written purely against bvar
-operations, so the same code both simulates numerically and traces
-symbolically. Reads and writes of the io/state lists route through the
-record so that symbolic access emits pseudo-code; parameters are always
-concrete values, evaluated once at generation time.
+(-1 init, 1 output update, 2 state update), written purely against the
+operators and operations of trace's handles, so the same code both
+simulates numerically, on numeric handles (Num) that compute with matval
+directly, and traces symbolically, on bvars that record. The io and state
+lists hold handles of either kind and wrap anything else written to them as
+a Num; reading a symbolic scalar state emits its copy. Parameters are
+always concrete values, evaluated once at generation time, and PARAMS
+declares which each kind takes, so that parse_model checks them.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from . import matval as mv
 from .matval import F64
 from .directives import put_annotation
 from .trace import (
-    BVar, TraceContext, _def_scalar, _operand_expr, atan2, bv_compare,
+    Handle, TraceContext, _def_scalar, _operand_expr, atan2, bv_compare,
     bv_convert, bv_datatype, cos, numerics, sin, sqrt, vertcat, horzcat,
 )
 
@@ -55,7 +58,7 @@ class IoList:
     def __len__(self):
         return len(self.slots)
 
-    def __getitem__(self, k) -> BVar:
+    def __getitem__(self, k) -> Handle:
         v = self.slots[k - 1] if 0 < k <= len(self.slots) else self.slots[self._index(k)]
         return v() if callable(v) else v
 
@@ -63,7 +66,7 @@ class IoList:
         i = k - 1 if 0 < k <= len(self.slots) else self._index(k)
         if i < self.n_in:
             raise BlockError("write to input slot {}".format(k))
-        if not isinstance(v, BVar):
+        if not isinstance(v, Handle):
             v = numerics(v)
         self.slots[i] = v
         self.written = True
@@ -84,14 +87,14 @@ class StateList:
     def __len__(self):
         return len(self.entries)
 
-    def __getitem__(self, k) -> BVar:
+    def __getitem__(self, k) -> Handle:
         e = self.entries[k - 1]
         if e.sym and e.is_scalar and self.ctx is not None:
             return _def_scalar(self.ctx, _operand_expr(e), e.value)
         return e
 
     def __setitem__(self, k, v):
-        if not isinstance(v, BVar):
+        if not isinstance(v, Handle):
             v = numerics(v)
         self.entries[k - 1] = v
         self.written.add(k - 1)
@@ -134,6 +137,21 @@ ARITY = {
     "select": (2, 1, 0),
     "ifthenelse": (1, 0, 0),
     "sciblk": (None, None, 0),
+}
+
+# block kind -> its parameters, name -> (required, kind): a "matrix" is a
+# literal value, a "word" a bare name. A sciblk passes any others on to its
+# behavior; the driver adds select's active_branch.
+PARAMS = {
+    "unit_delay": {"init": (True, "matrix")},
+    "gain": {"gain": (True, "matrix")},
+    "summation": {"signs": (True, "matrix")},
+    "mux": {},
+    "relational_op": {"op": (True, "word")},
+    "const": {"value": (True, "matrix")},
+    "select": {},
+    "ifthenelse": {},
+    "sciblk": {"behavior": (True, "word")},
 }
 
 

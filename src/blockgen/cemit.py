@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .matval import Dtype, MatValue, F64, Record
+from .matval import COMPARE, Dtype, MatValue, F64, Record
 from .trace import (
-    Annot, Bin, Call, CallFn, Cast, Cond, CopyMat, Decl, Def, ElemRef, IfExpr,
-    Lit, Program, Ref, SetElem, Store, Un,
+    OPS, Annot, Bin, Call, CallFn, Cast, Cond, CopyMat, Decl, Def, ElemRef, IfExpr,
+    Lit, Program, Ref, SetElem, Store, Un, expr_dtype,
 )
 
 
@@ -110,7 +110,9 @@ def _parenthesized(text: str) -> str:
     return text if text.startswith("(") else "(" + text + ")"
 
 
-def expr_str(e, tab: SymTab) -> str:
+def expr_str(e, tab: SymTab, narrow: bool = False) -> str:
+    """C text of e; narrow: e feeds a comparison, a division or a
+    conversion (see _narrowed)."""
     if isinstance(e, Lit):
         return format_number(e.value.data[0], e.value.dtype)
     if isinstance(e, Ref):
@@ -118,20 +120,31 @@ def expr_str(e, tab: SymTab) -> str:
     if isinstance(e, ElemRef):
         return "({}[{}])".format(e.name, e.index - 1)
     if isinstance(e, Bin):
-        sep = "/ " if e.op == "/" else e.op
-        return "({}{}{})".format(expr_str(e.a, tab), sep, expr_str(e.b, tab))
+        sep, feeds = ("/ ", True) if e.op == "/" else (e.op, OPS[e.op] in COMPARE)
+        text = "({}{}{})".format(expr_str(e.a, tab, feeds), sep, expr_str(e.b, tab, feeds))
+        return _narrowed(e, text, tab) if narrow else text
     if isinstance(e, Un):
-        return "({}{})".format(e.op, _parenthesized(expr_str(e.a, tab)))
+        text = "({}{})".format(e.op, _parenthesized(expr_str(e.a, tab)))
+        return _narrowed(e, text, tab) if narrow else text
     if isinstance(e, CallFn):
         return "{}({})".format(e.fn, ",".join(expr_str(a, tab) for a in e.args))
     if isinstance(e, Cast):
         if e.dtype.is_bool:  # C's conversion to int would truncate
-            return "({}!=0)".format(_parenthesized(expr_str(e.a, tab)))
-        return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab))
+            return "({}!=0)".format(_parenthesized(expr_str(e.a, tab, True)))
+        return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab, True))
     if isinstance(e, Cond):
-        return "({}? {} : {})".format(expr_str(e.cond, tab), expr_str(e.a, tab),
-                                      expr_str(e.b, tab))
+        return "({}? {} : {})".format(expr_str(e.cond, tab), expr_str(e.a, tab, narrow),
+                                      expr_str(e.b, tab, narrow))
     raise UnsupportedInstr("unknown expression {!r}".format(e))
+
+
+def _narrowed(e, text: str, tab: SymTab) -> str:
+    """text of the Bin or Un e, cast back to e's dtype when that is i8, i16,
+    u8 or u16: C computes such an operation in int, where matval wraps each
+    result to its dtype. The two agree through + - * and negation, but not
+    once the result is compared, divided or converted."""
+    d = expr_dtype(e, tab.dtype_of)
+    return "(({}){})".format(ctype(d), text) if d.is_int and d.width < 32 else text
 
 
 def _assign_target(name: str, index, tab: SymTab) -> str:
@@ -142,10 +155,12 @@ def _assign_target(name: str, index, tab: SymTab) -> str:
 
 def _store_rhs(e, dst_dtype: Dtype, tab: SymTab) -> str:
     # a top-level cast to the destination dtype is C's implicit conversion,
-    # except to bool, which C's int would not truncate to 0 or 1
-    if isinstance(e, Cast) and e.dtype == dst_dtype and not dst_dtype.is_bool:
+    # except to bool, which C's int would not truncate to 0 or 1; the
+    # operand it converts is still narrowed
+    narrow = isinstance(e, Cast) and e.dtype == dst_dtype and not dst_dtype.is_bool
+    if narrow:
         e = e.a
-    return expr_str(e, tab)
+    return expr_str(e, tab, narrow)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ from . import matval as mv
 from . import optimizer
 from . import cemit
 from .trace import (
-    BVar, Call, CallTarget, Cond, CopyMat, Decl, FunctionDef, IfExpr,
+    BVar, Call, CallTarget, Cond, CopyMat, Decl, FunctionDef, Handle, IfExpr,
     NestedFunction, Program, Ref, Store, TraceContext,
     UnbalancedFunction, bv_compare, bvarcopy, bvarempty, expand,
-    _as_bvar, _as_matvalue, _copy_into, _operand_expr, _elem_expr, _per_element,
+    _as_handle, _as_matvalue, _copy_into, _operand_expr, _elem_expr, _per_element,
 )
 
 
@@ -37,7 +37,7 @@ class IoSeq:
     __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: TraceContext):
-        self.ctx, self.entries = ctx, {}  # name -> BVar handle
+        self.ctx, self.entries = ctx, {}  # name -> BVar
 
     def __getattr__(self, name):
         entries = object.__getattribute__(self, "entries")
@@ -56,14 +56,14 @@ def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
         _reinsert("argument", io.entries[name], v)
     else:
         io.ctx.claim_name(name)
-        io.entries[name] = BVar(io.ctx, True, _as_matvalue(v), name)
+        io.entries[name] = BVar(io.ctx, _as_matvalue(v), name)
     return io
 
 
 def _reinsert(what: str, handle: BVar, v):
     """Copy v into the storage of an existing entry, whose shape and dtype
     it must have."""
-    b = _as_bvar(v)
+    b = _as_handle(v)
     if b.shape != handle.shape:
         raise mv.ShapeMismatch("{} {}: {} vs {}".format(what, handle.name, b.shape, handle.shape))
     if b.dtype != handle.dtype:
@@ -93,7 +93,7 @@ class PersistentPool:
     __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: TraceContext):
-        self.ctx, self.entries = ctx, {}  # name -> BVar handle
+        self.ctx, self.entries = ctx, {}  # name -> BVar
 
 
 def persistent_create(ctx: TraceContext) -> PersistentPool:
@@ -107,7 +107,7 @@ def persistent_insert(pool: PersistentPool, name: str, v) -> PersistentPool:
     else:
         value = _as_matvalue(v)
         pool.ctx.register_static(name, value)
-        pool.entries[name] = BVar(pool.ctx, True, value, name)
+        pool.entries[name] = BVar(pool.ctx, value, name)
     return pool
 
 
@@ -115,7 +115,7 @@ def persistent_extract(pool: PersistentPool, name: str) -> BVar:
     if name not in pool.entries:
         raise UnknownName(name)
     handle = pool.entries[name]
-    return BVar(pool.ctx, True, handle.value, name)
+    return BVar(pool.ctx, handle.value, name)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def constant(ctx: TraceContext, v, name: str) -> BVar:
     value = _as_matvalue(v)
     ctx.claim_name(name)
     ctx.declare(name, value.dtype, value.rows, value.cols, init=value)
-    return BVar(ctx, True, value, name)
+    return BVar(ctx, value, name)
 
 
 def put_annotation(ctx: TraceContext, text: str):
@@ -152,10 +152,10 @@ def code_insert(ctx: TraceContext, kind: str, *payload):
 # expression- and structure-level conditionals
 
 
-def if_exp(ctx: TraceContext, cond, e1, e2) -> BVar:
+def if_exp(ctx: TraceContext, cond, e1, e2) -> Handle:
     """Eager conditional select; both expressions are already evaluated."""
-    cond = _as_bvar(cond)
-    e1, e2 = _as_bvar(e1), _as_bvar(e2)
+    cond = _as_handle(cond)
+    e1, e2 = _as_handle(e1), _as_handle(e2)
     if not cond.is_scalar:
         raise mv.ShapeMismatch("condition must be 1x1")
     if e1.shape != e2.shape:
@@ -170,20 +170,20 @@ def if_exp(ctx: TraceContext, cond, e1, e2) -> BVar:
                         range(nominal.size))
 
 
-def select_exp(ctx: TraceContext, selector, *choices) -> BVar:
+def select_exp(ctx: TraceContext, selector, *choices) -> Handle:
     """1-based selection, lowered to a chain of if_exp equality tests."""
-    selector = _as_bvar(selector)
+    selector = _as_handle(selector)
     if not choices:
         raise ValueError("select_exp needs at least one choice")
     if not selector.sym:
         k = int(selector.value.data[0])
         if not 1 <= k <= len(choices):
             raise IndexError("selector {} out of 1..{}".format(k, len(choices)))
-        return _as_bvar(choices[k - 1])
-    out = _as_bvar(choices[-1])
+        return _as_handle(choices[k - 1])
+    out = _as_handle(choices[-1])
     for k in range(len(choices) - 1, 0, -1):
         test = bv_compare("eq", selector, k)
-        out = if_exp(ctx, test, _as_bvar(choices[k - 1]), out)
+        out = if_exp(ctx, test, _as_handle(choices[k - 1]), out)
     return out
 
 
@@ -192,7 +192,7 @@ def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
 
     Returns nothing; the branch targets write shared arguments or globals.
     """
-    in_ = _as_bvar(in_)
+    in_ = _as_handle(in_)
     if in_.sym:
         test = bv_compare("gt", in_, 0)
         code_insert(ctx, "if_expr", test, f1, f2)

@@ -340,8 +340,8 @@ def binop_elem(op: str, a, b, dtype: Dtype):
 
 def broadcast_pair(a: MatValue, b: MatValue):
     """Result shape for elementwise ops with 1x1 broadcast."""
-    if a.shape == b.shape:
-        return a.shape
+    if a.rows == b.rows and a.cols == b.cols:
+        return a.rows, a.cols
     if a.is_scalar:
         return b.shape
     if b.is_scalar:
@@ -436,6 +436,13 @@ def matmul(a: MatValue, b: MatValue) -> MatValue:
     return _unchecked((a.dtype, rows, cols, tuple(data)))
 
 
+def divide(a: MatValue, b: MatValue) -> MatValue:
+    """a / b: elementwise by a 1x1 b, else a times the inverse of a square b."""
+    if len(b.data) == 1:
+        return elem_binop("div_elem", a, b)
+    return matmul(a, invert(b))
+
+
 def transpose_flat(a, rows: int, cols: int) -> list:
     """The transpose of flat column-major rows x cols data (cols x rows)."""
     return [a[i + rows * j] for i in range(rows) for j in range(cols)]
@@ -447,9 +454,9 @@ def transpose(a: MatValue) -> MatValue:
 
 def concat_rows(a: MatValue, b: MatValue) -> MatValue:
     """Vertical stack, a on top. Empty operands are identities."""
-    if a.size == 0:
+    if not a.data:
         return b
-    if b.size == 0:
+    if not b.data:
         return a
     _same_dtype(a, b)
     if a.cols != b.cols:
@@ -464,9 +471,9 @@ def concat_rows(a: MatValue, b: MatValue) -> MatValue:
 
 def concat_cols(a: MatValue, b: MatValue) -> MatValue:
     """Horizontal stack, a on the left."""
-    if a.size == 0:
+    if not a.data:
         return b
-    if b.size == 0:
+    if not b.data:
         return a
     _same_dtype(a, b)
     if a.rows != b.rows:
@@ -530,6 +537,6 @@ def elem_math(fn: str, *args: MatValue) -> MatValue:
     for m in args:
         kernel = elem_kernel(fn, m.dtype)  # raises unless every operand is f64
     y = args[0]
-    if any(m.shape != y.shape for m in args):
+    if len(args) > 1 and any(m.shape != y.shape for m in args):
         raise ShapeMismatch("{} args {}".format(fn, " vs ".join(str(m.shape) for m in args)))
     return _unchecked((F64, y.rows, y.cols, tuple(map(kernel, *(m.data for m in args)))))

@@ -21,7 +21,7 @@ from .blocks import BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import BVar, HeldValue, TraceContext, _copy_into, bv_convert, numerics
+from .trace import BVar, Handle, HeldValue, Num, TraceContext, _copy_into, bv_convert
 
 
 class ModelError(Exception):
@@ -202,6 +202,18 @@ def _parse_endpoint(text: str, src: bool):
     return ("block", int(b), int(p))
 
 
+def _check_params(bid: int, kind: str, params: dict):
+    """Each parameter blocks.PARAMS declares for kind is present if required
+    and of its kind."""
+    for name, (required, value_kind) in blockmod.PARAMS[kind].items():
+        if name not in params:
+            if required:
+                raise ParseError("block {} ({}) needs {}=".format(bid, kind, name))
+        elif isinstance(params[name], str) != (value_kind == "word"):
+            raise ParseError("block {} ({}): {}={!r} is not a {}"
+                             .format(bid, kind, name, params[name], value_kind))
+
+
 def parse_model(text: str) -> Model:
     model = Model()
     seen_model = False
@@ -226,7 +238,7 @@ def parse_model(text: str) -> Model:
                 bid, kind = int(parts[0]), parts[1]
                 if bid in model.blocks:
                     raise ParseError("duplicate block id {}".format(bid))
-                if kind not in blockmod.ARITY and kind != "sciblk":
+                if kind not in blockmod.ARITY:
                     raise ParseError("unknown block kind {!r}".format(kind))
                 params, out_sig = {}, {}
                 for kv in parts[2:]:
@@ -242,6 +254,7 @@ def parse_model(text: str) -> Model:
                         raise ParseError("signature value for parameter {!r}".format(key))
                     else:
                         params[key] = parsed
+                _check_params(bid, kind, params)
                 model.blocks[bid] = BlockSpec(bid, kind, params, out_sig=out_sig)
             elif head == "link":
                 lid_s, rest2 = rest.split(None, 1)
@@ -549,7 +562,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     b = plan.block
     slots = [linkvals[l.id] if l.id in linkvals else _unread(l, b.id) for l in plan.ins]
     for z in plan.zeros:
-        slots.append(BVar(None, False, z))
+        slots.append(Num(z))
     io = IoList(slots, len(plan.ins))
     st = StateList(state_vals, ctx)
     params = b.params if branch is None else {**b.params, "active_branch": branch}
@@ -569,7 +582,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     return slots, st
 
 
-def _held(value: BVar) -> BVar:
+def _held(value: Handle) -> Handle:
     """value, marked as bound to a link: element writes into it now fail,
     since every other reader of the link would see them."""
     value.held = True
@@ -578,7 +591,7 @@ def _held(value: BVar) -> BVar:
 
 def _const_links(model: Model):
     """Link values known before any block runs: the folded constants."""
-    return {l.id: _held(numerics(l.const_value)) for l in model.links.values()
+    return {l.id: _held(Num(l.const_value)) for l in model.links.values()
             if l.const_value is not None}
 
 
@@ -609,7 +622,7 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
             elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
                 ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
-                    known = {l.id: _held(numerics(l.const_value)) for l in ins}
+                    known = {l.id: _held(Num(l.const_value)) for l in ins}
                     values, _ = _run_block(scratch, plans[b.id], blockmod.OUTPUT, known, [])
                     for k, l, _ in plans[b.id].routes:
                         l.const_value = mv.convert(values[k].value, l.dtype)
@@ -695,8 +708,8 @@ def _init_states(model: Model, sched: Schedule, plans: dict):
     zeros, states = {}, {}
     for bid in sched.state_order:
         p = plans[bid]
-        inputs = {l.id: BVar(None, False, _zero(l, zeros)) for l in p.ins}
-        st_vals = [BVar(None, False, _zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
+        inputs = {l.id: Num(_zero(l, zeros)) for l in p.ins}
+        st_vals = [Num(_zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
         _, st = _run_block(scratch, p, blockmod.INIT, inputs, st_vals)
         states[bid] = [e.value for e in st.entries]
     return states
@@ -761,9 +774,9 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     main_id = base * 10 + 2 * len(sched.branches) + 1
     branch_ids = itertools.count(base * 10 + 1)
 
-    def route_output(link, value: BVar):
+    def route_output(link, value: Handle):
         if not value.sym:
-            value = numerics(mv.convert(value.value, link.dtype))
+            value = Num(mv.convert(value.value, link.dtype))
         elif value.dtype != link.dtype:
             value = bv_convert(value, link.dtype)
         port_dsts = [d for d in link.dsts if d[0] == "out"]
@@ -779,12 +792,12 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.convert(value.value, link.dtype))
             _copy_into(ctx, sname, value)
-            linkvals[link.id] = _held(BVar(ctx, True, ctx.statics[sname].init, sname))
+            linkvals[link.id] = _held(BVar(ctx, ctx.statics[sname].init, sname))
             return
         linkvals[link.id] = _held(value)
 
     def run(bid, flag, branch=None):
-        st_vals = [BVar(ctx, True, ctx.statics[name].init, name)
+        st_vals = [BVar(ctx, ctx.statics[name].init, name)
                    for name in state_names.get(bid, [])]
         values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
         if flag == blockmod.OUTPUT:
@@ -815,7 +828,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     ctx.push_function(update_output, io)
     for k, link in g.fed_by.items():
         if link.const_value is not None:
-            _copy_into(ctx, out_port_names[k], numerics(link.const_value))
+            _copy_into(ctx, out_port_names[k], Num(link.const_value))
         elif link.src[0] == "in":
             _copy_into(ctx, out_port_names[k], linkvals[link.id])
     for node in sched.output_order:
@@ -864,7 +877,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
 
     def run(bid, flag, branch=None):
         vals = states.get(bid)
-        st_vals = [BVar(None, False, v) for v in vals] if vals else []
+        st_vals = [Num(v) for v in vals] if vals else []
         plan = plans[bid]
         values, st = _run_block(scratch, plan, flag, linkvals, st_vals, branch)
         if flag == blockmod.STATE:
@@ -872,8 +885,8 @@ def simulate(model: Model, inputs_per_step, steps: int):
             return
         for k, link, ports in plan.routes:
             value = values[k]
-            if value.sym or value.value.dtype is not link.dtype:
-                value = numerics(mv.convert(value.value, link.dtype))
+            if value.value.dtype is not link.dtype:
+                value = Num(mv.convert(value.value, link.dtype))
             value.held = True  # as _held does, without the call
             linkvals[link.id] = value
             for port in ports:
@@ -892,7 +905,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))
-            value = numerics(v)
+            value = Num(v)
             value.held = True  # as _held does, without the call
             for l in links:
                 linkvals[l.id] = value

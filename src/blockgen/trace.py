@@ -1,14 +1,17 @@
-"""The bvar wrapper, the recording session and the overloaded operations.
+"""Traced values, the recording session and the overloaded operations.
 
-A BVar is either numeric (its value is authoritative) or symbolic (only the
-dtype and shape of its value are meaningful; the entries are a nominal value
-carried along to keep shape inference honest, never consulted for folding).
-Its dtype is always its value's. Operations on all-numeric operands fold
-silently; anything touching a symbolic operand appends pseudo-code
-instructions to the active session. A conversion is one such operation: a
-converted symbolic value is a new one defined by a Cast per element.
+A value a behavior computes with is a Handle of one of two kinds. A Num is
+numeric: its value is authoritative, and its operators compute on matval
+directly. A BVar is symbolic: only the dtype and shape of its value are
+meaningful (the entries are a nominal value carried along to keep shape
+inference honest, never consulted for folding), and operations on it append
+pseudo-code instructions to the active session. Each overloaded operation is
+the recorder of its symbolic case, made by _operation: with no symbolic
+operand it is its matval kernel instead, so numeric code records nothing. A
+conversion is one such operation: a converted symbolic value is a new one
+defined by a Cast per element.
 
-Each operation says only what element k of its result is. _per_element
+Each recorder says only what element k of its result is. _per_element
 records that as one definition for a 1x1 result (the optimizer later folds
 single-use definitions into their use site, which gives generated programs
 their compact expressions), else as per-element stores into a fresh array.
@@ -20,6 +23,7 @@ matinv instead, all through _helper_call.
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial, wraps
 
 from . import matval as mv
 from .matval import MatValue, Dtype, F64, Record
@@ -152,6 +156,33 @@ def kernel_fn(kernel, a, b=None):
     return lambda env, f=kernel, a=a, b=operand_fn(b): f(a, b(env))
 
 
+def expr_dtype(e: Expr, dtype_of) -> Dtype:
+    """The dtype of e's value, dtype_of(name) giving each name's, raising
+    where operands that must agree do not."""
+    t = type(e)
+    if t is Lit:
+        return e.value.dtype
+    if t is Ref or t is ElemRef:
+        return dtype_of(e.name)
+    return _node_dtype(e, [expr_dtype(c, dtype_of) for c in children(e)])
+
+
+def _node_dtype(e: Expr, dtypes) -> Dtype:
+    """The dtype of operator node e's value from its children's dtypes."""
+    t = type(e)
+    if t is Bin:
+        da, db = dtypes
+        if db is not da:
+            raise mv.DtypeMismatch("{} vs {}".format(da, db))
+        return mv.BOOL if OPS[e.op] in mv.COMPARE else da
+    if t is Cond:
+        return _common_dtype(dtypes[1:])
+    if t is CallFn:
+        _common_dtype(dtypes)
+        return F64
+    return e.dtype if t is Cast else dtypes[0]
+
+
 def lower_expr(e: Expr, cell):
     """Lower an expression in one pass into (x, dtype): dtype, resolved
     here, is its element's dtype, and x the operand computing that element
@@ -169,10 +200,8 @@ def lower_expr(e: Expr, cell):
         return e.value.data[0], e.value.dtype
     if t is Bin:
         (a, da), (b, db) = lower_expr(e.a, cell), lower_expr(e.b, cell)
-        if db is not da:
-            raise mv.DtypeMismatch("{} vs {}".format(da, db))
-        op = OPS[e.op]
-        return kernel_fn(mv.elem_kernel(op, da), a, b), (mv.BOOL if op in mv.COMPARE else da)
+        d = _node_dtype(e, (da, db))
+        return kernel_fn(mv.elem_kernel(OPS[e.op], da), a, b), d
     if t is Un:
         a, da = lower_expr(e.a, cell)
         return kernel_fn(mv.elem_kernel("neg", da), a), da
@@ -186,10 +215,10 @@ def lower_expr(e: Expr, cell):
         kernel = mv.elem_kernel(e.fn, _common_dtype([d for _, d in args]))
         return kernel_fn(kernel, *[x for x, _ in args]), F64
     if t is Cond:
-        (c, _), (a, da), (b, db) = (lower_expr(e.cond, cell), lower_expr(e.a, cell),
-                                    lower_expr(e.b, cell))
+        (c, dc), (a, da), (b, db) = (lower_expr(e.cond, cell), lower_expr(e.a, cell),
+                                     lower_expr(e.b, cell))
         return (lambda env, c=operand_fn(c), a=operand_fn(a), b=operand_fn(b):
-                a(env) if c(env) else b(env)), _common_dtype((da, db))
+                a(env) if c(env) else b(env)), _node_dtype(e, (dc, da, db))
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -291,13 +320,8 @@ class Decl:
         self.name, self.dtype, self.rows, self.cols = name, dtype, rows, cols
         self.init, self.static = init, static
 
-    @property
-    def is_scalar(self):
-        return self.rows == 1 and self.cols == 1
-
-    @property
-    def size(self):
-        return self.rows * self.cols
+    is_scalar = property(lambda self: self.rows == 1 and self.cols == 1)
+    size = property(lambda self: self.rows * self.cols)
 
 
 class FunctionDef:
@@ -321,9 +345,7 @@ class Program:
         self.meta = {} if meta is None else meta
 
     def function(self, name):
-        if self.init_fn.name == name:
-            return self.init_fn
-        for f in self.functions:
+        for f in (self.init_fn, *self.functions):
             if f.name == name:
                 return f
         raise KeyError(name)
@@ -357,9 +379,7 @@ class TraceContext:
 
     # -- frames ------------------------------------------------------------
 
-    @property
-    def frame(self) -> FunctionDef:
-        return self._open[-1][0] if self._open else self.module
+    frame = property(lambda self: self._open[-1][0] if self._open else self.module)
 
     def emit(self, instr: Instr):
         self.frame.body.append(instr)
@@ -400,115 +420,110 @@ class TraceContext:
         self.functions.append(fn)
         return fn
 
-    @property
-    def open_depth(self):
-        return len(self._open)
+    open_depth = property(lambda self: len(self._open))
 
 
 # ---------------------------------------------------------------------------
-# bvar
+# values: numeric handles and symbolic bvars
 
 
-class BVar:
-    """A matrix value, numeric or symbolic; a symbolic one also has its
-    recording session and its IR name. The dtype is the value's. The model
-    drivers set `held` on a value they bind to a link, which makes it read
-    only to element writes; unset, it reads as not held."""
+class Handle:
+    """A matrix value as behaviors see it: a Num, numeric, or a BVar,
+    symbolic. The dtype is the value's. The model drivers set `held` on a
+    value they bind to a link, which makes it read only to element writes;
+    unset, it reads as not held. Both kinds share this one layout, so that
+    an element write of a symbolic value promotes a Num in place."""
 
-    __slots__ = ("ctx", "sym", "value", "name", "held")
+    __slots__ = ("value", "held", "ctx", "name")
 
-    def __init__(self, ctx, sym, value, name=""):
-        self.ctx = ctx
-        self.sym = sym
-        self.value = value
-        self.name = name
-
-    @property
-    def dtype(self):
-        return self.value.dtype
-
-    @property
-    def shape(self):
-        return self.value.shape
-
-    @property
-    def rows(self):
-        return self.value.rows
-
-    @property
-    def cols(self):
-        return self.value.cols
-
-    @property
-    def size(self):
-        return self.value.size
-
-    @property
-    def is_scalar(self):
-        return self.value.is_scalar
+    dtype = property(lambda self: self.value.dtype)
+    shape = property(lambda self: self.value.shape)
+    rows = property(lambda self: self.value.rows)
+    cols = property(lambda self: self.value.cols)
+    size = property(lambda self: self.value.size)
+    is_scalar = property(lambda self: self.value.is_scalar)
 
     def __repr__(self):
-        kind = "sym" if self.sym else "num"
-        return "BVar({} {} {}x{} {!r})".format(kind, self.dtype, self.rows, self.cols, self.name)
+        return "{}({} {}x{} {!r})".format(type(self).__name__, self.dtype, *self.shape, self.name)
 
-    def __bool__(self):
-        # control decisions must be partial-evaluable at generation time
-        if self.sym:
-            raise SymbolicConditionError(
-                "conditional depends on symbolic value {!r}".format(self.name or "?"))
-        return all(bool(v) for v in self.value.data)
+    def __getitem__(self, key):
+        return bv_index_get(self, *key) if type(key) is tuple else bv_index_get(self, key)
 
-    # matrix-language operators: * is the matrix product, / divides by
-    # a scalar or right-divides by a square matrix
-    def __add__(self, other):
-        return bv_binop("add", self, other)
-
-    def __radd__(self, other):
-        return bv_binop("add", other, self)
-
-    def __sub__(self, other):
-        return bv_binop("sub", self, other)
-
-    def __rsub__(self, other):
-        return bv_binop("sub", other, self)
-
-    def __mul__(self, other):
-        return bv_matmul(self, other)
-
-    def __rmul__(self, other):
-        return bv_matmul(other, self)
-
-    def __truediv__(self, other):
-        return bv_div(self, other)
-
-    def __rtruediv__(self, other):
-        return bv_div(other, self)
-
-    def __neg__(self):
-        return bv_neg(self)
+    def __setitem__(self, key, rhs):
+        bv_index_set(self, *(key if type(key) is tuple else (key,)), rhs=rhs)
 
     def __pow__(self, n):
         return bv_pow(self, n)
 
-    @property
-    def T(self):
-        return bv_transpose(self)
 
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            return bv_index_get(self, key[0], key[1])
-        return bv_index_get(self, key)
+class BVar(Handle):
+    """A symbolic value: its recording session, its IR name, and a nominal
+    value of which only the dtype and shape are meaningful. Its operators
+    record."""
 
-    def __setitem__(self, key, rhs):
-        if isinstance(key, tuple):
-            bv_index_set(self, key[0], key[1], rhs=rhs)
-        else:
-            bv_index_set(self, key, rhs=rhs)
+    __slots__ = ()
+    sym = True
+
+    def __init__(self, ctx, value, name):
+        self.ctx, self.value, self.name = ctx, value, name
+
+    def __bool__(self):
+        # control decisions must be partial-evaluable at generation time
+        raise SymbolicConditionError(
+            "conditional depends on symbolic value {!r}".format(self.name or "?"))
+
+    # matrix-language operators: * is the matrix product, / divides by
+    # a scalar or right-divides by a square matrix
+    __add__ = lambda self, other: bv_binop("add", self, other)
+    __radd__ = lambda self, other: bv_binop("add", other, self)
+    __sub__ = lambda self, other: bv_binop("sub", self, other)
+    __rsub__ = lambda self, other: bv_binop("sub", other, self)
+    __mul__ = lambda self, other: bv_matmul(self, other)
+    __rmul__ = lambda self, other: bv_matmul(other, self)
+    __truediv__ = lambda self, other: bv_div(self, other)
+    __rtruediv__ = lambda self, other: bv_div(other, self)
+    __neg__ = lambda self: bv_neg(self)
+    T = property(lambda self: bv_transpose(self))
 
 
-def numerics(v) -> BVar:
-    """Wrap a concrete value as a numeric bvar."""
-    return BVar(None, False, v if isinstance(v, MatValue) else _as_matvalue(v))
+def _numeric_operator(kernel):
+    """A Num's binary operator and its reflection: kernel on both values, a
+    bare number adopting the Num's dtype (except a bool). A symbolic operand
+    gets NotImplemented, and so its own reflected operator, which records."""
+    def op(self, other):
+        if type(other) is Num:
+            return Num(kernel(self.value, other.value))
+        if type(other) is BVar:
+            return NotImplemented
+        return Num(kernel(self.value, _as_handle(other, self).value))
+
+    def rop(self, other):  # never a handle: its own operator ran first
+        return Num(kernel(_as_handle(other, self).value, self.value))
+    return op, rop
+
+
+class Num(Handle):
+    """A numeric value, authoritative. Its operators compute on matval
+    directly."""
+
+    __slots__ = ()
+    sym, ctx, name = False, None, ""
+
+    def __init__(self, value):
+        self.value = value
+
+    __bool__ = lambda self: all(self.value.data)
+    __add__, __radd__ = _numeric_operator(partial(mv.elem_binop, "add"))
+    __sub__, __rsub__ = _numeric_operator(partial(mv.elem_binop, "sub"))
+    __mul__, __rmul__ = _numeric_operator(mv.matmul)  # a 1x1 operand scales
+    __truediv__, __rtruediv__ = _numeric_operator(mv.divide)
+    __neg__ = lambda self: Num(mv.neg(self.value))
+    T = property(lambda self: Num(mv.transpose(self.value)))
+
+
+def numerics(v) -> Num:
+    """Wrap a concrete value as a numeric handle."""
+    return Num(v if isinstance(v, MatValue) else _as_matvalue(v))
 
 
 def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
@@ -518,13 +533,13 @@ def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
         name = ctx.getunique()
     else:
         ctx.claim_name(name)
-    return BVar(ctx, True, value, name)
+    return BVar(ctx, value, name)
 
 
 def _as_matvalue(v) -> MatValue:
     if isinstance(v, MatValue):  # before the sequences: a MatValue is a tuple
         return v
-    if isinstance(v, BVar):
+    if isinstance(v, Handle):
         return v.value
     if isinstance(v, (bool, int, float)):
         return mv.scalar(v)
@@ -533,30 +548,47 @@ def _as_matvalue(v) -> MatValue:
     raise TypeError("cannot interpret {!r} as a matrix value".format(v))
 
 
-def _as_bvar(v, like: BVar = None) -> BVar:
-    if isinstance(v, BVar):
+def _as_handle(v, like: Handle = None) -> Handle:
+    if isinstance(v, Handle):
         return v
     m = _as_matvalue(v)
     if like is not None and m.dtype != like.dtype and not m.dtype.is_bool:
-        # bare python numbers adopt the dtype of the bvar they meet
+        # bare python numbers adopt the dtype of the handle they meet
         m = mv.convert(m, like.dtype)
-    return BVar(None, False, m)
+    return Num(m)
 
 
-def _coerce_pair(a, b):
-    """Both operands as bvars; a bare number adopts the other operand's dtype."""
-    a = _as_bvar(a, like=b if isinstance(b, BVar) else None)
-    return a, _as_bvar(b, like=a)
+def _operation(kernel):
+    """Make an overloaded operation from the recorder of its symbolic case:
+    with a symbolic operand (any argument but operator names and dtypes) the
+    recorder runs, else kernel on the operands' values, as a Num. A bare
+    number adopts the dtype of the first handle, except a bool."""
+    def wrap(record):
+        def op(*args):
+            sym = False
+            for a in args:
+                t = type(a)
+                if t is BVar:
+                    sym = True
+                elif t is not Num and t is not str and t is not Dtype:
+                    # a bare number: make every operand a handle first
+                    like = next((h for h in args if isinstance(h, Handle)), None)
+                    return op(*[h if isinstance(h, (str, Dtype)) else _as_handle(h, like)
+                                for h in args])
+            if sym:
+                return record(*args)
+            return Num(kernel(*[a.value if type(a) is Num else a for a in args]))
+        return wraps(record)(op)
+    return wrap
 
 
-def _ctx_of(*bvars) -> TraceContext:
-    for b in bvars:
+def _ctx_of(*handles) -> TraceContext:
+    for b in handles:
         if b.ctx is not None:
             return b.ctx
-    return None
 
 
-def unwrap(b: BVar) -> MatValue:
+def unwrap(b: Handle) -> MatValue:
     return b.value
 
 
@@ -564,13 +596,13 @@ def unwrap(b: BVar) -> MatValue:
 # emission primitives
 
 
-def _operand_expr(b: BVar) -> Expr:
-    """Embed a scalar bvar as an expression operand."""
+def _operand_expr(b: Handle) -> Expr:
+    """Embed a scalar handle as an expression operand."""
     return Ref(b.name) if b.sym else Lit(b.value)
 
 
-def _elem_expr(b: BVar, k: int) -> Expr:
-    """Element k (0-based) of a bvar as an expression operand; a 1x1 bvar
+def _elem_expr(b: Handle, k: int) -> Expr:
+    """Element k (0-based) of a handle as an expression operand; a 1x1 one
     broadcasts, standing for every element."""
     if b.is_scalar:
         return _operand_expr(b)
@@ -583,13 +615,13 @@ def _def_scalar(ctx, expr: Expr, nominal: MatValue) -> BVar:
     name = ctx.getunique()
     ctx.declare(name, nominal.dtype, 1, 1)
     ctx.emit(Def(name, expr))
-    return BVar(ctx, True, nominal, name)
+    return BVar(ctx, nominal, name)
 
 
 def _new_array(ctx, nominal: MatValue, init: MatValue = None) -> BVar:
     name = ctx.getunique()
     ctx.declare(name, nominal.dtype, nominal.rows, nominal.cols, init=init)
-    return BVar(ctx, True, nominal, name)
+    return BVar(ctx, nominal, name)
 
 
 def _per_element(ctx, nominal: MatValue, expr_at, order) -> BVar:
@@ -640,10 +672,8 @@ def _copy_into(ctx, dst: str, b: BVar):
 
 
 def _materialize(ctx, value: MatValue) -> BVar:
-    """Declaration plus per-element literal stores, linear order.
-
-    Used to hand concrete operands to the runtime helpers.
-    """
+    """Declaration plus per-element literal stores, linear order: a concrete
+    operand handed to a runtime helper."""
     out = _constant_decl(ctx, value)
     if value.is_scalar:
         ctx.emit(Store(out.name, Lit(value)))
@@ -696,11 +726,8 @@ def _soft_nominal(fn, fallback: MatValue, *args):
 # overloaded operations
 
 
-def bv_binop(op: str, a, b) -> BVar:
-    if not (isinstance(a, BVar) and isinstance(b, BVar)):
-        return bv_binop(op, *_coerce_pair(a, b))
-    if not (a.sym or b.sym):
-        return BVar(None, False, mv.elem_binop(op, a.value, b.value))
+@_operation(mv.elem_binop)
+def bv_binop(op: str, a, b) -> Handle:
     if a.dtype is not b.dtype:
         raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
     if a.dtype.is_bool:
@@ -721,7 +748,7 @@ def bv_binop(op: str, a, b) -> BVar:
             if op == "mul_elem" and num.is_scalar and num.value.data[0] == 1:
                 return other
         if op == "mul_elem" and num.is_scalar and num.value.data[0] == 0:
-            return BVar(None, False, nominal)
+            return Num(nominal)
         if op == "div_elem" and num is b and num.is_scalar and num.value.data[0] == 1:
             return a
 
@@ -732,20 +759,14 @@ def bv_binop(op: str, a, b) -> BVar:
     return _per_element(_ctx_of(a, b), nominal, expr_at, _row_major(*nominal.shape))
 
 
+@_operation(mv.neg)
 def bv_neg(a) -> BVar:
-    a = _as_bvar(a)
-    nominal = mv.neg(a.value)
-    if not a.sym:
-        return BVar(None, False, nominal)
-    return _per_element(a.ctx, nominal, lambda k: Un("-", _elem_expr(a, k)),
-                        _row_major(*nominal.shape))
+    return _per_element(a.ctx, mv.neg(a.value), lambda k: Un("-", _elem_expr(a, k)),
+                        _row_major(*a.shape))
 
 
-def bv_matmul(a, b) -> BVar:
-    if not (isinstance(a, BVar) and isinstance(b, BVar)):
-        return bv_matmul(*_coerce_pair(a, b))
-    if not (a.sym or b.sym):
-        return BVar(None, False, mv.matmul(a.value, b.value))  # a 1x1 operand scales
+@_operation(mv.matmul)
+def bv_matmul(a, b) -> Handle:
     if a.is_scalar or b.is_scalar:
         return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
     rows, cols = mv.matmul_shape(a, b)
@@ -774,14 +795,11 @@ def bv_matmul(a, b) -> BVar:
     return _per_element(ctx, nominal, expr_at, _row_major(*nominal.shape))
 
 
+@_operation(mv.transpose)
 def bv_transpose(a) -> BVar:
-    a = _as_bvar(a)
-    nominal = mv.transpose(a.value)
-    if not a.sym:
-        return BVar(None, False, nominal)
-    ctx = a.ctx
     if a.is_scalar:
         return a
+    ctx, nominal = a.ctx, mv.transpose(a.value)
     if nominal.size > UNROLL_LIMIT:
         res = _helper_call(ctx, "quote", "Transpose of matrix of size {}>{}: calling external "
                            "function".format(nominal.size, UNROLL_LIMIT),
@@ -793,15 +811,13 @@ def bv_transpose(a) -> BVar:
                         _row_major(*nominal.shape))
 
 
-def bv_concat_rows(a, b) -> BVar:
-    a, b = _as_bvar(a), _as_bvar(b)
+@_operation(mv.concat_rows)
+def bv_concat_rows(a, b) -> Handle:
     if a.size == 0:
         return b
     if b.size == 0:
         return a
     nominal = mv.concat_rows(a.value, b.value)
-    if not (a.sym or b.sym):
-        return BVar(None, False, nominal)
 
     def expr_at(k):
         # column j of the result is column j of a over column j of b
@@ -813,15 +829,13 @@ def bv_concat_rows(a, b) -> BVar:
     return _per_element(_ctx_of(a, b), nominal, expr_at, range(nominal.size))
 
 
-def bv_concat_cols(a, b) -> BVar:
-    a, b = _as_bvar(a), _as_bvar(b)
+@_operation(mv.concat_cols)
+def bv_concat_cols(a, b) -> Handle:
     if a.size == 0:
         return b
     if b.size == 0:
         return a
     nominal = mv.concat_cols(a.value, b.value)
-    if not (a.sym or b.sym):
-        return BVar(None, False, nominal)
     ctx = _ctx_of(a, b)
     ctx.emit(Annot("Begin concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     res = _per_element(ctx, nominal,
@@ -831,24 +845,26 @@ def bv_concat_cols(a, b) -> BVar:
     return res
 
 
-def _concat(join, parts) -> BVar:
+def _concat(join, parts) -> Handle:
     """The parts joined left to right; a bare number adopts the dtype of
-    what it is joined to, a leading one that of the first bvar part."""
-    out = _as_bvar(parts[0], like=next((p for p in parts if isinstance(p, BVar)), None))
+    what it is joined to, a leading one that of the first handle part."""
+    out = parts[0]
+    if not isinstance(out, Handle):
+        out = _as_handle(out, like=next((p for p in parts if isinstance(p, Handle)), None))
     for p in parts[1:]:
-        out = join(out, _as_bvar(p, like=out))
+        out = join(out, p if type(p) is Num else _as_handle(p, like=out))
     return out
 
 
-def vertcat(*parts) -> BVar:
+def vertcat(*parts) -> Handle:
     return _concat(bv_concat_rows, parts)
 
 
-def horzcat(*parts) -> BVar:
+def horzcat(*parts) -> Handle:
     return _concat(bv_concat_cols, parts)
 
 
-def _linear_index(a: BVar, i, j) -> int:
+def _linear_index(a: MatValue, i, j) -> int:
     """The 0-based linear index of 1-based element i (column-major) or (i, j),
     checked against a's shape."""
     if j is None:
@@ -860,64 +876,56 @@ def _linear_index(a: BVar, i, j) -> int:
     return (i - 1) + a.rows * (j - 1)
 
 
-def bv_index_get(a: BVar, i, j=None) -> BVar:
+def bv_index_get(a: Handle, i, j=None) -> Handle:
     """1-based element read; linear indices are column-major."""
-    k = _linear_index(a, i, j)
-    elem = MatValue(a.value.dtype, 1, 1, (a.value.data[k],))
-    if not a.sym:
-        return BVar(None, False, elem)
-    return _def_scalar(a.ctx, _elem_expr(a, k), elem)
+    v = a.value
+    k = _linear_index(v, i, j)
+    elem = MatValue(v.dtype, 1, 1, (v.data[k],))
+    return _def_scalar(a.ctx, _elem_expr(a, k), elem) if a.sym else Num(elem)
 
 
-def bv_index_set(a: BVar, i, j=None, *, rhs) -> BVar:
+def bv_index_set(a: Handle, i, j=None, *, rhs) -> Handle:
     """1-based element write; promotes a numeric target when rhs is symbolic."""
     if getattr(a, "held", False):
         raise HeldValue(a)
-    rhs = _as_bvar(rhs, like=a)
+    rhs = _as_handle(rhs, like=a)
     if not rhs.is_scalar:
         raise mv.ShapeMismatch("element write needs a 1x1 rhs")
-    k = _linear_index(a, i, j)
+    k = _linear_index(a.value, i, j)
     if rhs.dtype != a.value.dtype:
         raise mv.DtypeMismatch("element write {} into {}".format(rhs.dtype, a.value.dtype))
-    if not a.sym and not rhs.sym:
-        a.value = a.value.set_linear(k, rhs.value.data[0])
-        return a
-    ctx = _ctx_of(a, rhs)
-    if not a.sym:
-        # promote: a fresh local initialized with the current value
-        a.ctx, a.sym, a.name = ctx, True, _constant_decl(ctx, a.value).name
-    ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
+    if rhs.sym or a.sym:
+        ctx = _ctx_of(a, rhs)
+        if not a.sym:
+            # promote: a BVar of a fresh local initialized with the current value
+            a.__class__, a.ctx, a.name = BVar, ctx, _constant_decl(ctx, a.value).name
+        ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
     a.value = a.value.set_linear(k, rhs.value.data[0])
     return a
 
 
-def bv_size(a: BVar) -> MatValue:
+def bv_size(a: Handle) -> MatValue:
     """Always numeric, even for symbolic operands."""
     return mv.make(F64, 1, 2, [a.rows, a.cols])
 
 
-def bv_datatype(a: BVar) -> Dtype:
+def bv_datatype(a: Handle) -> Dtype:
     return a.dtype
 
 
+@_operation(mv.convert)
 def bv_convert(a, dtype: Dtype) -> BVar:
-    if not isinstance(a, BVar):
-        a = _as_bvar(a)
     if a.dtype is dtype:
         return a
-    if not a.sym:
-        return BVar(None, False, mv.convert(a.value, dtype))
     # pin the source's definition so the conversion point survives optimization
     a.ctx.pinned.add(a.name)
     return _per_element(a.ctx, mv.convert(a.value, dtype),
                         lambda k: Cast(dtype, _elem_expr(a, k)), range(a.size))
 
 
+@_operation(mv.sum_all)
 def bv_sum(a) -> BVar:
-    a = _as_bvar(a)
     nominal = mv.sum_all(a.value)
-    if not a.sym:
-        return BVar(None, False, nominal)
     if a.is_scalar:
         return a
     acc = _elem_expr(a, 0)
@@ -926,25 +934,20 @@ def bv_sum(a) -> BVar:
     return _def_scalar(a.ctx, acc, nominal)
 
 
+@_operation(mv.compare)
 def bv_compare(op: str, a, b) -> BVar:
-    a, b = _coerce_pair(a, b)
-    nominal = mv.compare(op, a.value, b.value)
-    if not (a.sym or b.sym):
-        return BVar(None, False, nominal)
-    sym = _SPELLING[op]
+    nominal, sym = mv.compare(op, a.value, b.value), _SPELLING[op]
     return _per_element(_ctx_of(a, b), nominal,
                         lambda k: Bin(sym, _elem_expr(a, k), _elem_expr(b, k)),
                         _row_major(*nominal.shape))
 
 
+@_operation(mv.elem_math)
 def bv_elem_math(fn: str, *args) -> BVar:
-    args = [_as_bvar(a) for a in args]
-    if not any(a.sym for a in args):
-        return BVar(None, False, mv.elem_math(fn, *[a.value for a in args]))
     if fn == "atan2" and args[0].shape != args[1].shape:
         raise mv.ShapeMismatch("atan2 args {} vs {}".format(args[0].shape, args[1].shape))
-    shape = args[0].shape
-    nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *shape), fn, *[a.value for a in args])
+    nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *args[0].shape), fn,
+                            *[a.value for a in args])
     return _per_element(_ctx_of(*args), nominal,
                         lambda k: CallFn(fn, tuple(_elem_expr(a, k) for a in args)),
                         range(nominal.size))
@@ -966,9 +969,9 @@ def atan2(y, x):
     return bv_elem_math("atan2", y, x)
 
 
-def bv_pow(a, n) -> BVar:
-    a = _as_bvar(a)
-    if isinstance(n, BVar):
+def bv_pow(a, n) -> Handle:
+    a = _as_handle(a)
+    if isinstance(n, Handle):
         if n.sym:
             raise SymbolicConditionError("exponent must be numeric")
         n = n.value.scalar()
@@ -978,20 +981,17 @@ def bv_pow(a, n) -> BVar:
     if not a.is_scalar:
         raise mv.ShapeMismatch("power of a non-scalar")
     if n == 0:
-        return BVar(None, False, mv.make(a.value.dtype, 1, 1, [1]))
+        return Num(mv.make(a.value.dtype, 1, 1, [1]))
     out = a
     for _ in range(n - 1):
-        out = bv_matmul(out, a)
+        out = out * a
     return out
 
 
+@_operation(mv.invert)
 def bv_inv(a) -> BVar:
-    a = _as_bvar(a)
     if a.rows != a.cols:
         raise mv.NonSquare("Division by non square matrix not supported.")
-    nominal = mv.invert(a.value) if not a.sym else None
-    if not a.sym:
-        return BVar(None, False, nominal)
     ctx = a.ctx
     n = a.rows
     if n == 1:
@@ -1010,9 +1010,9 @@ def bv_inv(a) -> BVar:
                         "function".format(n * n), (n, n), (a,), (n,))
 
 
-def bv_div(a, b) -> BVar:
+@_operation(mv.divide)
+def bv_div(a, b) -> Handle:
     """a / b: elementwise when b is 1x1, else a * inv(b) for square b."""
-    a, b = _coerce_pair(a, b)
     if b.is_scalar:
         return bv_binop("div_elem", a, b)
     if b.rows != b.cols:
@@ -1020,23 +1020,21 @@ def bv_div(a, b) -> BVar:
     return bv_matmul(a, bv_inv(b))
 
 
-def el_mul(a, b) -> BVar:
+def el_mul(a, b) -> Handle:
     """Elementwise product (the .* of the matrix language)."""
     return bv_binop("mul_elem", a, b)
 
 
 def bvarempty(ctx: TraceContext, in_) -> BVar:
-    """Fresh symbolic with in's dtype and shape; declared, never copied.
-
-    A numeric source contributes its value as the declaration initializer.
-    """
-    b = _as_bvar(in_)
+    """Fresh symbolic with in's dtype and shape; declared, never copied. A
+    numeric source's value is the declaration's initializer."""
+    b = _as_handle(in_)
     return _new_array(ctx, b.value, init=None if b.sym else b.value)
 
 
 def bvarcopy(ctx: TraceContext, in_) -> BVar:
     """Like bvarempty, plus code copying the source into the new variable."""
-    b = _as_bvar(in_)
+    b = _as_handle(in_)
     res = bvarempty(ctx, b)
     _copy_into(ctx, res.name, b)
     return res
@@ -1044,7 +1042,7 @@ def bvarcopy(ctx: TraceContext, in_) -> BVar:
 
 def expand(ctx: TraceContext, in_, m: int, n: int) -> BVar:
     """A fresh symbolic m x n variable filled with a 1x1 source."""
-    b = _as_bvar(in_)
+    b = _as_handle(in_)
     if not b.is_scalar:
         raise mv.ShapeMismatch("expand needs a 1x1 source")
     replicated = MatValue(b.value.dtype, m, n, b.value.data * (m * n))

@@ -363,6 +363,45 @@ def test_block_output_converts_to_its_link_dtype(tmp_path, monkeypatch, opt, sha
     assert [list(row[0].data) for row in simulated] == [row[0] for row in compiled] == want
 
 
+# an input summed with itself, compared with a const 0 of its own dtype:
+# the sum wraps to the dtype in simulate and the interpreter, and C, which
+# computes it in int, must cast it back before comparing
+NARROW_COMPARE_MODEL = """model 98
+input 1 {tag} 1 1
+output 1 bool 1 1
+block 1 summation signs=f64[1x2](1 1)
+block 2 const value={tag}[1x1](0)
+block 3 relational_op op=gt
+link 1 in:1 -> 1.1, 1.2
+link 2 1.1 -> 3.1
+link 3 2.1 -> 3.2
+link 4 3.1 -> out:1
+"""
+
+NARROW_STIMULI = {"i8": [100, -100, 64, -64, 127, -128, 1, 0],
+                  "i16": [30000, -30000, 16384, -16384, 32767, -32768, 1, 0],
+                  "u8": [100, 200, 127, 128, 255, 1, 0],
+                  "u16": [30000, 40000, 32767, 32768, 65535, 1, 0]}
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+@pytest.mark.parametrize("tag", sorted(NARROW_STIMULI))
+def test_compiled_narrow_integer_comparison(tmp_path, tag, opt):
+    """A narrow-integer sum that wraps compares alike in simulate, the
+    interpreter and the C: the C casts the sum back to its type first."""
+    text = NARROW_COMPARE_MODEL.format(tag=tag)
+    dtype = mv.DTYPES[tag]
+    model = bg.parse_model(text)
+    c = bg.generate(bg.parse_model(text), EmitConfig(include_runtime_header=False)).text
+    assert "*inouts2=((({})(*inouts1+*inouts1))>0);".format(dtype.ctype) in c
+    inputs = [[mv.make(dtype, 1, 1, [v])] for v in NARROW_STIMULI[tag]]
+    compiled = _roundtrip(tmp_path, model, inputs, opt)
+    simulated = bg.simulate(bg.parse_model(text), inputs, len(inputs))
+    assert [[list(map(int, v.data)) for v in row] for row in simulated] == compiled
+    if tag == "i8":
+        assert compiled[:2] == [[[0]], [[1]]]  # 100+100 wraps to -56, -100-100 to 56
+
+
 def test_random_models_compile(tmp_path):
     # every random model the fuzzer accepts must emit syntactically valid C
     from test_model import _random_model

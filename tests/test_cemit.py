@@ -355,3 +355,23 @@ def test_matrix_ops_c_matches_golden(name):
     program = finalize_program(ctx, optimize=name == "matrix_ops")
     assert program.helpers == ["quote", "mult", "matinv"]
     assert cemit.render_core(program) == (GOLDEN / (name + ".c")).read_text()
+
+
+@pytest.mark.parametrize("tag,cast", [("i8", "int8_t"), ("i16", "int16_t"), ("u8", "uint8_t"),
+                                      ("u16", "uint16_t"), ("i32", None), ("u32", None),
+                                      ("f64", None)])
+def test_narrow_integer_results_cast_back_where_c_would_promote(tag, cast):
+    """An i8, i16, u8 or u16 + - * / or negation is cast back to its type
+    where it feeds a comparison, a division or a conversion; where it feeds
+    another ring operation or a store, and for wider types, it is not."""
+    d = DTYPES[tag]
+    tab = SymTab({n: Decl(n, d, 1, 1) for n in "xyz"} | {"w": Decl("w", I32, 1, 1)})
+    s = Bin("+", Ref("x"), Ref("y"))
+    wrap = (lambda t: "(({}){})".format(cast, t)) if cast else (lambda t: t)
+    assert expr_str(Bin(">", s, Ref("z")), tab) == "({}>z)".format(wrap("(x+y)"))
+    assert expr_str(Bin("/", Un("-", Ref("x")), s), tab) == \
+        "({}/ {})".format(wrap("(-(x))"), wrap("(x+y)"))
+    assert expr_str(Cast(F64, Bin("*", s, Ref("z"))), tab) == \
+        "((double)({}))".format(wrap("((x+y)*z)"))
+    assert expr_str(Bin("-", s, Un("-", s)), tab) == "((x+y)-(-(x+y)))"
+    assert instr_lines(Store("w", Cast(I32, s)), tab) == ["w={};".format(wrap("(x+y)"))]

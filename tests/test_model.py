@@ -96,6 +96,27 @@ def test_parse_errors_name_their_line():
         parse_model("model 1\nblock 1 gain gain=f64[1x1]\n")
 
 
+# a block line missing a parameter its kind needs, or giving one of the
+# wrong kind, and the message naming it; the block sits on line 3
+BAD_PARAMS = {
+    "gain without gain=": ("gain", r"block 1 \(gain\) needs gain="),
+    "unit_delay without init=": ("unit_delay", r"block 1 \(unit_delay\) needs init="),
+    "summation without signs=": ("summation", r"block 1 \(summation\) needs signs="),
+    "sciblk without behavior=": ("sciblk out1=f64[1x1]",
+                                 r"block 1 \(sciblk\) needs behavior="),
+    "signs=x": ("summation signs=x", r"block 1 \(summation\): signs='x' is not a matrix"),
+    "gain=abc": ("gain gain=abc", r"block 1 \(gain\): gain='abc' is not a matrix"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAMS))
+def test_block_parameters_are_checked_at_parse(case):
+    block, message = BAD_PARAMS[case]
+    text = "model 1\ninput 1 f64 1 1\nblock 1 {}\nlink 1 in:1 -> 1.1\n".format(block)
+    with pytest.raises(ParseError, match=r"^line 3: " + message):
+        parse_model(text)
+
+
 def test_parse_literal_under_an_output_key_stays_a_parameter():
     # a MatValue is a tuple too; only a bare signature declares an output
     block = parse_model("model 1\nblock 1 sciblk behavior=b out1=f64[2x1] out2=f64[1x1](3)\n").blocks[1]
