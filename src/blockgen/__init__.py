@@ -12,16 +12,11 @@ from .matval import (
     MatValue, NonSquare, ShapeMismatch, Singular,
 )
 from .trace import (
-    BVar, Handle, Num, Program, TraceContext, bvarcopy, bvarempty, expand, numerics,
-    symbolics, unwrap,
+    BVar, Handle, Num, Program, TraceContext, bvarempty, numerics, symbolics,
 )
 from .directives import (
-    CallTarget, IoSeq, PersistentPool, codegen_finalize, codegen_init,
-    constant, end_function, if_cos, if_exp, inouts, inouts_insert,
-    persistent_create, persistent_extract, persistent_insert, put_annotation,
-    select_exp, start_function,
+    CallTarget, IoSeq, codegen_init, if_cos, inouts, inouts_insert, put_annotation,
 )
-from .optimizer import code_optimize
 from .cemit import EmitConfig, code_printer_c, emit_program
 from .irinterp import Machine
 from .model import (

@@ -140,18 +140,19 @@ ARITY = {
 }
 
 # block kind -> its parameters, name -> (required, kind): a "matrix" is a
-# literal value, a "word" a bare name. A sciblk passes any others on to its
-# behavior; the driver adds select's active_branch.
+# literal value, a "word" a bare name, and a collection of names a word that
+# must be one of them. A sciblk passes any others on to its behavior; the
+# driver adds select's active_branch.
 PARAMS = {
     "unit_delay": {"init": (True, "matrix")},
     "gain": {"gain": (True, "matrix")},
     "summation": {"signs": (True, "matrix")},
     "mux": {},
-    "relational_op": {"op": (True, "word")},
+    "relational_op": {"op": (True, ("eq", "ne", "lt", "le", "gt", "ge"))},
     "const": {"value": (True, "matrix")},
     "select": {},
     "ifthenelse": {},
-    "sciblk": {"behavior": (True, "word")},
+    "sciblk": {"behavior": (True, BEHAVIORS)},
 }
 
 

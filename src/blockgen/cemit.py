@@ -16,7 +16,7 @@ from collections import namedtuple
 
 from .matval import COMPARE, Dtype, MatValue, F64, Record
 from .trace import (
-    OPS, Annot, Bin, Call, CallFn, Cast, Cond, CopyMat, Decl, Def, ElemRef, IfExpr,
+    OPS, Annot, Bin, Call, CallFn, Cast, CopyMat, Decl, Def, ElemRef, IfExpr,
     Lit, Program, Ref, SetElem, Store, Un, expr_dtype,
 )
 
@@ -132,9 +132,6 @@ def expr_str(e, tab: SymTab, narrow: bool = False) -> str:
         if e.dtype.is_bool:  # C's conversion to int would truncate
             return "({}!=0)".format(_parenthesized(expr_str(e.a, tab, True)))
         return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab, True))
-    if isinstance(e, Cond):
-        return "({}? {} : {})".format(expr_str(e.cond, tab), expr_str(e.a, tab, narrow),
-                                      expr_str(e.b, tab, narrow))
     raise UnsupportedInstr("unknown expression {!r}".format(e))
 
 

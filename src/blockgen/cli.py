@@ -75,10 +75,13 @@ def cmd_simulate(args) -> int:
 
 def _deviation(a: mv.MatValue, b: mv.MatValue):
     """(worst deviation, its element index) between two values of one port;
-    (0.0, None) when they agree. An f64 deviation is relative; a NaN on
-    exactly one side, or an infinity against any other value, deviates
-    infinitely, and NaN on both sides agrees. Any other dtype deviates by
-    1.0 per unequal element."""
+    (0.0, None) when they agree. Values of different dtypes or shapes have
+    no elements to pair: they deviate infinitely, at "shape". An f64
+    deviation is relative; a NaN on exactly one side, or an infinity against
+    any other value, deviates infinitely, and NaN on both sides agrees. Any
+    other dtype deviates by 1.0 per unequal element."""
+    if a.dtype is not b.dtype or a.shape != b.shape:
+        return math.inf, "shape"
     worst, at = 0.0, None
     for k, (x, y) in enumerate(zip(a.data, b.data)):
         if x == y:
@@ -114,9 +117,15 @@ def cmd_validate(args) -> int:
     print("max deviation {} over {} steps".format(worst, args.steps))
     if worst > tol:
         step, port, k, s, i = bad
-        print("MISMATCH at step {} output {} element {}: simulation {}, generated code {}".format(
-            step, port, k, format_number(s.data[k], s.dtype), format_number(i.data[k], i.dtype)),
-            file=sys.stderr)
+        if k == "shape":
+            where = ""
+            s_text = "{} {}x{}".format(s.dtype, *s.shape)
+            i_text = "{} {}x{}".format(i.dtype, *i.shape)
+        else:
+            where = " element {}".format(k)
+            s_text, i_text = format_number(s.data[k], s.dtype), format_number(i.data[k], i.dtype)
+        print("MISMATCH at step {} output {}{}: simulation {}, generated code {}".format(
+            step, port, where, s_text, i_text), file=sys.stderr)
         return 1
     print("simulation and generated code agree")
     return 0

@@ -167,9 +167,6 @@ class MatValue(Record, namedtuple("MatValue", "dtype rows cols data")):
             raise ShapeMismatch("index ({},{}) out of {}x{}".format(i, j, self.rows, self.cols))
         return self.data[i + self.rows * j]
 
-    def get_linear(self, k: int):
-        return self.data[k]
-
     def set_linear(self, k: int, v) -> "MatValue":
         if not 0 <= k < self.size:
             raise ShapeMismatch("linear index {} out of {}".format(k, self.size))
@@ -327,11 +324,6 @@ def convert_kernel(src: Dtype, dst: Dtype):
     """The function converting one src element to dst, as a C cast or
     assignment does."""
     return _CONVERT_KERNELS[src.tag, dst.tag]
-
-
-def binop_elem(op: str, a, b, dtype: Dtype):
-    """One element of an arithmetic op; C semantics for dtype."""
-    return elem_kernel(op, dtype)(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -203,15 +203,20 @@ def _parse_endpoint(text: str, src: bool):
 
 
 def _check_params(bid: int, kind: str, params: dict):
-    """Each parameter blocks.PARAMS declares for kind is present if required
-    and of its kind."""
+    """Each parameter blocks.PARAMS declares for kind is present if required,
+    of its kind and, for a word of a given collection, one of them."""
     for name, (required, value_kind) in blockmod.PARAMS[kind].items():
         if name not in params:
             if required:
                 raise ParseError("block {} ({}) needs {}=".format(bid, kind, name))
-        elif isinstance(params[name], str) != (value_kind == "word"):
+            continue
+        word = value_kind != "matrix"
+        if isinstance(params[name], str) != word:
             raise ParseError("block {} ({}): {}={!r} is not a {}"
-                             .format(bid, kind, name, params[name], value_kind))
+                             .format(bid, kind, name, params[name], "word" if word else "matrix"))
+        if word and value_kind != "word" and params[name] not in value_kind:
+            raise ParseError("block {} ({}): {}={!r} is not one of {}"
+                             .format(bid, kind, name, params[name], " ".join(value_kind)))
 
 
 def parse_model(text: str) -> Model:
@@ -341,6 +346,11 @@ def _build_graph(model: Model) -> Graph:
             if n_out > max_out:
                 raise ParseError("block {} ({}): too many outputs".format(b.id, b.kind))
             n_out = max_out
+        if b.kind == "summation":
+            signs = b.params["signs"].data
+            if len(signs) != n_in or any(s not in (1, -1) for s in signs):
+                raise ParseError("block {} (summation): signs {} are not one 1 or -1 for each "
+                                 "of its {} inputs".format(b.id, list(signs), n_in))
         ins[b.id] = [by_port[p] for p in range(1, n_in + 1)]
         outs[b.id] = [out_ports[b.id][p] for p in sorted(out_ports[b.id])]
         # an unconnected output takes the first input's signature (a delay
@@ -456,6 +466,12 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
         for l in outs:
             _unify_dtype(l, v.dtype, changed)
             _unify_shape(l, v.rows, v.cols, changed)
+    elif b.kind == "summation" and len(ins) == 1:
+        # one input sums all its elements: the output is 1x1, its dtype the input's
+        for l in outs:
+            _unify_dtype(l, ins[0].dtype, changed)
+            _unify_dtype(ins[0], l.dtype, changed)
+            _unify_shape(l, 1, 1, changed)
     elif b.kind in ("unit_delay", "summation", "select"):
         group = ins + outs
         dt = next((l.dtype for l in group if l.dtype), None)
@@ -573,6 +589,9 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
         where = "an input" if k is None else "input slot {} (link {})".format(k + 1, plan.ins[k].id)
         raise ModelError("block {} wrote an element of {}: a link's value is read only"
                          .format(b.id, where)) from e
+    except mv.MatError as e:
+        raise ModelError("block {} ({}) at flag {}: {}: {}"
+                         .format(b.id, b.kind, flag, type(e).__name__, e)) from e
     if flag == blockmod.OUTPUT and st.written:
         raise blockmod.FlagPurityError(
             "block {} wrote state during the output phase".format(b.id))
@@ -781,7 +800,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             value = bv_convert(value, link.dtype)
         port_dsts = [d for d in link.dsts if d[0] == "out"]
         for d in port_dsts:
-            _copy_into(ctx, out_port_names[d[1]], value)
+            inouts_insert(io, out_port_names[d[1]], value)
         if port_dsts:
             linkvals[link.id] = _held(io.entries[out_port_names[port_dsts[0][1]]])
             return
@@ -828,9 +847,9 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     ctx.push_function(update_output, io)
     for k, link in g.fed_by.items():
         if link.const_value is not None:
-            _copy_into(ctx, out_port_names[k], Num(link.const_value))
+            inouts_insert(io, out_port_names[k], Num(link.const_value))
         elif link.src[0] == "in":
-            _copy_into(ctx, out_port_names[k], linkvals[link.id])
+            inouts_insert(io, out_port_names[k], linkvals[link.id])
     for node in sched.output_order:
         if isinstance(node, tuple):
             lower_region(node[1])

@@ -209,17 +209,3 @@ def optimize_body(body, decls, params, statics, pinned, optimize=True,
             del decls[name]
     return out, used
 
-
-def code_optimize(code, declarations, top_declarations, optimize=True,
-                  params=(), extra_names=(), pinned=()):
-    """Clean one instruction sequence: fold literals, inline single-use
-    definitions, remove dead code and unused declarations.
-
-    declarations is the local pool (name -> Decl), top_declarations the
-    static pool; both are pruned to what the surviving code references.
-    """
-    decls = dict(declarations)
-    body, used = optimize_body(list(code), decls, params, top_declarations, set(pinned),
-                               optimize, extra_names=extra_names)
-    top = {k: v for k, v in top_declarations.items() if k in used}
-    return body, decls, top

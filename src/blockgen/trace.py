@@ -44,10 +44,6 @@ class SymbolicConditionError(TraceError):
     """A control decision depended on a value unknown at generation time."""
 
 
-class NestedFunction(TraceError):
-    pass
-
-
 class NoOpenFunction(TraceError):
     pass
 
@@ -95,10 +91,6 @@ class CallFn(Expr, namedtuple("CallFn", "fn args")):  # fn: sqrt sin cos atan2; 
 
 
 class Cast(Expr, namedtuple("Cast", "dtype a")):
-    __slots__ = ()
-
-
-class Cond(Expr, namedtuple("Cond", "cond a b")):
     __slots__ = ()
 
 
@@ -175,8 +167,6 @@ def _node_dtype(e: Expr, dtypes) -> Dtype:
         if db is not da:
             raise mv.DtypeMismatch("{} vs {}".format(da, db))
         return mv.BOOL if OPS[e.op] in mv.COMPARE else da
-    if t is Cond:
-        return _common_dtype(dtypes[1:])
     if t is CallFn:
         _common_dtype(dtypes)
         return F64
@@ -190,7 +180,7 @@ def lower_expr(e: Expr, cell):
     env[i][k]; a literal constant; or else a function fn(env). cell(name, k)
     resolves element k (0-based) of a name to (cell, dtype). Each operator's
     kernel comes from matval.elem_kernel, its one definition. Nothing is
-    evaluated here, and only the taken arm of a Cond runs."""
+    evaluated here."""
     t = type(e)
     if t is Ref:
         return cell(e.name, 0)
@@ -214,11 +204,6 @@ def lower_expr(e: Expr, cell):
         args = list(map(lower_expr, e.args, [cell] * len(e.args)))
         kernel = mv.elem_kernel(e.fn, _common_dtype([d for _, d in args]))
         return kernel_fn(kernel, *[x for x, _ in args]), F64
-    if t is Cond:
-        (c, dc), (a, da), (b, db) = (lower_expr(e.cond, cell), lower_expr(e.a, cell),
-                                     lower_expr(e.b, cell))
-        return (lambda env, c=operand_fn(c), a=operand_fn(a), b=operand_fn(b):
-                a(env) if c(env) else b(env)), _node_dtype(e, (dc, da, db))
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -232,8 +217,6 @@ def children(e: Expr) -> tuple:
         return (e.a,)
     if isinstance(e, CallFn):
         return e.args
-    if isinstance(e, Cond):
-        return (e.cond, e.a, e.b)
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -254,9 +237,6 @@ def map_children(e: Expr, f) -> Expr:
     if isinstance(e, CallFn):
         args = tuple(f(a) for a in e.args)
         return e if all(x is y for x, y in zip(args, e.args)) else CallFn(e.fn, args)
-    if isinstance(e, Cond):
-        c, a, b = f(e.cond), f(e.a), f(e.b)
-        return e if c is e.cond and a is e.a and b is e.b else Cond(c, a, b)
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -357,7 +337,7 @@ class TraceContext:
     def __init__(self):
         self.counter = 0
         self.module = FunctionDef("<module>", [])
-        self._open = []            # stack of (FunctionDef, IoSeq)
+        self._open = []            # stack of open FunctionDefs
         self.functions = []        # sealed FunctionDefs, completion order
         self.statics = {}          # name -> static Decl, registration order
         self.pinned = set()        # def names that must not be inlined
@@ -379,7 +359,7 @@ class TraceContext:
 
     # -- frames ------------------------------------------------------------
 
-    frame = property(lambda self: self._open[-1][0] if self._open else self.module)
+    frame = property(lambda self: self._open[-1] if self._open else self.module)
 
     def emit(self, instr: Instr):
         self.frame.body.append(instr)
@@ -402,18 +382,18 @@ class TraceContext:
         self.statics[name] = Decl(name, default.dtype, default.rows, default.cols, default,
                                   static=True)
 
-    # internal push/pop used both by the directives and the model driver;
-    # the public StartFunction/EndFunction wrappers forbid nesting
     def push_function(self, name, io):
+        """Open function name, whose parameters are io's entries (see
+        directives.inouts); until it is popped, code records into it."""
         fn = FunctionDef(name, [Decl(e.name, e.value.dtype, e.value.rows, e.value.cols)
                                 for e in io.entries.values()])
-        self._open.append((fn, io))
+        self._open.append(fn)
         return fn
 
     def pop_function(self, name=None):
         if not self._open:
             raise NoOpenFunction("no function open")
-        fn = self._open[-1][0]
+        fn = self._open[-1]
         if name is not None and fn.name != name:
             raise NoOpenFunction("open function is {!r}, not {!r}".format(fn.name, name))
         self._open.pop()
@@ -586,10 +566,6 @@ def _ctx_of(*handles) -> TraceContext:
     for b in handles:
         if b.ctx is not None:
             return b.ctx
-
-
-def unwrap(b: Handle) -> MatValue:
-    return b.value
 
 
 # ---------------------------------------------------------------------------
@@ -904,11 +880,6 @@ def bv_index_set(a: Handle, i, j=None, *, rhs) -> Handle:
     return a
 
 
-def bv_size(a: Handle) -> MatValue:
-    """Always numeric, even for symbolic operands."""
-    return mv.make(F64, 1, 2, [a.rows, a.cols])
-
-
 def bv_datatype(a: Handle) -> Dtype:
     return a.dtype
 
@@ -1020,34 +991,9 @@ def bv_div(a, b) -> Handle:
     return bv_matmul(a, bv_inv(b))
 
 
-def el_mul(a, b) -> Handle:
-    """Elementwise product (the .* of the matrix language)."""
-    return bv_binop("mul_elem", a, b)
-
-
 def bvarempty(ctx: TraceContext, in_) -> BVar:
     """Fresh symbolic with in's dtype and shape; declared, never copied. A
     numeric source's value is the declaration's initializer."""
     b = _as_handle(in_)
     return _new_array(ctx, b.value, init=None if b.sym else b.value)
 
-
-def bvarcopy(ctx: TraceContext, in_) -> BVar:
-    """Like bvarempty, plus code copying the source into the new variable."""
-    b = _as_handle(in_)
-    res = bvarempty(ctx, b)
-    _copy_into(ctx, res.name, b)
-    return res
-
-
-def expand(ctx: TraceContext, in_, m: int, n: int) -> BVar:
-    """A fresh symbolic m x n variable filled with a 1x1 source."""
-    b = _as_handle(in_)
-    if not b.is_scalar:
-        raise mv.ShapeMismatch("expand needs a 1x1 source")
-    replicated = MatValue(b.value.dtype, m, n, b.value.data * (m * n))
-    res = _new_array(ctx, replicated, init=replicated)
-    if b.sym:
-        for k in range(m * n):
-            ctx.emit(SetElem(res.name, k + 1, _operand_expr(b)))
-    return res

@@ -2,10 +2,7 @@ import pathlib
 import random
 
 from blockgen import matval as mv
-from blockgen.directives import (
-    codegen_init, end_function, finalize_program, inouts, inouts_insert,
-    start_function,
-)
+from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen.irinterp import Machine
 from blockgen.trace import numerics
 
@@ -49,10 +46,10 @@ def trace_op(op_fn, input_templates, nominal_fn=None):
         inouts_insert(io, name, mv.zeros(v.dtype, v.rows, v.cols))
     inouts_insert(io, "res", mv.zeros(out_template.dtype, out_template.rows,
                                       out_template.cols))
-    start_function(ctx, "f", io)
+    ctx.push_function("f", io)
     result = op_fn(*[io.entries[n] for n in names])
     inouts_insert(io, "res", result)
-    end_function(ctx, "f", io)
+    ctx.pop_function("f")
     return finalize_program(ctx), out_template
 
 

@@ -20,7 +20,7 @@ from blockgen.matval import BOOL, F64, I32
 from blockgen.cemit import code_printer_c
 from blockgen.directives import codegen_init, finalize_program
 from blockgen.irinterp import Machine
-from blockgen.optimizer import code_optimize
+from blockgen.optimizer import optimize_body
 from blockgen import trace as tr
 from blockgen.trace import bv_inv, numerics, symbolics
 
@@ -145,8 +145,8 @@ def test_criterion_2_inverse_golden():
     ctx = codegen_init()
     a = symbolics(ctx, mv.zeros(F64, 2, 2))
     bv_inv(a)
-    body, decls, _ = code_optimize(ctx.module.body, ctx.module.decls, {},
-                                   extra_names=ctx._names, pinned=ctx.pinned)
+    body, _ = optimize_body(ctx.module.body, ctx.module.decls, (), {}, ctx.pinned,
+                            extra_names=ctx._names)
     lines = code_printer_c(body, {})
     assert len(lines) == 9
     assert canonical_tokens(lines) == canonical_tokens(GOLDEN_INV_2X2)
@@ -262,7 +262,7 @@ def _rand_value(rng, dtype, r, c):
 _OPS = [
     ("add", 2, lambda a, b: a + b),
     ("sub", 2, lambda a, b: a - b),
-    ("elmul", 2, tr.el_mul),
+    ("elmul", 2, lambda a, b: tr.bv_binop("mul_elem", a, b)),
     ("matmul", 2, lambda a, b: a * b),
     ("concat", 2, tr.bv_concat_rows),
     ("lt", 2, lambda a, b: tr.bv_compare("lt", a, b)),
@@ -270,7 +270,7 @@ _OPS = [
     ("neg", 1, lambda a: -a),
     ("transpose", 1, tr.bv_transpose),
     ("sum", 1, tr.bv_sum),
-    ("sqrtsq", 1, lambda a: tr.sqrt(tr.el_mul(a, a))),
+    ("sqrtsq", 1, lambda a: tr.sqrt(tr.bv_binop("mul_elem", a, a))),
     ("convert", 1, lambda a: tr.bv_convert(a, I32)),
 ]
 
@@ -311,7 +311,7 @@ def _6b_trace_faithfulness():
         args = _args_for(rng, name, dtype)[:arity]
         program, template = trace_op(fn, args)
         got = run_traced(program, template, args)
-        want = tr.unwrap(fn(*[numerics(v) for v in args]))
+        want = fn(*[numerics(v) for v in args]).value
         if want.dtype.is_float:
             assert_close(got, want, rel=1e-12)
         else:

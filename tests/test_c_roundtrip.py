@@ -244,6 +244,28 @@ def test_compiled_negative_zero_literal(tmp_path, opt):
         assert math.copysign(1.0, crow[0][0]) == math.copysign(1.0, srow[0].data[0]) == -1.0
 
 
+ONE_INPUT_SUM_MODEL = """model 3
+input 1 f64 3 1
+output 1 f64 1 1
+block 1 summation signs=f64[1x1](-1)
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+"""
+
+
+def test_compiled_one_input_summation(tmp_path):
+    """A summation of one input adds up its elements, so a 3x1 input gives
+    a 1x1 output in simulate, the interpreter and the C; a 3x1 output port
+    on it conflicts."""
+    inputs = [[mv.make(mv.F64, 3, 1, [1.0, 2.0, 3.0])], [mv.make(mv.F64, 3, 1, [0.5, -4.0, 0.25])]]
+    compiled = _roundtrip(tmp_path, bg.parse_model(ONE_INPUT_SUM_MODEL), inputs)
+    simulated = bg.simulate(bg.parse_model(ONE_INPUT_SUM_MODEL), inputs, len(inputs))
+    assert [[list(v.data) for v in row] for row in simulated] == compiled == [[[-6.0]], [[3.25]]]
+    wide = ONE_INPUT_SUM_MODEL.replace("output 1 f64 1 1", "output 1 f64 3 1")
+    with pytest.raises(bg.Conflict, match="^link 2: shape 3x1 vs 1x1$"):
+        bg.infer(bg.parse_model(wide))
+
+
 @pytest.mark.parametrize("opt", ["-O0", "-O2"])
 def test_compiled_conversion_to_bool(tmp_path, opt):
     """A conversion to bool gives 0 or 1 in C, as in the interpreter: of a
@@ -257,10 +279,10 @@ def test_compiled_conversion_to_bool(tmp_path, opt):
     for name, v in sources.items():
         bg.inouts_insert(io, name, v)
         bg.inouts_insert(io, "b" + name, mv.zeros(mv.BOOL, v.rows, v.cols))
-    bg.start_function(ctx, "convert", io)
+    ctx.push_function("convert", io)
     for name in sources:
         bg.inouts_insert(io, "b" + name, tr.bv_convert(io.entries[name], mv.BOOL))
-    bg.end_function(ctx, "convert", io)
+    ctx.pop_function("convert")
     program = finalize_program(ctx)
     fn = program.function("convert")
     values = [sources.get(p.name, mv.zeros(p.dtype, p.rows, p.cols)) for p in fn.params]

@@ -13,13 +13,10 @@ from blockgen.cemit import (
     EmitConfig, SymTab, code_printer_c, decl_line, emit_helper, emit_program,
     expr_str, format_number, instr_lines,
 )
-from blockgen.directives import (
-    codegen_init, end_function, finalize_program, if_exp, inouts, inouts_insert,
-    select_exp, start_function,
-)
+from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen import trace as tr
 from blockgen.trace import (
-    Bin, CallFn, Cast, CallTarget, Cond, CopyMat, Decl, ElemRef, IfExpr, Lit,
+    Bin, CallFn, Cast, CallTarget, CopyMat, Decl, ElemRef, IfExpr, Lit,
     Ref, SetElem, Store, Un,
 )
 
@@ -107,8 +104,6 @@ def test_expr_printing_conventions():
     assert expr_str(CallFn("atan2", (ElemRef("z", 3), ElemRef("z", 1))), tab) \
         == "atan2((z[2]),(z[0]))"
     assert expr_str(Cast(I32, Ref("t")), tab) == "((int32_t)(t))"
-    assert expr_str(Cond(Ref("c"), Ref("t"), Lit(mv.scalar(0.0))), tab) \
-        == "(c? t : 0)"
 
 
 def test_nested_binop_parenthesization():
@@ -178,24 +173,19 @@ def test_code_printer_with_free_names():
 
 
 def _tiny_program(include_runtime=True, statics=True):
-    from blockgen.directives import (codegen_init, finalize_program, inouts,
-                                     inouts_insert, persistent_create,
-                                     persistent_insert, start_function,
-                                     end_function)
     ctx = codegen_init()
-    pool = persistent_create(ctx)
     if statics:
-        pool = persistent_insert(pool, "z_1", mv.scalar(0.0))
+        ctx.register_static("z_1", mv.scalar(0.0))
     io = inouts(ctx)
     io = inouts_insert(io, "inouts1", mv.scalar(0.0))
     io = inouts_insert(io, "inouts2", mv.scalar(0.0))
-    start_function(ctx, "updateOutput5", io)
+    ctx.push_function("updateOutput5", io)
     if statics:
-        pool = persistent_insert(pool, "z_1", io.inouts1)
+        tr._copy_into(ctx, "z_1", io.entries["inouts1"])
     inouts_insert(io, "inouts2", mv.scalar(2.0))
-    end_function(ctx, "updateOutput5", io)
-    start_function(ctx, "updateState5", io)
-    end_function(ctx, "updateState5", io)
+    ctx.pop_function("updateOutput5")
+    ctx.push_function("updateState5", io)
+    ctx.pop_function("updateState5")
     meta = {"ports": [
         {"name": "inouts1", "dtype": F64, "rows": 1, "cols": 1, "input": True},
         {"name": "inouts2", "dtype": F64, "rows": 1, "cols": 1, "input": False},
@@ -265,31 +255,30 @@ MATRIX_OPS_INPUTS = {
     "r": mv.from_rows([[1.0, 2.0, 3.0, 4.0]]),
     "q": mv.from_rows([[4.0], [3.0], [2.0], [1.0]]),
     "m": mv.from_rows([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]),
-    "sel": mv.make(I32, 1, 1, [2]),
 }
 
 
-def _matrix_ops(ctx, v):
+def _matrix_ops(v):
     """Every per-element and helper-call site of the tracer, at non-square
     shapes where the shape matters: a and b are 2x3, c is 3x2, r is 1x4, q
-    is 4x1, m is 3x3, s and sel are 1x1. Results are yielded one at a time,
-    so that each can be stored before the next is traced."""
-    a, b, c, s, r, q, m, sel = (v[k] for k in ("a", "b", "c", "s", "r", "q", "m", "sel"))
+    is 4x1, m is 3x3, s is 1x1. Results are yielded one at a time, so that
+    each can be stored before the next is traced."""
+    a, b, c, s, r, q, m = (v[k] for k in ("a", "b", "c", "s", "r", "q", "m"))
     mask = tr.numerics(mv.from_rows([[0.0, 2.0, 0.0], [1.0, 0.0, 3.0]]))
     picks = tr.numerics(mv.from_rows([[1.0, 0.0], [0.0, 0.0], [2.0, 1.0]]))
     # elementwise arithmetic, broadcasting and the numeric-operand identities
     yield a + b
     yield a - s
     yield s - c
-    yield tr.el_mul(s, a)
+    yield tr.bv_binop("mul_elem", s, a)
     yield a / s
     yield a + 0
     yield 0 - a
     yield 1 * a
-    yield tr.el_mul(0, a)
+    yield tr.bv_binop("mul_elem", 0, a)
     yield a + mask
     yield mask - a
-    yield tr.el_mul(a, mask)
+    yield tr.bv_binop("mul_elem", a, mask)
     yield -a
     yield -c
     yield -s
@@ -331,27 +320,23 @@ def _matrix_ops(ctx, v):
     t = tr.numerics(mv.zeros(F64, 2, 2))
     t[1, 2] = s
     yield t
-    cond = tr.bv_compare("gt", s, 0.0)
-    yield if_exp(ctx, cond, a, b)
-    yield if_exp(ctx, cond, s, -s)
-    yield select_exp(ctx, sel, a, b, a + b)
 
 
 @pytest.mark.parametrize("name", ["matrix_ops", "matrix_ops.raw"])
 def test_matrix_ops_c_matches_golden(name):
     # a directive-built program that reaches each tracer site at shapes the
     # fixtures do not: kalman's products are 4x4, its vectors 4x1 and 2x1
-    probe = list(_matrix_ops(None, {k: tr.numerics(x) for k, x in MATRIX_OPS_INPUTS.items()}))
+    probe = list(_matrix_ops({k: tr.numerics(x) for k, x in MATRIX_OPS_INPUTS.items()}))
     ctx = codegen_init()
     io = inouts(ctx)
     for k, x in MATRIX_OPS_INPUTS.items():
         inouts_insert(io, k, x)
     for k, out in enumerate(probe, 1):
         inouts_insert(io, "out{}".format(k), mv.zeros(out.dtype, out.rows, out.cols))
-    start_function(ctx, "ops", io)
-    for k, out in enumerate(_matrix_ops(ctx, io.entries), 1):
+    ctx.push_function("ops", io)
+    for k, out in enumerate(_matrix_ops(io.entries), 1):
         inouts_insert(io, "out{}".format(k), out)
-    end_function(ctx, "ops", io)
+    ctx.pop_function("ops")
     program = finalize_program(ctx, optimize=name == "matrix_ops")
     assert program.helpers == ["quote", "mult", "matinv"]
     assert cemit.render_core(program) == (GOLDEN / (name + ".c")).read_text()

@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from blockgen import matval as mv
 from blockgen.cli import main
 
 from conftest import FIXTURES
@@ -166,3 +167,31 @@ def test_validate_reports_nan_mismatch(capsys, monkeypatch):
     assert code == 1
     assert "max deviation inf" in stdout
     assert "MISMATCH at step 3 output 1 element 0: simulation NAN, generated code " in stderr
+
+
+@pytest.mark.parametrize("change,shown", [
+    (lambda v: mv.MatValue(v.dtype, 1, 1, v.data[:1]), "simulation f64 1x1, generated code f64 2x1"),
+    (lambda v: mv.MatValue(mv.I32, 2, 1, tuple(map(int, v.data))),
+     "simulation i32 2x1, generated code f64 2x1"),
+], ids=["shape", "dtype"])
+def test_validate_detects_a_value_of_another_shape_or_dtype(capsys, monkeypatch, change, shown):
+    # the simulation yields a value unlike its port whose elements equal the
+    # generated code's, element by element as far as both go
+    import blockgen.cli as cli
+    real_simulate = cli.simulate
+
+    def reshaped(model, inputs, steps):
+        outputs = real_simulate(model, inputs, steps)
+        outputs[3][0] = change(outputs[3][0])
+        return outputs
+
+    def integral(model, steps, seed):
+        return [[mv.scalar(float(k))] for k in range(steps)]
+
+    monkeypatch.setattr(cli, "simulate", reshaped)
+    monkeypatch.setattr(cli, "_random_stimuli", integral)
+    code, stdout, stderr = run(capsys, "validate", str(FIXTURES / "twodelays.model"),
+                               "--steps", "6", "--seed", "1")
+    assert code == 1
+    assert "max deviation inf" in stdout
+    assert "MISMATCH at step 3 output 1: {}".format(shown) in stderr

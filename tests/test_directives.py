@@ -1,25 +1,21 @@
-"""Directive-level sessions: persistent pools, function arguments,
-constants, expansion, copies and the conditional forms."""
+"""Directive-level sessions: program statics, function arguments,
+initialized declarations, copies and the structural conditional."""
 
 import pytest
 
 from blockgen import matval as mv
-from blockgen.matval import BOOL, F64, I32
+from blockgen.matval import BOOL, I32
 from blockgen.cemit import code_printer_c, render_core
 from blockgen.directives import (
-    CallTarget, UnknownName, codegen_finalize, codegen_init, code_insert,
-    constant, end_function, finalize_program, if_cos, if_exp, inouts,
-    inouts_insert, persistent_create, persistent_extract, persistent_insert,
-    put_annotation, select_exp, start_function,
+    CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert,
+    put_annotation,
 )
 from blockgen.irinterp import Machine
 from blockgen import trace as tr
 from blockgen.trace import (
-    Annot, Call, CopyMat, IfExpr, NestedFunction, NoOpenFunction, Store,
-    UnbalancedFunction, bvarcopy, bvarempty, expand, numerics, symbolics,
+    Call, IfExpr, NoOpenFunction, UnbalancedFunction, _copy_into, bvarempty, numerics,
+    symbolics,
 )
-
-from conftest import assert_close
 
 
 def r13():
@@ -35,24 +31,22 @@ def test_codegen_init_fresh():
 
 
 def session_4_1():
-    """Persistent-pool session: x1 and x2 re-inserted inside foo, x3 unused."""
+    """Static session: x1 and x2 written inside foo, x3 unused."""
     ctx = codegen_init()
-    states = persistent_create(ctx)
-    states = persistent_insert(states, "x1", r13())
-    states = persistent_insert(states, "x2", mv.scalar(7.0))
-    states = persistent_insert(states, "x3", mv.from_rows([[1, 2, 3, 4, 5, 6]]))
-    io = inouts(ctx)
-    start_function(ctx, "foo", io)
-    code_insert(ctx, "annotation", "copy [4:6] into x1 with memcpy")
-    states = persistent_insert(states, "x1", mv.from_rows([[4, 5, 6]]))
-    code_insert(ctx, "annotation", "copy with assign since x2 is 1x1")
-    states = persistent_insert(states, "x2", mv.scalar(8.0))
-    end_function(ctx, "foo", io)
+    ctx.register_static("x1", r13())
+    ctx.register_static("x2", mv.scalar(7.0))
+    ctx.register_static("x3", mv.from_rows([[1, 2, 3, 4, 5, 6]]))
+    ctx.push_function("foo", inouts(ctx))
+    put_annotation(ctx, "copy [4:6] into x1 with memcpy")
+    _copy_into(ctx, "x1", numerics(mv.from_rows([[4, 5, 6]])))
+    put_annotation(ctx, "copy with assign since x2 is 1x1")
+    _copy_into(ctx, "x2", numerics(mv.scalar(8.0)))
+    ctx.pop_function("foo")
     return ctx
 
 
 def test_persistent_session_text():
-    text = codegen_finalize(session_4_1())
+    text = render_core(finalize_program(session_4_1()))
     assert "static double x1[]={ 1, 2, 3 };" in text
     assert "static double x2=7;" in text
     assert "x3" not in text  # never used, no static emitted
@@ -77,62 +71,42 @@ def test_persistent_session_initialize_restores_defaults():
 
 
 def test_empty_session_finalize():
-    text = codegen_finalize(codegen_init())
+    text = render_core(finalize_program(codegen_init()))
     assert "initialize" in text and "static" not in text
 
 
 def test_unbalanced_function_detected():
     ctx = codegen_init()
-    start_function(ctx, "foo", inouts(ctx))
+    ctx.push_function("foo", inouts(ctx))
     with pytest.raises(UnbalancedFunction):
-        codegen_finalize(ctx)
+        finalize_program(ctx)
 
 
 def test_nested_and_mismatched_functions():
     ctx = codegen_init()
     io = inouts(ctx)
-    start_function(ctx, "foo", io)
-    with pytest.raises(NestedFunction):
-        start_function(ctx, "bar", io)
+    ctx.push_function("foo", io)
+    ctx.push_function("bar", io)
     with pytest.raises(NoOpenFunction):
-        end_function(ctx, "bar", io)
-    end_function(ctx, "foo", io)
+        ctx.pop_function("foo")
+    ctx.pop_function("bar")
+    ctx.pop_function("foo")
     with pytest.raises(NoOpenFunction):
-        end_function(ctx, "foo", io)
-
-
-def test_persistent_reinsert_shape_checks():
-    ctx = codegen_init()
-    pool = persistent_create(ctx)
-    pool = persistent_insert(pool, "x1", r13())
-    with pytest.raises(mv.ShapeMismatch):
-        persistent_insert(pool, "x1", mv.scalar(1.0))
-    with pytest.raises(mv.DtypeMismatch):
-        persistent_insert(pool, "x1", mv.make(I32, 1, 3, [1, 2, 3]))
-
-
-def test_persistent_extract():
-    ctx = codegen_init()
-    pool = persistent_create(ctx)
-    pool = persistent_insert(pool, "x1", r13())
-    h = persistent_extract(pool, "x1")
-    assert h.sym and h.name == "x1" and h.shape == (1, 3)
-    with pytest.raises(UnknownName):
-        persistent_extract(pool, "nope")
+        ctx.pop_function("foo")
+    assert [fn.name for fn in ctx.functions] == ["bar", "foo"]
 
 
 def test_inouts_session_copies_into_argument():
     """Argument session: x1 filled from the argument, then the argument
     overwritten with a constant."""
     ctx = codegen_init()
-    states = persistent_create(ctx)
-    states = persistent_insert(states, "x1", r13())
+    ctx.register_static("x1", r13())
     io = inouts(ctx)
     io = inouts_insert(io, "inouts1", mv.from_rows([[4, 8, 9]]))
-    start_function(ctx, "foo", io)
-    states = persistent_insert(states, "x1", io.inouts1)
+    ctx.push_function("foo", io)
+    _copy_into(ctx, "x1", io.entries["inouts1"])
     io = inouts_insert(io, "inouts1", mv.from_rows([[7, 8, 9]]))
-    end_function(ctx, "foo", io)
+    ctx.pop_function("foo")
     program = finalize_program(ctx)
     text = render_core(program)
     assert "void foo(double *inouts1){" in text
@@ -148,9 +122,9 @@ def test_scalar_argument_reinsert_uses_deref():
     ctx = codegen_init()
     io = inouts(ctx)
     io = inouts_insert(io, "inouts1", mv.scalar(0.0))
-    start_function(ctx, "foo", io)
+    ctx.push_function("foo", io)
     inouts_insert(io, "inouts1", mv.scalar(7.0))
-    end_function(ctx, "foo", io)
+    ctx.pop_function("foo")
     text = render_core(finalize_program(ctx))
     assert "*inouts1=7;" in text
 
@@ -159,53 +133,42 @@ def test_argument_mismatch_errors():
     ctx = codegen_init()
     io = inouts(ctx)
     io = inouts_insert(io, "inouts1", mv.scalar(0.0))
-    with pytest.raises(mv.ShapeMismatch):
+    io = inouts_insert(io, "inouts2", r13())
+    with pytest.raises(mv.ShapeMismatch, match=r"^argument inouts1: \(1, 3\) vs \(1, 1\)$"):
         inouts_insert(io, "inouts1", r13())
+    with pytest.raises(mv.DtypeMismatch, match="^argument inouts2: i32 vs f64$"):
+        inouts_insert(io, "inouts2", mv.make(I32, 1, 3, [1, 2, 3]))
+    assert not ctx.module.body  # a refused write records nothing
+
+
+def _declare(ctx, name, value):
+    """An initialized local, as bvarempty declares one from a numeric value."""
+    ctx.claim_name(name)
+    ctx.declare(name, value.dtype, value.rows, value.cols, init=value)
 
 
 def test_constant_prints_column_major():
     ctx = codegen_init()
-    constant(ctx, mv.from_rows([[5, 0], [7, 8]]), "x1")
+    _declare(ctx, "x1", mv.from_rows([[5, 0], [7, 8]]))
     lines = code_printer_c(ctx.module.body, ctx.module.decls)
     assert lines == ["double x1[]={ 5, 7, 0, 8 };"]
 
 
 def test_constant_scalar_and_bool():
     ctx = codegen_init()
-    constant(ctx, mv.scalar(5.0), "s")
-    constant(ctx, mv.make(BOOL, 1, 2, [True, False]), "b")
+    _declare(ctx, "s", mv.scalar(5.0))
+    _declare(ctx, "b", mv.make(BOOL, 1, 2, [True, False]))
     lines = code_printer_c(ctx.module.body, ctx.module.decls)
     assert "double s=5;" in lines
     assert "int b[]={ TRUE, FALSE };" in lines
 
 
-def test_expand_bool_replication():
-    ctx = codegen_init()
-    v = expand(ctx, numerics(mv.scalar(True, BOOL)), 2, 3)
-    lines = code_printer_c(ctx.module.body, ctx.module.decls)
-    assert lines == ["int {}[]={{ TRUE, TRUE, TRUE, TRUE, TRUE, TRUE }};".format(v.name)]
-    assert v.shape == (2, 3) and v.dtype == BOOL
-
-
-def test_expand_symbolic_sets_every_element():
-    ctx = codegen_init()
-    x = symbolics(ctx, mv.scalar(0.0), "x")
-    v = expand(ctx, x, 2, 2)
-    sets = [i for i in ctx.module.body if isinstance(i, tr.SetElem)]
-    assert len(sets) == 4 and all(s.name == v.name for s in sets)
-
-
-def test_expand_1x1_is_plain_copy():
-    ctx = codegen_init()
-    v = expand(ctx, numerics(mv.scalar(3.0)), 1, 1)
-    assert v.shape == (1, 1)
-    assert ctx.module.decls[v.name].init.scalar() == 3.0
-
-
-def test_bvarcopy_numeric_source_text():
+def test_copy_into_numeric_matrix_text():
+    # a numeric matrix is copied from a fresh local initialized with it
     ctx = codegen_init()
     src = mv.from_rows([[0.25, 0.5, 0.75], [1.0, 1.25, 1.5]])
-    v = bvarcopy(ctx, numerics(src))
+    v = bvarempty(ctx, numerics(src))
+    _copy_into(ctx, v.name, numerics(src))
     lines = code_printer_c(ctx.module.body, ctx.module.decls)
     assert any(line.startswith("memcpy({},".format(v.name)) for line in lines)
     assert sum("[]={" in line for line in lines) == 2  # source and copy decls
@@ -219,66 +182,6 @@ def test_put_annotation_format():
 
 # ---------------------------------------------------------------------------
 # conditionals
-
-
-def test_if_exp_numeric_selects():
-    ctx = codegen_init()
-    a, b = numerics(mv.scalar(1.0)), numerics(mv.scalar(2.0))
-    assert if_exp(ctx, numerics(mv.scalar(True, BOOL)), a, b) is a
-    assert if_exp(ctx, numerics(mv.scalar(False, BOOL)), a, b) is b
-    assert not ctx.module.body
-
-
-def test_if_exp_shape_mismatch():
-    ctx = codegen_init()
-    with pytest.raises(mv.ShapeMismatch):
-        if_exp(ctx, numerics(mv.scalar(True, BOOL)),
-               numerics(mv.zeros(F64, 2, 1)), numerics(mv.zeros(F64, 1, 2)))
-
-
-def test_if_exp_symbolic_equals_numeric_select():
-    # oracle: evaluating the recorded select must match picking a branch
-    # numerically, for both condition values
-    from conftest import run_traced, trace_op
-    for cond_value in (True, False):
-        program, template = trace_op(
-            lambda c, x, y: if_exp(c.ctx, c, x + y, x - y),
-            [mv.scalar(cond_value, BOOL), mv.scalar(5.0), mv.scalar(3.0)])
-        got = run_traced(program, template,
-                         [mv.scalar(cond_value, BOOL), mv.scalar(5.0), mv.scalar(3.0)])
-        assert got.scalar() == (8.0 if cond_value else 2.0)
-
-
-def test_if_exp_symbolic_matrix():
-    from conftest import run_traced, trace_op
-    a = mv.from_rows([[1.0, 2.0]])
-    b = mv.from_rows([[3.0, 4.0]])
-    for cond_value in (True, False):
-        program, template = trace_op(
-            lambda c, x, y: if_exp(c.ctx, c, x, y),
-            [mv.scalar(cond_value, BOOL), a, b])
-        got = run_traced(program, template, [mv.scalar(cond_value, BOOL), a, b])
-        assert got == (a if cond_value else b)
-
-
-def test_select_exp_numeric():
-    ctx = codegen_init()
-    choices = [numerics(mv.scalar(float(k))) for k in (10, 20, 30)]
-    assert select_exp(ctx, numerics(mv.scalar(2.0)), *choices).value.scalar() == 20.0
-    with pytest.raises(IndexError):
-        select_exp(ctx, numerics(mv.scalar(4.0)), *choices)
-
-
-def test_select_exp_symbolic_matches_numeric():
-    from conftest import run_traced, trace_op
-    choices = [11.0, 22.0, 33.0]
-    for sel in (1, 2, 3):
-        program, template = trace_op(
-            lambda s: select_exp(s.ctx, s, *[numerics(mv.make(I32, 1, 1, [int(c)]))
-                                             for c in choices]),
-            [mv.make(I32, 1, 1, [sel])])
-        got = run_traced(program, template, [mv.make(I32, 1, 1, [sel])])
-        assert got.scalar() == int(choices[sel - 1])
 
 
 def test_if_cos_symbolic_emits_guarded_calls():

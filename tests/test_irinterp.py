@@ -8,16 +8,13 @@ import pytest
 
 from blockgen import matval as mv
 from blockgen.matval import F64, I8, I32
-from blockgen.directives import (
-    codegen_init, end_function, finalize_program, inouts, inouts_insert,
-    persistent_create, persistent_insert, start_function,
-)
+from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen.irinterp import InterpError, Machine, UnboundName
 from blockgen import trace as tr
 from blockgen.optimizer import fold_expr
 from blockgen.trace import (
-    Bin, Call, CallFn, CallTarget, Cast, Cond, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit,
-    Program, Ref, SetElem, Store, Un, numerics,
+    Bin, Call, CallFn, CallTarget, Cast, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit,
+    Program, Ref, SetElem, Store, Un, _copy_into, numerics,
 )
 
 from conftest import random_matvalue
@@ -25,36 +22,35 @@ from conftest import random_matvalue
 
 def _program_with(body_builder, statics=(), args=()):
     ctx = codegen_init()
-    pool = persistent_create(ctx)
     for name, value in statics:
-        pool = persistent_insert(pool, name, value)
+        ctx.register_static(name, value)
     io = inouts(ctx)
     for name, value in args:
         io = inouts_insert(io, name, value)
-    start_function(ctx, "f", io)
-    body_builder(ctx, io, pool)
-    end_function(ctx, "f", io)
+    ctx.push_function("f", io)
+    body_builder(ctx, io)
+    ctx.pop_function("f")
     return finalize_program(ctx)
 
 
 def test_unknown_function():
-    program = _program_with(lambda ctx, io, pool: None)
+    program = _program_with(lambda ctx, io: None)
     with pytest.raises(KeyError):
         Machine(program).run_function("ghost", [])
 
 
 def test_wrong_arity():
-    program = _program_with(lambda ctx, io, pool: None,
+    program = _program_with(lambda ctx, io: None,
                             args=[("inouts1", mv.scalar(0.0))])
     with pytest.raises(InterpError):
         Machine(program).run_function("f", [])
 
 
 def test_store_converts_like_c_assignment():
-    def build(ctx, io, pool):
+    def build(ctx, io):
         inouts_insert(io, "inouts1", mv.make(I8, 1, 1, [0]))
 
-    program = _program_with(lambda ctx, io, pool: None,
+    program = _program_with(lambda ctx, io: None,
                             args=[("inouts1", mv.make(I8, 1, 1, [0]))])
     program.function("f").body.append(Store("inouts1", Lit(mv.scalar(257.9))))
     (out,) = Machine(program).run_function("f", [mv.make(I8, 1, 1, [0])])
@@ -62,7 +58,7 @@ def test_store_converts_like_c_assignment():
 
 
 def test_division_by_zero_yields_inf():
-    def build(ctx, io, pool):
+    def build(ctx, io):
         a = io.entries["a"]
         inouts_insert(io, "res", numerics(mv.scalar(1.0)) / a)
 
@@ -73,8 +69,8 @@ def test_division_by_zero_yields_inf():
 
 
 def test_statics_persist_until_reinitialized():
-    def build(ctx, io, pool):
-        persistent_insert(pool, "acc", io.entries["a"])
+    def build(ctx, io):
+        _copy_into(ctx, "acc", io.entries["a"])
 
     program = _program_with(build, statics=[("acc", mv.scalar(0.0))],
                             args=[("a", mv.scalar(0.0))])
@@ -88,9 +84,9 @@ def test_statics_persist_until_reinitialized():
 
 
 def test_locals_are_function_scoped():
-    def build(ctx, io, pool):
+    def build(ctx, io):
         t = io.entries["a"] + numerics(1.0)
-        persistent_insert(pool, "acc", t)
+        _copy_into(ctx, "acc", t)
 
     program = _program_with(build, statics=[("acc", mv.scalar(0.0))],
                             args=[("a", mv.scalar(0.0))])
@@ -105,9 +101,9 @@ def test_determinism():
     rng = random.Random(3)
     values = [random_matvalue(rng, F64, 1, 1) for _ in range(5)]
 
-    def build(ctx, io, pool):
+    def build(ctx, io):
         t = io.entries["a"] * io.entries["a"] + numerics(2.0)
-        persistent_insert(pool, "acc", t)
+        _copy_into(ctx, "acc", t)
 
     program = _program_with(build, statics=[("acc", mv.scalar(0.0))],
                             args=[("a", mv.scalar(0.0))])
@@ -120,7 +116,7 @@ def test_determinism():
 
 
 def test_unbound_name():
-    program = _program_with(lambda ctx, io, pool: None)
+    program = _program_with(lambda ctx, io: None)
     program.function("f").body.append(Store("nowhere", Lit(mv.scalar(1.0))))
     with pytest.raises(UnboundName):
         Machine(program).run_function("f", [])
@@ -128,16 +124,16 @@ def test_unbound_name():
 
 def test_def_of_undeclared_name_is_unbound():
     # a Def stores into its declared local, as the emitted `name=expr;` does
-    program = _program_with(lambda ctx, io, pool: None)
+    program = _program_with(lambda ctx, io: None)
     program.function("f").body.append(Def("nowhere", Lit(mv.scalar(1.0))))
     with pytest.raises(UnboundName):
         Machine(program).run_function("f", [])
 
 
 def test_integer_wrap_in_interpreter():
-    def build(ctx, io, pool):
+    def build(ctx, io):
         t = io.entries["a"] + io.entries["a"]
-        persistent_insert(pool, "acc", t)
+        _copy_into(ctx, "acc", t)
 
     program = _program_with(build, statics=[("acc", mv.make(I32, 1, 1, [0]))],
                             args=[("a", mv.make(I32, 1, 1, [0]))])
@@ -156,7 +152,7 @@ def test_run_steps_against_fixture():
     assert len(outs) == 3
     # delay2 state lags the input by one step; the mux's second slot is the
     # current input
-    assert [o[0].get_linear(1) for o in outs] == [1.0, 2.0, 3.0]
+    assert [o[0].data[1] for o in outs] == [1.0, 2.0, 3.0]
     assert machine.run_steps([], 0) == []
 
 
@@ -174,17 +170,6 @@ def _hand_program(body, params, decls=(), statics=(), functions=()):
 
 def _i32(v):
     return mv.make(I32, 1, 1, [v])
-
-
-def test_only_the_taken_cond_arm_runs():
-    untaken = Bin("/", Lit(_i32(1)), Lit(_i32(0)))
-    program = _hand_program(
-        [Store("res", Cond(Ref("c"), Lit(_i32(7)), untaken))],
-        [Decl("c", I32, 1, 1), Decl("res", I32, 1, 1)])
-    _, res = Machine(program).run_function("f", [_i32(1), _i32(0)])
-    assert res.scalar() == 7
-    with pytest.raises(mv.DivisionByZero):
-        Machine(program).run_function("f", [_i32(0), _i32(0)])
 
 
 def test_unfolded_division_by_zero_raises_when_it_executes():
@@ -278,7 +263,8 @@ def test_callee_writes_through_to_caller_local_and_static():
 # Function f(l, r, t, res) computes one expression into res. Each operand is
 # one of three kinds, which the lowering treats differently: a cell (element
 # 2 of the 2x1 param l on the left, the 1x1 param r on the right), a literal,
-# or a nested expression (a Cond whose taken arm reads l or r). l holds the
+# or a nested expression (an operator node whose value is the cell's: a
+# product with 1, or for a bool a conversion to i32 and back). l holds the
 # left value twice, r the right one, and t is true.
 
 KINDS = ("cell", "literal", "nested")
@@ -287,13 +273,14 @@ EDGE_F64 = [(1.0, 0.0), (-0.0, 0.0), (math.inf, -math.inf), (math.nan, 2.5), (-3
 
 
 def _operand(kind, side, dtype, v):
-    name = "l" if side == 0 else "r"
     cell = ElemRef("l", 2) if side == 0 else Ref("r")
     if kind == "cell":
         return cell
     if kind == "literal":
         return Lit(mv.make(dtype, 1, 1, [v]))
-    return Cond(Ref("t"), ElemRef(name, 1), cell)
+    if dtype.is_bool:
+        return Cast(dtype, Cast(I32, cell))
+    return Bin("*", cell, Lit(mv.make(dtype, 1, 1, [1])))
 
 
 def _lowered(expr, dtype, res_dtype):
@@ -427,21 +414,6 @@ def test_lowered_math_call_matches_its_kernel(fn):
         _run(_lowered(CallFn(fn, args), I32, F64), I32, 1, 1, F64)
 
 
-@pytest.mark.parametrize("cond", KINDS)
-def test_lowered_cond_runs_the_taken_arm(cond):
-    for dtype in mv.DTYPES.values():
-        for x, y in _values(dtype, 17):
-            for taken in (True, False):
-                test = {"cell": Ref("t"), "literal": Lit(mv.make(mv.BOOL, 1, 1, [taken])),
-                        "nested": Cond(Ref("t"), Ref("t"), Ref("t"))}[cond]
-                for left, right in PAIRS:
-                    expr = Cond(test, _operand(left, 0, dtype, x), _operand(right, 1, dtype, y))
-                    _check_element(_lowered(expr, dtype, dtype), x if taken else y,
-                                   dtype, x, y, dtype, taken)
-                    if cond == left == right == "literal":
-                        _check_fold(expr, x if taken else y, dtype)
-
-
 @pytest.mark.parametrize("leaf", ["literal", "ref", "elemref"])
 def test_lowered_leaf_store_copies_its_element(leaf):
     for dtype in mv.DTYPES.values():
@@ -483,7 +455,7 @@ def test_lowered_stores_convert_to_their_destination(kind):
     (Bin("*", Lit(mv.scalar(1.0)), ElemRef("l", 0)), InterpError,
      "f: element 0 of l is outside its 2 elements"),
     (Bin("+", Ref("r"), Lit(_i32(1))), mv.DtypeMismatch, "f64 vs i32"),
-    (Cond(Ref("t"), Ref("r"), Lit(_i32(1))), mv.DtypeMismatch, "f64 vs i32"),
+    (Bin("-", Un("-", Ref("r")), Lit(_i32(1))), mv.DtypeMismatch, "f64 vs i32"),
     (CallFn("atan2", (Ref("r"), Lit(_i32(1)))), mv.DtypeMismatch, "f64 vs i32"),
     (Bin("+", Ref("t"), Ref("t")), mv.DtypeMismatch,
      "bool participates in arithmetic only after conversion"),

@@ -94,23 +94,23 @@ def test_integer_wrap_matches_c(dtype):
     for _ in range(200):
         x, y = rng.randint(lo, hi), rng.randint(lo, hi)
         for op, pyop in (("add", x + y), ("sub", x - y), ("mul", x * y)):
-            got = mv.binop_elem(op, x, y, dtype)
+            got = mv.elem_kernel(op, dtype)(x, y)
             assert got == mv.wrap_int(pyop, dtype)
             assert lo <= got <= hi
 
 
 def test_int_division_truncates_toward_zero():
-    assert mv.binop_elem("div", -7, 2, I32) == -3
-    assert mv.binop_elem("div", 7, -2, I32) == -3
-    assert mv.binop_elem("div", 7, 2, I32) == 3
+    assert mv.elem_kernel("div", I32)(-7, 2) == -3
+    assert mv.elem_kernel("div", I32)(7, -2) == -3
+    assert mv.elem_kernel("div", I32)(7, 2) == 3
     with pytest.raises(mv.DivisionByZero):
-        mv.binop_elem("div", 1, 0, I32)
+        mv.elem_kernel("div", I32)(1, 0)
 
 
 def test_f64_division_by_zero_is_ieee():
-    assert mv.binop_elem("div", 1.0, 0.0, F64) == math.inf
-    assert mv.binop_elem("div", -1.0, 0.0, F64) == -math.inf
-    assert math.isnan(mv.binop_elem("div", 0.0, 0.0, F64))
+    assert mv.elem_kernel("div", F64)(1.0, 0.0) == math.inf
+    assert mv.elem_kernel("div", F64)(-1.0, 0.0) == -math.inf
+    assert math.isnan(mv.elem_kernel("div", F64)(0.0, 0.0))
 
 
 def test_matmul_frozen_kalman_prediction():

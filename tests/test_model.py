@@ -117,9 +117,35 @@ def test_block_parameters_are_checked_at_parse(case):
         parse_model(text)
 
 
+# a block line whose parameters parse but that its block could not run with,
+# and the message naming it: the block sits on line 4, after two f64 inputs,
+# and a sign count is checked against the inputs linked to it
+BAD_PARAM_VALUES = {
+    "op=foo": ("relational_op op=foo", 2,
+               r"^line 4: block 1 \(relational_op\): op='foo' is not one of eq ne lt le gt ge$"),
+    "behavior=nosuch": ("sciblk behavior=nosuch out1=f64[1x1]", 1,
+                        r"^line 4: block 1 \(sciblk\): behavior='nosuch' is not one of .*\bgain\b"),
+    "one sign for two inputs": ("summation signs=f64[1x1](1)", 2,
+                                r"^block 1 \(summation\): signs \[1\.0\] are not one 1 or -1 "
+                                r"for each of its 2 inputs$"),
+    "a sign of 2": ("summation signs=f64[1x2](1 2)", 2,
+                    r"^block 1 \(summation\): signs \[1\.0, 2\.0\] are not one 1 or -1 "
+                    r"for each of its 2 inputs$"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_PARAM_VALUES))
+def test_bad_parameter_values_are_rejected_at_parse(case):
+    block, n_in, message = BAD_PARAM_VALUES[case]
+    links = "".join("link {0} in:{0} -> 1.{0}\n".format(k) for k in range(1, n_in + 1))
+    text = "model 1\ninput 1 f64 1 1\ninput 2 f64 1 1\nblock 1 {}\n{}".format(block, links)
+    with pytest.raises(ParseError, match=message):
+        parse_model(text)
+
+
 def test_parse_literal_under_an_output_key_stays_a_parameter():
     # a MatValue is a tuple too; only a bare signature declares an output
-    block = parse_model("model 1\nblock 1 sciblk behavior=b out1=f64[2x1] out2=f64[1x1](3)\n").blocks[1]
+    block = parse_model("model 1\nblock 1 sciblk behavior=ekf_range_bearing out1=f64[2x1] out2=f64[1x1](3)\n").blocks[1]
     assert block.out_sig == {1: (F64, 2, 1)}
     assert block.params["out2"] == mv.scalar(3.0)
 
@@ -1276,3 +1302,29 @@ def test_generate_coding_branch_bodies():
     else_branch = re.search(
         r"void updateOutput10042\([^)]*\)\{(.*?)\n\}", text, re.S).group(1)
     assert "link10046=*inouts2;" in else_branch
+
+
+def test_a_behaviors_matrix_error_names_its_block():
+    # kalman's filter multiplies its 2x1 measurement; a 2x106 one fails
+    text = load_model_text("kalman.model").replace("input 1 f64 2 1\n", "input 1 f64 2 106\n")
+    message = (r"^block 1 \(sciblk\) at flag 1: ShapeMismatch: "
+               r"shapes \(2, 106\) and \(2, 1\) incompatible$")
+    with pytest.raises(md.ModelError, match=message) as generating:
+        bg.generate(parse_model(text))
+    assert isinstance(generating.value.__cause__, mv.ShapeMismatch)
+    with pytest.raises(md.ModelError, match=message):
+        bg.simulate(parse_model(text), [[mv.zeros(F64, 2, 106)]], 1)
+
+
+def test_generate_checks_the_shape_of_every_port_write(monkeypatch):
+    # a behavior writing a 1x1 value to its 3x1 output, which feeds a 3x1 port
+    def first_element(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[2] = blk.io[1][1]
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "first_element", first_element)
+    model = parse_model("model 1\ninput 1 f64 3 1\noutput 1 f64 3 1\n"
+                        "block 1 sciblk behavior=first_element out1=f64[3x1]\n"
+                        "link 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n")
+    with pytest.raises(mv.ShapeMismatch, match=r"^argument inouts2: \(1, 1\) vs \(3, 1\)$"):
+        bg.generate(model)

@@ -9,9 +9,9 @@ import pytest
 
 from blockgen import matval as mv
 from blockgen.matval import F64, I32
-from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert, start_function, end_function
+from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen.irinterp import Machine
-from blockgen.optimizer import MalformedIR, _pass_fold, code_optimize
+from blockgen.optimizer import MalformedIR, _pass_fold, optimize_body
 from blockgen import trace as tr
 from blockgen.trace import (
     Annot, Bin, Call, CallTarget, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem,
@@ -25,8 +25,8 @@ def test_unused_def_removed():
     ctx = codegen_init()
     x = symbolics(ctx, mv.scalar(0.0), "x")
     x + numerics(2.0)  # result never used
-    body, decls, _ = code_optimize(ctx.module.body, ctx.module.decls, {},
-                                   extra_names=ctx._names)
+    decls = ctx.module.decls
+    body, _ = optimize_body(ctx.module.body, decls, (), {}, set(), extra_names=ctx._names)
     assert body == [] and decls == {}
 
 
@@ -35,8 +35,8 @@ def test_transitively_dead_chain_removed():
     x = symbolics(ctx, mv.scalar(0.0), "x")
     t1 = x + numerics(2.0)
     t1 * numerics(mv.scalar(3.0))  # dead, and so transitively is t1
-    body, decls, _ = code_optimize(ctx.module.body, ctx.module.decls, {},
-                                   extra_names=ctx._names)
+    decls = ctx.module.decls
+    body, _ = optimize_body(ctx.module.body, decls, (), {}, set(), extra_names=ctx._names)
     assert body == [] and decls == {}
 
 
@@ -44,7 +44,7 @@ def test_literal_fold():
     body = [Def("t", Bin("+", Lit(mv.scalar(2.0)), Lit(mv.scalar(3.0)))),
             Store("out", Ref("t"))]
     decls = {"t": tr.Decl("t", F64, 1, 1)}
-    out, decls2, _ = code_optimize(body, decls, {}, extra_names={"out", "t"})
+    out, _ = optimize_body(body, decls, (), {}, set(), extra_names={"out", "t"})
     (store,) = out
     assert isinstance(store, Store) and store.expr == Lit(mv.scalar(5.0))
 
@@ -56,8 +56,9 @@ def test_single_use_def_inlines_into_store():
     ctx.register_static("link1", mv.scalar(0.0))
     out = a - b
     ctx.emit(Store("link1", Ref(out.name)))
-    body, decls, _ = code_optimize(ctx.module.body, ctx.module.decls, ctx.statics,
-                                   extra_names=ctx._names)
+    decls = ctx.module.decls
+    body, _ = optimize_body(ctx.module.body, decls, (), ctx.statics, set(),
+                            extra_names=ctx._names)
     (store,) = body
     assert store.expr == Bin("-", Ref("a"), Ref("b"))
     assert not decls
@@ -71,8 +72,8 @@ def test_multi_use_def_survives():
     t = a + numerics(2.0)
     ctx.emit(Store("o1", Ref(t.name)))
     ctx.emit(Store("o2", Ref(t.name)))
-    body, decls, _ = code_optimize(ctx.module.body, ctx.module.decls, ctx.statics,
-                                   extra_names=ctx._names)
+    body, _ = optimize_body(ctx.module.body, ctx.module.decls, (), ctx.statics, set(),
+                            extra_names=ctx._names)
     assert any(isinstance(i, Def) and i.name == t.name for i in body)
 
 
@@ -83,8 +84,8 @@ def test_pinned_def_not_inlined():
     t = a + numerics(2.0)
     ctx.pinned.add(t.name)
     ctx.emit(Store("o1", Ref(t.name)))
-    body, _, _ = code_optimize(ctx.module.body, ctx.module.decls, ctx.statics,
-                               extra_names=ctx._names, pinned=ctx.pinned)
+    body, _ = optimize_body(ctx.module.body, ctx.module.decls, (), ctx.statics, ctx.pinned,
+                            extra_names=ctx._names)
     assert any(isinstance(i, Def) and i.name == t.name for i in body)
 
 
@@ -98,7 +99,7 @@ def test_inline_blocked_by_intervening_write():
     decls = {"t": tr.Decl("t", F64, 1, 1)}
     statics = {"s": tr.Decl("s", F64, 1, 1, mv.scalar(0.0), static=True),
                "out": tr.Decl("out", F64, 1, 1, mv.scalar(0.0), static=True)}
-    out, _, _ = code_optimize(body, decls, statics)
+    out, _ = optimize_body(body, decls, (), statics, set())
     assert any(isinstance(i, Def) and i.name == "t" for i in out)
 
 
@@ -108,22 +109,25 @@ def test_annotations_preserved_and_not_counted_as_uses():
     ctx.emit(tr.Annot("Gain block begins."))
     x + numerics(1.0)  # dead
     ctx.emit(tr.Annot("Gain block ends."))
-    body, _, _ = code_optimize(ctx.module.body, ctx.module.decls, {},
-                               extra_names=ctx._names)
+    body, _ = optimize_body(ctx.module.body, ctx.module.decls, (), {}, set(),
+                            extra_names=ctx._names)
     assert [i.text for i in body] == ["Gain block begins.", "Gain block ends."]
 
 
-def test_unused_static_pruned_by_code_optimize():
-    statics = {"dead": tr.Decl("dead", F64, 1, 1, mv.scalar(0.0), static=True),
-               "live": tr.Decl("live", F64, 1, 1, mv.scalar(0.0), static=True)}
-    body = [Store("live", Lit(mv.scalar(1.0)))]
-    _, _, top = code_optimize(body, {}, statics)
-    assert list(top) == ["live"]
+def test_unused_static_pruned_by_finalize_program():
+    ctx = codegen_init()
+    ctx.register_static("dead", mv.scalar(0.0))
+    ctx.register_static("live", mv.scalar(0.0))
+    ctx.push_function("f", inouts(ctx))
+    ctx.emit(Store("live", Lit(mv.scalar(1.0))))
+    ctx.pop_function("f")
+    program = finalize_program(ctx)
+    assert [s.name for s in program.statics] == ["live"]
 
 
 def test_malformed_ir_rejected():
     with pytest.raises(MalformedIR):
-        code_optimize([Store("ghost", Lit(mv.scalar(1.0)))], {}, {})
+        optimize_body([Store("ghost", Lit(mv.scalar(1.0)))], {}, (), {}, set())
 
 
 def _scalar_statics(*names):
@@ -141,7 +145,7 @@ def test_static_read_crosses_no_call_or_if(between, inlined):
             between,
             Store("out", Ref("t"))]
     decls = {"t": tr.Decl("t", F64, 1, 1)}
-    out, _, _ = code_optimize(body, decls, _scalar_statics("s", "u", "c", "out"))
+    out, _ = optimize_body(body, decls, (), _scalar_statics("s", "u", "c", "out"), set())
     if inlined:
         assert out == [between, Store("out", body[0].expr)]
     else:
@@ -155,9 +159,9 @@ def test_single_use_chain_collapses_into_store():
             Def("t3", Un("-", Ref("t2"))),
             Store("out", Bin("-", Ref("t3"), b))]
     decls = {n: tr.Decl(n, F64, 1, 1) for n in ("t1", "t2", "t3")}
-    out, decls2, _ = code_optimize(body, decls, _scalar_statics("a", "b", "out"))
+    out, _ = optimize_body(body, decls, (), _scalar_statics("a", "b", "out"), set())
     assert out == [Store("out", Bin("-", Un("-", Bin("*", Bin("+", a, b), a)), b))]
-    assert decls2 == {}
+    assert decls == {}
 
 
 def test_optimize_false_returns_recorded_body():
@@ -168,11 +172,11 @@ def test_optimize_false_returns_recorded_body():
     t = (x * numerics(3.0)) + numerics(1.0)  # single-use chain
     ctx.emit(Store("o", Ref(t.name)))
     ctx.emit(Annot("end"))
-    recorded = list(ctx.module.body)
-    body, decls, top = code_optimize(ctx.module.body, ctx.module.decls, ctx.statics,
-                                     optimize=False, extra_names=ctx._names)
+    recorded, declared = list(ctx.module.body), set(ctx.module.decls)
+    body, used = optimize_body(ctx.module.body, ctx.module.decls, (), ctx.statics, set(),
+                               optimize=False, extra_names=ctx._names)
     assert body == recorded
-    assert set(decls) == set(ctx.module.decls) and list(top) == ["o"]
+    assert set(ctx.module.decls) == declared and "o" in used
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +194,7 @@ def build_random_trace(rng: random.Random, n_ops=8):
         inouts_insert(io, name, mv.zeros(F64, template.rows, template.cols))
         inputs.append(template)
     ctx.register_static("acc", mv.scalar(0.0))
-    start_function(ctx, "f", io)
+    ctx.push_function("f", io)
     vals = [io.entries["a1"], io.entries["a2"]]
     for _ in range(n_ops):
         pick = rng.randrange(5)
@@ -202,7 +206,7 @@ def build_random_trace(rng: random.Random, n_ops=8):
             elif pick == 1:
                 vals.append(a - b)
             elif pick == 2:
-                vals.append(tr.el_mul(a, b))
+                vals.append(tr.bv_binop("mul_elem", a, b))
             elif pick == 3:
                 vals.append(-a)
             else:
@@ -214,7 +218,7 @@ def build_random_trace(rng: random.Random, n_ops=8):
         if rng.random() < 0.4:
             total = total + tr.bv_sum(v)
     ctx.emit(Store("acc", tr._operand_expr(total)))
-    end_function(ctx, "f", io)
+    ctx.pop_function("f")
     return ctx, inputs
 
 
@@ -339,4 +343,4 @@ def test_dangling_name_slot_rejected(instr, optimize):
     statics = {**_scalar_statics("u"),
                "m": tr.Decl("m", F64, 2, 1, mv.zeros(F64, 2, 1), static=True)}
     with pytest.raises(MalformedIR, match="ghost"):
-        code_optimize([instr], {}, statics, optimize=optimize)
+        optimize_body([instr], {}, (), statics, set(), optimize=optimize)

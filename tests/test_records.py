@@ -15,13 +15,13 @@ from blockgen.cemit import EmitConfig
 from blockgen.matval import F64
 from blockgen.model import PortSpec, RegionSpec
 from blockgen.trace import (
-    Annot, Bin, Call, CallFn, CallTarget, Cast, Cond, CopyMat, Decl, Def, ElemRef,
+    Annot, Bin, Call, CallFn, CallTarget, Cast, CopyMat, Decl, Def, ElemRef,
     IfExpr, Lit, Ref, SetElem, Store, Un,
 )
 
 ONE = Lit(mv.scalar(1.0))
 EXPRS = [ONE, Ref("a"), ElemRef("v", 2), Bin("+", Ref("a"), ONE), Un("-", Ref("a")),
-         CallFn("atan2", (Ref("a"), ONE)), Cast(F64, Ref("a")), Cond(Ref("c"), Ref("a"), ONE)]
+         CallFn("atan2", (Ref("a"), ONE)), Cast(F64, Ref("a"))]
 INSTRS = [Def("t", ONE), Store("t", ONE), SetElem("v", 1, ONE), CopyMat("d", "s", 2),
           Annot("note"), IfExpr("c", CallTarget("f", ()), CallTarget("g", ())), Call("f", ())]
 

@@ -12,8 +12,8 @@ from blockgen.directives import codegen_init
 from blockgen import trace as tr
 from blockgen.trace import (
     Annot, Call, Def, SetElem, Store, bv_compare, bv_concat_rows, bv_convert,
-    bv_datatype, bv_index_get, bv_index_set, bv_inv, bv_matmul, bv_size,
-    bv_sum, bv_transpose, bvarcopy, bvarempty, numerics, symbolics, unwrap,
+    bv_datatype, bv_index_get, bv_index_set, bv_inv, bv_matmul, bv_sum,
+    bv_transpose, bvarempty, numerics, symbolics, _copy_into,
 )
 
 from conftest import assert_close, random_matvalue, run_traced, trace_op
@@ -23,7 +23,7 @@ def test_numerics_round_trip():
     v = mv.from_rows([[4, 8, 9]])
     b = numerics(v)
     assert not b.sym
-    assert unwrap(b) == v
+    assert b.value == v
 
 
 def test_symbolics_flags_and_names():
@@ -46,9 +46,9 @@ def test_getunique_monotone():
 def test_size_and_datatype_stay_numeric():
     ctx = codegen_init()
     a = symbolics(ctx, mv.zeros(I32, 2, 3))
-    assert list(bv_size(a).data) == [2.0, 3.0]
+    assert (a.shape, a.rows, a.cols, a.size) == ((2, 3), 2, 3, 6)
     assert bv_datatype(a) == I32
-    assert bv_size(symbolics(ctx, mv.scalar(0.0))).data == (1.0, 1.0)
+    assert symbolics(ctx, mv.scalar(0.0)).shape == (1, 1)
     assert not ctx.module.body  # shape queries never emit
 
 
@@ -286,14 +286,14 @@ def test_convert_same_dtype_is_identity():
     assert bv_convert(x, F64) is x
 
 
-def test_bvarempty_and_bvarcopy():
+def test_bvarempty_and_copy_into():
     ctx = codegen_init()
     src = numerics(mv.from_rows([[1, 2, 3], [4, 5, 6]]))
     empty = bvarempty(ctx, src)
     assert empty.sym and ctx.module.decls[empty.name].init == src.value
-    copied = bvarcopy(ctx, src)
+    _copy_into(ctx, empty.name, src)
     copies = [i for i in ctx.module.body if isinstance(i, tr.CopyMat)]
-    assert copies and copies[-1].dst == copied.name and copies[-1].n == 6
+    assert copies and copies[-1].dst == empty.name and copies[-1].n == 6
 
 
 def test_inv_nonsquare_message():
@@ -340,13 +340,13 @@ _UNARY_OPS = [
     ("neg", lambda a: -a),
     ("transpose", bv_transpose),
     ("sumall", bv_sum),
-    ("sqrt_abs", lambda a: tr.sqrt(tr.el_mul(a, a))),
+    ("sqrt_abs", lambda a: tr.sqrt(tr.bv_binop("mul_elem", a, a))),
 ]
 
 _BINARY_OPS = [
     ("add", lambda a, b: a + b),
     ("sub", lambda a, b: a - b),
-    ("elmul", tr.el_mul),
+    ("elmul", lambda a, b: tr.bv_binop("mul_elem", a, b)),
     ("matmul", lambda a, b: a * b),
     ("concat", bv_concat_rows),
     ("lt", lambda a, b: bv_compare("lt", a, b)),
@@ -359,14 +359,14 @@ def test_value_consistency_numeric_ops_match_kernels():
         r, c = rng.randint(1, 3), rng.randint(1, 3)
         a = random_matvalue(rng, F64, r, c)
         b = random_matvalue(rng, F64, r, c)
-        assert unwrap(numerics(a) + numerics(b)) == mv.elem_binop("add", a, b)
-        assert unwrap(numerics(a) - numerics(b)) == mv.elem_binop("sub", a, b)
-        assert unwrap(tr.el_mul(numerics(a), numerics(b))) == mv.elem_binop("mul_elem", a, b)
-        assert unwrap(bv_transpose(numerics(a))) == mv.transpose(a)
-        assert unwrap(bv_sum(numerics(a))) == mv.sum_all(a)
-        assert unwrap(bv_compare("le", numerics(a), numerics(b))) == mv.compare("le", a, b)
+        assert (numerics(a) + numerics(b)).value == mv.elem_binop("add", a, b)
+        assert (numerics(a) - numerics(b)).value == mv.elem_binop("sub", a, b)
+        assert tr.bv_binop("mul_elem", numerics(a), numerics(b)).value == mv.elem_binop("mul_elem", a, b)
+        assert bv_transpose(numerics(a)).value == mv.transpose(a)
+        assert bv_sum(numerics(a)).value == mv.sum_all(a)
+        assert bv_compare("le", numerics(a), numerics(b)).value == mv.compare("le", a, b)
         k = random_matvalue(rng, F64, c, rng.randint(1, 3))
-        assert unwrap(numerics(a) * numerics(k)) == mv.matmul(a, k)
+        assert (numerics(a) * numerics(k)).value == mv.matmul(a, k)
 
 
 def test_symbolic_condition_rejected():
@@ -418,7 +418,7 @@ def test_trace_faithfulness_single_ops():
             b = random_matvalue(rng, F64, r, c)
         program, out_template = trace_op(fn, [a, b])
         got = run_traced(program, out_template, [a, b])
-        want = unwrap(fn(numerics(a), numerics(b)))
+        want = fn(numerics(a), numerics(b)).value
         assert_close(got, want)
 
 
@@ -441,5 +441,5 @@ def test_trace_faithfulness_integer_exact():
         for name, fn in _BINARY_OPS[:3]:
             program, out_template = trace_op(fn, [a, b])
             got = run_traced(program, out_template, [a, b])
-            want = unwrap(fn(numerics(a), numerics(b)))
+            want = fn(numerics(a), numerics(b)).value
             assert got.data == want.data
