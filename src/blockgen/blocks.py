@@ -17,7 +17,7 @@ from . import matval as mv
 from .matval import F64
 from .directives import put_annotation
 from .trace import (
-    Handle, TraceContext, _def_scalar, _operand_expr, atan2, bv_compare,
+    Handle, TraceContext, _def_scalar, _operand_expr, atan2, bv_binop,
     bv_convert, bv_datatype, cos, numerics, sin, sqrt, vertcat, horzcat,
 )
 
@@ -228,7 +228,7 @@ def mux(blk: BlockRecord, flag: int):
 def relational_op(blk: BlockRecord, flag: int):
     put_annotation(blk.ctx, "RELATIONALOP block starts")
     if flag == OUTPUT:
-        out = bv_compare(blk.params["op"], blk.io[1], blk.io[2])
+        out = bv_binop(blk.params["op"], blk.io[1], blk.io[2])
         blk.io[3] = bv_convert(out, bv_datatype(blk.io[3]))
     put_annotation(blk.ctx, "RELATIONALOP block ends")
 

@@ -7,6 +7,10 @@ them; function arguments are always pointers; 1-based trace indices shift to
 0-based; element reads print parenthesized, bare names do not; copies of one
 element are assignments, of two elements a pair of assignments, of three or
 more a memcpy.
+
+An operation (trace.Op) is spelled from C_OPS, the one table of C
+spellings, and printed so that C computes what matval.elem_kernel defines
+(see _op_str).
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .matval import COMPARE, Dtype, MatValue, F64, Record
+from .matval import COMPARE, BOOL, Dtype, MatValue, F64, Record
 from .trace import (
-    OPS, Annot, Bin, Call, CallFn, Cast, CopyMat, Decl, Def, ElemRef, IfExpr,
-    Lit, Program, Ref, SetElem, Store, Un, expr_dtype,
+    Annot, Call, Cast, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op, Program, Ref,
+    SetElem, Store,
 )
 
 
@@ -106,42 +110,76 @@ def _addr_str(name: str, tab: SymTab) -> str:
 # expressions
 
 
+# trace.Op name -> an infix operator, the prefix "-" or a math.h function;
+# "/ " never opens a comment with a following "*" dereference
+C_OPS = {
+    "add": "+", "sub": "-", "mul": "*", "div": "/ ",
+    "eq": "==", "ne": "!=", "lt": "<", "le": "<=", "gt": ">", "ge": ">=",
+    "neg": "-", "sqrt": "sqrt", "sin": "sin", "cos": "cos", "atan2": "atan2",
+}
+
+# (op, dtype tag) of the operations C would overflow in int
+_THROUGH_UINT32 = {("add", "i32"), ("sub", "i32"), ("mul", "i32"), ("neg", "i32"), ("mul", "u16")}
+
+
 def _parenthesized(text: str) -> str:
     return text if text.startswith("(") else "(" + text + ")"
 
 
 def expr_str(e, tab: SymTab, narrow: bool = False) -> str:
     """C text of e; narrow: e feeds a comparison, a division or a
-    conversion (see _narrowed)."""
-    if isinstance(e, Lit):
+    conversion (see _op_str)."""
+    t = type(e)
+    if t is Lit:
         return format_number(e.value.data[0], e.value.dtype)
-    if isinstance(e, Ref):
+    if t is Ref:
         return _ref_str(e.name, tab)
-    if isinstance(e, ElemRef):
+    if t is ElemRef:
         return "({}[{}])".format(e.name, e.index - 1)
-    if isinstance(e, Bin):
-        sep, feeds = ("/ ", True) if e.op == "/" else (e.op, OPS[e.op] in COMPARE)
-        text = "({}{}{})".format(expr_str(e.a, tab, feeds), sep, expr_str(e.b, tab, feeds))
-        return _narrowed(e, text, tab) if narrow else text
-    if isinstance(e, Un):
-        text = "({}{})".format(e.op, _parenthesized(expr_str(e.a, tab)))
-        return _narrowed(e, text, tab) if narrow else text
-    if isinstance(e, CallFn):
-        return "{}({})".format(e.fn, ",".join(expr_str(a, tab) for a in e.args))
-    if isinstance(e, Cast):
+    if t is Op:
+        return _op_str(e, tab, narrow)
+    if t is Cast:
         if e.dtype.is_bool:  # C's conversion to int would truncate
             return "({}!=0)".format(_parenthesized(expr_str(e.a, tab, True)))
         return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab, True))
     raise UnsupportedInstr("unknown expression {!r}".format(e))
 
 
-def _narrowed(e, text: str, tab: SymTab) -> str:
-    """text of the Bin or Un e, cast back to e's dtype when that is i8, i16,
-    u8 or u16: C computes such an operation in int, where matval wraps each
-    result to its dtype. The two agree through + - * and negation, but not
-    once the result is compared, divided or converted."""
-    d = expr_dtype(e, tab.dtype_of)
-    return "(({}){})".format(ctype(d), text) if d.is_int and d.width < 32 else text
+def _dtype(e, tab: SymTab) -> Dtype:
+    """The dtype of e's value, read down its first operands: an Op's value
+    has its operands' dtype, except a comparison's, which is bool."""
+    while type(e) is Op and e.op not in COMPARE:
+        e = e.args[0]
+    t = type(e)
+    if t is Op:
+        return BOOL
+    if t is Cast:
+        return e.dtype
+    return e.value.dtype if t is Lit else tab.dtype_of(e.name)
+
+
+def _op_str(e: Op, tab: SymTab, narrow: bool) -> str:
+    """C text of an Op. C computes an integer operation narrower than int in
+    int, where matval wraps each result to its dtype: the two agree through
+    + - * and negation, so such a result is cast back only where it feeds a
+    comparison, a division or a conversion. Those of _THROUGH_UINT32 are
+    computed through uint32_t, which wraps as matval does, and cast back."""
+    spelling = C_OPS[e.op]
+    if spelling.isidentifier():  # a math.h function
+        return "{}({})".format(spelling, ",".join(expr_str(a, tab) for a in e.args))
+    feeds = e.op == "div" or e.op in COMPARE
+    operands = [expr_str(a, tab, feeds) for a in e.args]
+    d = _dtype(e, tab)
+    wraps = (e.op, d.tag) in _THROUGH_UINT32
+    if wraps:
+        operands = ["(uint32_t)" + text for text in operands]
+    if len(operands) == 1:
+        text = "({}{})".format(spelling, _parenthesized(operands[0]))
+    else:
+        text = "({}{}{})".format(operands[0], spelling, operands[1])
+    if wraps or narrow and d.is_int and d.width < 32:
+        return "(({}){})".format(ctype(d), text)
+    return text
 
 
 def _assign_target(name: str, index, tab: SymTab) -> str:

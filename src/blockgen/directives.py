@@ -13,7 +13,7 @@ from . import matval as mv
 from . import optimizer
 from .trace import (
     BVar, Call, CallTarget, CopyMat, Decl, FunctionDef, IfExpr, Program, Ref, Store,
-    TraceContext, UnbalancedFunction, bv_compare, _as_handle, _as_matvalue, _copy_into,
+    TraceContext, UnbalancedFunction, bv_binop, _as_handle, _as_matvalue, _copy_into,
 )
 
 
@@ -70,7 +70,7 @@ def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
     """
     in_ = _as_handle(in_)
     if in_.sym:
-        test = bv_compare("gt", in_, 0)
+        test = bv_binop("gt", in_, 0)
         ctx.emit(IfExpr(test.name, f1, f2))
     else:
         target = f1 if in_.value.data[0] > 0 else f2

@@ -274,9 +274,6 @@ _ARITH = {
 
 _MATH = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "atan2": math.atan2}
 
-# elem_binop's operation names -> kernel names
-ELEM_OPS = {"add": "add", "sub": "sub", "mul_elem": "mul", "div_elem": "div"}
-
 
 def _convert_kernel(src: Dtype, dst: Dtype):
     if dst.is_bool:
@@ -358,13 +355,10 @@ def _elementwise(kernel, a: MatValue, b: MatValue, dtype: Dtype) -> MatValue:
 
 
 def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
+    """The binary elem_kernel op applied element by element, a 1x1 operand
+    broadcasting; a comparison gives a bool matrix."""
     dtype = a.dtype if a.dtype is b.dtype else _same_dtype(a, b)
-    return _elementwise(elem_kernel(ELEM_OPS[op], dtype), a, b, dtype)
-
-
-def compare(op: str, a: MatValue, b: MatValue) -> MatValue:
-    _same_dtype(a, b)
-    return _elementwise(COMPARE[op], a, b, BOOL)
+    return _elementwise(elem_kernel(op, dtype), a, b, BOOL if op in COMPARE else dtype)
 
 
 def neg(a: MatValue) -> MatValue:
@@ -423,7 +417,7 @@ def matmul_shape(a, b):
 
 def matmul(a: MatValue, b: MatValue) -> MatValue:
     if len(a.data) == 1 or len(b.data) == 1:
-        return elem_binop("mul_elem", a, b)  # a 1x1 operand scales the other
+        return elem_binop("mul", a, b)  # a 1x1 operand scales the other
     rows, cols, data = matmul_flat(_same_dtype(a, b), a.data, a.rows, a.cols, b.data, b.rows, b.cols)
     return _unchecked((a.dtype, rows, cols, tuple(data)))
 
@@ -431,7 +425,7 @@ def matmul(a: MatValue, b: MatValue) -> MatValue:
 def divide(a: MatValue, b: MatValue) -> MatValue:
     """a / b: elementwise by a 1x1 b, else a times the inverse of a square b."""
     if len(b.data) == 1:
-        return elem_binop("div_elem", a, b)
+        return elem_binop("div", a, b)
     return matmul(a, invert(b))
 
 

@@ -204,7 +204,9 @@ def _parse_endpoint(text: str, src: bool):
 
 def _check_params(bid: int, kind: str, params: dict):
     """Each parameter blocks.PARAMS declares for kind is present if required,
-    of its kind and, for a word of a given collection, one of them."""
+    of its kind and, for a word of a given collection, one of them. No word
+    names a block kind: a sciblk running one would run the kind's behavior
+    outside its block, or itself without end."""
     for name, (required, value_kind) in blockmod.PARAMS[kind].items():
         if name not in params:
             if required:
@@ -214,9 +216,11 @@ def _check_params(bid: int, kind: str, params: dict):
         if isinstance(params[name], str) != word:
             raise ParseError("block {} ({}): {}={!r} is not a {}"
                              .format(bid, kind, name, params[name], "word" if word else "matrix"))
-        if word and value_kind != "word" and params[name] not in value_kind:
-            raise ParseError("block {} ({}): {}={!r} is not one of {}"
-                             .format(bid, kind, name, params[name], " ".join(value_kind)))
+        if word and value_kind != "word":
+            allowed = [v for v in value_kind if v not in blockmod.ARITY]
+            if params[name] not in allowed:
+                raise ParseError("block {} ({}): {}={!r} is not one of {}"
+                                 .format(bid, kind, name, params[name], " ".join(allowed)))
 
 
 def parse_model(text: str) -> Model:
@@ -592,9 +596,16 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     except mv.MatError as e:
         raise ModelError("block {} ({}) at flag {}: {}: {}"
                          .format(b.id, b.kind, flag, type(e).__name__, e)) from e
-    if flag == blockmod.OUTPUT and st.written:
-        raise blockmod.FlagPurityError(
-            "block {} wrote state during the output phase".format(b.id))
+    if flag == blockmod.OUTPUT:
+        if st.written:
+            raise blockmod.FlagPurityError(
+                "block {} wrote state during the output phase".format(b.id))
+        for k, link, _ in plan.routes:
+            value = slots[k].value
+            if value.rows != link.rows or value.cols != link.cols:
+                raise ModelError("block {} ({}) output {} is {}x{}, but link {} is {}x{}".format(
+                    b.id, b.kind, k - len(plan.ins) + 1, value.rows, value.cols, link.id,
+                    link.rows, link.cols))
     if flag == blockmod.STATE and io.written:
         raise blockmod.FlagPurityError(
             "block {} wrote outputs during the state phase".format(b.id))

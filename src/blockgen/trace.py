@@ -7,9 +7,11 @@ meaningful (the entries are a nominal value carried along to keep shape
 inference honest, never consulted for folding), and operations on it append
 pseudo-code instructions to the active session. Each overloaded operation is
 the recorder of its symbolic case, made by _operation: with no symbolic
-operand it is its matval kernel instead, so numeric code records nothing. A
-conversion is one such operation: a converted symbolic value is a new one
-defined by a Cast per element.
+operand it is its matval kernel instead, so numeric code records nothing.
+An operation on one element is an Op node named by its matval.elem_kernel,
+the one name the tracer, the optimizer, the interpreter and matval share;
+only the C printer spells it in C. A conversion is the one other operator
+node: a converted symbolic value is a new one defined by a Cast per element.
 
 Each recorder says only what element k of its result is. _per_element
 records that as one definition for a 1x1 result (the optimizer later folds
@@ -78,37 +80,15 @@ class ElemRef(Expr, namedtuple("ElemRef", "name index")):
     __slots__ = ()
 
 
-class Bin(Expr, namedtuple("Bin", "op a b")):  # op: a key of OPS
-    __slots__ = ()
-
-
-class Un(Expr, namedtuple("Un", "op a")):  # op: "-"
-    __slots__ = ()
-
-
-class CallFn(Expr, namedtuple("CallFn", "fn args")):  # fn: sqrt sin cos atan2; args: a tuple
+class Op(Expr, namedtuple("Op", "op args")):
+    """An operation on one element: op names its matval.elem_kernel (add sub
+    mul div eq ne lt le gt ge neg sqrt sin cos atan2), args is the tuple of
+    its one or two operands."""
     __slots__ = ()
 
 
 class Cast(Expr, namedtuple("Cast", "dtype a")):
     __slots__ = ()
-
-
-# The C spelling of every Bin operator and the matval kernel that computes
-# it, for folding and for the interpreter alike.
-OPS = {
-    "+": "add", "-": "sub", "*": "mul", "/": "div",
-    "==": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge",
-}
-_SPELLING = {name: op for op, name in OPS.items()}  # for the tracer
-
-
-def _common_dtype(dtypes) -> Dtype:
-    first, *rest = dtypes
-    for d in rest:
-        if d != first:
-            raise mv.DtypeMismatch("{} vs {}".format(first, d))
-    return first
 
 
 # The lowered functions below take what they read as parameter defaults, not
@@ -148,31 +128,6 @@ def kernel_fn(kernel, a, b=None):
     return lambda env, f=kernel, a=a, b=operand_fn(b): f(a, b(env))
 
 
-def expr_dtype(e: Expr, dtype_of) -> Dtype:
-    """The dtype of e's value, dtype_of(name) giving each name's, raising
-    where operands that must agree do not."""
-    t = type(e)
-    if t is Lit:
-        return e.value.dtype
-    if t is Ref or t is ElemRef:
-        return dtype_of(e.name)
-    return _node_dtype(e, [expr_dtype(c, dtype_of) for c in children(e)])
-
-
-def _node_dtype(e: Expr, dtypes) -> Dtype:
-    """The dtype of operator node e's value from its children's dtypes."""
-    t = type(e)
-    if t is Bin:
-        da, db = dtypes
-        if db is not da:
-            raise mv.DtypeMismatch("{} vs {}".format(da, db))
-        return mv.BOOL if OPS[e.op] in mv.COMPARE else da
-    if t is CallFn:
-        _common_dtype(dtypes)
-        return F64
-    return e.dtype if t is Cast else dtypes[0]
-
-
 def lower_expr(e: Expr, cell):
     """Lower an expression in one pass into (x, dtype): dtype, resolved
     here, is its element's dtype, and x the operand computing that element
@@ -188,55 +143,51 @@ def lower_expr(e: Expr, cell):
         return cell(e.name, e.index - 1)
     if t is Lit:
         return e.value.data[0], e.value.dtype
-    if t is Bin:
-        (a, da), (b, db) = lower_expr(e.a, cell), lower_expr(e.b, cell)
-        d = _node_dtype(e, (da, db))
-        return kernel_fn(mv.elem_kernel(OPS[e.op], da), a, b), d
-    if t is Un:
-        a, da = lower_expr(e.a, cell)
-        return kernel_fn(mv.elem_kernel("neg", da), a), da
+    if t is Op:
+        args = e.args
+        a, da = lower_expr(args[0], cell)
+        if len(args) == 1:
+            return kernel_fn(mv.elem_kernel(e.op, da), a), da
+        b, db = lower_expr(args[1], cell)
+        if db is not da:
+            raise mv.DtypeMismatch("{} vs {}".format(da, db))
+        return kernel_fn(mv.elem_kernel(e.op, da), a, b), mv.BOOL if e.op in mv.COMPARE else da
     if t is Cast:
         a, da = lower_expr(e.a, cell)
         if da == e.dtype:
             return a, da
         return kernel_fn(mv.convert_kernel(da, e.dtype), a), e.dtype
-    if t is CallFn:
-        args = list(map(lower_expr, e.args, [cell] * len(e.args)))
-        kernel = mv.elem_kernel(e.fn, _common_dtype([d for _, d in args]))
-        return kernel_fn(kernel, *[x for x, _ in args]), F64
     raise TypeError("unknown expression {!r}".format(e))
 
 
 def children(e: Expr) -> tuple:
     """The direct sub-expressions of e, in evaluation order."""
-    if isinstance(e, (Lit, Ref, ElemRef)):
-        return ()
-    if isinstance(e, Bin):
-        return (e.a, e.b)
-    if isinstance(e, (Un, Cast)):
-        return (e.a,)
-    if isinstance(e, CallFn):
+    t = type(e)
+    if t is Op:
         return e.args
+    if t is Cast:
+        return (e.a,)
+    if t is Lit or t is Ref or t is ElemRef:
+        return ()
     raise TypeError("unknown expression {!r}".format(e))
 
 
 def map_children(e: Expr, f) -> Expr:
     """e rebuilt from f applied to each of its children; e itself when f
     returns every child unchanged."""
-    if isinstance(e, (Lit, Ref, ElemRef)):
-        return e
-    if isinstance(e, Bin):
-        a, b = f(e.a), f(e.b)
-        return e if a is e.a and b is e.b else Bin(e.op, a, b)
-    if isinstance(e, Un):
-        a = f(e.a)
-        return e if a is e.a else Un(e.op, a)
-    if isinstance(e, Cast):
+    t = type(e)
+    if t is Op:
+        args = e.args
+        if len(args) == 1:
+            a = f(args[0])
+            return e if a is args[0] else Op(e.op, (a,))
+        a, b = f(args[0]), f(args[1])
+        return e if a is args[0] and b is args[1] else Op(e.op, (a, b))
+    if t is Cast:
         a = f(e.a)
         return e if a is e.a else Cast(e.dtype, a)
-    if isinstance(e, CallFn):
-        args = tuple(f(a) for a in e.args)
-        return e if all(x is y for x, y in zip(args, e.args)) else CallFn(e.fn, args)
+    if t is Lit or t is Ref or t is ElemRef:
+        return e
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -669,24 +620,24 @@ def _simplified_bin(op: str, ea: Expr, eb: Expr):
 
     Returns an Expr, or None when the result is statically zero.
     """
-    if op == "+":
+    if op == "add":
         if _lit_is(ea, 0):
             return eb
         if _lit_is(eb, 0):
             return ea
-    elif op == "-":
+    elif op == "sub":
         if _lit_is(eb, 0):
             return ea
         if _lit_is(ea, 0):
-            return Un("-", eb)
-    elif op == "*":
+            return Op("neg", (eb,))
+    elif op == "mul":
         if _lit_is(ea, 1):
             return eb
         if _lit_is(eb, 1):
             return ea
         if _lit_is(ea, 0) or _lit_is(eb, 0):
             return None
-    return Bin(op, ea, eb)
+    return Op(op, (ea, eb))
 
 
 def _soft_nominal(fn, fallback: MatValue, *args):
@@ -704,13 +655,12 @@ def _soft_nominal(fn, fallback: MatValue, *args):
 
 @_operation(mv.elem_binop)
 def bv_binop(op: str, a, b) -> Handle:
+    """The binary elem_kernel op element by element, a 1x1 operand
+    broadcasting."""
     if a.dtype is not b.dtype:
         raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
-    if a.dtype.is_bool:
-        raise mv.DtypeMismatch("bool participates in arithmetic only after conversion")
     rows, cols = mv.broadcast_pair(a.value, b.value)
     nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, a.value, b.value)
-    sym = _SPELLING[mv.ELEM_OPS[op]]
     # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
     num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
     if num is not None and (num.is_scalar or num.shape == other.shape):
@@ -721,15 +671,15 @@ def bv_binop(op: str, a, b) -> Handle:
                 return a
             if op == "sub" and num is a and all(v == 0 for v in num.value.data):
                 return bv_neg(b)
-            if op == "mul_elem" and num.is_scalar and num.value.data[0] == 1:
+            if op == "mul" and num.is_scalar and num.value.data[0] == 1:
                 return other
-        if op == "mul_elem" and num.is_scalar and num.value.data[0] == 0:
+        if op == "mul" and num.is_scalar and num.value.data[0] == 0:
             return Num(nominal)
-        if op == "div_elem" and num is b and num.is_scalar and num.value.data[0] == 1:
+        if op == "div" and num is b and num.is_scalar and num.value.data[0] == 1:
             return a
 
     def expr_at(k):
-        e = _simplified_bin(sym, _elem_expr(a, k), _elem_expr(b, k))
+        e = _simplified_bin(op, _elem_expr(a, k), _elem_expr(b, k))
         return Lit(mv.zeros(nominal.dtype, 1, 1)) if e is None else e
 
     return _per_element(_ctx_of(a, b), nominal, expr_at, _row_major(*nominal.shape))
@@ -737,14 +687,14 @@ def bv_binop(op: str, a, b) -> Handle:
 
 @_operation(mv.neg)
 def bv_neg(a) -> BVar:
-    return _per_element(a.ctx, mv.neg(a.value), lambda k: Un("-", _elem_expr(a, k)),
+    return _per_element(a.ctx, mv.neg(a.value), lambda k: Op("neg", (_elem_expr(a, k),)),
                         _row_major(*a.shape))
 
 
 @_operation(mv.matmul)
 def bv_matmul(a, b) -> Handle:
     if a.is_scalar or b.is_scalar:
-        return bv_binop("mul_elem", a, b)  # scalar * matrix scales elementwise
+        return bv_binop("mul", a, b)  # scalar * matrix scales elementwise
     rows, cols = mv.matmul_shape(a, b)
     ctx = _ctx_of(a, b)
     if rows * cols > UNROLL_LIMIT:  # the helper computes the value: no nominal product
@@ -758,10 +708,10 @@ def bv_matmul(a, b) -> Handle:
         i, j = k % a.rows, k // a.rows
         acc = None
         for m in range(a.cols):
-            term = _simplified_bin("*", _elem_expr(a, i + a.rows * m),
+            term = _simplified_bin("mul", _elem_expr(a, i + a.rows * m),
                                    _elem_expr(b, m + b.rows * j))
             if term is not None:
-                acc = term if acc is None else _simplified_bin("+", acc, term)
+                acc = term if acc is None else _simplified_bin("add", acc, term)
         return Lit(mv.zeros(nominal.dtype, 1, 1)) if acc is None else acc
 
     if nominal.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
@@ -901,16 +851,8 @@ def bv_sum(a) -> BVar:
         return a
     acc = _elem_expr(a, 0)
     for k in range(1, a.size):
-        acc = Bin("+", acc, _elem_expr(a, k))
+        acc = Op("add", (acc, _elem_expr(a, k)))
     return _def_scalar(a.ctx, acc, nominal)
-
-
-@_operation(mv.compare)
-def bv_compare(op: str, a, b) -> BVar:
-    nominal, sym = mv.compare(op, a.value, b.value), _SPELLING[op]
-    return _per_element(_ctx_of(a, b), nominal,
-                        lambda k: Bin(sym, _elem_expr(a, k), _elem_expr(b, k)),
-                        _row_major(*nominal.shape))
 
 
 @_operation(mv.elem_math)
@@ -920,7 +862,7 @@ def bv_elem_math(fn: str, *args) -> BVar:
     nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *args[0].shape), fn,
                             *[a.value for a in args])
     return _per_element(_ctx_of(*args), nominal,
-                        lambda k: CallFn(fn, tuple(_elem_expr(a, k) for a in args)),
+                        lambda k: Op(fn, tuple(_elem_expr(a, k) for a in args)),
                         range(nominal.size))
 
 
@@ -974,7 +916,7 @@ def bv_inv(a) -> BVar:
         bv_index_set(out, 1, 2, rhs=bv_neg(bv_index_get(a, 1, 2)))
         bv_index_set(out, 2, 1, rhs=bv_neg(bv_index_get(a, 2, 1)))
         det = bv_index_get(a, 1, 1) * bv_index_get(a, 2, 2) - bv_index_get(a, 1, 2) * bv_index_get(a, 2, 1)
-        return bv_binop("div_elem", out, det)
+        return bv_binop("div", out, det)
     if n > 8:
         raise TraceError("helper-call inverse limited to 8x8")
     return _helper_call(ctx, "matinv", "Inverse of matrix of size {}>2: calling external "
@@ -985,7 +927,7 @@ def bv_inv(a) -> BVar:
 def bv_div(a, b) -> Handle:
     """a / b: elementwise when b is 1x1, else a * inv(b) for square b."""
     if b.is_scalar:
-        return bv_binop("div_elem", a, b)
+        return bv_binop("div", a, b)
     if b.rows != b.cols:
         raise mv.NonSquare("Division by non square matrix not supported.")
     return bv_matmul(a, bv_inv(b))

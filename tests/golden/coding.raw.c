@@ -61,7 +61,7 @@ void updateOutput10043(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
     updateOutput10042(inouts1,inouts2,inouts3);
   }
   /* Sum block begins with 2 inputs.*/
-  tmp_6=(link10046+1);
+  tmp_6=((int32_t)((uint32_t)link10046+(uint32_t)1));
   link10048=tmp_6;
 }
 

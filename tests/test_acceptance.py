@@ -192,8 +192,8 @@ def test_criterion_4_conditional_subsampling():
                 if isinstance(i, tr.Def) and i.name == guards[0].cond]
     assert len(cond_def) == 1
     expr = cond_def[0].expr
-    assert isinstance(expr, tr.Bin) and expr.op == ">"
-    assert isinstance(expr.b, tr.Lit) and expr.b.value.data[0] == 0
+    assert isinstance(expr, tr.Op) and expr.op == "gt"
+    assert isinstance(expr.args[1], tr.Lit) and expr.args[1].value.data[0] == 0
     assert result.text.count("if (") >= 1
     # 200 random 0/1 steps, bit-exact between simulation and interpretation
     rng = random.Random(404)
@@ -262,15 +262,15 @@ def _rand_value(rng, dtype, r, c):
 _OPS = [
     ("add", 2, lambda a, b: a + b),
     ("sub", 2, lambda a, b: a - b),
-    ("elmul", 2, lambda a, b: tr.bv_binop("mul_elem", a, b)),
+    ("elmul", 2, lambda a, b: tr.bv_binop("mul", a, b)),
     ("matmul", 2, lambda a, b: a * b),
     ("concat", 2, tr.bv_concat_rows),
-    ("lt", 2, lambda a, b: tr.bv_compare("lt", a, b)),
-    ("eq", 2, lambda a, b: tr.bv_compare("eq", a, b)),
+    ("lt", 2, lambda a, b: tr.bv_binop("lt", a, b)),
+    ("eq", 2, lambda a, b: tr.bv_binop("eq", a, b)),
     ("neg", 1, lambda a: -a),
     ("transpose", 1, tr.bv_transpose),
     ("sum", 1, tr.bv_sum),
-    ("sqrtsq", 1, lambda a: tr.sqrt(tr.bv_binop("mul_elem", a, a))),
+    ("sqrtsq", 1, lambda a: tr.sqrt(tr.bv_binop("mul", a, a))),
     ("convert", 1, lambda a: tr.bv_convert(a, I32)),
 ]
 

@@ -165,11 +165,11 @@ def test_sciblk_dispatches_registered_behavior():
 
 def test_sciblk_symbolic_branch_raises():
     from blockgen.trace import SymbolicConditionError, TraceContext, symbolics
-    from blockgen.trace import bv_compare
+    from blockgen.trace import bv_binop
 
     @bl.register_block("branchy")
     def branchy(blk, flag):
-        if bv_compare("gt", blk.io[1], numerics(mv.scalar(0.0))):
+        if bv_binop("gt", blk.io[1], numerics(mv.scalar(0.0))):
             blk.io[2] = blk.io[1]
 
     try:

@@ -424,6 +424,34 @@ def test_compiled_narrow_integer_comparison(tmp_path, tag, opt):
         assert compiled[:2] == [[[0]], [[1]]]  # 100+100 wraps to -56, -100-100 to 56
 
 
+# an i32 sum and a u16 product that C, computing them in int, would
+# overflow: the printer computes both through uint32_t, and all three
+# executions wrap them to the dtype
+OVERFLOW_CASES = {
+    "i32-sum": (NARROW_COMPARE_MODEL.format(tag="i32"),
+                "*inouts2=(((int32_t)((uint32_t)*inouts1+(uint32_t)*inouts1))>0);",
+                [2 ** 30, -2 ** 30, 2 * 10 ** 9, -2 * 10 ** 9], [0, 0, 0, 1]),
+    "u16-product": ("model 94\ninput 1 u16 1 1\noutput 1 u16 1 1\n"
+                    "block 1 gain gain=u16[1x1](65535)\nlink 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n",
+                    "*inouts2=((uint16_t)((uint32_t)65535*(uint32_t)*inouts1));",
+                    [65535, 60000, 2, 0], [1, 5536, 65534, 0]),
+}
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+@pytest.mark.parametrize("case", sorted(OVERFLOW_CASES))
+def test_compiled_overflowing_integer_operations_wrap(tmp_path, case, opt):
+    text, line, stimuli, want = OVERFLOW_CASES[case]
+    c = bg.generate(bg.parse_model(text), EmitConfig(include_runtime_header=False)).text
+    assert line in c
+    dtype = bg.parse_model(text).inputs[0].dtype
+    inputs = [[mv.make(dtype, 1, 1, [v])] for v in stimuli]
+    compiled = _roundtrip(tmp_path, bg.parse_model(text), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(text), inputs, len(inputs))
+    assert [[list(map(int, v.data)) for v in row] for row in simulated] == compiled == \
+        [[[v]] for v in want]
+
+
 def test_random_models_compile(tmp_path):
     # every random model the fuzzer accepts must emit syntactically valid C
     from test_model import _random_model

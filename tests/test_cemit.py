@@ -16,8 +16,8 @@ from blockgen.cemit import (
 from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen import trace as tr
 from blockgen.trace import (
-    Bin, CallFn, Cast, CallTarget, CopyMat, Decl, ElemRef, IfExpr, Lit,
-    Ref, SetElem, Store, Un,
+    Cast, CallTarget, CopyMat, Decl, ElemRef, IfExpr, Lit, Op,
+    Ref, SetElem, Store,
 )
 
 from conftest import load_model_text
@@ -95,21 +95,21 @@ def test_expr_printing_conventions():
     assert expr_str(Ref("inouts1"), tab) == "*inouts1"
     assert expr_str(ElemRef("z", 1), tab) == "(z[0])"
     assert expr_str(ElemRef("inouts2", 2), tab) == "(inouts2[1])"
-    assert expr_str(Bin("-", Ref("t"), Ref("z")), tab) == "(t-z)"
-    assert expr_str(Bin("/", ElemRef("a", 1), Ref("t")), tab) == "((a[0])/ t)"
-    assert expr_str(Un("-", ElemRef("a", 3)), tab) == "(-(a[2]))"
-    assert expr_str(Un("-", Ref("t")), tab) == "(-(t))"
-    assert expr_str(CallFn("sqrt", (Bin("*", Ref("t"), Ref("t")),)), tab) \
+    assert expr_str(Op("sub", (Ref("t"), Ref("z"))), tab) == "(t-z)"
+    assert expr_str(Op("div", (ElemRef("a", 1), Ref("t"))), tab) == "((a[0])/ t)"
+    assert expr_str(Op("neg", (ElemRef("a", 3),)), tab) == "(-(a[2]))"
+    assert expr_str(Op("neg", (Ref("t"),)), tab) == "(-(t))"
+    assert expr_str(Op("sqrt", (Op("mul", (Ref("t"), Ref("t"))),)), tab) \
         == "sqrt((t*t))"
-    assert expr_str(CallFn("atan2", (ElemRef("z", 3), ElemRef("z", 1))), tab) \
+    assert expr_str(Op("atan2", (ElemRef("z", 3), ElemRef("z", 1))), tab) \
         == "atan2((z[2]),(z[0]))"
     assert expr_str(Cast(I32, Ref("t")), tab) == "((int32_t)(t))"
 
 
 def test_nested_binop_parenthesization():
     tab = SymTab()
-    det = Bin("-", Bin("*", ElemRef("a", 1), ElemRef("a", 4)),
-              Bin("*", ElemRef("a", 3), ElemRef("a", 2)))
+    det = Op("sub", (Op("mul", (ElemRef("a", 1), ElemRef("a", 4))),
+                     Op("mul", (ElemRef("a", 3), ElemRef("a", 2)))))
     assert expr_str(det, tab) == "(((a[0])*(a[3]))-((a[2])*(a[1])))"
 
 
@@ -270,15 +270,15 @@ def _matrix_ops(v):
     yield a + b
     yield a - s
     yield s - c
-    yield tr.bv_binop("mul_elem", s, a)
+    yield tr.bv_binop("mul", s, a)
     yield a / s
     yield a + 0
     yield 0 - a
     yield 1 * a
-    yield tr.bv_binop("mul_elem", 0, a)
+    yield tr.bv_binop("mul", 0, a)
     yield a + mask
     yield mask - a
-    yield tr.bv_binop("mul_elem", a, mask)
+    yield tr.bv_binop("mul", a, mask)
     yield -a
     yield -c
     yield -s
@@ -294,9 +294,9 @@ def _matrix_ops(v):
     yield tr.bv_convert(a, I32)
     yield tr.bv_convert(c, BOOL)
     yield tr.bv_convert(s, I32)
-    yield tr.bv_compare("gt", a, b)
-    yield tr.bv_compare("lt", c, 0.0)
-    yield tr.bv_compare("ge", 1.0, s)
+    yield tr.bv_binop("gt", a, b)
+    yield tr.bv_binop("lt", c, 0.0)
+    yield tr.bv_binop("ge", 1.0, s)
     yield tr.sin(a)
     yield tr.cos(c)
     yield tr.sqrt(s)
@@ -348,15 +348,31 @@ def test_matrix_ops_c_matches_golden(name):
 def test_narrow_integer_results_cast_back_where_c_would_promote(tag, cast):
     """An i8, i16, u8 or u16 + - * / or negation is cast back to its type
     where it feeds a comparison, a division or a conversion; where it feeds
-    another ring operation or a store, and for wider types, it is not."""
+    another ring operation or a store, and for wider types, it is not. An
+    i32 + - * or negation and a u16 *, which C would overflow in int, go
+    through uint32_t and are cast back wherever they are."""
     d = DTYPES[tag]
     tab = SymTab({n: Decl(n, d, 1, 1) for n in "xyz"} | {"w": Decl("w", I32, 1, 1)})
-    s = Bin("+", Ref("x"), Ref("y"))
-    wrap = (lambda t: "(({}){})".format(cast, t)) if cast else (lambda t: t)
-    assert expr_str(Bin(">", s, Ref("z")), tab) == "({}>z)".format(wrap("(x+y)"))
-    assert expr_str(Bin("/", Un("-", Ref("x")), s), tab) == \
-        "({}/ {})".format(wrap("(-(x))"), wrap("(x+y)"))
-    assert expr_str(Cast(F64, Bin("*", s, Ref("z"))), tab) == \
-        "((double)({}))".format(wrap("((x+y)*z)"))
-    assert expr_str(Bin("-", s, Un("-", s)), tab) == "((x+y)-(-(x+y)))"
-    assert instr_lines(Store("w", Cast(I32, s)), tab) == ["w={};".format(wrap("(x+y)"))]
+    through = {"i32": ("add", "sub", "mul", "neg"), "u16": ("mul",)}.get(tag, ())
+
+    def ring(op, *texts, feeds=False):
+        """The C text of op on operand texts; feeds: it feeds a comparison,
+        a division or a conversion."""
+        if op in through:
+            texts = ["(uint32_t)" + t for t in texts]
+        if op == "neg":
+            text = "(-{})".format(texts[0] if texts[0].startswith("(") else "(" + texts[0] + ")")
+        else:
+            text = "({}{}{})".format(texts[0], {"add": "+", "sub": "-", "mul": "*"}[op], texts[1])
+        return "(({}){})".format(d.ctype, text) if op in through or feeds and cast else text
+
+    s, plain = Op("add", (Ref("x"), Ref("y"))), ring("add", "x", "y")
+    assert expr_str(Op("gt", (s, Ref("z"))), tab) == \
+        "({}>z)".format(ring("add", "x", "y", feeds=True))
+    assert expr_str(Op("div", (Op("neg", (Ref("x"),)), s)), tab) == \
+        "({}/ {})".format(ring("neg", "x", feeds=True), ring("add", "x", "y", feeds=True))
+    assert expr_str(Cast(F64, Op("mul", (s, Ref("z")))), tab) == \
+        "((double)({}))".format(ring("mul", plain, "z", feeds=True))
+    assert expr_str(Op("sub", (s, Op("neg", (s,)))), tab) == ring("sub", plain, ring("neg", plain))
+    assert instr_lines(Store("w", Cast(I32, s)), tab) == \
+        ["w={};".format(ring("add", "x", "y", feeds=True))]

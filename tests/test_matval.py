@@ -57,14 +57,14 @@ def test_sub_scalars():
 
 
 def test_scalar_broadcast_mul():
-    out = mv.elem_binop("mul_elem", mv.scalar(2.0), mv.from_rows([[1, 2, 3]]))
+    out = mv.elem_binop("mul", mv.scalar(2.0), mv.from_rows([[1, 2, 3]]))
     assert list(out.data) == [2.0, 4.0, 6.0]
     assert out.shape == (1, 3)
 
 
 def test_broadcast_commutes_with_expansion():
     rng = random.Random(5)
-    for op in ("add", "sub", "mul_elem", "div_elem"):
+    for op in ("add", "sub", "mul", "div"):
         s = mv.scalar(rng.uniform(1, 3))
         b = random_matvalue(rng, F64, 3, 2)
         expanded = mv.make(F64, 3, 2, [s.scalar()] * 6)
@@ -293,8 +293,8 @@ def test_sum_all():
 
 
 def test_compare():
-    assert mv.compare("ne", mv.scalar(3.0), mv.scalar(3.0)).scalar() is False
-    out = mv.compare("gt", mv.from_rows([[1, 5]]), mv.scalar(2.0))
+    assert mv.elem_binop("ne", mv.scalar(3.0), mv.scalar(3.0)).scalar() is False
+    out = mv.elem_binop("gt", mv.from_rows([[1, 5]]), mv.scalar(2.0))
     assert list(out.data) == [False, True]
     assert out.dtype == BOOL
 

@@ -124,7 +124,14 @@ BAD_PARAM_VALUES = {
     "op=foo": ("relational_op op=foo", 2,
                r"^line 4: block 1 \(relational_op\): op='foo' is not one of eq ne lt le gt ge$"),
     "behavior=nosuch": ("sciblk behavior=nosuch out1=f64[1x1]", 1,
-                        r"^line 4: block 1 \(sciblk\): behavior='nosuch' is not one of .*\bgain\b"),
+                        r"^line 4: block 1 \(sciblk\): behavior='nosuch' is not one of "
+                        r".*\bekf_range_bearing\b"),
+    # a block kind is no behavior: sciblk would run itself without end, or a
+    # kind's behavior on a record without that kind's parameters
+    **{"behavior=" + kind: ("sciblk behavior={} out1=f64[1x1]".format(kind), 1,
+                            r"^line 4: block 1 \(sciblk\): behavior='{}' is not one of "
+                            r"(?!.*\b{}\b).*\bekf_range_bearing\b".format(kind, kind))
+       for kind in ("sciblk", "gain", "const")},
     "one sign for two inputs": ("summation signs=f64[1x1](1)", 2,
                                 r"^block 1 \(summation\): signs \[1\.0\] are not one 1 or -1 "
                                 r"for each of its 2 inputs$"),
@@ -1317,14 +1324,21 @@ def test_a_behaviors_matrix_error_names_its_block():
 
 
 def test_generate_checks_the_shape_of_every_port_write(monkeypatch):
-    # a behavior writing a 1x1 value to its 3x1 output, which feeds a 3x1 port
+    # a behavior writing a 1x1 value to its 3x1 output, which feeds a 3x1
+    # port or a one-input summation (whose sum of any shape is 1x1): both
+    # drivers name the block, its kind, the output and the link
     def first_element(blk, flag):
         if flag == blocks.OUTPUT:
             blk.io[2] = blk.io[1][1]
 
     monkeypatch.setitem(blocks.BEHAVIORS, "first_element", first_element)
-    model = parse_model("model 1\ninput 1 f64 3 1\noutput 1 f64 3 1\n"
-                        "block 1 sciblk behavior=first_element out1=f64[3x1]\n"
-                        "link 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n")
-    with pytest.raises(mv.ShapeMismatch, match=r"^argument inouts2: \(1, 1\) vs \(3, 1\)$"):
-        bg.generate(model)
+    head = "model 1\ninput 1 f64 3 1\nblock 1 sciblk behavior=first_element out1=f64[3x1]\n"
+    models = [head + "output 1 f64 3 1\nlink 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n",
+              head + "output 1 f64 1 1\nblock 2 summation signs=f64[1x1](1)\n"
+                     "link 1 in:1 -> 1.1\nlink 2 1.1 -> 2.1\nlink 3 2.1 -> out:1\n"]
+    message = r"^block 1 \(sciblk\) output 1 is 1x1, but link 2 is 3x1$"
+    for text in models:
+        with pytest.raises(md.ModelError, match=message):
+            bg.generate(parse_model(text))
+        with pytest.raises(md.ModelError, match=message):
+            bg.simulate(parse_model(text), [[mv.zeros(F64, 3, 1)]], 1)

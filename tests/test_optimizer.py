@@ -14,8 +14,8 @@ from blockgen.irinterp import Machine
 from blockgen.optimizer import MalformedIR, _pass_fold, optimize_body
 from blockgen import trace as tr
 from blockgen.trace import (
-    Annot, Bin, Call, CallTarget, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem,
-    Store, Un, numerics, symbolics,
+    Annot, Call, CallTarget, CopyMat, Def, ElemRef, IfExpr, Lit, Op, Ref, SetElem,
+    Store, numerics, symbolics,
 )
 
 from conftest import assert_close, load_model_text, random_matvalue
@@ -41,7 +41,7 @@ def test_transitively_dead_chain_removed():
 
 
 def test_literal_fold():
-    body = [Def("t", Bin("+", Lit(mv.scalar(2.0)), Lit(mv.scalar(3.0)))),
+    body = [Def("t", Op("add", (Lit(mv.scalar(2.0)), Lit(mv.scalar(3.0))))),
             Store("out", Ref("t"))]
     decls = {"t": tr.Decl("t", F64, 1, 1)}
     out, _ = optimize_body(body, decls, (), {}, set(), extra_names={"out", "t"})
@@ -60,7 +60,7 @@ def test_single_use_def_inlines_into_store():
     body, _ = optimize_body(ctx.module.body, decls, (), ctx.statics, set(),
                             extra_names=ctx._names)
     (store,) = body
-    assert store.expr == Bin("-", Ref("a"), Ref("b"))
+    assert store.expr == Op("sub", (Ref("a"), Ref("b")))
     assert not decls
 
 
@@ -92,7 +92,7 @@ def test_pinned_def_not_inlined():
 def test_inline_blocked_by_intervening_write():
     # t captures s; s is overwritten before t's only use, so t must stay
     body = [
-        Def("t", Bin("+", Ref("s"), Lit(mv.scalar(1.0)))),
+        Def("t", Op("add", (Ref("s"), Lit(mv.scalar(1.0))))),
         Store("s", Lit(mv.scalar(9.0))),
         Store("out", Ref("t")),
     ]
@@ -141,7 +141,7 @@ def _scalar_statics(*names):
 ], ids=["call", "if", "store"])
 def test_static_read_crosses_no_call_or_if(between, inlined):
     # the callee may write the static s although the call names only u
-    body = [Def("t", Bin("+", Ref("s"), Lit(mv.scalar(1.0)))),
+    body = [Def("t", Op("add", (Ref("s"), Lit(mv.scalar(1.0))))),
             between,
             Store("out", Ref("t"))]
     decls = {"t": tr.Decl("t", F64, 1, 1)}
@@ -154,13 +154,13 @@ def test_static_read_crosses_no_call_or_if(between, inlined):
 
 def test_single_use_chain_collapses_into_store():
     a, b = Ref("a"), Ref("b")
-    body = [Def("t1", Bin("+", a, b)),
-            Def("t2", Bin("*", Ref("t1"), a)),
-            Def("t3", Un("-", Ref("t2"))),
-            Store("out", Bin("-", Ref("t3"), b))]
+    body = [Def("t1", Op("add", (a, b))),
+            Def("t2", Op("mul", (Ref("t1"), a))),
+            Def("t3", Op("neg", (Ref("t2"),))),
+            Store("out", Op("sub", (Ref("t3"), b)))]
     decls = {n: tr.Decl(n, F64, 1, 1) for n in ("t1", "t2", "t3")}
     out, _ = optimize_body(body, decls, (), _scalar_statics("a", "b", "out"), set())
-    assert out == [Store("out", Bin("-", Un("-", Bin("*", Bin("+", a, b), a)), b))]
+    assert out == [Store("out", Op("sub", (Op("neg", (Op("mul", (Op("add", (a, b)), a)),)), b)))]
     assert decls == {}
 
 
@@ -206,7 +206,7 @@ def build_random_trace(rng: random.Random, n_ops=8):
             elif pick == 1:
                 vals.append(a - b)
             elif pick == 2:
-                vals.append(tr.bv_binop("mul_elem", a, b))
+                vals.append(tr.bv_binop("mul", a, b))
             elif pick == 3:
                 vals.append(-a)
             else:
@@ -275,7 +275,7 @@ def _walked_names(body):
     def walk(e):
         if isinstance(e, (Ref, ElemRef)):
             names.add(e.name)
-        for value in e:  # a record is the tuple of its fields; CallFn.args a bare tuple
+        for value in e:  # a record is the tuple of its fields; Op.args a bare tuple
             for part in value if type(value) is tuple else (value,):
                 if isinstance(part, tr.Expr):
                     walk(part)
@@ -323,9 +323,9 @@ def test_random_decls_and_statics_match_a_fresh_walk(optimize):
 
 def test_fold_keeps_instructions_without_a_foldable_literal():
     one = Lit(mv.scalar(1.0))
-    body = [Def("t", Bin("+", Ref("a"), one)),
-            Store("out", Un("-", Ref("t"))),
-            SetElem("m", 2, Bin("*", ElemRef("m", 1), one)),
+    body = [Def("t", Op("add", (Ref("a"), one))),
+            Store("out", Op("neg", (Ref("t"),))),
+            SetElem("m", 2, Op("mul", (ElemRef("m", 1), one))),
             CopyMat("n", "m", 4),
             Call("helper", ("m", "n")),
             Annot("end")]

@@ -15,13 +15,13 @@ from blockgen.cemit import EmitConfig
 from blockgen.matval import F64
 from blockgen.model import PortSpec, RegionSpec
 from blockgen.trace import (
-    Annot, Bin, Call, CallFn, CallTarget, Cast, CopyMat, Decl, Def, ElemRef,
-    IfExpr, Lit, Ref, SetElem, Store, Un,
+    Annot, Call, CallTarget, Cast, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op,
+    Ref, SetElem, Store,
 )
 
 ONE = Lit(mv.scalar(1.0))
-EXPRS = [ONE, Ref("a"), ElemRef("v", 2), Bin("+", Ref("a"), ONE), Un("-", Ref("a")),
-         CallFn("atan2", (Ref("a"), ONE)), Cast(F64, Ref("a"))]
+EXPRS = [ONE, Ref("a"), ElemRef("v", 2), Op("add", (Ref("a"), ONE)), Op("neg", (Ref("a"),)),
+         Op("atan2", (Ref("a"), ONE)), Cast(F64, Ref("a"))]
 INSTRS = [Def("t", ONE), Store("t", ONE), SetElem("v", 1, ONE), CopyMat("d", "s", 2),
           Annot("note"), IfExpr("c", CallTarget("f", ()), CallTarget("g", ())), Call("f", ())]
 
@@ -37,7 +37,7 @@ def test_importing_blockgen_loads_neither_dataclasses_nor_inspect():
 
 @pytest.mark.parametrize("record", EXPRS + INSTRS + [CallTarget("f", ("x",)),
                                                      EmitConfig(5, False)],
-                         ids=lambda r: type(r).__name__)
+                         ids=lambda r: "Op-" + r.op if type(r) is Op else type(r).__name__)
 def test_a_record_equals_only_a_record_of_its_class(record):
     same = type(record)(*record)
     assert record == same and not record != same
@@ -50,7 +50,7 @@ def test_records_of_different_classes_with_equal_fields_differ():
     assert Ref("a") != ("a",) and ("a",) != Ref("a")
     assert Def("t", ONE) != Store("t", ONE)
     assert CallTarget("f", ()) != Call("f", ())
-    assert Bin("+", Ref("a"), ONE) != Bin("+", Annot("a"), ONE)
+    assert Op("add", (Ref("a"), ONE)) != Op("add", (Annot("a"), ONE))
     assert mv.scalar(1.0) != tuple(mv.scalar(1.0))
 
 
@@ -68,9 +68,9 @@ def test_expressions_hash_by_value():
 
 
 def test_repr_text():
-    e = Def("t", Bin("+", Ref("a"), Lit(mv.scalar(1.0))))
-    assert repr(e) == ("Def(name='t', expr=Bin(op='+', a=Ref(name='a'), "
-                       "b=Lit(value=MatValue(f64, 1x1, [1.0]))))")
+    e = Def("t", Op("add", (Ref("a"), Lit(mv.scalar(1.0)))))
+    assert repr(e) == ("Def(name='t', expr=Op(op='add', args=(Ref(name='a'), "
+                       "Lit(value=MatValue(f64, 1x1, [1.0])))))")
 
 
 def test_keyword_construction_and_defaults():

@@ -11,7 +11,7 @@ from blockgen.matval import BOOL, F64, I32
 from blockgen.directives import codegen_init
 from blockgen import trace as tr
 from blockgen.trace import (
-    Annot, Call, Def, SetElem, Store, bv_compare, bv_concat_rows, bv_convert,
+    Annot, Call, Def, SetElem, Store, bv_binop, bv_concat_rows, bv_convert,
     bv_datatype, bv_index_get, bv_index_set, bv_inv, bv_matmul, bv_sum,
     bv_transpose, bvarempty, numerics, symbolics, _copy_into,
 )
@@ -216,7 +216,7 @@ def test_sum_vector_emits_single_def():
 def test_compare_scalar_bool_def():
     ctx = codegen_init()
     x = symbolics(ctx, mv.zeros(I32, 1, 1), "x")
-    out = bv_compare("ne", x, numerics(mv.make(I32, 1, 1, [0])))
+    out = bv_binop("ne", x, numerics(mv.make(I32, 1, 1, [0])))
     assert out.dtype == BOOL and out.sym
 
 
@@ -231,7 +231,7 @@ def test_convert_scalar_defines_a_cast_and_pins():
 
 CONVERTED_SCALAR_OPS = {
     "neg": lambda c: -c,
-    "compare": lambda c: bv_compare("lt", c, 3),
+    "compare": lambda c: bv_binop("lt", c, 3),
     "vertcat": lambda c: tr.vertcat(c, c),
     "horzcat": lambda c: tr.horzcat(c, c),
     "index_get": lambda c: bv_index_get(c, 1),
@@ -315,7 +315,7 @@ def test_pow_squares_by_multiplying():
     x = symbolics(ctx, mv.scalar(3.0), "x")
     out = x ** 2
     d = [i for i in ctx.module.body if isinstance(i, Def)][-1]
-    assert d.expr == tr.Bin("*", tr.Ref("x"), tr.Ref("x"))
+    assert d.expr == tr.Op("mul", (tr.Ref("x"), tr.Ref("x")))
     assert out.sym
 
 
@@ -340,16 +340,16 @@ _UNARY_OPS = [
     ("neg", lambda a: -a),
     ("transpose", bv_transpose),
     ("sumall", bv_sum),
-    ("sqrt_abs", lambda a: tr.sqrt(tr.bv_binop("mul_elem", a, a))),
+    ("sqrt_abs", lambda a: tr.sqrt(tr.bv_binop("mul", a, a))),
 ]
 
 _BINARY_OPS = [
     ("add", lambda a, b: a + b),
     ("sub", lambda a, b: a - b),
-    ("elmul", lambda a, b: tr.bv_binop("mul_elem", a, b)),
+    ("elmul", lambda a, b: tr.bv_binop("mul", a, b)),
     ("matmul", lambda a, b: a * b),
     ("concat", bv_concat_rows),
-    ("lt", lambda a, b: bv_compare("lt", a, b)),
+    ("lt", lambda a, b: bv_binop("lt", a, b)),
 ]
 
 
@@ -361,10 +361,10 @@ def test_value_consistency_numeric_ops_match_kernels():
         b = random_matvalue(rng, F64, r, c)
         assert (numerics(a) + numerics(b)).value == mv.elem_binop("add", a, b)
         assert (numerics(a) - numerics(b)).value == mv.elem_binop("sub", a, b)
-        assert tr.bv_binop("mul_elem", numerics(a), numerics(b)).value == mv.elem_binop("mul_elem", a, b)
+        assert tr.bv_binop("mul", numerics(a), numerics(b)).value == mv.elem_binop("mul", a, b)
         assert bv_transpose(numerics(a)).value == mv.transpose(a)
         assert bv_sum(numerics(a)).value == mv.sum_all(a)
-        assert bv_compare("le", numerics(a), numerics(b)).value == mv.compare("le", a, b)
+        assert bv_binop("le", numerics(a), numerics(b)).value == mv.elem_binop("le", a, b)
         k = random_matvalue(rng, F64, c, rng.randint(1, 3))
         assert (numerics(a) * numerics(k)).value == mv.matmul(a, k)
 
@@ -375,7 +375,7 @@ def test_symbolic_condition_rejected():
     with pytest.raises(tr.SymbolicConditionError, match="x"):
         if x:
             pass
-    flag = bv_compare("gt", x, numerics(0.0))
+    flag = bv_binop("gt", x, numerics(0.0))
     with pytest.raises(tr.SymbolicConditionError, match=flag.name):
         bool(flag)
 
