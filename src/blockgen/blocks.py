@@ -18,7 +18,7 @@ from .matval import F64
 from .directives import put_annotation
 from .trace import (
     Handle, TraceContext, _def_scalar, _operand_expr, atan2, bv_binop,
-    bv_convert, bv_datatype, cos, numerics, sin, sqrt, vertcat, horzcat,
+    bv_convert, bv_datatype, bv_sum, cos, numerics, sin, sqrt, vertcat, horzcat,
 )
 
 
@@ -187,7 +187,6 @@ def summation(blk: BlockRecord, flag: int):
     put_annotation(blk.ctx, "Sum block begins with {} inputs.".format(nin))
     if nin == 1:
         put_annotation(blk.ctx, "Using the sum function.")
-        from .trace import bv_sum
         if signs[0] == -1:
             out = -bv_sum(blk.io[1])
         elif signs[0] == 1:

@@ -163,7 +163,8 @@ def _op_str(e: Op, tab: SymTab, narrow: bool) -> str:
     int, where matval wraps each result to its dtype: the two agree through
     + - * and negation, so such a result is cast back only where it feeds a
     comparison, a division or a conversion. Those of _THROUGH_UINT32 are
-    computed through uint32_t, which wraps as matval does, and cast back."""
+    computed through uint32_t, which wraps as matval does, and cast back, and
+    an i32 division by -1 is such a negation: INT32_MIN / -1 traps in C."""
     spelling = C_OPS[e.op]
     if spelling.isidentifier():  # a math.h function
         return "{}({})".format(spelling, ",".join(expr_str(a, tab) for a in e.args))
@@ -173,6 +174,8 @@ def _op_str(e: Op, tab: SymTab, narrow: bool) -> str:
     wraps = (e.op, d.tag) in _THROUGH_UINT32
     if wraps:
         operands = ["(uint32_t)" + text for text in operands]
+    if e.op == "div" and d.tag == "i32":
+        return "({1}==-1?(int32_t)(0u-(uint32_t){0}):{0}/ {1})".format(*operands)
     if len(operands) == 1:
         text = "({}{})".format(spelling, _parenthesized(operands[0]))
     else:

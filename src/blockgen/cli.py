@@ -23,25 +23,21 @@ def _config(args, model) -> EmitConfig:
                       include_runtime_header=(args.emit == "runtime"))
 
 
+def _random_element(rng, dtype):
+    if dtype.is_float:
+        return rng.uniform(-10.0, 10.0)
+    if dtype.is_bool:
+        return rng.random() < 0.5
+    return rng.randint(-5, 5) if dtype.signed else rng.randint(0, 10)
+
+
 def _random_stimuli(model, steps, seed):
+    """Per step, per input port in index order, its elements drawn in turn."""
     rng = random.Random(seed)
-    inputs = []
-    for _ in range(steps):
-        row = []
-        for p in sorted(model.inputs, key=lambda p: p.index):
-            data = []
-            for _ in range(p.rows * p.cols):
-                if p.dtype.is_float:
-                    data.append(rng.uniform(-10.0, 10.0))
-                elif p.dtype.is_bool:
-                    data.append(rng.random() < 0.5)
-                elif p.dtype.signed:
-                    data.append(rng.randint(-5, 5))
-                else:
-                    data.append(rng.randint(0, 10))
-            row.append(mv.make(p.dtype, p.rows, p.cols, data))
-        inputs.append(row)
-    return inputs
+    ports = sorted(model.inputs, key=lambda p: p.index)
+    return [[mv.make(p.dtype, p.rows, p.cols,
+                     [_random_element(rng, p.dtype) for _ in range(p.rows * p.cols)])
+             for p in ports] for _ in range(steps)]
 
 
 def cmd_generate(args) -> int:

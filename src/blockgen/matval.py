@@ -272,7 +272,18 @@ _ARITH = {
     "neg": (operator.neg, operator.neg),
 }
 
-_MATH = {"sqrt": math.sqrt, "sin": math.sin, "cos": math.cos, "atan2": math.atan2}
+def _libm(fn):
+    """fn, NaN where math raises a domain error as libm: sqrt(x < 0), sin or cos of inf."""
+    def kernel(x: float) -> float:
+        try:
+            return fn(x)
+        except ValueError:
+            return math.nan
+    return kernel
+
+
+_MATH = {"sqrt": _libm(math.sqrt), "sin": _libm(math.sin), "cos": _libm(math.cos),
+         "atan2": math.atan2}
 
 
 def _convert_kernel(src: Dtype, dst: Dtype):

@@ -13,11 +13,13 @@ import heapq
 import itertools
 import re
 from collections import namedtuple
+from functools import partial
+from operator import itemgetter
 
 from . import matval as mv
 from .matval import Dtype, MatValue, BOOL, Record
 from . import blocks as blockmod
-from .blocks import BlockRecord, IoList, StateList
+from .blocks import INIT, OUTPUT, STATE, BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
@@ -279,11 +281,9 @@ def parse_model(text: str) -> Model:
                              rest)
                 if not m:
                     raise ParseError("bad region line")
-                model.regions.append(RegionSpec(
-                    int(m.group(1)),
-                    [int(x) for x in m.group(2).replace(",", " ").split()],
-                    [int(x) for x in m.group(3).replace(",", " ").split()],
-                    int(m.group(4))))
+                then_, else_ = ([int(x) for x in m.group(k).replace(",", " ").split()]
+                                for k in (2, 3))
+                model.regions.append(RegionSpec(int(m.group(1)), then_, else_, int(m.group(4))))
             else:
                 raise ParseError("unknown directive {!r}".format(head))
         except Exception as e:
@@ -454,7 +454,6 @@ def infer(model: Model) -> Model:
         if link.dtype is None and link.src[0] == "block" \
                 and model.blocks[link.src[1]].kind == "relational_op":
             link.dtype = BOOL
-    for link in model.links.values():
         if link.dtype is None or link.rows is None:
             raise Undetermined("link {} has no inferred dtype/shape".format(link.id))
     model.inferred = True
@@ -533,10 +532,25 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
 # the block runner
 
 
-# what every run of one block shares within a simulate or generate call: the
-# block, its input links (port 1 first), the shared zero of each output slot's
-# signature, and per connected output (io slot index, link, superblock output ports)
-BlockPlan = namedtuple("BlockPlan", "block ins zeros routes")
+class BlockPlan(BlockRecord):
+    """One block's run frame, the BlockRecord its behavior sees: built by
+    `_plan` once per simulate or generate call, refilled by `_run_block` on
+    every run. Beside the record it holds the block, its input links (port 1
+    first) and `fetch`, their values out of a run's link values as a tuple;
+    the shared zero of each output slot's signature; and per connected output
+    (io slot index, link, superblock output ports)."""
+    __slots__ = ("block", "ins", "fetch", "zeros", "routes")
+
+    def __init__(self, block, ins, out_slots, zeros: dict, ports: dict):
+        self.block, self.ins = block, ins
+        self.fetch = itemgetter(*ins) if len(ins) > 1 else \
+            (lambda linkvals, link=ins[0]: (linkvals[link],)) if ins else (lambda linkvals: ())
+        self.zeros, self.routes = [], []
+        for k, (link, template) in enumerate(out_slots, len(ins)):
+            self.zeros.append(_zero(template, zeros))
+            if link is not None:
+                self.routes.append((k, link, ports.get(link, ())))
+        self.io, self.state = IoList([], len(ins)), StateList(())
 
 
 def _zero(link, zeros):
@@ -551,11 +565,8 @@ def _plan(model: Model) -> dict:
     """Block id -> BlockPlan, bound from `Model.graph` once inference is done."""
     g = model.graph
     zeros = {}
-    ports = {l.id: tuple(k for k, m in g.fed_by.items() if m is l) for l in g.fed_by.values()}
-    return {bid: BlockPlan(b, g.ins[bid], tuple([_zero(t, zeros) for _, t in g.slots[bid]]),
-                           tuple([(k, l, ports.get(l.id, ()))
-                                  for k, (l, _) in enumerate(g.slots[bid], len(g.ins[bid]))
-                                  if l is not None]))
+    ports = {l: tuple(k for k, m in g.fed_by.items() if m is l) for l in g.fed_by.values()}
+    return {bid: BlockPlan(b, g.ins[bid], g.slots[bid], zeros, ports)
             for bid, b in model.blocks.items()}
 
 
@@ -568,26 +579,32 @@ def _numeric_context():
 
 
 def _unread(link, reader):
-    """The input slot of a link not computed yet, which fails when read: a
-    delay runs before its input is computed and reads it only at flag 2."""
-    def fail():
-        raise ModelError("block {} read link {} before it was computed".format(reader, link.id))
-    return fail
+    """Fail on a read of a link not computed yet, through its input slot's
+    stand-in: a delay runs before its input is computed and reads it only at flag 2."""
+    raise ModelError("block {} read link {} before it was computed".format(reader, link.id))
 
 
 def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
-    """Run one block behavior at `flag`, numeric or symbolic alike: inputs
-    come from `linkvals`, outputs start as zeros of their slot signature.
-    Returns the io slots, inputs then outputs, and the StateList."""
-    b = plan.block
-    slots = [linkvals[l.id] if l.id in linkvals else _unread(l, b.id) for l in plan.ins]
+    """Run one block behavior at `flag`, numeric or symbolic alike, on its
+    frame refilled in place: inputs come from `linkvals`, outputs start as
+    fresh zeros of their slot signature, the states are `state_vals` itself.
+    Returns the io slots, inputs then outputs, and the StateList: the
+    frame's own, valid only until the block's next run."""
+    b, io, st = plan.block, plan.io, plan.state
+    slots = io.slots
+    try:
+        slots[:] = plan.fetch(linkvals)
+    except KeyError:
+        slots[:] = [linkvals[l] if l in linkvals else partial(_unread, l, b.id) for l in plan.ins]
     for z in plan.zeros:
         slots.append(Num(z))
-    io = IoList(slots, len(plan.ins))
-    st = StateList(state_vals, ctx)
-    params = b.params if branch is None else {**b.params, "active_branch": branch}
+    io.written = False
+    st.entries, st.ctx = state_vals, ctx
+    st.written.clear()
+    plan.ctx = ctx
+    plan.params = b.params if branch is None else {**b.params, "active_branch": branch}
     try:
-        blockmod.behavior(b.kind)(BlockRecord(ctx, io, st, params), flag)
+        blockmod.behavior(b.kind)(plan, flag)
     except HeldValue as e:
         k = next((k for k, v in enumerate(slots[:len(plan.ins)]) if v is e.args[0]), None)
         where = "an input" if k is None else "input slot {} (link {})".format(k + 1, plan.ins[k].id)
@@ -596,7 +613,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
     except mv.MatError as e:
         raise ModelError("block {} ({}) at flag {}: {}: {}"
                          .format(b.id, b.kind, flag, type(e).__name__, e)) from e
-    if flag == blockmod.OUTPUT:
+    if flag == OUTPUT:
         if st.written:
             raise blockmod.FlagPurityError(
                 "block {} wrote state during the output phase".format(b.id))
@@ -606,7 +623,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
                 raise ModelError("block {} ({}) output {} is {}x{}, but link {} is {}x{}".format(
                     b.id, b.kind, k - len(plan.ins) + 1, value.rows, value.cols, link.id,
                     link.rows, link.cols))
-    if flag == blockmod.STATE and io.written:
+    elif flag == STATE and io.written:
         raise blockmod.FlagPurityError(
             "block {} wrote outputs during the state phase".format(b.id))
     return slots, st
@@ -621,7 +638,7 @@ def _held(value: Handle) -> Handle:
 
 def _const_links(model: Model):
     """Link values known before any block runs: the folded constants."""
-    return {l.id: _held(Num(l.const_value)) for l in model.links.values()
+    return {l: _held(Num(l.const_value)) for l in model.links.values()
             if l.const_value is not None}
 
 
@@ -652,8 +669,8 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
             elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
                 ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
-                    known = {l.id: _held(Num(l.const_value)) for l in ins}
-                    values, _ = _run_block(scratch, plans[b.id], blockmod.OUTPUT, known, [])
+                    known = {l: _held(Num(l.const_value)) for l in ins}
+                    values, _ = _run_block(scratch, plans[b.id], OUTPUT, known, [])
                     for k, l, _ in plans[b.id].routes:
                         l.const_value = mv.convert(values[k].value, l.dtype)
                     model.folded_blocks.add(b.id)
@@ -733,15 +750,15 @@ class CodegenResult(Record, namedtuple("CodegenResult", "text program context mo
 
 
 def _init_states(model: Model, sched: Schedule, plans: dict):
-    """Flag -1 pass over zero inputs: every state's initial value."""
+    """Flag -1 pass over zero inputs: block id -> its states' initial
+    values, as the numeric handles its StateList holds."""
     scratch = _numeric_context()
     zeros, states = {}, {}
     for bid in sched.state_order:
         p = plans[bid]
-        inputs = {l.id: Num(_zero(l, zeros)) for l in p.ins}
-        st_vals = [Num(_zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
-        _, st = _run_block(scratch, p, blockmod.INIT, inputs, st_vals)
-        states[bid] = [e.value for e in st.entries]
+        inputs = {l: Num(_zero(l, zeros)) for l in p.ins}
+        states[bid] = [Num(_zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
+        _run_block(scratch, p, INIT, inputs, states[bid])
     return states
 
 
@@ -760,16 +777,11 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     init_values = _init_states(model, sched, plans)
 
     # states become persistents, in init order
-    state_names = {}
-    j = 0
+    z_ids, state_names = itertools.count(base * 10 + 1), {}
     for bid in sched.state_order:
-        names = []
-        for value in init_values[bid]:
-            j += 1
-            name = "z_{}".format(base * 10 + j)
-            ctx.register_static(name, value)
-            names.append(name)
-        state_names[bid] = names
+        state_names[bid] = ["z_{}".format(next(z_ids)) for _ in init_values[bid]]
+        for name, entry in zip(state_names[bid], init_values[bid]):
+            ctx.register_static(name, entry.value)
 
     # superblock ports: inputs first, then outputs
     io = inouts(ctx)
@@ -785,21 +797,19 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     for k, meta in zip(g.inputs, ports_meta):
         port = _held(io.entries[meta["name"]])
         for l in g.feeds[k]:
-            linkvals[l.id] = port
+            linkvals[l] = port
     out_port_names = {k: meta["name"] for k, meta in zip(g.outputs, ports_meta[len(g.inputs):])}
 
     # links read by the state phase need a durable home; so do links read
     # inside branch functions, which can only touch ports and globals
     state_read_links = {l.id for bid in sched.state_order for l in g.ins[bid]}
-    region_read_links = set()
-    region_out_links = set()
+    region_read_links, region_out_links = set(), set()
     for r in model.regions:
         region_out_links.update(l.id for l in g.outs[r.select])
-        for bid in r.then_blocks + r.else_blocks + [r.select]:
-            for l in g.ins[bid]:
-                if l.src[0] == "block" and l.src[1] in r.members:
-                    continue  # stays local to the branch function
-                region_read_links.add(l.id)
+        # a link from a block of the region stays local to the branch function
+        region_read_links.update(l.id for bid in r.then_blocks + r.else_blocks + [r.select]
+                                 for l in g.ins[bid]
+                                 if l.src[0] != "block" or l.src[1] not in r.members)
 
     main_id = base * 10 + 2 * len(sched.branches) + 1
     branch_ids = itertools.count(base * 10 + 1)
@@ -813,7 +823,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         for d in port_dsts:
             inouts_insert(io, out_port_names[d[1]], value)
         if port_dsts:
-            linkvals[link.id] = _held(io.entries[out_port_names[port_dsts[0][1]]])
+            linkvals[link] = _held(io.entries[out_port_names[port_dsts[0][1]]])
             return
         durable = not value.sym or value.name in io.entries or value.name in ctx.statics
         needs_durable = link.id in state_read_links or link.id in region_read_links
@@ -822,15 +832,15 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.convert(value.value, link.dtype))
             _copy_into(ctx, sname, value)
-            linkvals[link.id] = _held(BVar(ctx, ctx.statics[sname].init, sname))
+            linkvals[link] = _held(BVar(ctx, ctx.statics[sname].init, sname))
             return
-        linkvals[link.id] = _held(value)
+        linkvals[link] = _held(value)
 
     def run(bid, flag, branch=None):
         st_vals = [BVar(ctx, ctx.statics[name].init, name)
                    for name in state_names.get(bid, [])]
         values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
-        if flag == blockmod.OUTPUT:
+        if flag == OUTPUT:
             # flush link-homed outputs before port-homed ones
             for k, link, _ in sorted(plans[bid].routes, key=lambda r: bool(r[2])):
                 route_output(link, values[k])
@@ -841,14 +851,14 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
 
     def lower_region(region: RegionSpec):
         """Trace both branches into functions called from one `if`."""
-        cond = linkvals[g.ins[region.ifthenelse][0].id]
+        cond = linkvals[g.ins[region.ifthenelse][0]]
         fids = []
         for branch, order in enumerate(sched.branches[region.ifthenelse], 1):
             fids.append("updateOutput{}".format(next(branch_ids)))
             ctx.push_function(fids[-1], io)
             for bid in order:
-                run(bid, blockmod.OUTPUT)
-            run(region.select, blockmod.OUTPUT, branch)
+                run(bid, OUTPUT)
+            run(region.select, OUTPUT, branch)
             ctx.pop_function(fids[-1])
         if_cos(ctx, cond, CallTarget(fids[0], io_names), CallTarget(fids[1], io_names))
 
@@ -860,19 +870,19 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         if link.const_value is not None:
             inouts_insert(io, out_port_names[k], Num(link.const_value))
         elif link.src[0] == "in":
-            inouts_insert(io, out_port_names[k], linkvals[link.id])
+            inouts_insert(io, out_port_names[k], linkvals[link])
     for node in sched.output_order:
         if isinstance(node, tuple):
             lower_region(node[1])
         else:
-            run(node, blockmod.OUTPUT)
+            run(node, OUTPUT)
     ctx.pop_function(update_output)
 
     # ---- state phase
     update_state = "updateState{}".format(main_id)
     ctx.push_function(update_state, io)
     for bid in sched.state_order:
-        run(bid, blockmod.STATE)
+        run(bid, STATE)
     ctx.pop_function(update_state)
 
     meta = {"ports": ports_meta, "update_output": update_output,
@@ -893,7 +903,10 @@ def simulate(model: Model, inputs_per_step, steps: int):
     plans = _plan(model)
     model = propagate_constants(model, plans)
     sched = schedule(model)
-    states = _init_states(model, sched, plans)
+    # each delay's states stay the handles its init run left in its frame's
+    # StateList, which its runs read and replace
+    state_plans = [(plans[bid], [e.value.dtype for e in entries])
+                   for bid, entries in _init_states(model, sched, plans).items()]
     g = model.graph
     scratch = _numeric_context()
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
@@ -904,21 +917,16 @@ def simulate(model: Model, inputs_per_step, steps: int):
     # per input port: the links it feeds and the output ports it feeds directly
     sources = [(p, g.feeds[k], [j for j, l in g.fed_by.items() if l.src == ("in", k)])
                for k, p in g.inputs.items()]
+    output_order = [node if isinstance(node, tuple) else plans[node] for node in sched.output_order]
 
-    def run(bid, flag, branch=None):
-        vals = states.get(bid)
-        st_vals = [Num(v) for v in vals] if vals else []
-        plan = plans[bid]
-        values, st = _run_block(scratch, plan, flag, linkvals, st_vals, branch)
-        if flag == blockmod.STATE:
-            states[bid] = [mv.convert(e.value, old.dtype) for e, old in zip(st.entries, vals)]
-            return
+    def run(plan, branch=None):
+        values = _run_block(scratch, plan, OUTPUT, linkvals, plan.state.entries, branch)[0]
         for k, link, ports in plan.routes:
             value = values[k]
             if value.value.dtype is not link.dtype:
                 value = Num(mv.convert(value.value, link.dtype))
             value.held = True  # as _held does, without the call
-            linkvals[link.id] = value
+            linkvals[link] = value
             for port in ports:
                 port_buffers[port] = value.value  # infer gave the link its port's dtype
 
@@ -938,21 +946,24 @@ def simulate(model: Model, inputs_per_step, steps: int):
             value = Num(v)
             value.held = True  # as _held does, without the call
             for l in links:
-                linkvals[l.id] = value
+                linkvals[l] = value
             for k in ports:
                 port_buffers[k] = v
-        for node in sched.output_order:
+        for node in output_order:
             if isinstance(node, tuple):
                 # run only the taken branch
                 region = node[1]
-                cond = linkvals[g.ins[region.ifthenelse][0].id].value.data[0]
+                cond = linkvals[g.ins[region.ifthenelse][0]].value.data[0]
                 branch = 1 if cond > 0 else 2
                 for bid in sched.branches[region.ifthenelse][branch - 1]:
-                    run(bid, blockmod.OUTPUT)
-                run(region.select, blockmod.OUTPUT, branch)
+                    run(plans[bid])
+                run(plans[region.select], branch)
             else:
-                run(node, blockmod.OUTPUT)
+                run(node)
         outputs.append([port_buffers[k] for k in g.outputs])
-        for bid in sched.state_order:
-            run(bid, blockmod.STATE)
+        for plan, dtypes in state_plans:
+            st = _run_block(scratch, plan, STATE, linkvals, plan.state.entries)[1]
+            for k in st.written:  # a written state keeps its slot's dtype
+                if st.entries[k].value.dtype is not dtypes[k]:
+                    st.entries[k] = Num(mv.convert(st.entries[k].value, dtypes[k]))
     return outputs

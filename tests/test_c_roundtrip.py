@@ -452,6 +452,75 @@ def test_compiled_overflowing_integer_operations_wrap(tmp_path, case, opt):
         [[[v]] for v in want]
 
 
+def _quotient(blk, flag):
+    """A registered behavior dividing its first input by its second."""
+    if flag == blocks.OUTPUT:
+        blk.io[3] = blk.io[1] / blk.io[2]
+
+
+QUOTIENT_MODEL = """model 93
+input 1 i32 1 1
+input 2 i32 1 1
+output 1 i32 1 1
+block 1 sciblk behavior=quotient out1=i32[1x1]
+link 1 in:1 -> 1.1
+link 2 in:2 -> 1.2
+link 3 1.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_i32_division_by_minus_one_wraps(tmp_path, monkeypatch, opt):
+    """INT32_MIN / -1 wraps to INT32_MIN in simulate, the interpreter and the
+    C, where a plain division traps; other quotients truncate toward zero."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "quotient", _quotient)
+    c = bg.generate(bg.parse_model(QUOTIENT_MODEL), EmitConfig(include_runtime_header=False)).text
+    assert "*inouts3=(*inouts2==-1?(int32_t)(0u-(uint32_t)*inouts1):*inouts1/ *inouts2);" in c
+    pairs = [(-2 ** 31, -1), (2 ** 31 - 1, -1), (-7, 2), (7, -2), (-2 ** 31, 1), (5, -1)]
+    inputs = [[mv.make(mv.I32, 1, 1, [a]), mv.make(mv.I32, 1, 1, [b])] for a, b in pairs]
+    compiled = _roundtrip(tmp_path, bg.parse_model(QUOTIENT_MODEL), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(QUOTIENT_MODEL), inputs, len(inputs))
+    assert [[list(map(int, v.data)) for v in row] for row in simulated] == compiled == \
+        [[[v]] for v in (-2 ** 31, -2 ** 31 + 1, -3, -3, -2 ** 31, -5)]
+
+
+def _libm_functions(blk, flag):
+    """A registered behavior giving sqrt, sin and cos of its input."""
+    if flag == blocks.OUTPUT:
+        x = blk.io[1]
+        blk.io[2], blk.io[3], blk.io[4] = tr.sqrt(x), tr.sin(x), tr.cos(x)
+
+
+LIBM_MODEL = """model 92
+input 1 f64 1 1
+output 1 f64 1 1
+output 2 f64 1 1
+output 3 f64 1 1
+block 1 sciblk behavior=libm_functions out1=f64[1x1] out2=f64[1x1] out3=f64[1x1]
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+link 3 1.2 -> out:2
+link 4 1.3 -> out:3
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_math_functions_outside_their_domain(tmp_path, monkeypatch, opt):
+    """sqrt of a negative number and sin or cos of an infinity give NaN in
+    simulate and the interpreter, as libm does in the C; sqrt(-0.0) is -0.0."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "libm_functions", _libm_functions)
+    stimuli = [-1.0, -math.inf, math.inf, -0.0, 4.0, math.nan]
+    inputs = [[mv.scalar(v)] for v in stimuli]
+    compiled = _roundtrip(tmp_path, bg.parse_model(LIBM_MODEL), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(LIBM_MODEL), inputs, len(inputs))
+    for step, (crow, srow) in enumerate(zip(compiled, simulated)):
+        assert all(_same_f64(c[0], s.data[0]) for c, s in zip(crow, srow)), step
+    nan = [[math.isnan(c[0]) for c in row] for row in compiled]
+    assert nan == [[True, False, False], [True, True, True], [False, True, True],
+                   [False, False, False], [False, False, False], [True, True, True]]
+    assert math.copysign(1.0, compiled[3][0][0]) == -1.0 and compiled[4][0] == [2.0]
+
+
 def test_random_models_compile(tmp_path):
     # every random model the fuzzer accepts must emit syntactically valid C
     from test_model import _random_model

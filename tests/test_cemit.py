@@ -350,7 +350,8 @@ def test_narrow_integer_results_cast_back_where_c_would_promote(tag, cast):
     where it feeds a comparison, a division or a conversion; where it feeds
     another ring operation or a store, and for wider types, it is not. An
     i32 + - * or negation and a u16 *, which C would overflow in int, go
-    through uint32_t and are cast back wherever they are."""
+    through uint32_t and are cast back wherever they are; an i32 division by
+    -1 is such a negation."""
     d = DTYPES[tag]
     tab = SymTab({n: Decl(n, d, 1, 1) for n in "xyz"} | {"w": Decl("w", I32, 1, 1)})
     through = {"i32": ("add", "sub", "mul", "neg"), "u16": ("mul",)}.get(tag, ())
@@ -369,8 +370,9 @@ def test_narrow_integer_results_cast_back_where_c_would_promote(tag, cast):
     s, plain = Op("add", (Ref("x"), Ref("y"))), ring("add", "x", "y")
     assert expr_str(Op("gt", (s, Ref("z"))), tab) == \
         "({}>z)".format(ring("add", "x", "y", feeds=True))
-    assert expr_str(Op("div", (Op("neg", (Ref("x"),)), s)), tab) == \
-        "({}/ {})".format(ring("neg", "x", feeds=True), ring("add", "x", "y", feeds=True))
+    num, den = ring("neg", "x", feeds=True), ring("add", "x", "y", feeds=True)
+    quotient = "({1}==-1?(int32_t)(0u-(uint32_t){0}):{0}/ {1})" if tag == "i32" else "({0}/ {1})"
+    assert expr_str(Op("div", (Op("neg", (Ref("x"),)), s)), tab) == quotient.format(num, den)
     assert expr_str(Cast(F64, Op("mul", (s, Ref("z")))), tab) == \
         "((double)({}))".format(ring("mul", plain, "z", feeds=True))
     assert expr_str(Op("sub", (s, Op("neg", (s,)))), tab) == ring("sub", plain, ring("neg", plain))

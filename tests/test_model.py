@@ -833,6 +833,130 @@ def test_driver_enforces_flag_purity(monkeypatch, impure):
 
 
 # ---------------------------------------------------------------------------
+# the run frame: one per block, refilled on every run
+
+
+# two chain stages: each a summation fed by the stage before and by a gain on
+# its own delay, the summation feeding the delay and the next stage
+TWO_STAGES = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 summation signs=f64[1x2](1 1)
+block 2 unit_delay init=f64[1x1](0)
+block 3 gain gain=f64[1x1](0.5)
+block 4 summation signs=f64[1x2](1 1)
+block 5 unit_delay init=f64[1x1](0)
+block 6 gain gain=f64[1x1](0.25)
+link 1 in:1 -> 1.1
+link 2 1.1 -> 2.1, 4.1
+link 3 2.1 -> 3.1
+link 4 3.1 -> 1.2
+link 5 4.1 -> 5.1, out:1
+link 6 5.1 -> 6.1
+link 7 6.1 -> 4.2
+"""
+
+
+def test_an_unwritten_output_slot_reads_zero_on_the_next_run(monkeypatch):
+    # the frame keeps its slots list from run to run; an output the behavior
+    # leaves unwritten must start from zero again, not from the last run
+    def passes_positive(blk, flag):
+        if flag == blocks.OUTPUT and blk.io[1].value.scalar() > 0:
+            blk.io[2] = blk.io[1]
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "passes_positive", passes_positive)
+    text = """
+model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 sciblk behavior=passes_positive out1=f64[1x1]
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+"""
+    outs = simulate(parse_model(text), [[5.0], [-1.0], [3.0]], 3)
+    assert [row[0].data for row in outs] == [(5.0,), (0.0,), (3.0,)]
+
+
+@pytest.mark.parametrize("impure", [_writes_state_at_output, _writes_output_at_state])
+def test_flag_purity_holds_on_a_frame_after_a_clean_run(monkeypatch, impure):
+    # clean on each phase's first run, impure on its second: the frame's
+    # written marks are reset before each run and set again by this one
+    original = blocks.BEHAVIORS["unit_delay"]
+    dirty = impure(original)
+    runs = {blocks.OUTPUT: 0, blocks.STATE: 0}
+
+    def second_run_impure(blk, flag):
+        if flag in runs:
+            runs[flag] += 1
+            if runs[flag] == 2:
+                return dirty(blk, flag)
+        original(blk, flag)
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "unit_delay", second_run_impure)
+    model = "model 1\ninput 1 f64 1 1\noutput 1 f64 1 1\nblock 1 unit_delay init=f64[1x1](0)\n" \
+            "link 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n"
+    simulate(parse_model(model), [[1.0]], 1)  # one run per phase: clean
+    runs.update({blocks.OUTPUT: 0, blocks.STATE: 0})
+    with pytest.raises(FlagPurityError):
+        simulate(parse_model(model), [[1.0]] * 2, 2)
+
+
+def test_the_select_traced_twice_sees_each_branch(monkeypatch):
+    # generate traces a region's select once per branch on one frame
+    seen = []
+    original = blocks.BEHAVIORS["select"]
+
+    def recording(blk, flag):
+        seen.append(blk.params["active_branch"])
+        original(blk, flag)
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "select", recording)
+    model = coding()
+    bg.generate(model)
+    assert seen == [1, 2]
+    assert "active_branch" not in model.blocks[6].params  # the block's own params stay
+
+
+def test_an_element_write_into_an_input_on_a_later_run_names_slot_and_link(monkeypatch):
+    # the frame refills its input slots from the link values on every run;
+    # the error of a later run still names the slot and its link
+    original = blocks.BEHAVIORS["gain"]
+    runs = []
+
+    def writes_its_input_on_step_two(blk, flag):
+        runs.append(flag)
+        if len(runs) == 2:
+            x = blk.io[1]
+            x[1] = 99
+        original(blk, flag)
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "gain", writes_its_input_on_step_two)
+    text = "model 1\ninput 1 f64 1 1\noutput 1 f64 1 1\nblock 1 gain gain=f64[1x1](2)\n" \
+           "link 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n"
+    with pytest.raises(md.ModelError, match=r"^block 1 wrote an element of input slot 1 "
+                                            r"\(link 1\): a link's value is read only$"):
+        simulate(parse_model(text), [[1.0], [2.0]], 2)
+    assert runs == [blocks.OUTPUT, blocks.OUTPUT]
+
+
+def test_simulate_looks_up_the_behavior_on_every_block_run(monkeypatch):
+    # the benchmark's traced run counts blocks.behavior calls as block runs:
+    # per stage, an init run, then per step three output runs and a state run
+    calls = []
+    lookup = blocks.behavior
+
+    def counting(kind):
+        calls.append(kind)
+        return lookup(kind)
+
+    monkeypatch.setattr(blocks, "behavior", counting)
+    simulate(parse_model(TWO_STAGES), [[1.0], [2.0]], 2)
+    assert len(calls) == 2 * (1 + 2 * (3 + 1))
+    assert calls.count("unit_delay") == 2 * (1 + 2 * 2)
+
+
+# ---------------------------------------------------------------------------
 # generation / interpretation equivalence
 
 

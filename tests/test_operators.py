@@ -56,6 +56,8 @@ def _reference(op, x, y, dtype):
 
 def _printed(op, texts, dtype):
     """The C text the printer gives op on operand texts, by its rule."""
+    if (op, dtype.tag) == ("div", "i32"):  # a division by -1 is a wrapping negation
+        return "({1}==-1?(int32_t)(0u-(uint32_t){0}):{0}/{1})".format(*texts)
     spelling = C_OPS[op].strip()
     if (op, dtype.tag) in THROUGH_UINT32:
         texts = ["(uint32_t)" + t for t in texts]
@@ -137,7 +139,8 @@ def _cases():
                 cases += [(op, dtype, (x,)), (op, dtype, (y,))]
             else:
                 cases += [(op, dtype, pair) for pair in ((x, y), (y, x), (x, x), (y, y))]
-    return cases
+    # the one integer division C would overflow: it traps without the printer's guard
+    return cases + [("div", mv.I32, (-2 ** 31, -1))]
 
 
 def _unit(cases):
