@@ -2,12 +2,13 @@
 
 Each behavior is an ordinary function over a block record and a flag
 (-1 init, 1 output update, 2 state update), written purely against the
-operators and operations of trace's handles, so the same code both
-simulates numerically, on numeric handles (Num) that compute with matval
-directly, and traces symbolically, on bvars that record. The io and state
-lists hold handles of either kind and wrap anything else written to them as
-a Num; reading a symbolic scalar state emits its copy. Parameters are
-always concrete values, evaluated once at generation time, and PARAMS
+operators and operations of trace's handles, one table for both kinds, so
+the same code both simulates numerically, on numeric handles (Num) that
+compute with matval directly and with no recording session (the record's
+ctx is None), and traces symbolically, on bvars that record. The io and
+state lists hold handles of either kind and wrap anything else written to
+them as a Num; reading a symbolic scalar state emits its copy. Parameters
+are always concrete values, evaluated once at generation time, and PARAMS
 declares which each kind takes, so that parse_model checks them.
 """
 
@@ -101,7 +102,8 @@ class StateList:
 
 
 class BlockRecord:
-    """What a behavior sees of one block run."""
+    """What a behavior sees of one block run; ctx is its recording session,
+    None in a numeric run."""
 
     __slots__ = ("ctx", "io", "state", "params")
 

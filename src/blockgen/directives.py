@@ -12,7 +12,7 @@ from __future__ import annotations
 from . import matval as mv
 from . import optimizer
 from .trace import (
-    BVar, Call, CallTarget, CopyMat, Decl, FunctionDef, IfExpr, Program, Ref, Store,
+    Annot, BVar, Call, CallTarget, CopyMat, Decl, FunctionDef, IfExpr, Program, Ref, Store,
     TraceContext, UnbalancedFunction, bv_binop, _as_handle, _as_matvalue, _copy_into,
 )
 
@@ -59,7 +59,9 @@ def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
 
 
 def put_annotation(ctx: TraceContext, text: str):
-    ctx.annotate(text)
+    """Record a comment; a numeric run, which has no session, drops it unbuilt."""
+    if ctx is not None:
+        ctx.emit(Annot(text))
 
 
 def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):

@@ -23,7 +23,7 @@ from .blocks import INIT, OUTPUT, STATE, BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
 from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
-from .trace import BVar, Handle, HeldValue, Num, TraceContext, _copy_into, bv_convert
+from .trace import BVar, Handle, HeldValue, Num, TraceError, _copy_into, bv_convert
 
 
 class ModelError(Exception):
@@ -570,14 +570,6 @@ def _plan(model: Model) -> dict:
             for bid, b in model.blocks.items()}
 
 
-def _numeric_context():
-    """The context of numeric block runs, which drops what behaviors annotate
-    without building it."""
-    ctx = TraceContext()
-    ctx.annotate = lambda text: None
-    return ctx
-
-
 def _unread(link, reader):
     """Fail on a read of a link not computed yet, through its input slot's
     stand-in: a delay runs before its input is computed and reads it only at flag 2."""
@@ -585,11 +577,12 @@ def _unread(link, reader):
 
 
 def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
-    """Run one block behavior at `flag`, numeric or symbolic alike, on its
-    frame refilled in place: inputs come from `linkvals`, outputs start as
-    fresh zeros of their slot signature, the states are `state_vals` itself.
-    Returns the io slots, inputs then outputs, and the StateList: the
-    frame's own, valid only until the block's next run."""
+    """Run one block behavior at `flag` on its frame refilled in place: ctx
+    is the recording session, None for a numeric run; inputs come from
+    `linkvals`, outputs start as fresh zeros of their slot signature, the
+    states are `state_vals` itself. Returns the io slots, inputs then
+    outputs, and the StateList: the frame's own, valid only until the
+    block's next run. A package error the behavior raises names the block."""
     b, io, st = plan.block, plan.io, plan.state
     slots = io.slots
     try:
@@ -610,7 +603,7 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
         where = "an input" if k is None else "input slot {} (link {})".format(k + 1, plan.ins[k].id)
         raise ModelError("block {} wrote an element of {}: a link's value is read only"
                          .format(b.id, where)) from e
-    except mv.MatError as e:
+    except (mv.MatError, TraceError, blockmod.BlockError) as e:
         raise ModelError("block {} ({}) at flag {}: {}: {}"
                          .format(b.id, b.kind, flag, type(e).__name__, e)) from e
     if flag == OUTPUT:
@@ -654,7 +647,6 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
     those links and blocks drop out of the generated code. `plans` come from `_plan`."""
     g = model.graph
     plans = _plan(model) if plans is None else plans
-    scratch = _numeric_context()
     changed = True
     while changed:
         changed = False
@@ -670,7 +662,7 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
                 ins = g.ins[b.id]
                 if ins and all(l.const_value is not None for l in ins):
                     known = {l: _held(Num(l.const_value)) for l in ins}
-                    values, _ = _run_block(scratch, plans[b.id], OUTPUT, known, [])
+                    values, _ = _run_block(None, plans[b.id], OUTPUT, known, [])
                     for k, l, _ in plans[b.id].routes:
                         l.const_value = mv.convert(values[k].value, l.dtype)
                     model.folded_blocks.add(b.id)
@@ -752,13 +744,12 @@ class CodegenResult(Record, namedtuple("CodegenResult", "text program context mo
 def _init_states(model: Model, sched: Schedule, plans: dict):
     """Flag -1 pass over zero inputs: block id -> its states' initial
     values, as the numeric handles its StateList holds."""
-    scratch = _numeric_context()
     zeros, states = {}, {}
     for bid in sched.state_order:
         p = plans[bid]
         inputs = {l: Num(_zero(l, zeros)) for l in p.ins}
         states[bid] = [Num(_zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
-        _run_block(scratch, p, INIT, inputs, states[bid])
+        _run_block(None, p, INIT, inputs, states[bid])
     return states
 
 
@@ -815,10 +806,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     branch_ids = itertools.count(base * 10 + 1)
 
     def route_output(link, value: Handle):
-        if not value.sym:
-            value = Num(mv.convert(value.value, link.dtype))
-        elif value.dtype != link.dtype:
-            value = bv_convert(value, link.dtype)
+        value = bv_convert(value, link.dtype)  # a fresh Num: _held marks no block's own output
         port_dsts = [d for d in link.dsts if d[0] == "out"]
         for d in port_dsts:
             inouts_insert(io, out_port_names[d[1]], value)
@@ -908,7 +896,6 @@ def simulate(model: Model, inputs_per_step, steps: int):
     state_plans = [(plans[bid], [e.value.dtype for e in entries])
                    for bid, entries in _init_states(model, sched, plans).items()]
     g = model.graph
-    scratch = _numeric_context()
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
     for k, link in g.fed_by.items():
         if link.const_value is not None:  # folded blocks never run
@@ -920,7 +907,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
     output_order = [node if isinstance(node, tuple) else plans[node] for node in sched.output_order]
 
     def run(plan, branch=None):
-        values = _run_block(scratch, plan, OUTPUT, linkvals, plan.state.entries, branch)[0]
+        values = _run_block(None, plan, OUTPUT, linkvals, plan.state.entries, branch)[0]
         for k, link, ports in plan.routes:
             value = values[k]
             if value.value.dtype is not link.dtype:
@@ -962,7 +949,7 @@ def simulate(model: Model, inputs_per_step, steps: int):
                 run(node)
         outputs.append([port_buffers[k] for k in g.outputs])
         for plan, dtypes in state_plans:
-            st = _run_block(scratch, plan, STATE, linkvals, plan.state.entries)[1]
+            st = _run_block(None, plan, STATE, linkvals, plan.state.entries)[1]
             for k in st.written:  # a written state keeps its slot's dtype
                 if st.entries[k].value.dtype is not dtypes[k]:
                     st.entries[k] = Num(mv.convert(st.entries[k].value, dtypes[k]))

@@ -1,13 +1,14 @@
 """Traced values, the recording session and the overloaded operations.
 
 A value a behavior computes with is a Handle of one of two kinds. A Num is
-numeric: its value is authoritative, and its operators compute on matval
-directly. A BVar is symbolic: only the dtype and shape of its value are
-meaningful (the entries are a nominal value carried along to keep shape
-inference honest, never consulted for folding), and operations on it append
-pseudo-code instructions to the active session. Each overloaded operation is
-the recorder of its symbolic case, made by _operation: with no symbolic
-operand it is its matval kernel instead, so numeric code records nothing.
+numeric: its value is authoritative. A BVar is symbolic: only the dtype and
+shape of its value are meaningful (the entries are a nominal value carried
+along to keep shape inference honest, never consulted for folding), and
+operations on it append pseudo-code instructions to its session. Handle
+holds the one operator table of both kinds. Each operator calls an
+overloaded operation, the recorder of its symbolic case made by _operation:
+with no symbolic operand it is its matval kernel instead, so numeric code
+records nothing and runs without a session.
 An operation on one element is an Op node named by its matval.elem_kernel,
 the one name the tracer, the optimizer, the interpreter and matval share;
 only the C printer spells it in C. A conversion is the one other operator
@@ -25,7 +26,7 @@ matinv instead, all through _helper_call.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import partial, wraps
+from functools import wraps
 
 from . import matval as mv
 from .matval import MatValue, Dtype, F64, Record
@@ -315,10 +316,6 @@ class TraceContext:
     def emit(self, instr: Instr):
         self.frame.body.append(instr)
 
-    def annotate(self, text: str):
-        """Record a comment; a numeric context drops it unbuilt."""
-        self.emit(Annot(text))
-
     def declare(self, name, dtype, rows, cols, init=None, static=False):
         self.frame.decls[name] = Decl(name, dtype, rows, cols, init, static)
 
@@ -386,25 +383,8 @@ class Handle:
     def __pow__(self, n):
         return bv_pow(self, n)
 
-
-class BVar(Handle):
-    """A symbolic value: its recording session, its IR name, and a nominal
-    value of which only the dtype and shape are meaningful. Its operators
-    record."""
-
-    __slots__ = ()
-    sym = True
-
-    def __init__(self, ctx, value, name):
-        self.ctx, self.value, self.name = ctx, value, name
-
-    def __bool__(self):
-        # control decisions must be partial-evaluable at generation time
-        raise SymbolicConditionError(
-            "conditional depends on symbolic value {!r}".format(self.name or "?"))
-
-    # matrix-language operators: * is the matrix product, / divides by
-    # a scalar or right-divides by a square matrix
+    # the one operator table, for both kinds: * is the matrix product, /
+    # divides by a scalar or right-divides by a square matrix
     __add__ = lambda self, other: bv_binop("add", self, other)
     __radd__ = lambda self, other: bv_binop("add", other, self)
     __sub__ = lambda self, other: bv_binop("sub", self, other)
@@ -417,25 +397,24 @@ class BVar(Handle):
     T = property(lambda self: bv_transpose(self))
 
 
-def _numeric_operator(kernel):
-    """A Num's binary operator and its reflection: kernel on both values, a
-    bare number adopting the Num's dtype (except a bool). A symbolic operand
-    gets NotImplemented, and so its own reflected operator, which records."""
-    def op(self, other):
-        if type(other) is Num:
-            return Num(kernel(self.value, other.value))
-        if type(other) is BVar:
-            return NotImplemented
-        return Num(kernel(self.value, _as_handle(other, self).value))
+class BVar(Handle):
+    """A symbolic value: its recording session, its IR name, and a nominal
+    value of which only the dtype and shape are meaningful."""
 
-    def rop(self, other):  # never a handle: its own operator ran first
-        return Num(kernel(_as_handle(other, self).value, self.value))
-    return op, rop
+    __slots__ = ()
+    sym = True
+
+    def __init__(self, ctx, value, name):
+        self.ctx, self.value, self.name = ctx, value, name
+
+    def __bool__(self):
+        # control decisions must be partial-evaluable at generation time
+        raise SymbolicConditionError(
+            "conditional depends on symbolic value {!r}".format(self.name or "?"))
 
 
 class Num(Handle):
-    """A numeric value, authoritative. Its operators compute on matval
-    directly."""
+    """A numeric value, authoritative."""
 
     __slots__ = ()
     sym, ctx, name = False, None, ""
@@ -444,16 +423,13 @@ class Num(Handle):
         self.value = value
 
     __bool__ = lambda self: all(self.value.data)
-    __add__, __radd__ = _numeric_operator(partial(mv.elem_binop, "add"))
-    __sub__, __rsub__ = _numeric_operator(partial(mv.elem_binop, "sub"))
-    __mul__, __rmul__ = _numeric_operator(mv.matmul)  # a 1x1 operand scales
-    __truediv__, __rtruediv__ = _numeric_operator(mv.divide)
-    __neg__ = lambda self: Num(mv.neg(self.value))
-    T = property(lambda self: Num(mv.transpose(self.value)))
 
 
 def numerics(v) -> Num:
-    """Wrap a concrete value as a numeric handle."""
+    """Wrap a concrete value as a numeric handle; a symbolic one has no
+    concrete value to give."""
+    if type(v) is BVar:
+        raise SymbolicConditionError("numerics of symbolic value {!r}".format(v.name))
     return Num(v if isinstance(v, MatValue) else _as_matvalue(v))
 
 
@@ -492,23 +468,25 @@ def _as_handle(v, like: Handle = None) -> Handle:
 def _operation(kernel):
     """Make an overloaded operation from the recorder of its symbolic case:
     with a symbolic operand (any argument but operator names and dtypes) the
-    recorder runs, else kernel on the operands' values, as a Num. A bare
-    number adopts the dtype of the first handle, except a bool."""
+    recorder runs, else kernel on the operands' values, as a Num. This is
+    the one place that chooses between the two. A bare number adopts the
+    dtype of the first handle, except a bool."""
     def wrap(record):
         def op(*args):
-            sym = False
+            sym, vals = False, []
             for a in args:
                 t = type(a)
-                if t is BVar:
+                if t is Num:
+                    vals.append(a.value)
+                elif t is BVar:
                     sym = True
-                elif t is not Num and t is not str and t is not Dtype:
-                    # a bare number: make every operand a handle first
+                elif t is str or t is Dtype:
+                    vals.append(a)
+                else:  # a bare number: make every operand a handle first
                     like = next((h for h in args if isinstance(h, Handle)), None)
                     return op(*[h if isinstance(h, (str, Dtype)) else _as_handle(h, like)
                                 for h in args])
-            if sym:
-                return record(*args)
-            return Num(kernel(*[a.value if type(a) is Num else a for a in args]))
+            return record(*args) if sym else Num(kernel(*vals))
         return wraps(record)(op)
     return wrap
 
@@ -933,9 +911,12 @@ def bv_div(a, b) -> Handle:
     return bv_matmul(a, bv_inv(b))
 
 
-def bvarempty(ctx: TraceContext, in_) -> BVar:
+def bvarempty(ctx: TraceContext, in_) -> Handle:
     """Fresh symbolic with in's dtype and shape; declared, never copied. A
-    numeric source's value is the declaration's initializer."""
+    numeric source's value is the declaration's initializer, and with no
+    session (a numeric run) a fresh Num of it."""
     b = _as_handle(in_)
+    if ctx is None:
+        return Num(b.value)
     return _new_array(ctx, b.value, init=None if b.sym else b.value)
 

@@ -521,6 +521,38 @@ def test_compiled_math_functions_outside_their_domain(tmp_path, monkeypatch, opt
     assert math.copysign(1.0, compiled[3][0][0]) == -1.0 and compiled[4][0] == [2.0]
 
 
+def _outer_product(blk, flag):
+    """A registered behavior filling a bvarempty of its session with u, 2u
+    and 3u, and writing that column times its transpose."""
+    if flag == blocks.OUTPUT:
+        u = blk.io[1]
+        out = tr.bvarempty(blk.ctx, tr.numerics(mv.zeros(mv.F64, 3, 1)))
+        out[1], out[2], out[3] = u, u * 2.0, u * 3.0
+        blk.io[2] = out * out.T
+
+
+OUTER_PRODUCT_MODEL = """model 91
+input 1 f64 1 1
+output 1 f64 3 3
+block 1 sciblk behavior=outer_product out1=f64[3x3]
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_bvarempty_agrees_three_ways(tmp_path, monkeypatch, opt):
+    """A numeric run has no session, so bvarempty gives it a number to fill
+    and the 3x3 product computes, as the mult helper does in the
+    interpreter and the C."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "outer_product", _outer_product)
+    inputs = [[mv.scalar(v)] for v in (2.0, -0.5)]
+    compiled = _roundtrip(tmp_path, bg.parse_model(OUTER_PRODUCT_MODEL), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(OUTER_PRODUCT_MODEL), inputs, len(inputs))
+    assert [list(row[0].data) for row in simulated] == [row[0] for row in compiled]
+    assert compiled[0][0] == [4.0, 8.0, 12.0, 8.0, 16.0, 24.0, 12.0, 24.0, 36.0]
+
+
 def test_random_models_compile(tmp_path):
     # every random model the fuzzer accepts must emit syntactically valid C
     from test_model import _random_model

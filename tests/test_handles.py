@@ -1,7 +1,7 @@
 """The two kinds of traced value: a numeric handle (Num) computes with
 matval directly and records nothing, a symbolic one (BVar) records. Every
 overloaded operator is checked on every pairing of the two, and of a bare
-number with a Num, in both orders and on every dtype it accepts."""
+number with either, in both orders and on every dtype it accepts."""
 
 import operator
 
@@ -96,6 +96,34 @@ def test_mixed_operands_record(op, tag, sym_side):
     assert type(out) is BVar and out.sym
     assert (out.dtype, out.shape) == (want.dtype, want.shape)
     assert ctx.module.body  # the operation was recorded
+
+
+OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+             "__truediv__", "__rtruediv__", "__neg__", "T")
+
+
+def test_one_operator_table():
+    """Handle holds the operators of both kinds; neither defines its own."""
+    for name in OPERATORS:
+        assert name in vars(tr.Handle)
+        assert name not in vars(Num) and name not in vars(BVar)
+
+
+@pytest.mark.parametrize("tag", [t for t in NUMERIC if mv.DTYPES[t].is_int])
+@pytest.mark.parametrize("op", sorted(BINARY))
+@pytest.mark.parametrize("bare_side", ["left", "right"])
+def test_bare_number_meeting_a_bvar_records_in_its_dtype(op, tag, bare_side):
+    apply, _ = BINARY[op]
+    d = mv.DTYPES[tag]
+    ctx = codegen_init()
+    x = symbolics(ctx, mv.make(d, 1, 1, [5]), "x")
+    out = apply(3, x) if bare_side == "left" else apply(x, 3)
+    assert type(out) is BVar and out.dtype is d and ctx.module.decls[out.name].dtype is d
+    (instr,) = ctx.module.body
+    assert type(instr) is tr.Def and instr.name == out.name
+    three, ref = (tr.Lit(mv.make(d, 1, 1, [3])), tr.Ref("x"))
+    kernel = {"+": "add", "-": "sub", "*": "mul", "/": "div"}[op]
+    assert instr.expr == tr.Op(kernel, (three, ref) if bare_side == "left" else (ref, three))
 
 
 @pytest.mark.parametrize("op", sorted(BINARY))

@@ -640,23 +640,22 @@ def test_simulate_kalman_matches_numpy_oracle():
 
 
 def test_simulate_memory_does_not_grow_with_steps(monkeypatch):
-    # block behaviors annotate in numeric mode too; the scratch context
-    # must not keep those annotations from step to step
+    # block behaviors annotate in numeric mode too; a numeric run has no
+    # session to keep those annotations in, so simulate (with its constant
+    # folding and initial-state pass) builds none
     made = []
+    init = bg.trace.TraceContext.__init__
 
-    class Counting(md.TraceContext):
-        def __init__(self):
-            super().__init__()
-            made.append(self)
+    def counting(self):
+        init(self)
+        made.append(self)
 
-    monkeypatch.setattr(md, "TraceContext", Counting)
-    kept = []
+    monkeypatch.setattr(bg.trace.TraceContext, "__init__", counting)
     for steps in (10, 100):
-        made.clear()
         simulate(twodelays(), [[0.0]] * steps, steps)
-        assert made  # the contexts simulate builds are the ones counted
-        kept.append(sum(len(ctx.module.body) for ctx in made))
-    assert kept[0] == kept[1]
+        assert made == []
+    bg.generate(twodelays())
+    assert len(made) == 1  # the counter does count
 
 
 def test_simulate_zeros_do_not_grow_with_steps(monkeypatch):
@@ -1445,6 +1444,65 @@ def test_a_behaviors_matrix_error_names_its_block():
     assert isinstance(generating.value.__cause__, mv.ShapeMismatch)
     with pytest.raises(md.ModelError, match=message):
         bg.simulate(parse_model(text), [[mv.zeros(F64, 2, 106)]], 1)
+
+
+# a sciblk with id 7 whose behavior is registered by each test below
+SCIBLK_MODEL = """model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 7 sciblk behavior={} out1=f64[1x1]
+link 1 in:1 -> 7.1
+link 2 7.1 -> out:1
+"""
+
+
+def test_numerics_of_a_symbolic_value_fails_in_generate(monkeypatch):
+    # a symbolic value has no number to give: generate used to take its
+    # nominal zero, and printed "*inouts2=0;" where simulate doubles the input
+    def doubled(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[2] = bg.numerics(blk.io[1]) * 2.0
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "doubled", doubled)
+    text = SCIBLK_MODEL.format("doubled")
+    outs = simulate(parse_model(text), [[3.0], [-1.5]], 2)
+    assert [row[0].data for row in outs] == [(6.0,), (-3.0,)]
+    message = (r"^block 7 \(sciblk\) at flag 1: SymbolicConditionError: "
+               r"numerics of symbolic value 'inouts1'$")
+    with pytest.raises(md.ModelError, match=message) as generating:
+        bg.generate(parse_model(text))
+    assert isinstance(generating.value.__cause__, bg.trace.SymbolicConditionError)
+
+
+def test_a_condition_on_a_symbolic_input_names_its_block(monkeypatch):
+    def nonzero(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[2] = blk.io[1] if blk.io[1] else blk.io[1] + 1.0
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "nonzero", nonzero)
+    text = SCIBLK_MODEL.format("nonzero")
+    outs = simulate(parse_model(text), [[3.0], [0.0]], 2)
+    assert [row[0].data for row in outs] == [(3.0,), (1.0,)]
+    message = (r"^block 7 \(sciblk\) at flag 1: SymbolicConditionError: "
+               r"conditional depends on symbolic value 'inouts1'$")
+    with pytest.raises(md.ModelError, match=message):
+        bg.generate(parse_model(text))
+
+
+def test_a_write_to_an_input_slot_names_its_block(monkeypatch):
+    def writes_input(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[1] = blk.io[1] * 2.0
+            blk.io[2] = blk.io[1]
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "writes_input", writes_input)
+    text = SCIBLK_MODEL.format("writes_input")
+    message = r"^block 7 \(sciblk\) at flag 1: BlockError: write to input slot 1$"
+    with pytest.raises(md.ModelError, match=message) as simulating:
+        simulate(parse_model(text), [[3.0]], 1)
+    assert isinstance(simulating.value.__cause__, blocks.BlockError)
+    with pytest.raises(md.ModelError, match=message):
+        bg.generate(parse_model(text))
 
 
 def test_generate_checks_the_shape_of_every_port_write(monkeypatch):

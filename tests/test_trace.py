@@ -26,6 +26,12 @@ def test_numerics_round_trip():
     assert b.value == v
 
 
+def test_numerics_of_a_symbolic_value_raises():
+    x = symbolics(codegen_init(), mv.scalar(3.0), "x")
+    with pytest.raises(tr.SymbolicConditionError, match="^numerics of symbolic value 'x'$"):
+        numerics(x)
+
+
 def test_symbolics_flags_and_names():
     ctx = codegen_init()
     a = symbolics(ctx, mv.scalar(67.0), "x")
@@ -294,6 +300,14 @@ def test_bvarempty_and_copy_into():
     _copy_into(ctx, empty.name, src)
     copies = [i for i in ctx.module.body if isinstance(i, tr.CopyMat)]
     assert copies and copies[-1].dst == empty.name and copies[-1].n == 6
+
+
+def test_bvarempty_without_a_session_is_a_fresh_number():
+    src = numerics(mv.from_rows([[1, 2, 3], [4, 5, 6]]))
+    empty = bvarempty(None, src)
+    assert type(empty) is tr.Num and empty is not src and empty.value == src.value
+    empty[1] = 7
+    assert src.value.data[0] == 1 and empty.value.data[0] == 7
 
 
 def test_inv_nonsquare_message():
