@@ -39,8 +39,9 @@ class IoList:
     keeps the list of slots it is given; `written` tells whether a behavior
     assigned an output.
 
-    An input slot may be a zero-argument callable, called when the slot is
-    read: the driver's stand-in for a link not computed yet."""
+    A slot may be a zero-argument callable, the driver's stand-in, which the
+    slot's first read calls and replaces by its result: a fresh zero for an
+    output, an error for the input of a link not computed yet."""
 
     __slots__ = ("slots", "n_in", "written")
 
@@ -60,8 +61,11 @@ class IoList:
         return len(self.slots)
 
     def __getitem__(self, k) -> Handle:
-        v = self.slots[k - 1] if 0 < k <= len(self.slots) else self.slots[self._index(k)]
-        return v() if callable(v) else v
+        i = k - 1 if 0 < k <= len(self.slots) else self._index(k)
+        v = self.slots[i]
+        if callable(v):
+            v = self.slots[i] = v()
+        return v
 
     def __setitem__(self, k, v):
         i = k - 1 if 0 < k <= len(self.slots) else self._index(k)
@@ -165,9 +169,10 @@ def unit_delay(blk: BlockRecord, flag: int):
     elif flag == STATE:
         blk.state[1] = blk.io[1]
     elif flag == INIT:
-        z = bv_convert(numerics(blk.params["init"]), bv_datatype(blk.io[1]))
-        if z.size == 1 and blk.io[1].size > 1:
-            rows, cols = blk.io[1].shape
+        u = blk.io[1]
+        z = bv_convert(numerics(blk.params["init"]), bv_datatype(u))
+        if z.size == 1 and u.size > 1:
+            rows, cols = u.shape
             z = z * bv_convert(numerics(mv.ones(F64, rows, cols)), z.dtype)
         blk.state[1] = z
 
@@ -176,7 +181,8 @@ def unit_delay(blk: BlockRecord, flag: int):
 def gain(blk: BlockRecord, flag: int):
     if flag == OUTPUT:
         put_annotation(blk.ctx, "Gain block begins.")
-        blk.io[2] = bv_convert(numerics(blk.params["gain"]), bv_datatype(blk.io[1])) * blk.io[1]
+        u = blk.io[1]
+        blk.io[2] = bv_convert(numerics(blk.params["gain"]), bv_datatype(u)) * u
         put_annotation(blk.ctx, "Gain block ends.")
 
 
@@ -186,29 +192,18 @@ def summation(blk: BlockRecord, flag: int):
         return
     nin = len(blk.io) - 1
     signs = blk.params["signs"].data
-    put_annotation(blk.ctx, "Sum block begins with {} inputs.".format(nin))
+    put_annotation(blk.ctx, "Sum block begins with {} inputs.", nin)
+    for sign in signs:
+        if sign not in (1, -1):
+            raise BlockError("wrong sign: {}".format(sign))
     if nin == 1:
         put_annotation(blk.ctx, "Using the sum function.")
-        if signs[0] == -1:
-            out = -bv_sum(blk.io[1])
-        elif signs[0] == 1:
-            out = bv_sum(blk.io[1])
-        else:
-            raise BlockError("wrong sign: {}".format(signs[0]))
+        out = bv_sum(blk.io[1])
+        out = -out if signs[0] == -1 else out
     else:
-        if signs[0] == -1:
-            out = -blk.io[1]
-        elif signs[0] == 1:
-            out = blk.io[1]
-        else:
-            raise BlockError("wrong sign: {}".format(signs[0]))
+        out = -blk.io[1] if signs[0] == -1 else blk.io[1]
         for i in range(2, nin + 1):
-            if signs[i - 1] == -1:
-                out = out - blk.io[i]
-            elif signs[i - 1] == 1:
-                out = out + blk.io[i]
-            else:
-                raise BlockError("wrong sign: {}".format(signs[i - 1]))
+            out = out - blk.io[i] if signs[i - 1] == -1 else out + blk.io[i]
     blk.io[-1] = out
 
 
@@ -218,7 +213,7 @@ def mux(blk: BlockRecord, flag: int):
         return
     nin = len(blk.io) - 1
     y = blk.io[1]
-    put_annotation(blk.ctx, "MUX block begins with {} inputs.".format(nin))
+    put_annotation(blk.ctx, "MUX block begins with {} inputs.", nin)
     for i in range(2, nin + 1):
         y = vertcat(y, blk.io[i])
     blk.io[-1] = y

@@ -13,7 +13,7 @@ from . import matval as mv
 from . import optimizer
 from .trace import (
     Annot, BVar, Call, CallTarget, CopyMat, Decl, FunctionDef, IfExpr, Program, Ref, Store,
-    TraceContext, UnbalancedFunction, bv_binop, _as_handle, _as_matvalue, _copy_into,
+    TraceContext, UnbalancedFunction, bv_binop, session, _as_handle, _as_matvalue, _copy_into,
 )
 
 
@@ -35,7 +35,7 @@ class IoSeq:
 
 
 def inouts(ctx: TraceContext) -> IoSeq:
-    return IoSeq(ctx)
+    return IoSeq(session(ctx, "inouts"))
 
 
 def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
@@ -58,10 +58,11 @@ def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
 # annotations and the structural conditional
 
 
-def put_annotation(ctx: TraceContext, text: str):
-    """Record a comment; a numeric run, which has no session, drops it unbuilt."""
+def put_annotation(ctx: TraceContext, text: str, *args):
+    """Record a comment, text formatted with args; a numeric run, which has
+    no session, drops it unbuilt."""
     if ctx is not None:
-        ctx.emit(Annot(text))
+        ctx.emit(Annot(text.format(*args) if args else text))
 
 
 def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
@@ -70,7 +71,7 @@ def if_cos(ctx: TraceContext, in_, f1: CallTarget, f2: CallTarget):
 
     Returns nothing; the branch targets write shared arguments or globals.
     """
-    in_ = _as_handle(in_)
+    ctx, in_ = session(ctx, "if_cos"), _as_handle(in_)
     if in_.sym:
         test = bv_binop("gt", in_, 0)
         ctx.emit(IfExpr(test.name, f1, f2))

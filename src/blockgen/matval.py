@@ -193,14 +193,9 @@ def make(dtype: Dtype, rows: int, cols: int, data) -> MatValue:
 
 
 def scalar(v, dtype: Dtype = None) -> MatValue:
-    if dtype is None:
-        if isinstance(v, bool):
-            dtype = BOOL
-        elif isinstance(v, int):
-            dtype = F64  # matrix-language default: bare numbers are doubles
-        else:
-            dtype = F64
-    return make(dtype, 1, 1, [v])
+    if dtype is None:  # matrix-language default: bare numbers are doubles
+        dtype = BOOL if isinstance(v, bool) else F64
+    return _unchecked((dtype, 1, 1, (_STORE[dtype.tag](v),)))
 
 
 def zeros(dtype: Dtype, rows: int, cols: int) -> MatValue:
@@ -355,21 +350,21 @@ def _same_dtype(a: MatValue, b: MatValue) -> Dtype:
     return a.dtype
 
 
-def _elementwise(kernel, a: MatValue, b: MatValue, dtype: Dtype) -> MatValue:
-    if len(a.data) == 1 == len(b.data):
-        return _unchecked((dtype, 1, 1, (kernel(a.data[0], b.data[0]),)))
-    rows, cols = broadcast_pair(a, b)
-    n = rows * cols
-    xs = a.data if len(a.data) == n else a.data * n
-    ys = b.data if len(b.data) == n else b.data * n
-    return _unchecked((dtype, rows, cols, tuple(map(kernel, xs, ys))))
-
-
 def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
     """The binary elem_kernel op applied element by element, a 1x1 operand
     broadcasting; a comparison gives a bool matrix."""
-    dtype = a.dtype if a.dtype is b.dtype else _same_dtype(a, b)
-    return _elementwise(elem_kernel(op, dtype), a, b, BOOL if op in COMPARE else dtype)
+    dtype, x, y = a[0], a[3], b[3]  # tuple reads: a 1x1 operation is mostly lookups
+    if dtype is not b[0]:
+        _same_dtype(a, b)
+    kernel = _ELEM_KERNELS.get((op, dtype.tag)) or elem_kernel(op, dtype)
+    if op in COMPARE:
+        dtype = BOOL
+    if len(x) == 1 == len(y):
+        return _unchecked((dtype, 1, 1, (kernel(x[0], y[0]),)))
+    rows, cols = broadcast_pair(a, b)
+    n = rows * cols
+    return _unchecked((dtype, rows, cols, tuple(map(kernel, x if len(x) == n else x * n,
+                                                    y if len(y) == n else y * n))))
 
 
 def neg(a: MatValue) -> MatValue:

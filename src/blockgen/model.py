@@ -14,7 +14,7 @@ import itertools
 import re
 from collections import namedtuple
 from functools import partial
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from . import matval as mv
 from .matval import Dtype, MatValue, BOOL, Record
@@ -69,10 +69,6 @@ class LinkSpec:
         self.src = src    # ("block", id, port) or ("in", k)
         self.dsts = dsts  # of ("block", id, port) or ("out", k)
         self.dtype, self.rows, self.cols, self.const_value = dtype, rows, cols, const_value
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
 
 
 class PortSpec(Record, namedtuple("PortSpec", "index dtype rows cols input")):
@@ -396,27 +392,22 @@ def _build_graph(model: Model) -> Graph:
 # inference
 
 
-def _unify_dtype(link: LinkSpec, dtype: Dtype, changed: list):
-    """Give link dtype if it has none, appending it to `changed`."""
-    if dtype is None:
-        return
-    if link.dtype is None:
-        link.dtype = dtype
+def _unify(link: LinkSpec, dtype: Dtype, rows, cols, changed: list):
+    """Give link the dtype, then the shape, it has none of (a None one gives
+    nothing), appending it to `changed` once if either changed; a different
+    one it has already is a Conflict."""
+    new = False
+    if dtype is not None and link.dtype is not dtype:
+        if link.dtype is not None:
+            raise Conflict("link {}: dtype {} vs {}".format(link.id, link.dtype, dtype))
+        link.dtype, new = dtype, True
+    if rows is not None and (link.rows != rows or link.cols != cols):
+        if link.rows is not None:
+            raise Conflict("link {}: shape {}x{} vs {}x{}".format(
+                link.id, link.rows, link.cols, rows, cols))
+        link.rows, link.cols, new = rows, cols, True
+    if new:
         changed.append(link)
-    elif link.dtype is not dtype:
-        raise Conflict("link {}: dtype {} vs {}".format(link.id, link.dtype, dtype))
-
-
-def _unify_shape(link: LinkSpec, rows, cols, changed: list):
-    """Give link a shape if it has none, appending it to `changed`."""
-    if rows is None:
-        return
-    if link.rows is None:
-        link.rows, link.cols = rows, cols
-        changed.append(link)
-    elif (link.rows, link.cols) != (rows, cols):
-        raise Conflict("link {}: shape {}x{} vs {}x{}".format(
-            link.id, link.rows, link.cols, rows, cols))
 
 
 def infer(model: Model) -> Model:
@@ -429,12 +420,10 @@ def infer(model: Model) -> Model:
     for k, links in g.feeds.items():
         p = g.inputs[k]
         for link in links:
-            _unify_dtype(link, p.dtype, changed)
-            _unify_shape(link, p.rows, p.cols, changed)
+            _unify(link, p.dtype, p.rows, p.cols, changed)
     for k, link in g.fed_by.items():
         p = g.outputs[k]
-        _unify_dtype(link, p.dtype, changed)
-        _unify_shape(link, p.rows, p.cols, changed)
+        _unify(link, p.dtype, p.rows, p.cols, changed)
     dirty = set(model.blocks)
     while dirty:
         for b in model.blocks.values():
@@ -464,110 +453,117 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
     """Apply one block's dtype/shape rule to its links, appending each link
     it changes to `changed`. True when applying it again may change more:
     the matrix gain sets its input's shape after reading it."""
-    if b.kind == "const":
-        v = b.params["value"]
-        for l in outs:
-            _unify_dtype(l, v.dtype, changed)
-            _unify_shape(l, v.rows, v.cols, changed)
-    elif b.kind == "summation" and len(ins) == 1:
-        # one input sums all its elements: the output is 1x1, its dtype the input's
-        for l in outs:
-            _unify_dtype(l, ins[0].dtype, changed)
-            _unify_dtype(ins[0], l.dtype, changed)
-            _unify_shape(l, 1, 1, changed)
-    elif b.kind in ("unit_delay", "summation", "select"):
+    kind = b.kind
+    if kind in ("unit_delay", "summation", "select") and (kind != "summation" or len(ins) != 1):
+        # one dtype and one shape for all the links, the first known of each
         group = ins + outs
-        dt = next((l.dtype for l in group if l.dtype), None)
-        rows, cols = next(((l.rows, l.cols) for l in group if l.rows is not None), (None, None))
+        dt = rows = cols = None
         for l in group:
-            _unify_dtype(l, dt, changed)
-            _unify_shape(l, rows, cols, changed)
-    elif b.kind == "gain":
+            if dt is None:
+                dt = l.dtype
+            if rows is None:
+                rows, cols = l.rows, l.cols
+        for l in group:
+            if l.dtype is not dt or l.rows != rows or l.cols != cols:
+                _unify(l, dt, rows, cols, changed)
+    elif kind == "gain":
         i, o = ins[0], outs[0]
-        _unify_dtype(o, i.dtype, changed)
-        _unify_dtype(i, o.dtype, changed)
+        if i.dtype is not o.dtype:
+            _unify(o, i.dtype, None, None, changed)
+            _unify(i, o.dtype, None, None, changed)
         gain = b.params["gain"]
-        if gain.is_scalar:
-            _unify_shape(o, *i.shape, changed)
-            _unify_shape(i, *o.shape, changed)
-        else:
+        if not gain.is_scalar:
             if i.rows is not None and i.rows != gain.cols:
                 raise Conflict("gain {}: input rows {} vs gain cols {}"
                                .format(b.id, i.rows, gain.cols))
             if i.cols is not None:
-                _unify_shape(o, gain.rows, i.cols, changed)
+                _unify(o, None, gain.rows, i.cols, changed)
             if o.cols is not None:
-                _unify_shape(i, gain.cols, o.cols, changed)
+                _unify(i, None, gain.cols, o.cols, changed)
             return bool(changed)
-    elif b.kind == "mux":
+        if i.rows != o.rows or i.cols != o.cols:
+            _unify(o, None, i.rows, i.cols, changed)
+            _unify(i, None, o.rows, o.cols, changed)
+    elif kind == "const":
+        v = b.params["value"]
+        for l in outs:
+            _unify(l, v.dtype, v.rows, v.cols, changed)
+    elif kind == "summation":
+        # one input sums all its elements: the output is 1x1, its dtype the input's
+        for l in outs:
+            _unify(l, ins[0].dtype, None, None, changed)
+            _unify(ins[0], l.dtype, None, None, changed)
+            _unify(l, None, 1, 1, changed)
+    elif kind == "mux":
         o = outs[0]
         dt = next((l.dtype for l in ins + outs if l.dtype), None)
         for l in ins + outs:
-            _unify_dtype(l, dt, changed)
+            _unify(l, dt, None, None, changed)
         if all(l.rows is not None for l in ins):
             cols = {l.cols for l in ins}
             if len(cols) > 1:
                 raise Conflict("mux {}: mixed column counts".format(b.id))
-            _unify_shape(o, sum(l.rows for l in ins), cols.pop(), changed)
-    elif b.kind == "relational_op":
+            _unify(o, None, sum(l.rows for l in ins), cols.pop(), changed)
+    elif kind == "relational_op":
         a, c = ins
         dt = a.dtype or c.dtype
-        _unify_dtype(a, dt, changed)
-        _unify_dtype(c, dt, changed)
-        sh = a.shape if a.rows is not None else c.shape
-        _unify_shape(a, *sh, changed)
-        _unify_shape(c, *sh, changed)
-        _unify_shape(outs[0], *sh, changed)
-    elif b.kind == "ifthenelse":
-        _unify_shape(ins[0], 1, 1, changed)
-    elif b.kind == "sciblk":
+        _unify(a, dt, None, None, changed)
+        _unify(c, dt, None, None, changed)
+        rows, cols = (a.rows, a.cols) if a.rows is not None else (c.rows, c.cols)
+        for l in (a, c, outs[0]):
+            _unify(l, None, rows, cols, changed)
+    elif kind == "ifthenelse":
+        _unify(ins[0], None, 1, 1, changed)
+    elif kind == "sciblk":
         for port, (dt, r, c) in b.out_sig.items():
             for l in outs:
                 if l.src[2] == port:
-                    _unify_dtype(l, dt, changed)
-                    _unify_shape(l, r, c, changed)
+                    _unify(l, dt, r, c, changed)
 
 
 # ---------------------------------------------------------------------------
 # the block runner
 
 
-class BlockPlan(BlockRecord):
-    """One block's run frame, the BlockRecord its behavior sees: built by
-    `_plan` once per simulate or generate call, refilled by `_run_block` on
-    every run. Beside the record it holds the block, its input links (port 1
-    first) and `fetch`, their values out of a run's link values as a tuple;
-    the shared zero of each output slot's signature; and per connected output
-    (io slot index, link, superblock output ports)."""
-    __slots__ = ("block", "ins", "fetch", "zeros", "routes")
-
-    def __init__(self, block, ins, out_slots, zeros: dict, ports: dict):
-        self.block, self.ins = block, ins
-        self.fetch = itemgetter(*ins) if len(ins) > 1 else \
-            (lambda linkvals, link=ins[0]: (linkvals[link],)) if ins else (lambda linkvals: ())
-        self.zeros, self.routes = [], []
-        for k, (link, template) in enumerate(out_slots, len(ins)):
-            self.zeros.append(_zero(template, zeros))
-            if link is not None:
-                self.routes.append((k, link, ports.get(link, ())))
-        self.io, self.state = IoList([], len(ins)), StateList(())
+class BlockPlan(Record, namedtuple("BlockPlan", "block ins fetch zeros routes")):
+    """How `_run_block` runs one block, built by `_plan` once per simulate
+    or generate call: the block; its input links (port 1 first) and `fetch`,
+    their values out of a run's link values as a tuple; the io stand-in of
+    each output slot, its signature's `_zero`; and per connected output (io
+    slot index, link, superblock output ports)."""
+    __slots__ = ()
 
 
 def _zero(link, zeros):
-    """The zero of link's signature (f64 1x1 without one); one per signature in `zeros`."""
+    """What makes a fresh zero handle of link's signature (f64 1x1 without
+    one) when called; one per signature in `zeros`."""
     key = ("f64", 1, 1) if link is None else (link.dtype.tag, link.rows, link.cols)
     if key not in zeros:
-        zeros[key] = mv.zeros(mv.DTYPES[key[0]], key[1], key[2])
+        zeros[key] = partial(Num, mv.zeros(mv.DTYPES[key[0]], key[1], key[2]))
     return zeros[key]
 
 
 def _plan(model: Model) -> dict:
     """Block id -> BlockPlan, bound from `Model.graph` once inference is done."""
     g = model.graph
-    zeros = {}
+    zeros, plans, new_plan = {}, {}, partial(tuple.__new__, BlockPlan)
     ports = {l: tuple(k for k, m in g.fed_by.items() if m is l) for l in g.fed_by.values()}
-    return {bid: BlockPlan(b, g.ins[bid], g.slots[bid], zeros, ports)
-            for bid, b in model.blocks.items()}
+    for bid, b in model.blocks.items():
+        ins = g.ins[bid]
+        fetch = itemgetter(*ins) if len(ins) > 1 else \
+            (lambda linkvals, link=ins[0]: (linkvals[link],)) if ins else (lambda linkvals: ())
+        outs, routes = [], []
+        for k, (link, template) in enumerate(g.slots[bid], len(ins)):
+            outs.append(_zero(template, zeros))
+            if link is not None:
+                routes.append((k, link, ports.get(link, ())))
+        plans[bid] = new_plan((b, ins, fetch, outs, routes))
+    return plans
+
+
+def _record(ctx) -> BlockRecord:
+    """A driver call's one block record, refilled by `_run_block` for every run."""
+    return BlockRecord(ctx, IoList([], 0), StateList([], ctx), None)
 
 
 def _unread(link, reader):
@@ -576,31 +572,29 @@ def _unread(link, reader):
     raise ModelError("block {} read link {} before it was computed".format(reader, link.id))
 
 
-def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
-    """Run one block behavior at `flag` on its frame refilled in place: ctx
-    is the recording session, None for a numeric run; inputs come from
-    `linkvals`, outputs start as fresh zeros of their slot signature, the
-    states are `state_vals` itself. Returns the io slots, inputs then
-    outputs, and the StateList: the frame's own, valid only until the
-    block's next run. A package error the behavior raises names the block."""
-    b, io, st = plan.block, plan.io, plan.state
-    slots = io.slots
+def _run_block(rec: BlockRecord, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
+    """Run one block behavior at `flag` on the driver's record `rec`, refilled
+    in place: inputs from `linkvals`, each output a fresh zero of its slot's
+    signature until written, the states `state_vals` itself. Returns the io
+    slots (each connected output made after an output run), valid until the
+    record's next run. A package error the behavior raises names the block."""
+    b, ins, fetch, zeros, routes = plan
+    io, st, slots = rec.io, rec.state, rec.io.slots
     try:
-        slots[:] = plan.fetch(linkvals)
+        slots[:] = fetch(linkvals)
     except KeyError:
-        slots[:] = [linkvals[l] if l in linkvals else partial(_unread, l, b.id) for l in plan.ins]
-    for z in plan.zeros:
-        slots.append(Num(z))
+        slots[:] = [linkvals[l] if l in linkvals else partial(_unread, l, b.id) for l in ins]
+    io.n_in = len(slots)
+    slots += zeros
     io.written = False
-    st.entries, st.ctx = state_vals, ctx
+    st.entries = state_vals
     st.written.clear()
-    plan.ctx = ctx
-    plan.params = b.params if branch is None else {**b.params, "active_branch": branch}
+    rec.params = b.params if branch is None else {**b.params, "active_branch": branch}
     try:
-        blockmod.behavior(b.kind)(plan, flag)
+        blockmod.behavior(b.kind)(rec, flag)
     except HeldValue as e:
-        k = next((k for k, v in enumerate(slots[:len(plan.ins)]) if v is e.args[0]), None)
-        where = "an input" if k is None else "input slot {} (link {})".format(k + 1, plan.ins[k].id)
+        k = next((k for k, v in enumerate(slots[:len(ins)]) if v is e.args[0]), None)
+        where = "an input" if k is None else "input slot {} (link {})".format(k + 1, ins[k].id)
         raise ModelError("block {} wrote an element of {}: a link's value is read only"
                          .format(b.id, where)) from e
     except (mv.MatError, TraceError, blockmod.BlockError) as e:
@@ -610,16 +604,19 @@ def _run_block(ctx, plan: BlockPlan, flag, linkvals, state_vals, branch=None):
         if st.written:
             raise blockmod.FlagPurityError(
                 "block {} wrote state during the output phase".format(b.id))
-        for k, link, _ in plan.routes:
-            value = slots[k].value
+        for k, link, _ in routes:
+            value = slots[k]
+            if callable(value):
+                value = slots[k] = value()
+            value = value.value
             if value.rows != link.rows or value.cols != link.cols:
                 raise ModelError("block {} ({}) output {} is {}x{}, but link {} is {}x{}".format(
-                    b.id, b.kind, k - len(plan.ins) + 1, value.rows, value.cols, link.id,
+                    b.id, b.kind, k - len(ins) + 1, value.rows, value.cols, link.id,
                     link.rows, link.cols))
     elif flag == STATE and io.written:
         raise blockmod.FlagPurityError(
             "block {} wrote outputs during the state phase".format(b.id))
-    return slots, st
+    return slots
 
 
 def _held(value: Handle) -> Handle:
@@ -640,13 +637,14 @@ def _const_links(model: Model):
 
 
 _STATELESS_FOLDABLE = ("gain", "summation", "mux", "relational_op")
+_const_value = attrgetter("const_value")
 
 
 def propagate_constants(model: Model, plans: dict = None) -> Model:
     """Links fed only by const blocks through stateless paths carry values;
     those links and blocks drop out of the generated code. `plans` come from `_plan`."""
     g = model.graph
-    plans = _plan(model) if plans is None else plans
+    plans, rec = _plan(model) if plans is None else plans, _record(None)
     changed = True
     while changed:
         changed = False
@@ -660,9 +658,9 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
                 changed = True
             elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
                 ins = g.ins[b.id]
-                if ins and all(l.const_value is not None for l in ins):
+                if ins and None not in map(_const_value, ins):
                     known = {l: _held(Num(l.const_value)) for l in ins}
-                    values, _ = _run_block(None, plans[b.id], OUTPUT, known, [])
+                    values = _run_block(rec, plans[b.id], OUTPUT, known, [])
                     for k, l, _ in plans[b.id].routes:
                         l.const_value = mv.convert(values[k].value, l.dtype)
                     model.folded_blocks.add(b.id)
@@ -674,37 +672,15 @@ def propagate_constants(model: Model, plans: dict = None) -> Model:
 # scheduling
 
 
-def _topo(deps):
-    """Kahn's algorithm; among the ready nodes the smallest key goes first:
-    ties break on ascending block id, and a region sorts at its head's id."""
-    key = {n: n[1] if isinstance(n, tuple) else n for n in deps}
-    waiting = {n: len(d) for n, d in deps.items()}
-    users = {n: [] for n in deps}
-    for n, d in deps.items():
-        for m in d:
-            users[m].append(n)
-    ready = [(key[n], n) for n, k in waiting.items() if not k]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        _, n = heapq.heappop(ready)
-        order.append(n)
-        for m in users[n]:
-            waiting[m] -= 1
-            if not waiting[m]:
-                heapq.heappush(ready, (key[m], m))
-    if len(order) != len(deps):
-        cyc = sorted(key[n] for n in set(deps) - set(order))
-        raise AlgebraicLoop("algebraic loop through blocks {}".format(cyc))
-    return order
-
-
 def _order(model: Model, members, nodes: dict):
     """Topological order of `members` by the feedthrough edges among them,
-    where a block in `nodes` stands for its node there (its region). Edges
-    inside one region node don't count; a block that feeds itself is a loop."""
+    where a block in `nodes` stands for its region's node there, named by
+    the region's head. Edges inside one region node don't count; a block
+    that feeds itself is a loop. Kahn's algorithm over edge counts (an edge
+    twice is counted and released twice): among the ready nodes the
+    smallest id goes first, so a region sorts at its head's id."""
     blocks, ins = model.blocks, model.graph.ins
-    deps = {nodes.get(b, b): set() for b in members}
+    waiting, users = dict.fromkeys(map(nodes.get, members, members), 0), {}
     for bid in members:
         if blocks[bid].kind == "unit_delay":
             continue  # delay inputs are consumed in the state phase
@@ -712,9 +688,23 @@ def _order(model: Model, members, nodes: dict):
         for l in ins[bid]:
             if l.const_value is None and l.src[0] == "block" and l.src[1] in members:
                 src = nodes.get(l.src[1], l.src[1])
-                if src != dst or not isinstance(dst, tuple):
-                    deps[dst].add(src)
-    return _topo(deps)
+                if src != dst or bid not in nodes:
+                    waiting[dst] += 1
+                    users.setdefault(src, []).append(dst)
+    ready = [n for n, k in waiting.items() if not k]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        n = heapq.heappop(ready)
+        order.append(n)
+        for m in users.get(n, ()):
+            waiting[m] -= 1
+            if not waiting[m]:
+                heapq.heappush(ready, m)
+    if len(order) != len(waiting):
+        raise AlgebraicLoop("algebraic loop through blocks {}"
+                            .format(sorted(set(waiting) - set(order))))
+    return order
 
 
 def schedule(model: Model) -> Schedule:
@@ -722,14 +712,13 @@ def schedule(model: Model) -> Schedule:
         raise ModelError("schedule needs an inferred model")
     g = model.graph
     live = set(model.blocks) - model.folded_blocks
-    nodes = {bid: ("region", r.ifthenelse) for bid, r in g.region_of.items()}
-    output_order = [("region", g.region_of[n[1]]) if isinstance(n, tuple) else n
+    nodes = {bid: r.ifthenelse for bid, r in g.region_of.items()}
+    output_order = [("region", g.region_of[n]) if n in nodes else n
                     for n in _order(model, live, nodes)]
     branches = {r.ifthenelse: tuple(_order(model, set(blocks) - model.folded_blocks, {})
                                     for blocks in (r.then_blocks, r.else_blocks))
                 for r in model.regions}
-    stateful = sorted(b for b in live
-                      if blockmod.ARITY.get(model.blocks[b].kind, (0, 0, 0))[2])
+    stateful = sorted(b for b in live if blockmod.ARITY[model.blocks[b].kind][2])
     return Schedule(output_order, stateful, branches)
 
 
@@ -742,14 +731,15 @@ class CodegenResult(Record, namedtuple("CodegenResult", "text program context mo
 
 
 def _init_states(model: Model, sched: Schedule, plans: dict):
-    """Flag -1 pass over zero inputs: block id -> its states' initial
-    values, as the numeric handles its StateList holds."""
-    zeros, states = {}, {}
+    """Flag -1 pass, each input read as a fresh zero: block id -> the list
+    of its states' initial values, as numeric handles."""
+    zeros, rec, states = {}, _record(None), {}
+    inputs = {l: _zero(l, zeros) for bid in sched.state_order for l in plans[bid].ins}
+    fresh = _zero(None, zeros)
     for bid in sched.state_order:
         p = plans[bid]
-        inputs = {l: Num(_zero(l, zeros)) for l in p.ins}
-        states[bid] = [Num(_zero(None, zeros))] * blockmod.ARITY[p.block.kind][2]
-        _run_block(None, p, INIT, inputs, states[bid])
+        states[bid] = [fresh()] * blockmod.ARITY[p.block.kind][2]
+        _run_block(rec, p, INIT, inputs, states[bid])
     return states
 
 
@@ -765,7 +755,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     cfg = cfg or EmitConfig(block_id=base)
 
     ctx = codegen_init()
-    init_values = _init_states(model, sched, plans)
+    rec, init_values = _record(ctx), _init_states(model, sched, plans)
 
     # states become persistents, in init order
     z_ids, state_names = itertools.count(base * 10 + 1), {}
@@ -827,7 +817,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     def run(bid, flag, branch=None):
         st_vals = [BVar(ctx, ctx.statics[name].init, name)
                    for name in state_names.get(bid, [])]
-        values, st = _run_block(ctx, plans[bid], flag, linkvals, st_vals, branch)
+        values, st = _run_block(rec, plans[bid], flag, linkvals, st_vals, branch), rec.state
         if flag == OUTPUT:
             # flush link-homed outputs before port-homed ones
             for k, link, _ in sorted(plans[bid].routes, key=lambda r: bool(r[2])):
@@ -891,10 +881,11 @@ def simulate(model: Model, inputs_per_step, steps: int):
     plans = _plan(model)
     model = propagate_constants(model, plans)
     sched = schedule(model)
-    # each delay's states stay the handles its init run left in its frame's
-    # StateList, which its runs read and replace
-    state_plans = [(plans[bid], [e.value.dtype for e in entries])
-                   for bid, entries in _init_states(model, sched, plans).items()]
+    # each delay's states stay the list of handles its init run left, which
+    # its runs read and replace
+    states, rec = _init_states(model, sched, plans), _record(None)
+    state_runs = [(plans[bid], entries, [e.value.dtype for e in entries])
+                  for bid, entries in states.items()]
     g = model.graph
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
     for k, link in g.fed_by.items():
@@ -904,10 +895,12 @@ def simulate(model: Model, inputs_per_step, steps: int):
     # per input port: the links it feeds and the output ports it feeds directly
     sources = [(p, g.feeds[k], [j for j, l in g.fed_by.items() if l.src == ("in", k)])
                for k, p in g.inputs.items()]
-    output_order = [node if isinstance(node, tuple) else plans[node] for node in sched.output_order]
+    # per output-order node: (its plan, its states) or, for a region, (None, the region)
+    output_order = [(None, n[1]) if isinstance(n, tuple) else (plans[n], states.get(n, ()))
+                    for n in sched.output_order]
 
-    def run(plan, branch=None):
-        values = _run_block(None, plan, OUTPUT, linkvals, plan.state.entries, branch)[0]
+    def run(plan, entries=(), branch=None):
+        values = _run_block(rec, plan, OUTPUT, linkvals, entries, branch)
         for k, link, ports in plan.routes:
             value = values[k]
             if value.value.dtype is not link.dtype:
@@ -936,21 +929,20 @@ def simulate(model: Model, inputs_per_step, steps: int):
                 linkvals[l] = value
             for k in ports:
                 port_buffers[k] = v
-        for node in output_order:
-            if isinstance(node, tuple):
-                # run only the taken branch
-                region = node[1]
+        for plan, entries in output_order:
+            if plan is None:  # a region: run only the taken branch
+                region = entries
                 cond = linkvals[g.ins[region.ifthenelse][0]].value.data[0]
                 branch = 1 if cond > 0 else 2
                 for bid in sched.branches[region.ifthenelse][branch - 1]:
                     run(plans[bid])
-                run(plans[region.select], branch)
+                run(plans[region.select], (), branch)
             else:
-                run(node)
+                run(plan, entries)
         outputs.append([port_buffers[k] for k in g.outputs])
-        for plan, dtypes in state_plans:
-            st = _run_block(None, plan, STATE, linkvals, plan.state.entries)[1]
-            for k in st.written:  # a written state keeps its slot's dtype
-                if st.entries[k].value.dtype is not dtypes[k]:
-                    st.entries[k] = Num(mv.convert(st.entries[k].value, dtypes[k]))
+        for plan, entries, dtypes in state_runs:
+            _run_block(rec, plan, STATE, linkvals, entries)
+            for k in rec.state.written:
+                if entries[k].value.dtype is not dtypes[k]:  # a written state keeps its dtype
+                    entries[k] = Num(mv.convert(entries[k].value, dtypes[k]))
     return outputs

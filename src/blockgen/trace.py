@@ -433,9 +433,16 @@ def numerics(v) -> Num:
     return Num(v if isinstance(v, MatValue) else _as_matvalue(v))
 
 
+def session(ctx: TraceContext, what: str) -> TraceContext:
+    """ctx, the recording session `what` needs; a numeric run has none."""
+    if ctx is None:
+        raise TraceError("{} needs a recording session, and a numeric run has none".format(what))
+    return ctx
+
+
 def symbolics(ctx: TraceContext, v, name: str = None) -> BVar:
     """A free symbolic bvar; only dtype and shape of v are meaningful."""
-    value = _as_matvalue(v)
+    ctx, value = session(ctx, "symbolics"), _as_matvalue(v)
     if name is None:
         name = ctx.getunique()
     else:
@@ -455,38 +462,48 @@ def _as_matvalue(v) -> MatValue:
     raise TypeError("cannot interpret {!r} as a matrix value".format(v))
 
 
-def _as_handle(v, like: Handle = None) -> Handle:
-    if isinstance(v, Handle):
-        return v
+def _coerced(v, args) -> MatValue:
+    """A bare operand's value: a number adopts the dtype of the first handle
+    among args, except a bool."""
     m = _as_matvalue(v)
-    if like is not None and m.dtype != like.dtype and not m.dtype.is_bool:
-        # bare python numbers adopt the dtype of the handle they meet
-        m = mv.convert(m, like.dtype)
-    return Num(m)
+    for like in args:
+        if isinstance(like, Handle):
+            if m.dtype is not like.dtype and not m.dtype.is_bool:
+                m = mv.convert(m, like.dtype)
+            break
+    return m
+
+
+def _as_handle(v, like: Handle = None) -> Handle:
+    return v if isinstance(v, Handle) else Num(_coerced(v, (like,)))
 
 
 def _operation(kernel):
     """Make an overloaded operation from the recorder of its symbolic case:
     with a symbolic operand (any argument but operator names and dtypes) the
     recorder runs, else kernel on the operands' values, as a Num. This is
-    the one place that chooses between the two. A bare number adopts the
-    dtype of the first handle, except a bool."""
+    the one place that chooses between the two. A bare number becomes a Num
+    in the same pass, of the first handle's dtype except a bool."""
     def wrap(record):
         def op(*args):
-            sym, vals = False, []
+            vals, sym, handles = [], False, None
             for a in args:
                 t = type(a)
                 if t is Num:
                     vals.append(a.value)
-                elif t is BVar:
-                    sym = True
                 elif t is str or t is Dtype:
                     vals.append(a)
-                else:  # a bare number: make every operand a handle first
-                    like = next((h for h in args if isinstance(h, Handle)), None)
-                    return op(*[h if isinstance(h, (str, Dtype)) else _as_handle(h, like)
-                                for h in args])
-            return record(*args) if sym else Num(kernel(*vals))
+                elif t is BVar:
+                    sym = True
+                    vals.append(a)
+                else:  # a bare number, replaced in a copy of args
+                    if handles is None:
+                        handles = list(args)
+                    handles[len(vals)] = h = Num(_coerced(a, args))
+                    vals.append(h.value)
+            if sym:
+                return record(*(handles or args))
+            return Num(kernel(*vals))
         return wraps(record)(op)
     return wrap
 
@@ -752,11 +769,9 @@ def bv_concat_cols(a, b) -> Handle:
 def _concat(join, parts) -> Handle:
     """The parts joined left to right; a bare number adopts the dtype of
     what it is joined to, a leading one that of the first handle part."""
-    out = parts[0]
-    if not isinstance(out, Handle):
-        out = _as_handle(out, like=next((p for p in parts if isinstance(p, Handle)), None))
+    out = parts[0] if isinstance(parts[0], Handle) else Num(_coerced(parts[0], parts))
     for p in parts[1:]:
-        out = join(out, p if type(p) is Num else _as_handle(p, like=out))
+        out = join(out, p)
     return out
 
 

@@ -83,6 +83,25 @@ def test_bare_number_adopts_the_numeric_operand_dtype(op, tag):
 
 @pytest.mark.parametrize("tag", NUMERIC)
 @pytest.mark.parametrize("op", sorted(BINARY))
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("bare", [3, 2.75, -2.0])
+def test_bare_number_equals_the_number_converted_first(op, tag, shape, bare):
+    """A bare int or float meeting a Num, on either side, gives what the
+    number converted to the Num's dtype first gives, in dtype and value."""
+    apply, _ = BINARY[op]
+    d = mv.DTYPES[tag]
+    a = _operands(tag, shape)[1]
+    converted = numerics(mv.convert(mv.scalar(bare), d))
+    pairs = [((numerics(a), bare), (numerics(a), converted))]
+    if op != "/" or shape == (1, 1) or d is mv.F64:  # only an f64 square divisor inverts
+        pairs.append(((bare, numerics(a)), (converted, numerics(a))))
+    for given, first in pairs:
+        got, want = _numeric_result(apply(*given)), _numeric_result(apply(*first))
+        assert got == want and got.dtype is want.dtype
+
+
+@pytest.mark.parametrize("tag", NUMERIC)
+@pytest.mark.parametrize("op", sorted(BINARY))
 @pytest.mark.parametrize("sym_side", ["left", "right"])
 def test_mixed_operands_record(op, tag, sym_side):
     apply, kernel = BINARY[op]

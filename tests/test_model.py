@@ -14,6 +14,7 @@ from blockgen import matval as mv
 from blockgen.blocks import FlagPurityError
 from blockgen.matval import BOOL, F64, I32
 from blockgen.irinterp import InterpError, Machine
+from blockgen.trace import TraceError
 from blockgen import model as md
 from blockgen.model import (
     AlgebraicLoop, Conflict, ParseError, Undetermined, parse_model,
@@ -953,6 +954,55 @@ def test_simulate_looks_up_the_behavior_on_every_block_run(monkeypatch):
     simulate(parse_model(TWO_STAGES), [[1.0], [2.0]], 2)
     assert len(calls) == 2 * (1 + 2 * (3 + 1))
     assert calls.count("unit_delay") == 2 * (1 + 2 * 2)
+
+
+def _adds_a_free_symbol(blk, flag):
+    if flag == blocks.OUTPUT:
+        blk.io[2] = blk.io[1] + bg.symbolics(blk.ctx, mv.scalar(0.0))
+
+
+def test_a_session_only_call_in_a_numeric_run_names_the_block(monkeypatch):
+    """A numeric run has no recording session: symbolics of its record's ctx
+    fails as a TraceError that the runner reports with the block, its kind
+    and the flag, while generate, which records, runs the same behavior."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "adds_a_free_symbol", _adds_a_free_symbol)
+    text = ("model 1\ninput 1 f64 1 1\noutput 1 f64 1 1\n"
+            "block 1 sciblk behavior=adds_a_free_symbol out1=f64[1x1]\n"
+            "link 1 in:1 -> 1.1\nlink 2 1.1 -> out:1\n")
+    with pytest.raises(md.ModelError, match=r"block 1 \(sciblk\) at flag 1: TraceError: "
+                                            r"symbolics needs a recording session"):
+        simulate(parse_model(text), [[1.0]], 1)
+    assert "tmp_" in bg.generate(parse_model(text)).text
+    for call in (lambda: bg.if_cos(None, 1.0, None, None), lambda: bg.inouts(None)):
+        with pytest.raises(TraceError, match="needs a recording session"):
+            call()
+
+
+def _writes_nothing(blk, flag):
+    pass
+
+
+def _writes_an_element_of_its_output(blk, flag):
+    if flag == blocks.OUTPUT:
+        out = blk.io[3]
+        out[1] = blk.io[1][1] * 2.0
+
+
+def test_an_output_a_behavior_never_writes_is_its_zero(monkeypatch):
+    """An output slot starts as a stand-in that makes its zero when read: an
+    output never touched is that zero, and a read output keeps the element
+    the behavior writes into it, in simulate as in the generated program."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "writes_nothing", _writes_nothing)
+    monkeypatch.setitem(blocks.BEHAVIORS, "writes_an_element", _writes_an_element_of_its_output)
+    text = ("model 1\ninput 1 f64 1 1\noutput 1 f64 1 1\noutput 2 f64 2 1\n"
+            "block 1 sciblk behavior=writes_nothing out1=f64[1x1]\n"
+            "block 2 sciblk behavior=writes_an_element out2=f64[2x1]\n"
+            "link 1 in:1 -> 1.1, 2.1\nlink 2 1.1 -> out:1\nlink 3 2.2 -> out:2\n")
+    inputs = [[mv.scalar(3.0)], [mv.scalar(4.0)]]
+    want = [[mv.scalar(0.0), mv.make(F64, 2, 1, [2.0 * x, 0.0])] for x in (3.0, 4.0)]
+    assert simulate(parse_model(text), inputs, 2) == want
+    machine = Machine(bg.generate(parse_model(text)).program).run_init()
+    assert machine.run_steps(inputs, 2) == want
 
 
 # ---------------------------------------------------------------------------
