@@ -370,9 +370,15 @@ def _build_graph(model: Model) -> Graph:
             raise ParseError("region head {} is not an ifthenelse block".format(r.ifthenelse))
         if model.blocks[r.select].kind != "select":
             raise ParseError("region select {} is not a select block".format(r.select))
-        for bid in r.members:
+        for bid in sorted(r.members):
+            if bid in region_of:
+                raise ParseError("block {} is listed in region {} and in region {}"
+                                 .format(bid, region_of[bid].ifthenelse, r.ifthenelse))
             region_of[bid] = r
         for bid in r.then_blocks + r.else_blocks:
+            if model.blocks[bid].kind in ("ifthenelse", "select"):
+                raise ParseError("{} block {} is a branch member of region {}"
+                                 .format(model.blocks[bid].kind, bid, r.ifthenelse))
             if blockmod.ARITY.get(model.blocks[bid].kind, (0, 0, 0))[2]:
                 raise ModelError("block {} inside a conditional branch has state".format(bid))
             # only the select's value leaves a region: branch results are
@@ -383,8 +389,8 @@ def _build_graph(model: Model) -> Graph:
                         raise ModelError("link {} leaves the conditional region of block {}"
                                          .format(l.id, r.ifthenelse))
     for b in model.blocks.values():
-        if b.kind == "ifthenelse" and b.id not in region_of:
-            raise ParseError("ifthenelse block {} has no region line".format(b.id))
+        if b.kind in ("ifthenelse", "select") and b.id not in region_of:
+            raise ParseError("{} block {} has no region line".format(b.kind, b.id))
     return Graph(ins, outs, slots, feeds, fed_by, inputs, outputs, region_of)
 
 

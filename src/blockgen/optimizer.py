@@ -1,20 +1,22 @@
 """Post-trace cleanup of straight-line pseudo-code.
 
-One pipeline: literal folding, one forward pass that inlines single-use
-scalar definitions into their (sole) use site, and dead-code elimination.
+One pipeline: the fold, one forward pass that inlines single-use scalar
+definitions into their (sole) use site, and dead-code elimination.
 Each instruction is walked once per body for the names it reads (in
 expression slots, with counts, and in name slots) and writes; validation,
-every pass and the pruning of declarations and statics reuse that record,
-and inlining updates only its use site's.
-Folding lowers an all-literal expression through trace.lower_expr, the
-interpreter's own lowering, and calls it once, so a folded literal is the
-value the interpreter would compute.
+every pass and the pruning of declarations and statics reuse that record;
+the fold walks again only what it changes, inlining only its use site.
+The fold is the one per-element simplifier (the tracer records elements
+unsimplified): it rewrites what trace.identity reduces (x+0, 0-x, 1*x,
+0*x, ...), and lowers an all-literal expression through trace.lower_expr,
+the interpreter's own lowering, and calls it once, so a folded literal is
+the value the interpreter would compute.
 The inlining is what collapses the def-per-operation trace into the compact
 expressions of the generated listings; definitions pinned by a dtype
 conversion, referenced from name slots (copies, calls, if conditions) or
 used more than once always survive. There is no copy propagation: the C
 compiler does that anyway. With optimize=False the trace is only validated
-and its unused declarations pruned.
+and its unused declarations pruned: it is printed as recorded.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from bisect import bisect_right
 
 from . import matval as mv
 from .trace import (
-    Call, CopyMat, Def, ElemRef, IfExpr, Lit, Ref, SetElem, Store, children,
-    lower_expr, map_children, operand_fn,
+    Call, CopyMat, Def, ElemRef, IfExpr, Lit, Op, Ref, SetElem, Store, children,
+    identity, lower_expr, map_children, operand_fn,
 )
 
 
@@ -43,18 +45,29 @@ def _subst(e, name, replacement):
 
 
 def fold_expr(e):
-    """e with every subtree whose operands are all literals evaluated to a
-    literal, unless evaluating it fails (the failure then happens at run
-    time, where it belongs)."""
+    """e simplified bottom up: a subtree whose operands are all literals is
+    evaluated to a literal, unless evaluating it fails (the failure then
+    happens at run time, where it belongs); else a binary Op that
+    trace.identity reduces becomes its operand, the operand's negation or a
+    zero."""
     if isinstance(e, (Lit, Ref, ElemRef)):
         return e
     e = map_children(e, fold_expr)
-    if all(isinstance(c, Lit) for c in children(e)):
+    args = children(e)
+    lits = [c.value.data[0] if type(c) is Lit else None for c in args]
+    if None not in lits:
         try:
             x, dtype = lower_expr(e, None)
             return Lit(mv.MatValue(dtype, 1, 1, (operand_fn(x)(None),)))
         except (mv.MatError, ValueError, OverflowError):
             pass
+    elif len(lits) == 2 and lits != [None, None]:  # a binary Op with a literal
+        kind = identity(e.op, *lits)
+        a, b = args
+        if kind == "0":
+            return Lit(mv.zeros((a if type(a) is Lit else b).value.dtype, 1, 1))
+        if kind is not None:
+            return a if kind == "a" else b if kind == "b" else Op("neg", (b,))
     return e
 
 
@@ -97,18 +110,18 @@ def _any_between(positions, lo, hi) -> bool:
 # passes
 
 
-def _pass_fold(body):
-    """Fold the literal subtrees of every expression; an instruction with
-    nothing to fold is kept as the same object. Folding only evaluates
-    name-free subtrees, so it leaves every instruction's names as they were."""
-    out = []
-    for i in body:
+def _pass_fold(body, names):
+    """Fold every expression (see fold_expr); returns the new body and its
+    names. An instruction with nothing to fold is kept as the same object
+    with its record; only a changed one is walked again."""
+    out, names = list(body), list(names)
+    for pos, i in enumerate(body):
         if isinstance(i, (Def, Store, SetElem)):
             e = fold_expr(i.expr)
             if e is not i.expr:
-                i = i._replace(expr=e)
-        out.append(i)
-    return out
+                out[pos] = i._replace(expr=e)
+                names[pos] = _names_of(out[pos])
+    return out, names
 
 
 def _pass_inline(body, names, nonlocals, pinned):
@@ -198,7 +211,7 @@ def optimize_body(body, decls, params, statics, pinned, optimize=True,
     _validate(names, local_names | nonlocals | set(extra_names))
     out = list(body)
     if optimize:
-        out = _pass_fold(out)
+        out, names = _pass_fold(out, names)
         out, names = _pass_inline(out, names, nonlocals, pinned)
         out, names = _pass_dce(out, names, local_names)
     used = set()

@@ -14,10 +14,12 @@ the one name the tracer, the optimizer, the interpreter and matval share;
 only the C printer spells it in C. A conversion is the one other operator
 node: a converted symbolic value is a new one defined by a Cast per element.
 
-Each recorder says only what element k of its result is. _per_element
-records that as one definition for a 1x1 result (the optimizer later folds
-single-use definitions into their use site, which gives generated programs
-their compact expressions), else as per-element stores into a fresh array.
+Each recorder says only what element k of its result is, unsimplified:
+identity (x+0, 0-x, 1*x, 0*x, ...) is applied per element by the optimizer's
+fold, and here only to a whole value. _per_element records an element as
+one definition for a 1x1 result (the optimizer later folds single-use
+definitions into their use site, which gives generated programs their
+compact expressions), else as per-element stores into a fresh array.
 Products and transposes of more than UNROLL_LIMIT result elements, and
 inverses from 3x3 to 8x8, call the f64 runtime helpers mult, quote and
 matinv instead, all through _helper_call.
@@ -26,7 +28,7 @@ matinv instead, all through _helper_call.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import wraps
+from functools import reduce, wraps
 
 from . import matval as mv
 from .matval import MatValue, Dtype, F64, Record
@@ -605,34 +607,25 @@ def _materialize(ctx, value: MatValue) -> BVar:
     return out
 
 
-def _lit_is(e: Expr, v) -> bool:
-    return isinstance(e, Lit) and not e.value.dtype.is_bool and e.value.data[0] == v
+# binary op -> (operand, literal, what identity returns), first match wins
+_IDENTITIES = {
+    "add": ((0, 0, "b"), (1, 0, "a")),
+    "sub": ((1, 0, "a"), (0, 0, "-b")),
+    "mul": ((0, 1, "b"), (1, 1, "a"), (0, 0, "0"), (1, 0, "0")),
+    "div": ((1, 1, "a"),),
+}
 
 
-def _simplified_bin(op: str, ea: Expr, eb: Expr):
-    """Partial-evaluation identities applied per element; at least one
-    operand is symbolic.
-
-    Returns an Expr, or None when the result is statically zero.
-    """
-    if op == "add":
-        if _lit_is(ea, 0):
-            return eb
-        if _lit_is(eb, 0):
-            return ea
-    elif op == "sub":
-        if _lit_is(eb, 0):
-            return ea
-        if _lit_is(ea, 0):
-            return Op("neg", (eb,))
-    elif op == "mul":
-        if _lit_is(ea, 1):
-            return eb
-        if _lit_is(eb, 1):
-            return ea
-        if _lit_is(ea, 0) or _lit_is(eb, 0):
-            return None
-    return Op(op, (ea, eb))
+def identity(op: str, a, b):
+    """What op's result is, given the literal element value of operand a or b
+    (None when unknown): "a" or "b" when that operand, "-b" when b negated,
+    "0" when zero, else None. Only a non-bool literal equal to 0 or 1 counts,
+    -0.0 as 0, also where IEEE disagrees (0*x for x inf, NaN or -0.0)."""
+    for side, literal, result in _IDENTITIES.get(op, ()):
+        x = b if side else a
+        if x == literal and type(x) is not bool:
+            return result
+    return None
 
 
 def _soft_nominal(fn, fallback: MatValue, *args):
@@ -656,28 +649,19 @@ def bv_binop(op: str, a, b) -> Handle:
         raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
     rows, cols = mv.broadcast_pair(a.value, b.value)
     nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, a.value, b.value)
-    # scalar-level identities: x+0, x-0, 0-x, 1*x, 0*x on the whole value
-    num, other = (a, b) if not a.sym else ((b, a) if not b.sym else (None, None))
-    if num is not None and (num.is_scalar or num.shape == other.shape):
-        if other.shape == nominal.shape:
-            if op == "add" and all(v == 0 for v in num.value.data):
-                return other
-            if op == "sub" and num is b and all(v == 0 for v in num.value.data):
-                return a
-            if op == "sub" and num is a and all(v == 0 for v in num.value.data):
-                return bv_neg(b)
-            if op == "mul" and num.is_scalar and num.value.data[0] == 1:
-                return other
-        if op == "mul" and num.is_scalar and num.value.data[0] == 0:
-            return Num(nominal)
-        if op == "div" and num is b and num.is_scalar and num.value.data[0] == 1:
-            return a
-
-    def expr_at(k):
-        e = _simplified_bin(op, _elem_expr(a, k), _elem_expr(b, k))
-        return Lit(mv.zeros(nominal.dtype, 1, 1)) if e is None else e
-
-    return _per_element(_ctx_of(a, b), nominal, expr_at, _row_major(*nominal.shape))
+    # identity on the whole value: a numeric operand that is 1x1, or all zeros
+    # of the other's shape, is a literal; only a 1x1 one gives a zero result
+    num, other = (b, a) if a.sym else (a, b)
+    if not num.sym and (num.is_scalar or (num.shape == other.shape and not any(num.value.data))):
+        lit = num.value.data[0]
+        kind = identity(op, *((lit, None) if num is a else (None, lit)))
+        if kind == "-b":
+            return bv_neg(b)
+        if kind in ("a", "b") or kind == "0" and num.is_scalar:
+            return a if kind == "a" else b if kind == "b" else Num(nominal)
+    return _per_element(_ctx_of(a, b), nominal,
+                        lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))),
+                        _row_major(*nominal.shape))
 
 
 @_operation(mv.neg)
@@ -699,15 +683,11 @@ def bv_matmul(a, b) -> Handle:
     nominal = mv.matmul(a.value, b.value)
 
     def expr_at(k):
-        # row i of a times column j of b, without the statically zero terms
+        # row i of a times column j of b
         i, j = k % a.rows, k // a.rows
-        acc = None
-        for m in range(a.cols):
-            term = _simplified_bin("mul", _elem_expr(a, i + a.rows * m),
-                                   _elem_expr(b, m + b.rows * j))
-            if term is not None:
-                acc = term if acc is None else _simplified_bin("add", acc, term)
-        return Lit(mv.zeros(nominal.dtype, 1, 1)) if acc is None else acc
+        terms = [Op("mul", (_elem_expr(a, i + a.rows * m), _elem_expr(b, m + b.rows * j)))
+                 for m in range(a.cols)]
+        return reduce(lambda acc, term: Op("add", (acc, term)), terms)
 
     if nominal.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
         res = _new_array(ctx, nominal)

@@ -193,10 +193,10 @@ void updateOutput10021(double *inouts1,double *inouts2){
   tmp_24[5]=(tmp_23[2]);
   tmp_24[6]=(tmp_15[3]);
   tmp_24[7]=(tmp_23[3]);
-  tmp_25[0]=((z_10021[0])+(0.1*(z_10021[1])));
-  tmp_25[1]=(z_10021[1]);
-  tmp_25[2]=((z_10021[2])+(0.1*(z_10021[3])));
-  tmp_25[3]=(z_10021[3]);
+  tmp_25[0]=((((1*(z_10021[0]))+(0.1*(z_10021[1])))+(0*(z_10021[2])))+(0*(z_10021[3])));
+  tmp_25[1]=((((0*(z_10021[0]))+(1*(z_10021[1])))+(0*(z_10021[2])))+(0*(z_10021[3])));
+  tmp_25[2]=((((0*(z_10021[0]))+(0*(z_10021[1])))+(1*(z_10021[2])))+(0.1*(z_10021[3])));
+  tmp_25[3]=((((0*(z_10021[0]))+(0*(z_10021[1])))+(0*(z_10021[2])))+(1*(z_10021[3])));
   /* Product of matrices resulting size 16>6: calling external function*/
   tmp_26[0]=1;
   tmp_26[1]=0;
@@ -241,21 +241,21 @@ void updateOutput10021(double *inouts1,double *inouts2){
   tmp_35=4;
   tmp_36=4;
   mult(tmp_37,tmp_31,tmp_32,&tmp_33,&tmp_34,&tmp_35,&tmp_36);
-  tmp_38[0]=(tmp_37[0]);
-  tmp_38[4]=(tmp_37[4]);
-  tmp_38[8]=(tmp_37[8]);
-  tmp_38[12]=(tmp_37[12]);
-  tmp_38[1]=(tmp_37[1]);
+  tmp_38[0]=((tmp_37[0])+0);
+  tmp_38[4]=((tmp_37[4])+0);
+  tmp_38[8]=((tmp_37[8])+0);
+  tmp_38[12]=((tmp_37[12])+0);
+  tmp_38[1]=((tmp_37[1])+0);
   tmp_38[5]=((tmp_37[5])+0.1);
-  tmp_38[9]=(tmp_37[9]);
-  tmp_38[13]=(tmp_37[13]);
-  tmp_38[2]=(tmp_37[2]);
-  tmp_38[6]=(tmp_37[6]);
-  tmp_38[10]=(tmp_37[10]);
-  tmp_38[14]=(tmp_37[14]);
-  tmp_38[3]=(tmp_37[3]);
-  tmp_38[7]=(tmp_37[7]);
-  tmp_38[11]=(tmp_37[11]);
+  tmp_38[9]=((tmp_37[9])+0);
+  tmp_38[13]=((tmp_37[13])+0);
+  tmp_38[2]=((tmp_37[2])+0);
+  tmp_38[6]=((tmp_37[6])+0);
+  tmp_38[10]=((tmp_37[10])+0);
+  tmp_38[14]=((tmp_37[14])+0);
+  tmp_38[3]=((tmp_37[3])+0);
+  tmp_38[7]=((tmp_37[7])+0);
+  tmp_38[11]=((tmp_37[11])+0);
   tmp_38[15]=((tmp_37[15])+0.1);
   /* Transpose of matrix of size 8>6: calling external function*/
   tmp_39=2;
@@ -284,8 +284,8 @@ void updateOutput10021(double *inouts1,double *inouts2){
   tmp_55[1]=(((((tmp_51[1])*(tmp_54[0]))+((tmp_51[3])*(tmp_54[1])))+((tmp_51[5])*(tmp_54[2])))+((tmp_51[7])*(tmp_54[3])));
   tmp_55[3]=(((((tmp_51[1])*(tmp_54[4]))+((tmp_51[3])*(tmp_54[5])))+((tmp_51[5])*(tmp_54[6])))+((tmp_51[7])*(tmp_54[7])));
   tmp_56[0]=((tmp_55[0])+2500);
-  tmp_56[2]=(tmp_55[2]);
-  tmp_56[1]=(tmp_55[1]);
+  tmp_56[2]=((tmp_55[2])+0);
+  tmp_56[1]=((tmp_55[1])+0);
   tmp_56[3]=((tmp_55[3])+2.5e-05);
   tmp_58=(tmp_56[3]);
   tmp_57[0]=tmp_58;
@@ -331,20 +331,20 @@ void updateOutput10021(double *inouts1,double *inouts2){
   tmp_83=4;
   mult(tmp_84,tmp_76,tmp_24,&tmp_80,&tmp_81,&tmp_82,&tmp_83);
   tmp_85[0]=(1-(tmp_84[0]));
-  tmp_85[4]=(-(tmp_84[4]));
-  tmp_85[8]=(-(tmp_84[8]));
-  tmp_85[12]=(-(tmp_84[12]));
-  tmp_85[1]=(-(tmp_84[1]));
+  tmp_85[4]=(0-(tmp_84[4]));
+  tmp_85[8]=(0-(tmp_84[8]));
+  tmp_85[12]=(0-(tmp_84[12]));
+  tmp_85[1]=(0-(tmp_84[1]));
   tmp_85[5]=(1-(tmp_84[5]));
-  tmp_85[9]=(-(tmp_84[9]));
-  tmp_85[13]=(-(tmp_84[13]));
-  tmp_85[2]=(-(tmp_84[2]));
-  tmp_85[6]=(-(tmp_84[6]));
+  tmp_85[9]=(0-(tmp_84[9]));
+  tmp_85[13]=(0-(tmp_84[13]));
+  tmp_85[2]=(0-(tmp_84[2]));
+  tmp_85[6]=(0-(tmp_84[6]));
   tmp_85[10]=(1-(tmp_84[10]));
-  tmp_85[14]=(-(tmp_84[14]));
-  tmp_85[3]=(-(tmp_84[3]));
-  tmp_85[7]=(-(tmp_84[7]));
-  tmp_85[11]=(-(tmp_84[11]));
+  tmp_85[14]=(0-(tmp_84[14]));
+  tmp_85[3]=(0-(tmp_84[3]));
+  tmp_85[7]=(0-(tmp_84[7]));
+  tmp_85[11]=(0-(tmp_84[11]));
   tmp_85[15]=(1-(tmp_84[15]));
   /* Product of matrices resulting size 16>6: calling external function*/
   tmp_86=4;

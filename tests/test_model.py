@@ -226,6 +226,91 @@ link 4 4.1 -> out:1
         parse_model(text)
 
 
+REGIONS_MODEL = """
+model 1
+input 1 i32 1 1
+output 1 i32 1 1
+output 2 i32 1 1
+block 1 relational_op op=ne
+block 3 ifthenelse
+block 4 select
+block 5 const value=i32[1x1](0)
+block 6 ifthenelse
+block 7 select
+block 8 const value=i32[1x1](1)
+block 9 const value=i32[1x1](2)
+link 1 in:1 -> 1.1, 1.2, 4.2, 7.2
+link 2 1.1 -> 3.1, 6.1
+link 3 5.1 -> 4.1
+link 4 4.1 -> out:1
+link 5 8.1 -> 7.1
+link 6 7.1 -> out:2
+"""
+
+
+@pytest.mark.parametrize("regions, message", [
+    (["region 3 then=[5, 9] else=[] select=4", "region 6 then=[8, 9] else=[] select=7"],
+     "block 9 is listed in region 3 and in region 6"),
+    (["region 3 then=[5] else=[] select=4", "region 6 then=[8] else=[] select=7",
+      "region 3 then=[5] else=[] select=4"],
+     "block 3 is listed in region 3 and in region 3"),
+], ids=["member", "repeated-line"])
+def test_parse_rejects_block_in_two_regions(regions, message):
+    # the block used to belong silently to the last region naming it
+    with pytest.raises(ParseError, match="^{}$".format(message)):
+        parse_model(REGIONS_MODEL + "\n".join(regions) + "\n")
+
+
+# a select that no region line names as its region's select
+SELECT_MODELS = {
+    "outside": """
+model 1
+input 1 i32 1 1
+output 1 i32 1 1
+block 4 select
+block 5 const value=i32[1x1](0)
+link 1 in:1 -> 4.2
+link 3 5.1 -> 4.1
+link 4 4.1 -> out:1
+""",
+    "member": """
+model 1
+input 1 i32 1 1
+output 1 i32 1 1
+block 1 relational_op op=ne
+block 3 ifthenelse
+block 4 select
+block 5 const value=i32[1x1](0)
+block 8 select
+link 1 in:1 -> 1.1, 1.2, 4.2, 8.2
+link 2 1.1 -> 3.1
+link 3 5.1 -> 8.1
+link 6 8.1 -> 4.1
+link 4 4.1 -> out:1
+region 3 then=[5, 8] else=[] select=4
+""",
+}
+
+
+@pytest.mark.parametrize("case, message", [
+    ("outside", "select block 4 has no region line"),
+    ("member", "select block 8 is a branch member of region 3"),
+], ids=["outside", "member"])
+def test_parse_rejects_select_outside_its_region_role(case, message):
+    # generate used to fail on either with a bare KeyError: 'active_branch'
+    with pytest.raises(ParseError, match="^{}$".format(message)):
+        parse_model(SELECT_MODELS[case])
+
+
+def test_cli_names_the_select_outside_every_region(tmp_path, capsys):
+    from blockgen import cli
+    path = tmp_path / "m.model"
+    path.write_text(SELECT_MODELS["outside"])
+    for command in ("simulate", "generate"):
+        assert cli.main([command, str(path)]) != 0
+        assert capsys.readouterr().err == "error: select block 4 has no region line\n"
+
+
 def test_parse_rejects_gap_in_block_inputs():
     text = """
 model 1

@@ -11,7 +11,7 @@ from blockgen import matval as mv
 from blockgen.matval import F64, I32
 from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen.irinterp import Machine
-from blockgen.optimizer import MalformedIR, _pass_fold, optimize_body
+from blockgen.optimizer import MalformedIR, _names_of, _pass_fold, optimize_body
 from blockgen import trace as tr
 from blockgen.trace import (
     Annot, Call, CallTarget, CopyMat, Def, ElemRef, IfExpr, Lit, Op, Ref, SetElem,
@@ -322,15 +322,68 @@ def test_random_decls_and_statics_match_a_fresh_walk(optimize):
 
 
 def test_fold_keeps_instructions_without_a_foldable_literal():
-    one = Lit(mv.scalar(1.0))
-    body = [Def("t", Op("add", (Ref("a"), one))),
+    two = Lit(mv.scalar(2.0))  # neither 0 nor 1, so no identity applies
+    body = [Def("t", Op("add", (Ref("a"), two))),
             Store("out", Op("neg", (Ref("t"),))),
-            SetElem("m", 2, Op("mul", (ElemRef("m", 1), one))),
+            SetElem("m", 2, Op("mul", (ElemRef("m", 1), two))),
             CopyMat("n", "m", 4),
             Call("helper", ("m", "n")),
             Annot("end")]
-    out = _pass_fold(body)
+    names = [_names_of(i) for i in body]
+    out, out_names = _pass_fold(body, names)
     assert len(out) == len(body) and all(x is y for x, y in zip(out, body))
+    assert all(x is y for x, y in zip(out_names, names))
+
+
+def _expressions(e):
+    """e and every expression below it."""
+    yield e
+    for c in tr.children(e):
+        yield from _expressions(c)
+
+
+def _reducible_ops(body):
+    """The binary Ops in a body that trace.identity reduces."""
+    lit = lambda c: c.value.data[0] if isinstance(c, Lit) else None  # noqa: E731
+    return [e for i in body if isinstance(i, (Def, Store, SetElem))
+            for e in _expressions(i.expr)
+            if isinstance(e, Op) and len(e.args) == 2
+            and tr.identity(e.op, *map(lit, e.args)) is not None]
+
+
+def _fixture_program(fixture, optimize):
+    from blockgen import model as md
+    return md.generate(md.parse_model(load_model_text(fixture + ".model")),
+                       optimize=optimize).program
+
+
+@pytest.mark.parametrize("fixture", ["chain40", "coding", "kalman", "twodelays"])
+def test_optimized_fixture_keeps_no_op_an_identity_reduces(fixture):
+    for fn in _fixture_program(fixture, True).functions:
+        assert _reducible_ops(fn.body) == [], fn.name
+
+
+def test_fold_is_live_on_the_recorded_kalman_trace():
+    # the tracer records 1*x, 0*x, x+0 and 0-x element by element; the fold
+    # is the pass that removes them
+    bodies = [fn.body for fn in _fixture_program("kalman", False).functions]
+    assert any(_reducible_ops(body) for body in bodies)
+    changed = 0
+    for body in bodies:
+        out, _ = _pass_fold(body, [_names_of(i) for i in body])
+        changed += sum(x is not y for x, y in zip(out, body))
+        assert _reducible_ops(out) == []
+    assert changed > 0
+
+
+@pytest.mark.parametrize("fixture", ["chain40", "coding", "kalman", "twodelays"])
+def test_fold_records_match_a_fresh_walk(fixture):
+    for fn in _fixture_program(fixture, False).functions:
+        names = [_names_of(i) for i in fn.body]
+        out, out_names = _pass_fold(fn.body, names)
+        assert out_names == [_names_of(i) for i in out], fn.name
+        # an instruction the fold kept keeps its record object
+        assert all(r is n for x, y, r, n in zip(out, fn.body, out_names, names) if x is y)
 
 
 @pytest.mark.parametrize("optimize", [True, False], ids=["opt", "raw"])

@@ -139,6 +139,33 @@ def test_identity_gain_is_silent():
     assert not ctx.module.body
 
 
+# (op, side of the literal, literal) -> what trace.identity returns; every
+# other case, and every bool literal, is no identity
+IDENTITY_TABLE = {
+    ("add", "a", 0): "b", ("add", "b", 0): "a",
+    ("sub", "b", 0): "a", ("sub", "a", 0): "-b",
+    ("mul", "a", 1): "b", ("mul", "b", 1): "a", ("mul", "a", 0): "0", ("mul", "b", 0): "0",
+    ("div", "b", 1): "a",
+}
+BINARY_OPS = ["add", "sub", "mul", "div", *sorted(mv.COMPARE), "atan2"]
+
+
+@pytest.mark.parametrize("dtype", list(mv.DTYPES.values()), ids=str)
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("op", BINARY_OPS)
+def test_identity_table(op, side, dtype):
+    literals = [0, 1, 2, -1] + ([-0.0, 0.5] if dtype is F64 else [])
+    for literal in literals:
+        value = mv.make(dtype, 1, 1, [literal]).data[0]
+        got = tr.identity(op, *((value, None) if side == "a" else (None, value)))
+        if dtype.is_bool:
+            want = None
+        else:  # -0.0 counts as 0; -1 wraps to the maximum of an unsigned dtype
+            want = IDENTITY_TABLE.get((op, side, 0 if value == 0 else 1 if value == 1 else None))
+        assert got == want, (literal, value)
+    assert tr.identity(op, None, None) is None
+
+
 def test_mul_by_zero_folds_to_numeric():
     ctx = codegen_init()
     x = symbolics(ctx, mv.scalar(5.0), "x")
