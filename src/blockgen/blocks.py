@@ -132,7 +132,8 @@ def behavior(kind):
         raise BlockError("unknown block kind {!r}".format(kind))
 
 
-# block kind -> (inputs, outputs, states); None means link-determined
+# block kind -> (inputs, outputs, states); None means link-determined. An
+# ifthenelse has no behavior: the drivers lower its region, never run it.
 ARITY = {
     "unit_delay": (1, 1, 1),
     "gain": (1, 1, 0),
@@ -241,12 +242,6 @@ def select(blk: BlockRecord, flag: int):
         put_annotation(blk.ctx, "Selct block starts")
         put_annotation(blk.ctx, "Selct block ends")
         blk.io[-1] = blk.io[blk.params["active_branch"]]
-
-
-@register_block("ifthenelse")
-def ifthenelse(blk: BlockRecord, flag: int):
-    # the structural conditional is lowered by the generation driver
-    pass
 
 
 @register_block("sciblk")

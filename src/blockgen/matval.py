@@ -444,21 +444,32 @@ def transpose(a: MatValue) -> MatValue:
     return _unchecked((a.dtype, a.cols, a.rows, tuple(transpose_flat(a.data, a.rows, a.cols))))
 
 
+def concat_shape(a, b, vertical: bool):
+    """The (rows, cols) of a over b (vertical) or of a left of b, neither
+    empty (anything with dtype, rows and cols), raising as concat_rows and
+    concat_cols do, without building it."""
+    _same_dtype(a, b)
+    if vertical:
+        if a.cols != b.cols:
+            raise ShapeMismatch("column counts {} vs {}".format(a.cols, b.cols))
+        return a.rows + b.rows, a.cols
+    if a.rows != b.rows:
+        raise ShapeMismatch("row counts {} vs {}".format(a.rows, b.rows))
+    return a.rows, a.cols + b.cols
+
+
 def concat_rows(a: MatValue, b: MatValue) -> MatValue:
     """Vertical stack, a on top. Empty operands are identities."""
     if not a.data:
         return b
     if not b.data:
         return a
-    _same_dtype(a, b)
-    if a.cols != b.cols:
-        raise ShapeMismatch("column counts {} vs {}".format(a.cols, b.cols))
-    rows = a.rows + b.rows
+    rows, cols = concat_shape(a, b, vertical=True)
     data = []
-    for j in range(a.cols):
+    for j in range(cols):
         data.extend(a.data[j * a.rows:(j + 1) * a.rows])
         data.extend(b.data[j * b.rows:(j + 1) * b.rows])
-    return _unchecked((a.dtype, rows, a.cols, tuple(data)))
+    return _unchecked((a.dtype, rows, cols, tuple(data)))
 
 
 def concat_cols(a: MatValue, b: MatValue) -> MatValue:
@@ -467,10 +478,8 @@ def concat_cols(a: MatValue, b: MatValue) -> MatValue:
         return b
     if not b.data:
         return a
-    _same_dtype(a, b)
-    if a.rows != b.rows:
-        raise ShapeMismatch("row counts {} vs {}".format(a.rows, b.rows))
-    return _unchecked((a.dtype, a.rows, a.cols + b.cols, a.data + b.data))
+    rows, cols = concat_shape(a, b, vertical=False)
+    return _unchecked((a.dtype, rows, cols, a.data + b.data))
 
 
 def convert(a: MatValue, dtype: Dtype) -> MatValue:

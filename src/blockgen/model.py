@@ -814,7 +814,7 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
         if link.id in region_out_links or (needs_durable and not durable):
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
-                ctx.register_static(sname, mv.convert(value.value, link.dtype))
+                ctx.register_static(sname, mv.zeros(link.dtype, link.rows, link.cols))
             _copy_into(ctx, sname, value)
             linkvals[link] = _held(BVar(ctx, ctx.statics[sname].init, sname))
             return
@@ -888,10 +888,9 @@ def simulate(model: Model, inputs_per_step, steps: int):
     model = propagate_constants(model, plans)
     sched = schedule(model)
     # each delay's states stay the list of handles its init run left, which
-    # its runs read and replace
+    # its runs read and replace; infer gives a delay's input its state's dtype
     states, rec = _init_states(model, sched, plans), _record(None)
-    state_runs = [(plans[bid], entries, [e.value.dtype for e in entries])
-                  for bid, entries in states.items()]
+    state_runs = [(plans[bid], entries) for bid, entries in states.items()]
     g = model.graph
     port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
     for k, link in g.fed_by.items():
@@ -946,9 +945,6 @@ def simulate(model: Model, inputs_per_step, steps: int):
             else:
                 run(plan, entries)
         outputs.append([port_buffers[k] for k in g.outputs])
-        for plan, entries, dtypes in state_runs:
+        for plan, entries in state_runs:
             _run_block(rec, plan, STATE, linkvals, entries)
-            for k in rec.state.written:
-                if entries[k].value.dtype is not dtypes[k]:  # a written state keeps its dtype
-                    entries[k] = Num(mv.convert(entries[k].value, dtypes[k]))
     return outputs

@@ -1,10 +1,12 @@
 """Traced values, the recording session and the overloaded operations.
 
 A value a behavior computes with is a Handle of one of two kinds. A Num is
-numeric: its value is authoritative. A BVar is symbolic: only the dtype and
-shape of its value are meaningful (the entries are a nominal value carried
-along to keep shape inference honest, never consulted for folding), and
-operations on it append pseudo-code instructions to its session. Handle
+numeric: its value is authoritative. A BVar is symbolic: it is known only by
+its signature, the dtype and shape of its value, and operations on it append
+pseudo-code instructions to its session. Generation computes only with
+numeric values: a recorder works out its result's signature from its
+operands' (raising the dtype and shape errors of its matval operation) and
+builds the result on a zero of it, and nothing reads a BVar's entries. Handle
 holds the one operator table of both kinds. Each operator calls an
 overloaded operation, the recorder of its symbolic case made by _operation:
 with no symbolic operand it is its matval kernel instead, so numeric code
@@ -400,8 +402,9 @@ class Handle:
 
 
 class BVar(Handle):
-    """A symbolic value: its recording session, its IR name, and a nominal
-    value of which only the dtype and shape are meaningful."""
+    """A symbolic value: its recording session, its IR name, and a value of
+    its signature whose entries nothing reads (a recorded result's is a
+    zero)."""
 
     __slots__ = ()
     sym = True
@@ -535,26 +538,27 @@ def _elem_expr(b: Handle, k: int) -> Expr:
     return ElemRef(b.name, k + 1)
 
 
-def _def_scalar(ctx, expr: Expr, nominal: MatValue) -> BVar:
+def _def_scalar(ctx, expr: Expr, sig: MatValue) -> BVar:
     name = ctx.getunique()
-    ctx.declare(name, nominal.dtype, 1, 1)
+    ctx.declare(name, sig.dtype, 1, 1)
     ctx.emit(Def(name, expr))
-    return BVar(ctx, nominal, name)
+    return BVar(ctx, sig, name)
 
 
-def _new_array(ctx, nominal: MatValue, init: MatValue = None) -> BVar:
+def _new_array(ctx, sig: MatValue, init: MatValue = None) -> BVar:
     name = ctx.getunique()
-    ctx.declare(name, nominal.dtype, nominal.rows, nominal.cols, init=init)
-    return BVar(ctx, nominal, name)
+    ctx.declare(name, sig.dtype, sig.rows, sig.cols, init=init)
+    return BVar(ctx, sig, name)
 
 
-def _per_element(ctx, nominal: MatValue, expr_at, order) -> BVar:
-    """The symbolic result whose element k (0-based, column-major) is
-    expr_at(k): one scalar definition when nominal is 1x1, else a fresh array
-    stored element by element, visiting the linear indices in order."""
-    if nominal.is_scalar:
-        return _def_scalar(ctx, expr_at(0), nominal)
-    res = _new_array(ctx, nominal)
+def _per_element(ctx, sig: MatValue, expr_at, order) -> BVar:
+    """The symbolic result of sig's signature whose element k (0-based,
+    column-major) is expr_at(k): one scalar definition when 1x1, else a
+    fresh array stored element by element, visiting the linear indices in
+    order."""
+    if sig.is_scalar:
+        return _def_scalar(ctx, expr_at(0), sig)
+    res = _new_array(ctx, sig)
     for k in order:
         ctx.emit(SetElem(res.name, k + 1, expr_at(k)))
     return res
@@ -568,7 +572,7 @@ def _row_major(rows: int, cols: int) -> list:
 def _helper_call(ctx, fn: str, note: str, shape, operands, dims) -> BVar:
     """A runtime helper call writing a fresh f64 result of the given shape:
     the operands are passed by name and the dimensions as materialized
-    doubles. The result's nominal value stays zero; the helper computes it."""
+    doubles. The result is a zero of the shape; the helper computes its value."""
     if any(b.dtype != F64 for b in operands):
         raise TraceError("runtime helper {} supports f64 only".format(fn))
     ctx.emit(Annot(note))
@@ -628,15 +632,6 @@ def identity(op: str, a, b):
     return None
 
 
-def _soft_nominal(fn, fallback: MatValue, *args):
-    """Nominal values ride along for shape honesty; value-level failures
-    (division by zero, singular, domain errors) must not abort a trace."""
-    try:
-        return fn(*args)
-    except (mv.DivisionByZero, mv.Singular, ValueError, OverflowError):
-        return fallback
-
-
 # ---------------------------------------------------------------------------
 # overloaded operations
 
@@ -647,8 +642,9 @@ def bv_binop(op: str, a, b) -> Handle:
     broadcasting."""
     if a.dtype is not b.dtype:
         raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
-    rows, cols = mv.broadcast_pair(a.value, b.value)
-    nominal = _soft_nominal(mv.elem_binop, mv.zeros(a.dtype, rows, cols), op, a.value, b.value)
+    shape = mv.broadcast_pair(a.value, b.value)
+    mv.elem_kernel(op, a.dtype)  # raises for an op the dtype lacks
+    zero = mv.zeros(mv.BOOL if op in mv.COMPARE else a.dtype, *shape)
     # identity on the whole value: a numeric operand that is 1x1, or all zeros
     # of the other's shape, is a literal; only a 1x1 one gives a zero result
     num, other = (b, a) if a.sym else (a, b)
@@ -658,16 +654,16 @@ def bv_binop(op: str, a, b) -> Handle:
         if kind == "-b":
             return bv_neg(b)
         if kind in ("a", "b") or kind == "0" and num.is_scalar:
-            return a if kind == "a" else b if kind == "b" else Num(nominal)
-    return _per_element(_ctx_of(a, b), nominal,
-                        lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))),
-                        _row_major(*nominal.shape))
+            return a if kind == "a" else b if kind == "b" else Num(zero)
+    return _per_element(_ctx_of(a, b), zero,
+                        lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))), _row_major(*shape))
 
 
 @_operation(mv.neg)
 def bv_neg(a) -> BVar:
-    return _per_element(a.ctx, mv.neg(a.value), lambda k: Op("neg", (_elem_expr(a, k),)),
-                        _row_major(*a.shape))
+    mv.elem_kernel("neg", a.dtype)  # raises for a bool
+    return _per_element(a.ctx, mv.zeros(a.dtype, *a.shape),
+                        lambda k: Op("neg", (_elem_expr(a, k),)), _row_major(*a.shape))
 
 
 @_operation(mv.matmul)
@@ -676,11 +672,11 @@ def bv_matmul(a, b) -> Handle:
         return bv_binop("mul", a, b)  # scalar * matrix scales elementwise
     rows, cols = mv.matmul_shape(a, b)
     ctx = _ctx_of(a, b)
-    if rows * cols > UNROLL_LIMIT:  # the helper computes the value: no nominal product
+    if rows * cols > UNROLL_LIMIT:
         return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
                             "external function".format(rows * cols, UNROLL_LIMIT),
                             (rows, cols), (a, b), (a.rows, a.cols, b.rows, b.cols))
-    nominal = mv.matmul(a.value, b.value)
+    zero = mv.zeros(a.dtype, rows, cols)
 
     def expr_at(k):
         # row i of a times column j of b
@@ -689,27 +685,28 @@ def bv_matmul(a, b) -> Handle:
                  for m in range(a.cols)]
         return reduce(lambda acc, term: Op("add", (acc, term)), terms)
 
-    if nominal.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
-        res = _new_array(ctx, nominal)
+    if zero.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
+        res = _new_array(ctx, zero)
         ctx.emit(SetElem(res.name, 1, expr_at(0)))
         return res
-    return _per_element(ctx, nominal, expr_at, _row_major(*nominal.shape))
+    return _per_element(ctx, zero, expr_at, _row_major(rows, cols))
 
 
 @_operation(mv.transpose)
 def bv_transpose(a) -> BVar:
     if a.is_scalar:
         return a
-    ctx, nominal = a.ctx, mv.transpose(a.value)
-    if nominal.size > UNROLL_LIMIT:
+    ctx = a.ctx
+    if a.size > UNROLL_LIMIT:
         res = _helper_call(ctx, "quote", "Transpose of matrix of size {}>{}: calling external "
-                           "function".format(nominal.size, UNROLL_LIMIT),
-                           nominal.shape, (a,), (a.rows, a.cols))
+                           "function".format(a.size, UNROLL_LIMIT), (a.cols, a.rows), (a,),
+                           (a.rows, a.cols))
         ctx.emit(Annot("End of Transpose"))
         return res
     # element (i, j) of the result is element (j, i) of a
-    return _per_element(ctx, nominal, lambda k: _elem_expr(a, k // a.cols + a.rows * (k % a.cols)),
-                        _row_major(*nominal.shape))
+    return _per_element(ctx, mv.zeros(a.dtype, a.cols, a.rows),
+                        lambda k: _elem_expr(a, k // a.cols + a.rows * (k % a.cols)),
+                        _row_major(a.cols, a.rows))
 
 
 @_operation(mv.concat_rows)
@@ -718,16 +715,16 @@ def bv_concat_rows(a, b) -> Handle:
         return b
     if b.size == 0:
         return a
-    nominal = mv.concat_rows(a.value, b.value)
+    rows, cols = mv.concat_shape(a, b, vertical=True)
 
     def expr_at(k):
         # column j of the result is column j of a over column j of b
-        j, r = divmod(k, nominal.rows)
+        j, r = divmod(k, rows)
         if r < a.rows:
             return _elem_expr(a, r + a.rows * j)
         return _elem_expr(b, r - a.rows + b.rows * j)
 
-    return _per_element(_ctx_of(a, b), nominal, expr_at, range(nominal.size))
+    return _per_element(_ctx_of(a, b), mv.zeros(a.dtype, rows, cols), expr_at, range(rows * cols))
 
 
 @_operation(mv.concat_cols)
@@ -736,12 +733,11 @@ def bv_concat_cols(a, b) -> Handle:
         return b
     if b.size == 0:
         return a
-    nominal = mv.concat_cols(a.value, b.value)
-    ctx = _ctx_of(a, b)
+    zero, ctx = mv.zeros(a.dtype, *mv.concat_shape(a, b, vertical=False)), _ctx_of(a, b)
     ctx.emit(Annot("Begin concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
-    res = _per_element(ctx, nominal,
+    res = _per_element(ctx, zero,
                        lambda k: _elem_expr(a, k) if k < a.size else _elem_expr(b, k - a.size),
-                       range(nominal.size))
+                       range(zero.size))
     ctx.emit(Annot("end concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     return res
 
@@ -779,8 +775,9 @@ def bv_index_get(a: Handle, i, j=None) -> Handle:
     """1-based element read; linear indices are column-major."""
     v = a.value
     k = _linear_index(v, i, j)
-    elem = MatValue(v.dtype, 1, 1, (v.data[k],))
-    return _def_scalar(a.ctx, _elem_expr(a, k), elem) if a.sym else Num(elem)
+    if a.sym:
+        return _def_scalar(a.ctx, _elem_expr(a, k), mv.zeros(v.dtype, 1, 1))
+    return Num(MatValue(v.dtype, 1, 1, (v.data[k],)))
 
 
 def bv_index_set(a: Handle, i, j=None, *, rhs) -> Handle:
@@ -799,7 +796,8 @@ def bv_index_set(a: Handle, i, j=None, *, rhs) -> Handle:
             # promote: a BVar of a fresh local initialized with the current value
             a.__class__, a.ctx, a.name = BVar, ctx, _constant_decl(ctx, a.value).name
         ctx.emit(SetElem(a.name, k + 1, _operand_expr(rhs)))
-    a.value = a.value.set_linear(k, rhs.value.data[0])
+    else:
+        a.value = a.value.set_linear(k, rhs.value.data[0])
     return a
 
 
@@ -813,30 +811,30 @@ def bv_convert(a, dtype: Dtype) -> BVar:
         return a
     # pin the source's definition so the conversion point survives optimization
     a.ctx.pinned.add(a.name)
-    return _per_element(a.ctx, mv.convert(a.value, dtype),
+    return _per_element(a.ctx, mv.zeros(dtype, *a.shape),
                         lambda k: Cast(dtype, _elem_expr(a, k)), range(a.size))
 
 
 @_operation(mv.sum_all)
 def bv_sum(a) -> BVar:
-    nominal = mv.sum_all(a.value)
+    mv.elem_kernel("add", a.dtype)  # raises for a bool
     if a.is_scalar:
         return a
     acc = _elem_expr(a, 0)
     for k in range(1, a.size):
         acc = Op("add", (acc, _elem_expr(a, k)))
-    return _def_scalar(a.ctx, acc, nominal)
+    return _def_scalar(a.ctx, acc, mv.zeros(a.dtype, 1, 1))
 
 
 @_operation(mv.elem_math)
 def bv_elem_math(fn: str, *args) -> BVar:
     if fn == "atan2" and args[0].shape != args[1].shape:
         raise mv.ShapeMismatch("atan2 args {} vs {}".format(args[0].shape, args[1].shape))
-    nominal = _soft_nominal(mv.elem_math, mv.zeros(F64, *args[0].shape), fn,
-                            *[a.value for a in args])
-    return _per_element(_ctx_of(*args), nominal,
+    for a in args:
+        mv.elem_kernel(fn, a.dtype)  # raises unless every operand is f64
+    return _per_element(_ctx_of(*args), mv.zeros(F64, *args[0].shape),
                         lambda k: Op(fn, tuple(_elem_expr(a, k) for a in args)),
-                        range(nominal.size))
+                        range(args[0].size))
 
 
 def sqrt(a):

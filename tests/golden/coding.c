@@ -14,13 +14,13 @@ typedef int boolean;
 static int32_t z_10041=0;
 static int32_t z_10042=0;
 static int32_t link10046=0;
-static int32_t link10048=1;
+static int32_t link10048=0;
 
 void initialize1004(){
   static int32_t tmp_7=0;
   static int32_t tmp_8=0;
   static int32_t tmp_9=0;
-  static int32_t tmp_10=1;
+  static int32_t tmp_10=0;
   z_10041=tmp_7;
   z_10042=tmp_8;
   link10046=tmp_9;

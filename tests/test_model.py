@@ -97,6 +97,64 @@ def test_parse_errors_name_their_line():
         parse_model("model 1\nblock 1 gain gain=f64[1x1]\n")
 
 
+# one fault of a malformed model per case, the lines after a header of two
+# inputs (1x1 and 1x2) and a 1x1 output on lines 1-4, and the error naming
+# it: a fault within one line names that line; a wiring or region fault,
+# found once every line is read, names its link or block, as does a conflict
+# found by inference
+MALFORMED = {
+    "bad bool literal": (["block 1 const value=bool[1x2](1 2)"],
+                         ParseError, "line 5: bad bool literal '2'"),
+    "input port as destination": (["link 1 in:1 -> in:2"],
+                                  ParseError, "line 5: an input port cannot be a destination"),
+    "output port as source": (["link 1 out:1 -> out:1"],
+                              ParseError, "line 5: an output port cannot be a source"),
+    "endpoint without port": (["link 1 in:1 -> 1"], ParseError, "line 5: bad endpoint '1'"),
+    "bad region line": (["region 3 then=[5]"], ParseError, "line 5: bad region line"),
+    "unknown directive": (["wire 1 in:1 -> out:1"], ParseError,
+                          "line 5: unknown directive 'wire'"),
+    "unknown input port": (["link 1 in:3 -> out:1"], ParseError,
+                           "link 1: unknown input port 3"),
+    "unknown source block": (["link 1 9.1 -> out:1"], ParseError,
+                             "link 1: unknown source block 9"),
+    "unknown output port": (["link 1 in:1 -> out:2"], ParseError,
+                            "link 1: unknown output port 2"),
+    "too many outputs": (["block 1 gain gain=f64[1x1](2)", "link 1 in:1 -> 1.1",
+                          "link 2 1.2 -> out:1"],
+                         ParseError, r"block 1 \(gain\): too many outputs"),
+    "region head": (["block 3 const value=f64[1x1](0)", "block 4 select",
+                     "block 5 const value=f64[1x1](1)", "link 1 in:1 -> 4.2",
+                     "link 2 5.1 -> 4.1", "link 3 4.1 -> out:1",
+                     "region 3 then=[5] else=[] select=4"],
+                    ParseError, "region head 3 is not an ifthenelse block"),
+    "region select": (["block 3 ifthenelse", "block 4 gain gain=f64[1x1](2)",
+                       "block 5 const value=f64[1x1](0)", "link 1 in:1 -> 3.1, 4.1",
+                       "link 2 4.1 -> out:1", "region 3 then=[5] else=[] select=4"],
+                      ParseError, "region select 4 is not a select block"),
+    "gain rows": (["block 1 gain gain=f64[2x3](1 2 3 4 5 6)", "link 1 in:1 -> 1.1",
+                   "link 2 1.1 -> out:1"],
+                  Conflict, "gain 1: input rows 1 vs gain cols 3"),
+    "mux columns": (["block 1 mux", "link 1 in:1 -> 1.1", "link 2 in:2 -> 1.2",
+                     "link 3 1.1 -> out:1"],
+                    Conflict, "mux 1: mixed column counts"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_a_malformed_model_fails_naming_its_fault(case):
+    lines, error, message = MALFORMED[case]
+    text = "model 1\ninput 1 f64 1 1\ninput 2 f64 1 2\noutput 1 f64 1 1\n" + "\n".join(lines)
+    with pytest.raises(error, match="^{}$".format(message)):
+        md.infer(parse_model(text))
+
+
+def test_parse_bare_true_and_false_are_bool_parameters():
+    block = parse_model("model 1\nblock 1 sciblk behavior=ekf_range_bearing on=true off=false\n")\
+        .blocks[1]
+    assert block.params == {"behavior": "ekf_range_bearing", "on": mv.scalar(True, BOOL),
+                            "off": mv.scalar(False, BOOL)}
+
+
 # a block line missing a parameter its kind needs, or giving one of the
 # wrong kind, and the message naming it; the block sits on line 3
 BAD_PARAMS = {
@@ -1589,6 +1647,32 @@ block 7 sciblk behavior={} out1=f64[1x1]
 link 1 in:1 -> 7.1
 link 2 7.1 -> out:1
 """
+
+
+GAIN_ZERO_ON_A_DELAY = """model 1
+input 1 f64 1 1
+output 1 f64 1 1
+block 1 unit_delay init=f64[1x1]({})
+block 2 gain gain=f64[1x1](0)
+link 1 in:1 -> 1.1
+link 2 1.1 -> 2.1
+link 3 2.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("init", ["-5", "-inf"])
+def test_gain_zero_on_a_delay_is_the_dtypes_zero(init):
+    # 0*x of a symbolic x is f64's zero, not 0 times the delay's reset value:
+    # the C used to print -0.0 for init -5 and NAN for init -inf at every step
+    text = GAIN_ZERO_ON_A_DELAY.format(init)
+    result = bg.generate(parse_model(text))
+    assert "  *inouts2=0;\n" in result.text
+    inputs = [[mv.scalar(x)] for x in (2.0, 3.0, 0.5, 7.0)]
+    interpreted = Machine(result.program).run_init().run_steps(inputs, 4)
+    assert [math.copysign(1.0, row[0].data[0]) for row in interpreted] == [1.0] * 4
+    simulated = simulate(parse_model(text), inputs, 4)
+    # step 0 reads the reset value, which the fold of 0*x does not keep
+    assert [row[0] for row in simulated[1:]] == [row[0] for row in interpreted[1:]]
 
 
 def test_numerics_of_a_symbolic_value_fails_in_generate(monkeypatch):
