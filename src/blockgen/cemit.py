@@ -92,7 +92,7 @@ class SymTab:
 
 
 def _ref_str(name: str, tab: SymTab) -> str:
-    if tab.is_arg(name) and tab.is_scalar(name):
+    if name in tab.args and tab.is_scalar(name):
         return "*" + name
     return name
 
@@ -185,12 +185,6 @@ def _op_str(e: Op, tab: SymTab, narrow: bool) -> str:
     return text
 
 
-def _assign_target(name: str, index, tab: SymTab) -> str:
-    if index is None or tab.is_scalar(name):
-        return _ref_str(name, tab)
-    return "{}[{}]".format(name, index - 1)
-
-
 def _store_rhs(e, dst_dtype: Dtype, tab: SymTab) -> str:
     # a top-level cast to the destination dtype is C's implicit conversion,
     # except to bool, which C's int would not truncate to 0 or 1; the
@@ -206,16 +200,18 @@ def _store_rhs(e, dst_dtype: Dtype, tab: SymTab) -> str:
 
 
 def instr_lines(i, tab: SymTab):
-    if isinstance(i, Annot):
+    if type(i) is Annot:
         return ["/* {}*/".format(i.text)]
-    if isinstance(i, Def):
+    if type(i) is Store:
+        rhs = _store_rhs(i.expr, tab.dtype_of(i.name), tab)
+        return ["{}={};".format(_ref_str(i.name, tab), rhs)]
+    if type(i) is Def:
         return ["{}={};".format(_ref_str(i.name, tab), expr_str(i.expr, tab))]
-    if isinstance(i, Store):
+    if type(i) is SetElem:
         rhs = _store_rhs(i.expr, tab.dtype_of(i.name), tab)
-        return ["{}={};".format(_assign_target(i.name, None, tab), rhs)]
-    if isinstance(i, SetElem):
-        rhs = _store_rhs(i.expr, tab.dtype_of(i.name), tab)
-        return ["{}={};".format(_assign_target(i.name, i.index, tab), rhs)]
+        if tab.is_scalar(i.name):  # the one element of a 1x1 storage is the storage
+            return ["{}={};".format(_ref_str(i.name, tab), rhs)]
+        return ["{}[{}]={};".format(i.name, i.index - 1, rhs)]
     if isinstance(i, CopyMat):
         if i.n <= COPY_UNROLL_LIMIT:
             return ["{}[{}]={}[{}];".format(i.dst, k, i.src, k) for k in range(i.n)]

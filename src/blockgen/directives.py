@@ -90,18 +90,17 @@ def finalize_program(ctx: TraceContext, optimize: bool = True,
     initialize function that resets used persistents to their defaults."""
     if ctx.open_depth:
         raise UnbalancedFunction("a function is still open")
-    known = set(ctx._names) | set(ctx.statics)
     referenced = set()
     for fn in ctx.functions:
         params = [p.name for p in fn.params]
         fn.body, names = optimizer.optimize_body(fn.body, fn.decls, params, ctx.statics,
-                                                 ctx.pinned, optimize, extra_names=known)
+                                                 ctx.pinned, optimize, extra_names=ctx._names)
         referenced |= names
     used = [s for s in ctx.statics.values() if s.name in referenced]
     init_fn = FunctionDef(init_name, [])
     for s in used:
         local = ctx.getunique()
-        init_fn.decls[local] = Decl(local, s.dtype, s.rows, s.cols, s.init, static=True)
+        init_fn.decls[local] = Decl(local, s.dtype, s.rows, s.cols, s.init, True)
         init_fn.body.append(Store(s.name, Ref(local)) if s.is_scalar
                             else CopyMat(s.name, local, s.size))
     return Program(statics=used, init_fn=init_fn, functions=list(ctx.functions),

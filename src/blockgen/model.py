@@ -54,28 +54,29 @@ class BlockSpec:
     """A parsed block line. Nothing reassigns it, yet it is slotted, not
     tuple-backed, as are Graph and trace.Decl: their fields are read on
     every block run or traced value, and CPython 3.11 reads a slot in well
-    under half the time of a namedtuple field."""
-    __slots__ = ("id", "kind", "params", "out_sig")  # out_sig: port -> (dtype, rows, cols)
+    under half the time of a namedtuple field. `line` is its model line."""
+    __slots__ = ("id", "kind", "params", "out_sig", "line")  # out_sig: port -> (dtype, rows, cols)
 
-    def __init__(self, id, kind, params, out_sig):
-        self.id, self.kind, self.params, self.out_sig = id, kind, params, out_sig
+    def __init__(self, id, kind, params, out_sig, line=None):
+        self.id, self.kind, self.params, self.out_sig, self.line = id, kind, params, out_sig, line
 
 
 class LinkSpec:
-    __slots__ = ("id", "src", "dsts", "dtype", "rows", "cols", "const_value")
+    __slots__ = ("id", "src", "dsts", "dtype", "rows", "cols", "const_value", "line")
 
-    def __init__(self, id, src, dsts, dtype=None, rows=None, cols=None, const_value=None):
-        self.id = id
+    def __init__(self, id, src, dsts, line=None):
+        self.id, self.line = id, line
         self.src = src    # ("block", id, port) or ("in", k)
         self.dsts = dsts  # of ("block", id, port) or ("out", k)
-        self.dtype, self.rows, self.cols, self.const_value = dtype, rows, cols, const_value
+        self.dtype = self.rows = self.cols = self.const_value = None
 
 
 class PortSpec(Record, namedtuple("PortSpec", "index dtype rows cols input")):
     __slots__ = ()
 
 
-class RegionSpec(Record, namedtuple("RegionSpec", "ifthenelse then_blocks else_blocks select")):
+class RegionSpec(Record, namedtuple("RegionSpec", "ifthenelse then_blocks else_blocks select line",
+                                    defaults=(None,))):
     __slots__ = ()
 
     @property
@@ -163,23 +164,17 @@ def _scan_number(tok: str, dtype: Dtype):
     return float(tok) if dtype.is_float else int(tok)
 
 
+# a field of non-space characters and literals "(...)" without nesting, or a stray parenthesis
+_FIELD = re.compile(r"(?:[^\s()]|\([^()]*\))+|[()]")
+
+
 def _split_fields(text: str):
-    """Whitespace split that keeps parenthesized literals together."""
-    parts, cur, depth = [], [], 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch.isspace() and depth == 0:
-            if cur:
-                parts.append("".join(cur))
-                cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+    """Whitespace split keeping each parenthesized literal in its field; a
+    parenthesis that opens or closes none, or nests, is unbalanced."""
+    fields = _FIELD.findall(text)
+    if "(" in fields or ")" in fields:
+        raise ParseError("unbalanced parentheses")
+    return fields
 
 
 def _parse_endpoint(text: str, src: bool):
@@ -192,9 +187,9 @@ def _parse_endpoint(text: str, src: bool):
         if src:
             raise ParseError("an output port cannot be a source")
         return ("out", int(text[4:]))
-    if "." not in text:
+    b, dot, p = text.partition(".")
+    if not dot or "." in p:
         raise ParseError("bad endpoint {!r}".format(text))
-    b, p = text.split(".")
     if int(p) < 1:
         raise ParseError("bad endpoint {!r}: block ports count from 1".format(text))
     return ("block", int(b), int(p))
@@ -224,8 +219,9 @@ def _check_params(bid: int, kind: str, params: dict):
 def parse_model(text: str) -> Model:
     model = Model()
     seen_model = False
+    values = {}  # parameter text -> its (truthy) value, shared within this parse
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw[:raw.index("#")] if "#" in raw else raw).strip()
         if not line:
             continue
         try:
@@ -247,31 +243,32 @@ def parse_model(text: str) -> Model:
                     raise ParseError("duplicate block id {}".format(bid))
                 if kind not in blockmod.ARITY:
                     raise ParseError("unknown block kind {!r}".format(kind))
-                params, out_sig = {}, {}
+                params, out_sig, named = {}, {}, set()
                 for kv in parts[2:]:
-                    key, _, val = kv.partition("=")
-                    if not _:
+                    key, eq, val = kv.partition("=")
+                    if not eq:
                         raise ParseError("bad parameter {!r}".format(kv))
-                    parsed = _parse_value(val)
-                    sig = type(parsed) is tuple  # a MatValue is a tuple subclass
-                    m = _OUT_KEY.match(key)
-                    if m and sig:
-                        out_sig[int(m.group(1))] = parsed[1:]
-                    elif sig:
-                        raise ParseError("signature value for parameter {!r}".format(key))
-                    else:
+                    if key in named:
+                        raise ParseError("parameter {!r} given twice".format(key))
+                    named.add(key)
+                    parsed = values.get(val) or values.setdefault(val, _parse_value(val))
+                    if type(parsed) is not tuple:  # a MatValue is a tuple subclass
                         params[key] = parsed
+                    elif _OUT_KEY.match(key):
+                        out_sig[int(key[3:])] = parsed[1:]
+                    else:
+                        raise ParseError("signature value for parameter {!r}".format(key))
                 _check_params(bid, kind, params)
-                model.blocks[bid] = BlockSpec(bid, kind, params, out_sig=out_sig)
+                model.blocks[bid] = BlockSpec(bid, kind, params, out_sig, lineno)
             elif head == "link":
                 lid_s, rest2 = rest.split(None, 1)
                 lid = int(lid_s)
                 if lid in model.links:
                     raise ParseError("duplicate link id {}".format(lid))
                 src_s, dst_s = rest2.split("->")
-                src = _parse_endpoint(src_s, src=True)
-                dsts = [_parse_endpoint(d, src=False) for d in dst_s.split(",")]
-                model.links[lid] = LinkSpec(lid, src, dsts)
+                src = _parse_endpoint(src_s, True)
+                dsts = [_parse_endpoint(d, False) for d in dst_s.split(",")]
+                model.links[lid] = LinkSpec(lid, src, dsts, lineno)
             elif head == "region":
                 m = re.match(r"^(\d+)\s+then=\[([\d\s,]*)\]\s+else=\[([\d\s,]*)\]\s+select=(\d+)$",
                              rest)
@@ -279,7 +276,8 @@ def parse_model(text: str) -> Model:
                     raise ParseError("bad region line")
                 then_, else_ = ([int(x) for x in m.group(k).replace(",", " ").split()]
                                 for k in (2, 3))
-                model.regions.append(RegionSpec(int(m.group(1)), then_, else_, int(m.group(4))))
+                model.regions.append(RegionSpec(int(m.group(1)), then_, else_, int(m.group(4)),
+                                                lineno))
             else:
                 raise ParseError("unknown directive {!r}".format(head))
         except Exception as e:
@@ -290,107 +288,114 @@ def parse_model(text: str) -> Model:
     return model
 
 
-def _attach(table, port, link, what, *args):
-    """table[port] = link, unless port has a link already: then raise,
-    naming the port by what.format(*args), formatted only then."""
-    if port in table:
-        raise ParseError("{} links {} and {}".format(what.format(*args), table[port].id, link.id))
-    table[port] = link
+def _fault(spec, what: str, *args, error=ParseError):
+    """An error, what.format(*args), naming the model line spec was read from."""
+    return error("line {}: {}".format(spec.line, what.format(*args)))
 
 
 def _build_graph(model: Model) -> Graph:
     """Index the links by endpoint and check the structure: endpoints exist,
     each block input, block output and superblock output has one link, block
-    inputs have no gaps, arities hold, and regions are well formed."""
-    inputs = {p.index: p for p in sorted(model.inputs, key=lambda p: p.index)}
-    outputs = {p.index: p for p in sorted(model.outputs, key=lambda p: p.index)}
-    in_ports = {bid: {} for bid in model.blocks}
-    out_ports = {bid: {} for bid in model.blocks}
-    feeds = {k: [] for k in inputs}
-    fed_by = {}
+    inputs have no gaps, arities hold, and regions are well formed. A fault
+    names the line of its link, block or region."""
+    inputs = {p.index: p for p in sorted(model.inputs, key=attrgetter("index"))}
+    outputs = {p.index: p for p in sorted(model.outputs, key=attrgetter("index"))}
+    blocks = model.blocks
+    in_ports, out_ports = {bid: {} for bid in blocks}, {bid: {} for bid in blocks}
+    feeds, fed_by = {k: [] for k in inputs}, {}
     for link in model.links.values():
-        if link.src[0] == "in":
-            if link.src[1] not in inputs:
-                raise ParseError("link {}: unknown input port {}".format(link.id, link.src[1]))
-            feeds[link.src[1]].append(link)
+        src = link.src
+        if src[0] == "in":
+            if src[1] not in inputs:
+                raise _fault(link, "link {}: unknown input port {}", link.id, src[1])
+            feeds[src[1]].append(link)
+        elif src[1] not in blocks:
+            raise _fault(link, "link {}: unknown source block {}", link.id, src[1])
+        elif src[2] in out_ports[src[1]]:
+            raise _fault(link, "block {} output {} drives links {} and {}", *src[1:],
+                         out_ports[src[1]][src[2]].id, link.id)
         else:
-            _, bid, port = link.src
-            if bid not in model.blocks:
-                raise ParseError("link {}: unknown source block {}".format(link.id, bid))
-            _attach(out_ports[bid], port, link, "block {} output {} drives", bid, port)
+            out_ports[src[1]][src[2]] = link
         for d in link.dsts:
             if d[0] == "out":
                 if d[1] not in outputs:
-                    raise ParseError("link {}: unknown output port {}".format(link.id, d[1]))
-                _attach(fed_by, d[1], link, "output port {} is fed by", d[1])
+                    raise _fault(link, "link {}: unknown output port {}", link.id, d[1])
+                if d[1] in fed_by:
+                    raise _fault(link, "output port {} is fed by links {} and {}", d[1],
+                                 fed_by[d[1]].id, link.id)
+                fed_by[d[1]] = link
+            elif d[1] not in blocks:
+                raise _fault(link, "link {}: unknown destination block {}", link.id, d[1])
+            elif d[2] in in_ports[d[1]]:
+                raise _fault(link, "block {} input {} is fed by links {} and {}", *d[1:],
+                             in_ports[d[1]][d[2]].id, link.id)
             else:
-                if d[1] not in model.blocks:
-                    raise ParseError("link {}: unknown destination block {}".format(link.id, d[1]))
-                _attach(in_ports[d[1]], d[2], link, "block {} input {} is fed by", d[1], d[2])
+                in_ports[d[1]][d[2]] = link
     ins, outs, slots = {}, {}, {}
-    for b in model.blocks.values():
-        by_port = in_ports[b.id]
-        n_in = max(by_port, default=0)
-        gap = next((p for p in range(1, n_in) if p not in by_port), None)
-        if gap is not None:
-            raise ParseError("block {} ({}): input {} is not connected, but link {} feeds input {}"
-                             .format(b.id, b.kind, gap, by_port[n_in].id, n_in))
-        n_out = max(out_ports[b.id], default=0)
+    for bid, b in blocks.items():
+        by_port, by_out = in_ports[bid], out_ports[bid]
+        n_in = max(by_port) if by_port else 0
+        if n_in != len(by_port):
+            raise _fault(b, "block {} ({}): input {} is not connected, but link {} feeds input {}",
+                         bid, b.kind, min(set(range(1, n_in)) - set(by_port)), by_port[n_in].id,
+                         n_in)
+        n_out = max(by_out) if by_out else 0
         if b.kind == "sciblk":
             n_out = max([n_out] + list(b.out_sig))
         else:
             need_in, max_out, _ = blockmod.ARITY[b.kind]
             if need_in is not None and n_in != need_in:
-                raise ParseError("block {} ({}): {} inputs connected, needs {}"
-                                 .format(b.id, b.kind, n_in, need_in))
+                raise _fault(b, "block {} ({}): {} inputs connected, needs {}", bid, b.kind, n_in,
+                             need_in)
             if n_out > max_out:
-                raise ParseError("block {} ({}): too many outputs".format(b.id, b.kind))
+                raise _fault(b, "block {} ({}): too many outputs", bid, b.kind)
             n_out = max_out
         if b.kind == "summation":
             signs = b.params["signs"].data
-            if len(signs) != n_in or any(s not in (1, -1) for s in signs):
-                raise ParseError("block {} (summation): signs {} are not one 1 or -1 for each "
-                                 "of its {} inputs".format(b.id, list(signs), n_in))
-        ins[b.id] = [by_port[p] for p in range(1, n_in + 1)]
-        outs[b.id] = [out_ports[b.id][p] for p in sorted(out_ports[b.id])]
+            if len(signs) != n_in or signs.count(1) + signs.count(-1) != n_in:
+                raise _fault(b, "block {} (summation): signs {} are not one 1 or -1 for each of "
+                             "its {} inputs", bid, list(signs), n_in)
+        # a comprehension costs a call: one input or output is taken without
+        ins[bid] = [by_port[p] for p in range(1, n_in + 1)] if n_in > 1 else [*by_port.values()]
+        outs[bid] = [by_out[p] for p in sorted(by_out)] if len(by_out) > 1 else [*by_out.values()]
         # an unconnected output takes the first input's signature (a delay
         # or gain nobody listens to), else f64 1x1
-        fallback = ins[b.id][0] if ins[b.id] else None
-        slots[b.id] = [(out_ports[b.id].get(p), out_ports[b.id].get(p) or fallback)
-                       for p in range(1, n_out + 1)]
+        fallback, out1 = ins[bid][0] if n_in else None, by_out.get(1)
+        slots[bid] = [(out1, out1 or fallback)] if n_out == 1 else \
+            [(by_out.get(p), by_out.get(p) or fallback) for p in range(1, n_out + 1)]
     region_of = {}
     for r in model.regions:
         for role, bids in (("head", [r.ifthenelse]), ("select", [r.select]),
                            ("member", r.then_blocks + r.else_blocks)):
-            missing = next((bid for bid in bids if bid not in model.blocks), None)
+            missing = next((bid for bid in bids if bid not in blocks), None)
             if missing is not None:
-                raise ParseError("region {}: unknown {} block {}"
-                                 .format(r.ifthenelse, role, missing))
-        if model.blocks[r.ifthenelse].kind != "ifthenelse":
-            raise ParseError("region head {} is not an ifthenelse block".format(r.ifthenelse))
-        if model.blocks[r.select].kind != "select":
-            raise ParseError("region select {} is not a select block".format(r.select))
+                raise _fault(r, "region {}: unknown {} block {}", r.ifthenelse, role, missing)
+        if blocks[r.ifthenelse].kind != "ifthenelse":
+            raise _fault(r, "region head {} is not an ifthenelse block", r.ifthenelse)
+        if blocks[r.select].kind != "select":
+            raise _fault(r, "region select {} is not a select block", r.select)
         for bid in sorted(r.members):
             if bid in region_of:
-                raise ParseError("block {} is listed in region {} and in region {}"
-                                 .format(bid, region_of[bid].ifthenelse, r.ifthenelse))
+                raise _fault(r, "block {} is listed in region {} and in region {}", bid,
+                             region_of[bid].ifthenelse, r.ifthenelse)
             region_of[bid] = r
         for bid in r.then_blocks + r.else_blocks:
-            if model.blocks[bid].kind in ("ifthenelse", "select"):
-                raise ParseError("{} block {} is a branch member of region {}"
-                                 .format(model.blocks[bid].kind, bid, r.ifthenelse))
-            if blockmod.ARITY.get(model.blocks[bid].kind, (0, 0, 0))[2]:
-                raise ModelError("block {} inside a conditional branch has state".format(bid))
+            if blocks[bid].kind in ("ifthenelse", "select"):
+                raise _fault(r, "{} block {} is a branch member of region {}", blocks[bid].kind,
+                             bid, r.ifthenelse)
+            if blockmod.ARITY.get(blocks[bid].kind, (0, 0, 0))[2]:
+                raise _fault(r, "block {} inside a conditional branch has state", bid,
+                             error=ModelError)
             # only the select's value leaves a region: branch results are
             # conditional, so nothing outside may consume them directly
             for l in outs[bid]:
                 for d in l.dsts:
                     if d[0] != "block" or d[1] not in r.members:
-                        raise ModelError("link {} leaves the conditional region of block {}"
-                                         .format(l.id, r.ifthenelse))
-    for b in model.blocks.values():
+                        raise _fault(r, "link {} leaves the conditional region of block {}",
+                                     l.id, r.ifthenelse, error=ModelError)
+    for b in blocks.values():
         if b.kind in ("ifthenelse", "select") and b.id not in region_of:
-            raise ParseError("{} block {} has no region line".format(b.kind, b.id))
+            raise _fault(b, "{} block {} has no region line", b.kind, b.id)
     return Graph(ins, outs, slots, feeds, fed_by, inputs, outputs, region_of)
 
 
@@ -789,49 +794,47 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
 
     # links read by the state phase need a durable home; so do links read
     # inside branch functions, which can only touch ports and globals
-    state_read_links = {l.id for bid in sched.state_order for l in g.ins[bid]}
-    region_read_links, region_out_links = set(), set()
+    durable_links = {l.id for bid in sched.state_order for l in g.ins[bid]}
+    region_out_links = set()
     for r in model.regions:
         region_out_links.update(l.id for l in g.outs[r.select])
         # a link from a block of the region stays local to the branch function
-        region_read_links.update(l.id for bid in r.then_blocks + r.else_blocks + [r.select]
-                                 for l in g.ins[bid]
-                                 if l.src[0] != "block" or l.src[1] not in r.members)
+        durable_links.update(l.id for bid in r.then_blocks + r.else_blocks + [r.select]
+                             for l in g.ins[bid]
+                             if l.src[0] != "block" or l.src[1] not in r.members)
 
     main_id = base * 10 + 2 * len(sched.branches) + 1
     branch_ids = itertools.count(base * 10 + 1)
 
-    def route_output(link, value: Handle):
+    def route_output(link, value: Handle, ports):
         value = bv_convert(value, link.dtype)  # a fresh Num: _held marks no block's own output
-        port_dsts = [d for d in link.dsts if d[0] == "out"]
-        for d in port_dsts:
-            inouts_insert(io, out_port_names[d[1]], value)
-        if port_dsts:
-            linkvals[link] = _held(io.entries[out_port_names[port_dsts[0][1]]])
-            return
-        durable = not value.sym or value.name in io.entries or value.name in ctx.statics
-        needs_durable = link.id in state_read_links or link.id in region_read_links
-        if link.id in region_out_links or (needs_durable and not durable):
+        if ports:
+            for k in ports:
+                inouts_insert(io, out_port_names[k], value)
+            value = io.entries[out_port_names[ports[0]]]
+        elif link.id in region_out_links or link.id in durable_links and value.sym \
+                and value.name not in io.entries and value.name not in ctx.statics:
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.zeros(link.dtype, link.rows, link.cols))
             _copy_into(ctx, sname, value)
-            linkvals[link] = _held(BVar(ctx, ctx.statics[sname].init, sname))
-            return
+            value = BVar(ctx, ctx.statics[sname].init, sname)
         linkvals[link] = _held(value)
 
     def run(bid, flag, branch=None):
-        st_vals = [BVar(ctx, ctx.statics[name].init, name)
-                   for name in state_names.get(bid, [])]
-        values, st = _run_block(rec, plans[bid], flag, linkvals, st_vals, branch), rec.state
+        names = state_names.get(bid, ())
+        st_vals = [BVar(ctx, ctx.statics[name].init, name) for name in names] if names else []
+        plan = plans[bid]
+        values = _run_block(rec, plan, flag, linkvals, st_vals, branch)
         if flag == OUTPUT:
             # flush link-homed outputs before port-homed ones
-            for k, link, _ in sorted(plans[bid].routes, key=lambda r: bool(r[2])):
-                route_output(link, values[k])
+            routes = plan.routes if len(plan.routes) < 2 else \
+                sorted(plan.routes, key=lambda r: bool(r[2]))
+            for k, link, ports in routes:
+                route_output(link, values[k], ports)
         else:
-            for k, entry in enumerate(st.entries):
-                if k in st.written:
-                    _copy_into(ctx, state_names[bid][k], entry)
+            for k in sorted(rec.state.written):
+                _copy_into(ctx, names[k], st_vals[k])
 
     def lower_region(region: RegionSpec):
         """Trace both branches into functions called from one `if`."""

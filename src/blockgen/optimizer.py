@@ -3,16 +3,17 @@
 One pipeline: the fold, one forward pass that inlines single-use scalar
 definitions into their (sole) use site, and dead-code elimination.
 Each instruction is walked once per body for the names it reads (in
-expression slots, with counts, and in name slots) and writes; validation,
-every pass and the pruning of declarations and statics reuse that record;
-the fold walks again only what it changes, inlining only its use site.
-The fold is the one per-element simplifier (the tracer records elements
-unsimplified): it rewrites what trace.identity reduces (x+0, 0-x, 1*x,
-0*x, ...), and lowers an all-literal expression through trace.lower_expr,
-the interpreter's own lowering, and calls it once, so a folded literal is
-the value the interpreter would compute.
-The inlining is what collapses the def-per-operation trace into the compact
-expressions of the generated listings; definitions pinned by a dtype
+expression slots, with counts, and in name slots) and writes, and whether
+it has a literal; validation, every pass and the pruning of declarations
+and statics reuse that record. The fold, the one per-element simplifier
+(the tracer records elements unsimplified), visits only expressions with a
+literal, the only ones it can change, and walks again what it changes: it
+rewrites what trace.identity reduces (x+0, 0-x, 1*x, 0*x, ...), and lowers
+an all-literal expression through trace.lower_expr, the interpreter's own
+lowering, and calls it once, so a folded literal is the value the
+interpreter would compute. The inlining collapses the def-per-operation
+trace into the compact expressions of the generated listings, rebuilding
+each use site once with every def it takes; definitions pinned by a dtype
 conversion, referenced from name slots (copies, calls, if conditions) or
 used more than once always survive. There is no copy propagation: the C
 compiler does that anyway. With optimize=False the trace is only validated
@@ -38,10 +39,12 @@ class MalformedIR(Exception):
 # expression rewriting
 
 
-def _subst(e, name, replacement):
-    if isinstance(e, Ref) and e.name == name:
-        return replacement
-    return map_children(e, lambda c: _subst(c, name, replacement))
+def _expand(e, inlined: dict):
+    """e with each Ref to a name in inlined replaced by that name's
+    expression, itself expanded."""
+    if type(e) is Ref:
+        return _expand(inlined[e.name], inlined) if e.name in inlined else e
+    return map_children(e, _expand, inlined)
 
 
 def fold_expr(e):
@@ -50,7 +53,7 @@ def fold_expr(e):
     happens at run time, where it belongs); else a binary Op that
     trace.identity reduces becomes its operand, the operand's negation or a
     zero."""
-    if isinstance(e, (Lit, Ref, ElemRef)):
+    if type(e) in (Lit, Ref, ElemRef):
         return e
     e = map_children(e, fold_expr)
     args = children(e)
@@ -75,29 +78,35 @@ def fold_expr(e):
 # per-instruction names
 
 
-def _count_names(e, counts):
-    """Add one to counts[name] for each time expression e reads name."""
-    if isinstance(e, (Ref, ElemRef)):
+def _count_names(e, counts) -> bool:
+    """Add one to counts[name] for each time expression e reads name;
+    whether e has a literal."""
+    t = type(e)
+    if t is Ref or t is ElemRef:
         counts[e.name] = counts.get(e.name, 0) + 1
-    else:
-        for c in children(e):
-            _count_names(c, counts)
-    return counts
+        return False
+    literal = t is Lit
+    for c in children(e):
+        literal = _count_names(c, counts) or literal
+    return literal
 
 
 def _names_of(i):
     """The names one instruction touches: (expression-slot reads as
-    name -> count, name-slot reads, writes)."""
-    if isinstance(i, (Def, Store, SetElem)):
-        return _count_names(i.expr, {}), (), (i.name,)
-    if isinstance(i, CopyMat):
-        return {}, (i.src,), (i.dst,)
-    if isinstance(i, Call):
-        return {}, i.args, i.args  # helper results / branch-visible buffers
-    if isinstance(i, IfExpr):
+    name -> count, name-slot reads, writes, whether its expression has a
+    literal: the fold can change no other)."""
+    t = type(i)
+    if t is Def or t is Store or t is SetElem:
+        counts = {}
+        return counts, (), (i.name,), _count_names(i.expr, counts)
+    if t is CopyMat:
+        return {}, (i.src,), (i.dst,), False
+    if t is Call:
+        return {}, i.args, i.args, False  # helper results / branch-visible buffers
+    if t is IfExpr:
         args = (*i.then_call.args, *i.else_call.args)
-        return {}, (i.cond, *args), args
-    return {}, (), ()
+        return {}, (i.cond, *args), args, False
+    return {}, (), (), False
 
 
 def _any_between(positions, lo, hi) -> bool:
@@ -111,15 +120,15 @@ def _any_between(positions, lo, hi) -> bool:
 
 
 def _pass_fold(body, names):
-    """Fold every expression (see fold_expr); returns the new body and its
-    names. An instruction with nothing to fold is kept as the same object
-    with its record; only a changed one is walked again."""
+    """Fold every expression with a literal (see fold_expr); returns the new
+    body and its names. An instruction with nothing to fold is kept as the
+    same object with its record; only a changed one is walked again."""
     out, names = list(body), list(names)
     for pos, i in enumerate(body):
-        if isinstance(i, (Def, Store, SetElem)):
+        if names[pos][3]:
             e = fold_expr(i.expr)
             if e is not i.expr:
-                out[pos] = i._replace(expr=e)
+                out[pos] = type(i)(*i[:-1], e)  # expr is the last field
                 names[pos] = _names_of(out[pos])
     return out, names
 
@@ -136,37 +145,41 @@ def _pass_inline(body, names, nonlocals, pinned):
     walking forward, each def sees its operands already inlined, and the
     positions recorded here stay valid for every def not yet visited. The
     use site's record takes the def's reads in place of the def's name."""
-    uses = {}            # name -> (expression-slot reads, position of the last)
+    uses, last = {}, {}  # name -> expression-slot reads; the position of the last
     keep = set(pinned)   # plus every name read from a name slot
     writes = {}          # name -> ascending positions of its writes
     barriers = []        # ascending positions of calls and ifs
-    for pos, (instr, (counts, reads, written)) in enumerate(zip(body, names)):
+    for pos, (instr, (counts, reads, written, _)) in enumerate(zip(body, names)):
         for name, n in counts.items():
-            uses[name] = (uses[name][0] + n if name in uses else n, pos)
+            uses[name] = uses.get(name, 0) + n
+            last[name] = pos
         keep.update(reads)
-        if isinstance(instr, (Call, IfExpr)):
+        if type(instr) is Call or type(instr) is IfExpr:
             barriers.append(pos)
         for name in written:
             writes.setdefault(name, []).append(pos)
     out, names = list(body), list(names)
-    for pos, instr in enumerate(out):
-        if not isinstance(instr, Def) or instr.name in keep:
+    inlined, sites = {}, set()  # def name -> its expression; the use positions
+    for pos, instr in enumerate(body):
+        if type(instr) is not Def or uses.get(instr.name) != 1 or instr.name in keep:
             continue
-        n, use = uses.get(instr.name, (0, pos))
-        if n != 1 or use <= pos:
+        use = last[instr.name]
+        refs, _, _, literal = names[pos]
+        if use <= pos or any(_any_between(writes[r], pos, use) for r in refs if r in writes):
             continue
-        refs = names[pos][0]
-        if any(_any_between(writes.get(r, ()), pos, use) for r in refs):
+        if barriers and not nonlocals.isdisjoint(refs) and _any_between(barriers, pos, use):
             continue
-        if not nonlocals.isdisjoint(refs) and _any_between(barriers, pos, use):
-            continue
-        target = out[use]
-        out[use] = target._replace(expr=_subst(target.expr, instr.name, instr.expr))
+        inlined[instr.name] = instr.expr
+        sites.add(use)
         counts = names[use][0]
         del counts[instr.name]
         for r, k in refs.items():
             counts[r] = counts.get(r, 0) + k
+        names[use] = names[use][:3] + (literal or names[use][3],)
         out[pos] = names[pos] = None
+    for use in sites:
+        if out[use] is not None:
+            out[use] = type(out[use])(*out[use][:-1], _expand(out[use].expr, inlined))
     return [i for i in out if i is not None], [r for r in names if r is not None]
 
 
@@ -180,7 +193,7 @@ def _pass_dce(body, names, locals_):
     live = set()
     out, kept = [], []
     for instr, rec in zip(reversed(body), reversed(names)):
-        if isinstance(instr, Def):
+        if type(instr) is Def:
             if instr.name not in live and instr.name in locals_:
                 continue
             live.discard(instr.name)
@@ -192,11 +205,17 @@ def _pass_dce(body, names, locals_):
     return out, kept
 
 
-def _validate(names, known):
-    for counts, reads, writes in names:
-        for name in (*counts, *reads, *writes):
-            if name not in known:
-                raise MalformedIR("dangling reference to {!r}".format(name))
+def _validate(names, *known) -> set:
+    """The names the records touch; raises on the first that no collection
+    in known has."""
+    seen = set()
+    for counts, reads, writes, _ in names:
+        seen.update(counts, reads, writes)
+    dangling = seen.difference(*known)
+    if dangling:
+        name = next(n for c, r, w, _ in names for n in (*c, *r, *w) if n in dangling)
+        raise MalformedIR("dangling reference to {!r}".format(name))
+    return seen
 
 
 def optimize_body(body, decls, params, statics, pinned, optimize=True,
@@ -205,20 +224,16 @@ def optimize_body(body, decls, params, statics, pinned, optimize=True,
     declarations; returns the new body and every name it reads or writes.
     extra_names are free symbols accepted by validation only. With
     optimize=False the body is returned as recorded."""
-    local_names = set(decls)
     nonlocals = set(params) | set(statics)
     names = [_names_of(i) for i in body]
-    _validate(names, local_names | nonlocals | set(extra_names))
+    used = _validate(names, decls, nonlocals, extra_names)
     out = list(body)
     if optimize:
         out, names = _pass_fold(out, names)
         out, names = _pass_inline(out, names, nonlocals, pinned)
-        out, names = _pass_dce(out, names, local_names)
-    used = set()
-    for counts, reads, writes in names:
-        used.update(counts, reads, writes)
+        out, names = _pass_dce(out, names, decls)
+        used = _validate(names, decls, nonlocals, extra_names)  # the passes keep names known
     for name in list(decls):
         if name not in used:
             del decls[name]
     return out, used
-

@@ -30,7 +30,7 @@ matinv instead, all through _helper_call.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import reduce, wraps
+from functools import partial, reduce, wraps
 
 from . import matval as mv
 from .matval import MatValue, Dtype, F64, Record
@@ -177,19 +177,19 @@ def children(e: Expr) -> tuple:
     raise TypeError("unknown expression {!r}".format(e))
 
 
-def map_children(e: Expr, f) -> Expr:
-    """e rebuilt from f applied to each of its children; e itself when f
-    returns every child unchanged."""
+def map_children(e: Expr, f, *extra) -> Expr:
+    """e rebuilt from f(child, *extra) for each of its children; e itself
+    when f returns every child unchanged."""
     t = type(e)
     if t is Op:
         args = e.args
         if len(args) == 1:
-            a = f(args[0])
+            a = f(args[0], *extra)
             return e if a is args[0] else Op(e.op, (a,))
-        a, b = f(args[0]), f(args[1])
+        a, b = f(args[0], *extra), f(args[1], *extra)
         return e if a is args[0] and b is args[1] else Op(e.op, (a, b))
     if t is Cast:
-        a = f(e.a)
+        a = f(e.a, *extra)
         return e if a is e.a else Cast(e.dtype, a)
     if t is Lit or t is Ref or t is ElemRef:
         return e
@@ -292,7 +292,7 @@ class TraceContext:
 
     def __init__(self):
         self.counter = 0
-        self.module = FunctionDef("<module>", [])
+        self.module = self.frame = FunctionDef("<module>", [])  # frame: where code records
         self._open = []            # stack of open FunctionDefs
         self.functions = []        # sealed FunctionDefs, completion order
         self.statics = {}          # name -> static Decl, registration order
@@ -314,8 +314,6 @@ class TraceContext:
         self._names.add(name)
 
     # -- frames ------------------------------------------------------------
-
-    frame = property(lambda self: self._open[-1] if self._open else self.module)
 
     def emit(self, instr: Instr):
         self.frame.body.append(instr)
@@ -340,6 +338,7 @@ class TraceContext:
         fn = FunctionDef(name, [Decl(e.name, e.value.dtype, e.value.rows, e.value.cols)
                                 for e in io.entries.values()])
         self._open.append(fn)
+        self.frame = fn
         return fn
 
     def pop_function(self, name=None):
@@ -349,6 +348,7 @@ class TraceContext:
         if name is not None and fn.name != name:
             raise NoOpenFunction("open function is {!r}, not {!r}".format(fn.name, name))
         self._open.pop()
+        self.frame = self._open[-1] if self._open else self.module
         self.functions.append(fn)
         return fn
 
@@ -364,16 +364,17 @@ class Handle:
     symbolic. The dtype is the value's. The model drivers set `held` on a
     value they bind to a link, which makes it read only to element writes;
     unset, it reads as not held. Both kinds share this one layout, so that
-    an element write of a symbolic value promotes a Num in place."""
+    an element write of a symbolic value promotes a Num in place. Each
+    property reads the value's fields in one step."""
 
     __slots__ = ("value", "held", "ctx", "name")
 
     dtype = property(lambda self: self.value.dtype)
-    shape = property(lambda self: self.value.shape)
+    shape = property(lambda self: (self.value.rows, self.value.cols))
     rows = property(lambda self: self.value.rows)
     cols = property(lambda self: self.value.cols)
-    size = property(lambda self: self.value.size)
-    is_scalar = property(lambda self: self.value.is_scalar)
+    size = property(lambda self: self.value.rows * self.value.cols)
+    is_scalar = property(lambda self: self.value.rows == 1 and self.value.cols == 1)
 
     def __repr__(self):
         return "{}({} {}x{} {!r})".format(type(self).__name__, self.dtype, *self.shape, self.name)
@@ -539,9 +540,9 @@ def _elem_expr(b: Handle, k: int) -> Expr:
 
 
 def _def_scalar(ctx, expr: Expr, sig: MatValue) -> BVar:
-    name = ctx.getunique()
-    ctx.declare(name, sig.dtype, 1, 1)
-    ctx.emit(Def(name, expr))
+    name, fn = ctx.getunique(), ctx.frame
+    fn.decls[name] = Decl(name, sig.dtype, 1, 1)
+    fn.body.append(Def(name, expr))
     return BVar(ctx, sig, name)
 
 
@@ -640,11 +641,12 @@ def identity(op: str, a, b):
 def bv_binop(op: str, a, b) -> Handle:
     """The binary elem_kernel op element by element, a 1x1 operand
     broadcasting."""
-    if a.dtype is not b.dtype:
-        raise mv.DtypeMismatch("{} vs {}".format(a.dtype, b.dtype))
+    dtype = a.value.dtype
+    if dtype is not b.value.dtype:
+        raise mv.DtypeMismatch("{} vs {}".format(dtype, b.dtype))
     shape = mv.broadcast_pair(a.value, b.value)
-    mv.elem_kernel(op, a.dtype)  # raises for an op the dtype lacks
-    zero = mv.zeros(mv.BOOL if op in mv.COMPARE else a.dtype, *shape)
+    mv.elem_kernel(op, dtype)  # raises for an op the dtype lacks
+    zero = mv.zeros(mv.BOOL if op in mv.COMPARE else dtype, *shape)
     # identity on the whole value: a numeric operand that is 1x1, or all zeros
     # of the other's shape, is a literal; only a 1x1 one gives a zero result
     num, other = (b, a) if a.sym else (a, b)
@@ -655,6 +657,8 @@ def bv_binop(op: str, a, b) -> Handle:
             return bv_neg(b)
         if kind in ("a", "b") or kind == "0" and num.is_scalar:
             return a if kind == "a" else b if kind == "b" else Num(zero)
+    if shape == (1, 1):  # one element, each operand a 1x1 one
+        return _def_scalar(_ctx_of(a, b), Op(op, (_operand_expr(a), _operand_expr(b))), zero)
     return _per_element(_ctx_of(a, b), zero,
                         lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))), _row_major(*shape))
 
@@ -668,8 +672,8 @@ def bv_neg(a) -> BVar:
 
 @_operation(mv.matmul)
 def bv_matmul(a, b) -> Handle:
-    if a.is_scalar or b.is_scalar:
-        return bv_binop("mul", a, b)  # scalar * matrix scales elementwise
+    if a.is_scalar or b.is_scalar:  # scalar * matrix scales elementwise
+        return bv_binop.__wrapped__("mul", a, b)  # the recorder: a or b is symbolic
     rows, cols = mv.matmul_shape(a, b)
     ctx = _ctx_of(a, b)
     if rows * cols > UNROLL_LIMIT:
@@ -711,10 +715,8 @@ def bv_transpose(a) -> BVar:
 
 @_operation(mv.concat_rows)
 def bv_concat_rows(a, b) -> Handle:
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
+    if a.size == 0 or b.size == 0:
+        return b if a.size == 0 else a
     rows, cols = mv.concat_shape(a, b, vertical=True)
 
     def expr_at(k):
@@ -729,10 +731,8 @@ def bv_concat_rows(a, b) -> Handle:
 
 @_operation(mv.concat_cols)
 def bv_concat_cols(a, b) -> Handle:
-    if a.size == 0:
-        return b
-    if b.size == 0:
-        return a
+    if a.size == 0 or b.size == 0:
+        return b if a.size == 0 else a
     zero, ctx = mv.zeros(a.dtype, *mv.concat_shape(a, b, vertical=False)), _ctx_of(a, b)
     ctx.emit(Annot("Begin concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     res = _per_element(ctx, zero,
@@ -742,21 +742,19 @@ def bv_concat_cols(a, b) -> Handle:
     return res
 
 
-def _concat(join, parts) -> Handle:
+def _concat(join, *parts) -> Handle:
     """The parts joined left to right; a bare number adopts the dtype of
     what it is joined to, a leading one that of the first handle part."""
-    out = parts[0] if isinstance(parts[0], Handle) else Num(_coerced(parts[0], parts))
-    for p in parts[1:]:
-        out = join(out, p)
-    return out
+    first = parts[0] if isinstance(parts[0], Handle) else Num(_coerced(parts[0], parts))
+    return reduce(join, parts[1:], first)
 
 
 def vertcat(*parts) -> Handle:
-    return _concat(bv_concat_rows, parts)
+    return _concat(bv_concat_rows, *parts)
 
 
 def horzcat(*parts) -> Handle:
-    return _concat(bv_concat_cols, parts)
+    return _concat(bv_concat_cols, *parts)
 
 
 def _linear_index(a: MatValue, i, j) -> int:
@@ -837,20 +835,8 @@ def bv_elem_math(fn: str, *args) -> BVar:
                         range(args[0].size))
 
 
-def sqrt(a):
-    return bv_elem_math("sqrt", a)
-
-
-def sin(a):
-    return bv_elem_math("sin", a)
-
-
-def cos(a):
-    return bv_elem_math("cos", a)
-
-
-def atan2(y, x):
-    return bv_elem_math("atan2", y, x)
+# sqrt(a), sin(a), cos(a) and atan2(y, x)
+sqrt, sin, cos, atan2 = (partial(bv_elem_math, fn) for fn in ("sqrt", "sin", "cos", "atan2"))
 
 
 def bv_pow(a, n) -> Handle:

@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import blockgen as bg
 from blockgen import blocks
@@ -99,9 +100,10 @@ def test_parse_errors_name_their_line():
 
 # one fault of a malformed model per case, the lines after a header of two
 # inputs (1x1 and 1x2) and a 1x1 output on lines 1-4, and the error naming
-# it: a fault within one line names that line; a wiring or region fault,
-# found once every line is read, names its link or block, as does a conflict
-# found by inference
+# it: a fault within one line names that line, and so does a wiring or
+# region fault, found once every line is read, with its link, block or
+# region; a conflict found by inference relates two lines and names its
+# link or block
 MALFORMED = {
     "bad bool literal": (["block 1 const value=bool[1x2](1 2)"],
                          ParseError, "line 5: bad bool literal '2'"),
@@ -110,27 +112,46 @@ MALFORMED = {
     "output port as source": (["link 1 out:1 -> out:1"],
                               ParseError, "line 5: an output port cannot be a source"),
     "endpoint without port": (["link 1 in:1 -> 1"], ParseError, "line 5: bad endpoint '1'"),
+    "endpoint with two dots": (["link 1 in:1 -> 1.2.3"], ParseError,
+                               "line 5: bad endpoint '1.2.3'"),
     "bad region line": (["region 3 then=[5]"], ParseError, "line 5: bad region line"),
     "unknown directive": (["wire 1 in:1 -> out:1"], ParseError,
                           "line 5: unknown directive 'wire'"),
     "unknown input port": (["link 1 in:3 -> out:1"], ParseError,
-                           "link 1: unknown input port 3"),
+                           "line 5: link 1: unknown input port 3"),
     "unknown source block": (["link 1 9.1 -> out:1"], ParseError,
-                             "link 1: unknown source block 9"),
+                             "line 5: link 1: unknown source block 9"),
     "unknown output port": (["link 1 in:1 -> out:2"], ParseError,
-                            "link 1: unknown output port 2"),
+                            "line 5: link 1: unknown output port 2"),
+    "unknown destination block": (["link 1 in:1 -> 9.1"], ParseError,
+                                  "line 5: link 1: unknown destination block 9"),
+    "input linked twice": (["block 1 gain gain=f64[1x1](2)", "link 1 in:1 -> 1.1",
+                            "link 2 in:1 -> 1.1, out:1"],
+                           ParseError, "line 7: block 1 input 1 is fed by links 1 and 2"),
     "too many outputs": (["block 1 gain gain=f64[1x1](2)", "link 1 in:1 -> 1.1",
                           "link 2 1.2 -> out:1"],
-                         ParseError, r"block 1 \(gain\): too many outputs"),
+                         ParseError, r"line 5: block 1 \(gain\): too many outputs"),
+    "input gap": (["link 1 in:1 -> 1.2", "block 1 mux", "link 2 1.1 -> out:1"],
+                  ParseError, r"line 6: block 1 \(mux\): input 1 is not connected, "
+                              r"but link 1 feeds input 2"),
+    "arity": (["block 1 relational_op op=gt", "link 1 in:1 -> 1.1", "link 2 1.1 -> out:1"],
+              ParseError, r"line 5: block 1 \(relational_op\): 1 inputs connected, needs 2"),
+    "signs": (["block 1 summation signs=f64[1x2](1 3)", "link 1 in:1 -> 1.1, 1.2",
+               "link 2 1.1 -> out:1"],
+              ParseError, r"line 5: block 1 \(summation\): signs \[1\.0, 3\.0\] are not one "
+                          r"1 or -1 for each of its 2 inputs"),
+    "region member": (["block 3 ifthenelse", "block 4 select", "link 1 in:1 -> 3.1, 4.1, 4.2",
+                       "link 2 4.1 -> out:1", "region 3 then=[7] else=[] select=4"],
+                      ParseError, "line 9: region 3: unknown member block 7"),
     "region head": (["block 3 const value=f64[1x1](0)", "block 4 select",
                      "block 5 const value=f64[1x1](1)", "link 1 in:1 -> 4.2",
                      "link 2 5.1 -> 4.1", "link 3 4.1 -> out:1",
                      "region 3 then=[5] else=[] select=4"],
-                    ParseError, "region head 3 is not an ifthenelse block"),
+                    ParseError, "line 11: region head 3 is not an ifthenelse block"),
     "region select": (["block 3 ifthenelse", "block 4 gain gain=f64[1x1](2)",
                        "block 5 const value=f64[1x1](0)", "link 1 in:1 -> 3.1, 4.1",
                        "link 2 4.1 -> out:1", "region 3 then=[5] else=[] select=4"],
-                      ParseError, "region select 4 is not a select block"),
+                      ParseError, "line 10: region select 4 is not a select block"),
     "gain rows": (["block 1 gain gain=f64[2x3](1 2 3 4 5 6)", "link 1 in:1 -> 1.1",
                    "link 2 1.1 -> out:1"],
                   Conflict, "gain 1: input rows 1 vs gain cols 3"),
@@ -165,6 +186,12 @@ BAD_PARAMS = {
                                  r"block 1 \(sciblk\) needs behavior="),
     "signs=x": ("summation signs=x", r"block 1 \(summation\): signs='x' is not a matrix"),
     "gain=abc": ("gain gain=abc", r"block 1 \(gain\): gain='abc' is not a matrix"),
+    "gain twice": ("gain gain=f64[1x1](2) gain=f64[1x1](3)", r"parameter 'gain' given twice$"),
+    "out1 twice": ("sciblk behavior=ekf_range_bearing out1=f64[1x1] out1=f64[2x1]",
+                   r"parameter 'out1' given twice$"),
+    "stray )": ("gain gain=f64[1x1]2) extra=3", r"unbalanced parentheses$"),
+    "unclosed (": ("gain gain=f64[1x1](2", r"unbalanced parentheses$"),
+    "nested (": ("gain gain=f64[1x1]((2))", r"unbalanced parentheses$"),
 }
 
 
@@ -174,6 +201,46 @@ def test_block_parameters_are_checked_at_parse(case):
     text = "model 1\ninput 1 f64 1 1\nblock 1 {}\nlink 1 in:1 -> 1.1\n".format(block)
     with pytest.raises(ParseError, match=r"^line 3: " + message):
         parse_model(text)
+
+
+def _char_loop_fields(text):
+    """The field split by one character at a time that the tokenizer
+    replaced, the reference for lines whose parentheses pair up unnested."""
+    parts, cur, depth = [], [], 0
+    for ch in text:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+        if ch.isspace() and depth == 0:
+            if cur:
+                parts.append("".join(cur))
+                cur = []
+        else:
+            cur.append(ch)
+    if cur:
+        parts.append("".join(cur))
+    return parts
+
+
+# lines of words, whitespace and literals, "(" ... ")" with no parenthesis inside
+_NO_PARENS = st.text(st.characters(blacklist_characters="()"))
+_LINES = st.lists(st.one_of(st.sampled_from([" ", "  ", "\t", "\x0b", "\u3000"]), _NO_PARENS,
+                            _NO_PARENS.map("({})".format))).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES)
+def test_field_split_matches_the_character_loop(text):
+    assert md._split_fields(text) == _char_loop_fields(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_LINES, st.integers(min_value=0), st.sampled_from("()"))
+def test_a_parenthesis_more_is_unbalanced(text, at, paren):
+    at %= len(text) + 1
+    with pytest.raises(ParseError, match="^unbalanced parentheses$"):
+        md._split_fields(text[:at] + paren + text[at:])
 
 
 # a block line whose parameters parse but that its block could not run with,
@@ -192,10 +259,10 @@ BAD_PARAM_VALUES = {
                             r"(?!.*\b{}\b).*\bekf_range_bearing\b".format(kind, kind))
        for kind in ("sciblk", "gain", "const")},
     "one sign for two inputs": ("summation signs=f64[1x1](1)", 2,
-                                r"^block 1 \(summation\): signs \[1\.0\] are not one 1 or -1 "
+                                r"^line 4: block 1 \(summation\): signs \[1\.0\] are not one 1 or -1 "
                                 r"for each of its 2 inputs$"),
     "a sign of 2": ("summation signs=f64[1x2](1 2)", 2,
-                    r"^block 1 \(summation\): signs \[1\.0, 2\.0\] are not one 1 or -1 "
+                    r"^line 4: block 1 \(summation\): signs \[1\.0, 2\.0\] are not one 1 or -1 "
                     r"for each of its 2 inputs$"),
 }
 
@@ -308,10 +375,10 @@ link 6 7.1 -> out:2
 
 @pytest.mark.parametrize("regions, message", [
     (["region 3 then=[5, 9] else=[] select=4", "region 6 then=[8, 9] else=[] select=7"],
-     "block 9 is listed in region 3 and in region 6"),
+     "line 21: block 9 is listed in region 3 and in region 6"),
     (["region 3 then=[5] else=[] select=4", "region 6 then=[8] else=[] select=7",
       "region 3 then=[5] else=[] select=4"],
-     "block 3 is listed in region 3 and in region 3"),
+     "line 22: block 3 is listed in region 3 and in region 3"),
 ], ids=["member", "repeated-line"])
 def test_parse_rejects_block_in_two_regions(regions, message):
     # the block used to belong silently to the last region naming it
@@ -351,8 +418,8 @@ region 3 then=[5, 8] else=[] select=4
 
 
 @pytest.mark.parametrize("case, message", [
-    ("outside", "select block 4 has no region line"),
-    ("member", "select block 8 is a branch member of region 3"),
+    ("outside", "line 5: select block 4 has no region line"),
+    ("member", "line 15: select block 8 is a branch member of region 3"),
 ], ids=["outside", "member"])
 def test_parse_rejects_select_outside_its_region_role(case, message):
     # generate used to fail on either with a bare KeyError: 'active_branch'
@@ -366,7 +433,7 @@ def test_cli_names_the_select_outside_every_region(tmp_path, capsys):
     path.write_text(SELECT_MODELS["outside"])
     for command in ("simulate", "generate"):
         assert cli.main([command, str(path)]) != 0
-        assert capsys.readouterr().err == "error: select block 4 has no region line\n"
+        assert capsys.readouterr().err == "error: line 5: select block 4 has no region line\n"
 
 
 def test_parse_rejects_gap_in_block_inputs():
