@@ -51,11 +51,10 @@ class IoList:
         self.written = False
 
     def _index(self, k):
+        """The slot of index -1 or, raising, of one outside 1..len."""
         if k == -1:
             return len(self.slots) - 1
-        if not 1 <= k <= len(self.slots):
-            raise BlockError("io index {} out of 1..{}".format(k, len(self.slots)))
-        return k - 1
+        raise BlockError("io index {} out of 1..{}".format(k, len(self.slots)))
 
     def __len__(self):
         return len(self.slots)
@@ -146,20 +145,20 @@ ARITY = {
     "sciblk": (None, None, 0),
 }
 
-# block kind -> its parameters, name -> (required, kind): a "matrix" is a
+# block kind -> its parameters, all required, name -> kind: a "matrix" is a
 # literal value, a "word" a bare name, and a collection of names a word that
 # must be one of them. A sciblk passes any others on to its behavior; the
 # driver adds select's active_branch.
 PARAMS = {
-    "unit_delay": {"init": (True, "matrix")},
-    "gain": {"gain": (True, "matrix")},
-    "summation": {"signs": (True, "matrix")},
+    "unit_delay": {"init": "matrix"},
+    "gain": {"gain": "matrix"},
+    "summation": {"signs": "matrix"},
     "mux": {},
-    "relational_op": {"op": (True, ("eq", "ne", "lt", "le", "gt", "ge"))},
-    "const": {"value": (True, "matrix")},
+    "relational_op": {"op": ("eq", "ne", "lt", "le", "gt", "ge")},
+    "const": {"value": "matrix"},
     "select": {},
     "ifthenelse": {},
-    "sciblk": {"behavior": (True, BEHAVIORS)},
+    "sciblk": {"behavior": BEHAVIORS},
 }
 
 

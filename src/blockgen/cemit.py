@@ -9,8 +9,8 @@ element are assignments, of two elements a pair of assignments, of three or
 more a memcpy.
 
 An operation (trace.Op) is spelled from C_OPS, the one table of C
-spellings, and printed so that C computes what matval.elem_kernel defines
-(see _op_str).
+spellings, or, for a conversion, as a cast to its dtype's C type, and
+printed so that C computes what matval.elem_kernel defines (see _op_str).
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .matval import COMPARE, BOOL, Dtype, MatValue, F64, Record
+from .matval import COMPARE, BOOL, DTYPES, Dtype, MatValue, F64, Record
 from .trace import (
-    Annot, Call, Cast, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op, Program, Ref,
-    SetElem, Store,
+    Annot, Call, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op, Program, Ref, SetElem,
+    Store,
 )
 
 
@@ -138,23 +138,18 @@ def expr_str(e, tab: SymTab, narrow: bool = False) -> str:
         return "({}[{}])".format(e.name, e.index - 1)
     if t is Op:
         return _op_str(e, tab, narrow)
-    if t is Cast:
-        if e.dtype.is_bool:  # C's conversion to int would truncate
-            return "({}!=0)".format(_parenthesized(expr_str(e.a, tab, True)))
-        return "(({})({}))".format(ctype(e.dtype), expr_str(e.a, tab, True))
     raise UnsupportedInstr("unknown expression {!r}".format(e))
 
 
 def _dtype(e, tab: SymTab) -> Dtype:
     """The dtype of e's value, read down its first operands: an Op's value
-    has its operands' dtype, except a comparison's, which is bool."""
-    while type(e) is Op and e.op not in COMPARE:
+    has its operands' dtype, except a comparison's, which is bool, and a
+    conversion's, which is the one it names."""
+    while type(e) is Op and e.op not in COMPARE and e.op not in DTYPES:
         e = e.args[0]
     t = type(e)
     if t is Op:
-        return BOOL
-    if t is Cast:
-        return e.dtype
+        return DTYPES.get(e.op, BOOL)
     return e.value.dtype if t is Lit else tab.dtype_of(e.name)
 
 
@@ -165,6 +160,11 @@ def _op_str(e: Op, tab: SymTab, narrow: bool) -> str:
     comparison, a division or a conversion. Those of _THROUGH_UINT32 are
     computed through uint32_t, which wraps as matval does, and cast back, and
     an i32 division by -1 is such a negation: INT32_MIN / -1 traps in C."""
+    if e.op in DTYPES:  # a conversion, of a narrowed operand
+        operand = expr_str(e.args[0], tab, True)
+        if e.op == "bool":  # C's conversion to int would truncate
+            return "({}!=0)".format(_parenthesized(operand))
+        return "(({})({}))".format(ctype(DTYPES[e.op]), operand)
     spelling = C_OPS[e.op]
     if spelling.isidentifier():  # a math.h function
         return "{}({})".format(spelling, ",".join(expr_str(a, tab) for a in e.args))
@@ -189,9 +189,9 @@ def _store_rhs(e, dst_dtype: Dtype, tab: SymTab) -> str:
     # a top-level cast to the destination dtype is C's implicit conversion,
     # except to bool, which C's int would not truncate to 0 or 1; the
     # operand it converts is still narrowed
-    narrow = isinstance(e, Cast) and e.dtype == dst_dtype and not dst_dtype.is_bool
+    narrow = type(e) is Op and e.op == dst_dtype.tag != "bool"
     if narrow:
-        e = e.a
+        e = e.args[0]
     return expr_str(e, tab, narrow)
 
 
@@ -253,11 +253,11 @@ def code_printer_c(code, declarations, statics=(), params=()):
         [line for instr in code for line in instr_lines(instr, tab)]
 
 
-def render_function(fn, statics, indent="  ") -> str:
+def render_function(fn, statics) -> str:
     params = ",".join("{} *{}".format(ctype(p.dtype), p.name) for p in fn.params)
     body = code_printer_c(fn.body, fn.decls, statics, fn.params)
     return "\n".join(["void {}({}){{".format(fn.name, params)]
-                     + [indent + line for line in body] + ["}"])
+                     + ["  " + line for line in body] + ["}"])
 
 
 def render_core(program: Program) -> str:

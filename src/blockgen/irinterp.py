@@ -147,7 +147,7 @@ class Machine:
             x, src = lower_expr(instr.expr, scope.cell)
             (i, k), dst = scope.cell(instr.name, instr.index - 1 if t is SetElem else 0)
             if src != dst:
-                x = kernel_fn(mv.convert_kernel(src, dst), x)
+                x = kernel_fn(mv.elem_kernel(dst.tag, src), x)
             # the steps take what they use as defaults (see trace.kernel_fn)
             if type(x) is tuple:
                 def copy(f, i=i, k=k, j=x[0], m=x[1]):

@@ -12,10 +12,12 @@ instance, so dtypes compare by identity; never construct a Dtype outside
 this module (Dtype(tag) returns the interned instance, and copies and
 pickles keep it).
 
-Each operator's effect on one element is defined once, by elem_kernel and
-convert_kernel; the MatValue operations here and the interpreter's lowered
-code are both built on them, and the matrix product, transpose and inverse
-loops run on flat sequences so that the interpreter shares them too.
+Each operator's effect on one element is defined once, by elem_kernel; a
+conversion is one more operator, named by the tag of the dtype it converts
+to. elementwise applies any of them to whole values: the MatValue operations
+here, literal folding and the interpreter's lowered code are all built on
+the same kernels, and the matrix product, transpose and inverse loops run on
+flat sequences so that the interpreter shares them too.
 
 The f64 matrix product is the one exception to looping over kernels: for
 each inner dimension n, the first product builds (and caches) one function
@@ -113,7 +115,7 @@ def _wrapping(fn, dtype: Dtype):
 
 def wrap_int(v: int, dtype: Dtype) -> int:
     """Reduce v into dtype's range, two's complement."""
-    return convert_kernel(dtype, dtype)(v)
+    return elem_kernel(dtype.tag, dtype)(v)
 
 
 class Record(tuple):
@@ -293,25 +295,28 @@ def _convert_kernel(src: Dtype, dst: Dtype):
     return _wrapping(int, dst)
 
 
-# built once, keyed by dtype tags
+# built once, keyed by (op, operand dtype tag); a conversion's op is the
+# tag of the dtype it converts to
 _ELEM_KERNELS = {
     **{(op, d.tag): fn for op, fn in COMPARE.items() for d in DTYPES.values()},
     **{(op, "f64"): fn for op, fn in _MATH.items()},
     **{(op, "f64"): fns[0] for op, fns in _ARITH.items()},
     **{(op, d.tag): _wrapping(fns[1], d) for op, fns in _ARITH.items()
        for d in DTYPES.values() if d.is_int},
+    **{(dst.tag, src.tag): _convert_kernel(src, dst)
+       for src in DTYPES.values() for dst in DTYPES.values()},
 }
-_CONVERT_KERNELS = {(src.tag, dst.tag): _convert_kernel(src, dst)
-                    for src in DTYPES.values() for dst in DTYPES.values()}
 # how make and set_linear store a value of any numeric type as an element
-_STORE = {tag: float if tag == "f64" else bool if tag == "bool" else _CONVERT_KERNELS[tag, tag]
+_STORE = {tag: float if tag == "f64" else bool if tag == "bool" else _ELEM_KERNELS[tag, tag]
           for tag in DTYPES}
 
 
 def elem_kernel(op: str, dtype: Dtype):
     """The function computing one element of op on operands of dtype, with
     the emitted C's semantics: comparisons give a bool, integer results
-    wrap, f64 division follows IEEE-754; neg takes one operand, atan2 two."""
+    wrap, f64 division follows IEEE-754, a conversion (op a dtype tag) acts
+    as a C cast or assignment; neg and conversions take one operand, atan2
+    two."""
     kernel = _ELEM_KERNELS.get((op, dtype.tag))
     if kernel is None:
         if op in _MATH:
@@ -321,12 +326,6 @@ def elem_kernel(op: str, dtype: Dtype):
         raise DtypeMismatch("bool negation" if op == "neg" else
                             "bool participates in arithmetic only after conversion")
     return kernel
-
-
-def convert_kernel(src: Dtype, dst: Dtype):
-    """The function converting one src element to dst, as a C cast or
-    assignment does."""
-    return _CONVERT_KERNELS[src.tag, dst.tag]
 
 
 # ---------------------------------------------------------------------------
@@ -350,10 +349,15 @@ def _same_dtype(a: MatValue, b: MatValue) -> Dtype:
     return a.dtype
 
 
-def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
-    """The binary elem_kernel op applied element by element, a 1x1 operand
-    broadcasting; a comparison gives a bool matrix."""
-    dtype, x, y = a[0], a[3], b[3]  # tuple reads: a 1x1 operation is mostly lookups
+def elementwise(op: str, a: MatValue, b: MatValue = None) -> MatValue:
+    """The elem_kernel op applied element by element, to a alone or to a and
+    b, a 1x1 operand broadcasting; a comparison gives a bool matrix and a
+    conversion one of the dtype it names."""
+    dtype, x = a[0], a[3]  # tuple reads: a 1x1 operation is mostly lookups
+    if b is None:
+        kernel = elem_kernel(op, dtype)
+        return _unchecked((DTYPES.get(op, dtype), a[1], a[2], tuple(map(kernel, x))))
+    y = b[3]
     if dtype is not b[0]:
         _same_dtype(a, b)
     kernel = _ELEM_KERNELS.get((op, dtype.tag)) or elem_kernel(op, dtype)
@@ -365,10 +369,6 @@ def elem_binop(op: str, a: MatValue, b: MatValue) -> MatValue:
     n = rows * cols
     return _unchecked((dtype, rows, cols, tuple(map(kernel, x if len(x) == n else x * n,
                                                     y if len(y) == n else y * n))))
-
-
-def neg(a: MatValue) -> MatValue:
-    return _unchecked((a.dtype, a.rows, a.cols, tuple(map(elem_kernel("neg", a.dtype), a.data))))
 
 
 # inner dimension n -> the f64 product kernel built for it
@@ -423,7 +423,7 @@ def matmul_shape(a, b):
 
 def matmul(a: MatValue, b: MatValue) -> MatValue:
     if len(a.data) == 1 or len(b.data) == 1:
-        return elem_binop("mul", a, b)  # a 1x1 operand scales the other
+        return elementwise("mul", a, b)  # a 1x1 operand scales the other
     rows, cols, data = matmul_flat(_same_dtype(a, b), a.data, a.rows, a.cols, b.data, b.rows, b.cols)
     return _unchecked((a.dtype, rows, cols, tuple(data)))
 
@@ -431,7 +431,7 @@ def matmul(a: MatValue, b: MatValue) -> MatValue:
 def divide(a: MatValue, b: MatValue) -> MatValue:
     """a / b: elementwise by a 1x1 b, else a times the inverse of a square b."""
     if len(b.data) == 1:
-        return elem_binop("div", a, b)
+        return elementwise("div", a, b)
     return matmul(a, invert(b))
 
 
@@ -483,10 +483,7 @@ def concat_cols(a: MatValue, b: MatValue) -> MatValue:
 
 
 def convert(a: MatValue, dtype: Dtype) -> MatValue:
-    if a.dtype is dtype:
-        return a
-    data = map(convert_kernel(a.dtype, dtype), a.data)
-    return _unchecked((dtype, a.rows, a.cols, tuple(data)))
+    return a if a.dtype is dtype else elementwise(dtype.tag, a)
 
 
 def sum_all(a: MatValue) -> MatValue:
@@ -532,12 +529,3 @@ def invert(a: MatValue) -> MatValue:
     if a.dtype is not F64:
         raise DtypeMismatch("inverse needs f64")
     return _unchecked((F64, a.rows, a.rows, tuple(invert_flat(a.data, a.rows))))
-
-
-def elem_math(fn: str, *args: MatValue) -> MatValue:
-    for m in args:
-        kernel = elem_kernel(fn, m.dtype)  # raises unless every operand is f64
-    y = args[0]
-    if len(args) > 1 and any(m.shape != y.shape for m in args):
-        raise ShapeMismatch("{} args {}".format(fn, " vs ".join(str(m.shape) for m in args)))
-    return _unchecked((F64, y.rows, y.cols, tuple(map(kernel, *(m.data for m in args)))))

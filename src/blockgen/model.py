@@ -196,15 +196,13 @@ def _parse_endpoint(text: str, src: bool):
 
 
 def _check_params(bid: int, kind: str, params: dict):
-    """Each parameter blocks.PARAMS declares for kind is present if required,
-    of its kind and, for a word of a given collection, one of them. No word
-    names a block kind: a sciblk running one would run the kind's behavior
-    outside its block, or itself without end."""
-    for name, (required, value_kind) in blockmod.PARAMS[kind].items():
+    """Each parameter blocks.PARAMS declares for kind is present, of its
+    kind and, for a word of a given collection, one of them. No word names a
+    block kind: a sciblk running one would run the kind's behavior outside
+    its block, or itself without end."""
+    for name, value_kind in blockmod.PARAMS[kind].items():
         if name not in params:
-            if required:
-                raise ParseError("block {} ({}) needs {}=".format(bid, kind, name))
-            continue
+            raise ParseError("block {} ({}) needs {}=".format(bid, kind, name))
         word = value_kind != "matrix"
         if isinstance(params[name], str) != word:
             raise ParseError("block {} ({}): {}={!r} is not a {}"
@@ -807,7 +805,8 @@ def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> Cod
     branch_ids = itertools.count(base * 10 + 1)
 
     def route_output(link, value: Handle, ports):
-        value = bv_convert(value, link.dtype)  # a fresh Num: _held marks no block's own output
+        if value.value.dtype is not link.dtype:
+            value = bv_convert(value, link.dtype)
         if ports:
             for k in ports:
                 inouts_insert(io, out_port_names[k], value)

@@ -8,16 +8,17 @@ it has a literal; validation, every pass and the pruning of declarations
 and statics reuse that record. The fold, the one per-element simplifier
 (the tracer records elements unsimplified), visits only expressions with a
 literal, the only ones it can change, and walks again what it changes: it
-rewrites what trace.identity reduces (x+0, 0-x, 1*x, 0*x, ...), and lowers
-an all-literal expression through trace.lower_expr, the interpreter's own
-lowering, and calls it once, so a folded literal is the value the
-interpreter would compute. The inlining collapses the def-per-operation
-trace into the compact expressions of the generated listings, rebuilding
-each use site once with every def it takes; definitions pinned by a dtype
-conversion, referenced from name slots (copies, calls, if conditions) or
-used more than once always survive. There is no copy propagation: the C
-compiler does that anyway. With optimize=False the trace is only validated
-and its unused declarations pruned: it is printed as recorded.
+rewrites what trace.identity reduces (x+0, 0-x, 1*x, 0*x, ...), and
+evaluates an all-literal operation with matval.elementwise, the operation a
+Num runs in simulate, on the kernels the interpreter runs, so a folded
+literal is the value both would compute. The inlining collapses the
+def-per-operation trace into the compact expressions of the generated
+listings, rebuilding each use site once with every def it takes; definitions
+pinned by a dtype conversion, referenced from name slots (copies, calls, if
+conditions) or used more than once always survive. There is no copy
+propagation: the C compiler does that anyway. With optimize=False the trace
+is only validated and its unused declarations pruned: it is printed as
+recorded.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bisect import bisect_right
 from . import matval as mv
 from .trace import (
     Call, CopyMat, Def, ElemRef, IfExpr, Lit, Op, Ref, SetElem, Store, children,
-    identity, lower_expr, map_children, operand_fn,
+    identity, map_children,
 )
 
 
@@ -60,8 +61,7 @@ def fold_expr(e):
     lits = [c.value.data[0] if type(c) is Lit else None for c in args]
     if None not in lits:
         try:
-            x, dtype = lower_expr(e, None)
-            return Lit(mv.MatValue(dtype, 1, 1, (operand_fn(x)(None),)))
+            return Lit(mv.elementwise(e.op, *(c.value for c in args)))
         except (mv.MatError, ValueError, OverflowError):
             pass
     elif len(lits) == 2 and lits != [None, None]:  # a binary Op with a literal

@@ -11,10 +11,10 @@ holds the one operator table of both kinds. Each operator calls an
 overloaded operation, the recorder of its symbolic case made by _operation:
 with no symbolic operand it is its matval kernel instead, so numeric code
 records nothing and runs without a session.
-An operation on one element is an Op node named by its matval.elem_kernel,
-the one name the tracer, the optimizer, the interpreter and matval share;
-only the C printer spells it in C. A conversion is the one other operator
-node: a converted symbolic value is a new one defined by a Cast per element.
+An operation on one element, a conversion included, is an Op node named by
+its matval.elem_kernel, the one name the tracer, the optimizer, the
+interpreter and matval share; only the C printer spells it in C. A
+conversion's name is the tag of the dtype it converts to.
 
 Each recorder says only what element k of its result is, unsimplified:
 identity (x+0, 0-x, 1*x, 0*x, ...) is applied per element by the optimizer's
@@ -87,12 +87,8 @@ class ElemRef(Expr, namedtuple("ElemRef", "name index")):
 
 class Op(Expr, namedtuple("Op", "op args")):
     """An operation on one element: op names its matval.elem_kernel (add sub
-    mul div eq ne lt le gt ge neg sqrt sin cos atan2), args is the tuple of
-    its one or two operands."""
-    __slots__ = ()
-
-
-class Cast(Expr, namedtuple("Cast", "dtype a")):
+    mul div eq ne lt le gt ge neg sqrt sin cos atan2, or a dtype tag for a
+    conversion), args is the tuple of its one or two operands."""
     __slots__ = ()
 
 
@@ -152,16 +148,11 @@ def lower_expr(e: Expr, cell):
         args = e.args
         a, da = lower_expr(args[0], cell)
         if len(args) == 1:
-            return kernel_fn(mv.elem_kernel(e.op, da), a), da
+            return kernel_fn(mv.elem_kernel(e.op, da), a), mv.DTYPES.get(e.op, da)
         b, db = lower_expr(args[1], cell)
         if db is not da:
             raise mv.DtypeMismatch("{} vs {}".format(da, db))
         return kernel_fn(mv.elem_kernel(e.op, da), a, b), mv.BOOL if e.op in mv.COMPARE else da
-    if t is Cast:
-        a, da = lower_expr(e.a, cell)
-        if da == e.dtype:
-            return a, da
-        return kernel_fn(mv.convert_kernel(da, e.dtype), a), e.dtype
     raise TypeError("unknown expression {!r}".format(e))
 
 
@@ -170,8 +161,6 @@ def children(e: Expr) -> tuple:
     t = type(e)
     if t is Op:
         return e.args
-    if t is Cast:
-        return (e.a,)
     if t is Lit or t is Ref or t is ElemRef:
         return ()
     raise TypeError("unknown expression {!r}".format(e))
@@ -188,9 +177,6 @@ def map_children(e: Expr, f, *extra) -> Expr:
             return e if a is args[0] else Op(e.op, (a,))
         a, b = f(args[0], *extra), f(args[1], *extra)
         return e if a is args[0] and b is args[1] else Op(e.op, (a, b))
-    if t is Cast:
-        a = f(e.a, *extra)
-        return e if a is e.a else Cast(e.dtype, a)
     if t is Lit or t is Ref or t is ElemRef:
         return e
     raise TypeError("unknown expression {!r}".format(e))
@@ -637,15 +623,15 @@ def identity(op: str, a, b):
 # overloaded operations
 
 
-@_operation(mv.elem_binop)
+@_operation(mv.elementwise)
 def bv_binop(op: str, a, b) -> Handle:
     """The binary elem_kernel op element by element, a 1x1 operand
     broadcasting."""
     dtype = a.value.dtype
     if dtype is not b.value.dtype:
         raise mv.DtypeMismatch("{} vs {}".format(dtype, b.dtype))
+    mv.elem_kernel(op, dtype)  # raises for an op the dtype lacks, before the shapes
     shape = mv.broadcast_pair(a.value, b.value)
-    mv.elem_kernel(op, dtype)  # raises for an op the dtype lacks
     zero = mv.zeros(mv.BOOL if op in mv.COMPARE else dtype, *shape)
     # identity on the whole value: a numeric operand that is 1x1, or all zeros
     # of the other's shape, is a literal; only a 1x1 one gives a zero result
@@ -663,7 +649,7 @@ def bv_binop(op: str, a, b) -> Handle:
                         lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))), _row_major(*shape))
 
 
-@_operation(mv.neg)
+@_operation(partial(mv.elementwise, "neg"))
 def bv_neg(a) -> BVar:
     mv.elem_kernel("neg", a.dtype)  # raises for a bool
     return _per_element(a.ctx, mv.zeros(a.dtype, *a.shape),
@@ -810,7 +796,7 @@ def bv_convert(a, dtype: Dtype) -> BVar:
     # pin the source's definition so the conversion point survives optimization
     a.ctx.pinned.add(a.name)
     return _per_element(a.ctx, mv.zeros(dtype, *a.shape),
-                        lambda k: Cast(dtype, _elem_expr(a, k)), range(a.size))
+                        lambda k: Op(dtype.tag, (_elem_expr(a, k),)), range(a.size))
 
 
 @_operation(mv.sum_all)
@@ -824,15 +810,17 @@ def bv_sum(a) -> BVar:
     return _def_scalar(a.ctx, acc, mv.zeros(a.dtype, 1, 1))
 
 
-@_operation(mv.elem_math)
+@_operation(mv.elementwise)
 def bv_elem_math(fn: str, *args) -> BVar:
-    if fn == "atan2" and args[0].shape != args[1].shape:
-        raise mv.ShapeMismatch("atan2 args {} vs {}".format(args[0].shape, args[1].shape))
-    for a in args:
-        mv.elem_kernel(fn, a.dtype)  # raises unless every operand is f64
-    return _per_element(_ctx_of(*args), mv.zeros(F64, *args[0].shape),
+    """fn of one or two f64 operands, element by element; of two, a 1x1 one
+    broadcasts. It checks the operands in elementwise's order."""
+    if args[1:] and args[0].dtype is not args[1].dtype:
+        raise mv.DtypeMismatch("{} vs {}".format(args[0].dtype, args[1].dtype))
+    mv.elem_kernel(fn, args[0].dtype)  # raises unless f64
+    shape = mv.broadcast_pair(*(a.value for a in args)) if args[1:] else args[0].shape
+    return _per_element(_ctx_of(*args), mv.zeros(F64, *shape),
                         lambda k: Op(fn, tuple(_elem_expr(a, k) for a in args)),
-                        range(args[0].size))
+                        range(shape[0] * shape[1]))
 
 
 # sqrt(a), sin(a), cos(a) and atan2(y, x)

@@ -21,6 +21,7 @@ from blockgen import trace as tr
 from blockgen.cemit import EmitConfig, format_number
 from blockgen.directives import finalize_program
 from blockgen.irinterp import Machine
+from blockgen.model import ModelError
 
 from conftest import load_model_text, random_matvalue
 
@@ -349,8 +350,15 @@ def _sqrt_of_i32(blk, flag):
         blk.io[2] = tr.sqrt(tr.bv_convert(blk.io[1], mv.F64))
 
 
+def _bare_number(blk, flag):
+    """A registered behavior writing a bare number to its i32 output."""
+    if flag == blocks.OUTPUT:
+        blk.io[2] = 3.7
+
+
 # the behavior's matrix output goes to an output port; its 1x1 output feeds
-# a gain, which must see the link's i32 value
+# a gain, which must see the link's i32 value, as must the gain after the
+# bare number, which the io record wraps as an f64 Num
 CONVERTED_OUTPUT_MODELS = {
     "matrix": ("""model 96
 input 1 i32 2 1
@@ -368,16 +376,26 @@ link 1 in:1 -> 1.1
 link 2 1.1 -> 2.1
 link 3 2.1 -> out:1
 """, [[2], [9]], [[3], [9]]),
+    "number": ("""model 89
+input 1 i32 1 1
+output 1 i32 1 1
+block 1 sciblk behavior=bare_number out1=i32[1x1]
+block 2 gain gain=i32[1x1](3)
+link 1 in:1 -> 1.1
+link 2 1.1 -> 2.1
+link 3 2.1 -> out:1
+""", [[2], [-9]], [[9], [9]]),
 }
 
 
 @pytest.mark.parametrize("opt", ["-O0", "-O2"])
 @pytest.mark.parametrize("shape", sorted(CONVERTED_OUTPUT_MODELS))
 def test_block_output_converts_to_its_link_dtype(tmp_path, monkeypatch, opt, shape):
-    """A symbolic block output of another dtype than its link is converted
-    to the link's dtype, as simulate converts it: simulate, the interpreter
-    and the C agree."""
+    """A block output of another dtype than its link, symbolic or numeric,
+    is converted to the link's dtype, as simulate converts it: simulate, the
+    interpreter and the C agree."""
     monkeypatch.setitem(blocks.BEHAVIORS, "sqrt_of_i32", _sqrt_of_i32)
+    monkeypatch.setitem(blocks.BEHAVIORS, "bare_number", _bare_number)
     text, stimuli, want = CONVERTED_OUTPUT_MODELS[shape]
     inputs = [[mv.make(mv.I32, len(v), 1, v)] for v in stimuli]
     compiled = _roundtrip(tmp_path, bg.parse_model(text), inputs, opt)
@@ -519,6 +537,52 @@ def test_compiled_math_functions_outside_their_domain(tmp_path, monkeypatch, opt
     assert nan == [[True, False, False], [True, True, True], [False, True, True],
                    [False, False, False], [False, False, False], [True, True, True]]
     assert math.copysign(1.0, compiled[3][0][0]) == -1.0 and compiled[4][0] == [2.0]
+
+
+def _atan2_of_inputs(blk, flag):
+    """A registered behavior giving atan2 of its first input by its second."""
+    if flag == blocks.OUTPUT:
+        blk.io[3] = tr.atan2(blk.io[1], blk.io[2])
+
+
+# atan2 of a 1x1 y by a 2x1 x; the 1x1 one broadcasts
+ATAN2_MODEL = """model 90
+input 1 f64 1 1
+input 2 f64 2 1
+output 1 f64 2 1
+block 1 sciblk behavior=atan2_of_inputs out1=f64[2x1]
+link 1 in:1 -> 1.1
+link 2 in:2 -> 1.2
+link 3 1.1 -> out:1
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_atan2_broadcasts_a_scalar(tmp_path, monkeypatch, opt):
+    """atan2 of a 1x1 and a 2x1 value gives a 2x1 one in simulate, the
+    interpreter and the C alike; of a 2x1 and a 1x2 value, or of an f64 and
+    an i32 one, simulate and generate reject it alike."""
+    monkeypatch.setitem(blocks.BEHAVIORS, "atan2_of_inputs", _atan2_of_inputs)
+    pairs = [(1.0, (1.0, -1.0)), (-0.0, (0.0, -0.0)), (2.5, (math.inf, -math.inf)),
+             (math.inf, (3.0, math.nan))]
+    inputs = [[mv.scalar(y), mv.make(mv.F64, 2, 1, x)] for y, x in pairs]
+    compiled = _roundtrip(tmp_path, bg.parse_model(ATAN2_MODEL), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(ATAN2_MODEL), inputs, len(inputs))
+    for step, ((y, x), crow, srow) in enumerate(zip(pairs, compiled, simulated)):
+        want = [math.atan2(y, v) for v in x]
+        assert all(map(_same_f64, crow[0], srow[0].data)), step
+        assert all(map(_same_f64, crow[0], want)), step
+    shapes = ATAN2_MODEL.replace("input 1 f64 1 1", "input 1 f64 2 1") \
+        .replace("input 2 f64 2 1", "input 2 f64 1 2")
+    dtypes = ATAN2_MODEL.replace("input 2 f64 2 1", "input 2 i32 2 1")
+    for text, stimuli, message in [
+            (shapes, [mv.zeros(mv.F64, 2, 1), mv.zeros(mv.F64, 1, 2)],
+             r"ShapeMismatch: shapes \(2, 1\) and \(1, 2\) incompatible$"),
+            (dtypes, [mv.scalar(0.0), mv.zeros(mv.I32, 2, 1)], r"DtypeMismatch: f64 vs i32$")]:
+        with pytest.raises(ModelError, match=message):
+            bg.simulate(bg.parse_model(text), [stimuli], 1)
+        with pytest.raises(ModelError, match=message):
+            bg.generate(bg.parse_model(text))
 
 
 def _outer_product(blk, flag):

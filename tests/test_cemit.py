@@ -16,7 +16,7 @@ from blockgen.cemit import (
 from blockgen.directives import codegen_init, finalize_program, inouts, inouts_insert
 from blockgen import trace as tr
 from blockgen.trace import (
-    Cast, CallTarget, CopyMat, Decl, ElemRef, IfExpr, Lit, Op,
+    CallTarget, CopyMat, Decl, ElemRef, IfExpr, Lit, Op,
     Ref, SetElem, Store,
 )
 
@@ -103,7 +103,7 @@ def test_expr_printing_conventions():
         == "sqrt((t*t))"
     assert expr_str(Op("atan2", (ElemRef("z", 3), ElemRef("z", 1))), tab) \
         == "atan2((z[2]),(z[0]))"
-    assert expr_str(Cast(I32, Ref("t")), tab) == "((int32_t)(t))"
+    assert expr_str(Op("i32", (Ref("t"),)), tab) == "((int32_t)(t))"
 
 
 def test_nested_binop_parenthesization():
@@ -123,8 +123,8 @@ def test_store_and_setelem_lines():
 
 def test_store_drops_matching_cast():
     tab = tab_with(t=Decl("t", I32, 1, 1), b=Decl("b", BOOL, 1, 1))
-    assert instr_lines(Store("t", Cast(I32, Ref("b"))), tab) == ["t=b;"]
-    assert instr_lines(Store("t", Cast(I8, Ref("b"))), tab) == ["t=((int8_t)(b));"]
+    assert instr_lines(Store("t", Op("i32", (Ref("b"),))), tab) == ["t=b;"]
+    assert instr_lines(Store("t", Op("i8", (Ref("b"),))), tab) == ["t=((int8_t)(b));"]
 
 
 def test_copy_size_rule():
@@ -373,8 +373,8 @@ def test_narrow_integer_results_cast_back_where_c_would_promote(tag, cast):
     num, den = ring("neg", "x", feeds=True), ring("add", "x", "y", feeds=True)
     quotient = "({1}==-1?(int32_t)(0u-(uint32_t){0}):{0}/ {1})" if tag == "i32" else "({0}/ {1})"
     assert expr_str(Op("div", (Op("neg", (Ref("x"),)), s)), tab) == quotient.format(num, den)
-    assert expr_str(Cast(F64, Op("mul", (s, Ref("z")))), tab) == \
+    assert expr_str(Op("f64", (Op("mul", (s, Ref("z"))),)), tab) == \
         "((double)({}))".format(ring("mul", plain, "z", feeds=True))
     assert expr_str(Op("sub", (s, Op("neg", (s,)))), tab) == ring("sub", plain, ring("neg", plain))
-    assert instr_lines(Store("w", Cast(I32, s)), tab) == \
+    assert instr_lines(Store("w", Op("i32", (s,))), tab) == \
         ["w={};".format(ring("add", "x", "y", feeds=True))]

@@ -80,6 +80,13 @@ def test_simulate_rejects_emit(capsys):
     assert "unrecognized arguments: --emit" in capsys.readouterr().err
 
 
+def test_simulate_rejects_negative_steps(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(FIXTURES / "twodelays.model"), "--steps", "-1"])
+    assert exc.value.code == 2
+    assert "--steps must be nonnegative" in capsys.readouterr().err
+
+
 def test_simulate_zero_steps_header_only(capsys):
     code, stdout, _ = run(capsys, "simulate", str(FIXTURES / "twodelays.model"),
                           "--steps", "0")

@@ -14,7 +14,7 @@ from blockgen.irinterp import InterpError, Machine, UnboundName
 from blockgen import trace as tr
 from blockgen.optimizer import fold_expr
 from blockgen.trace import (
-    Call, CallTarget, Cast, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit, Op,
+    Call, CallTarget, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit, Op,
     Program, Ref, SetElem, Store, _copy_into, numerics,
 )
 
@@ -280,7 +280,7 @@ def _operand(kind, side, dtype, v):
     if kind == "literal":
         return Lit(mv.make(dtype, 1, 1, [v]))
     if dtype.is_bool:
-        return Cast(dtype, Cast(I32, cell))
+        return Op(dtype.tag, (Op("i32", (cell,)),))
     return Op("mul", (cell, Lit(mv.make(dtype, 1, 1, [1]))))
 
 
@@ -387,11 +387,11 @@ def test_lowered_negation_matches_its_kernel():
 def test_lowered_cast_matches_its_conversion():
     for src in mv.DTYPES.values():
         for dst in mv.DTYPES.values():
-            kernel = mv.convert_kernel(src, dst)
+            kernel = mv.elem_kernel(dst.tag, src)
             for x, _ in _values(src, 11):
                 want = kernel(x) if src is not dst else x
                 for kind in KINDS:
-                    expr = Cast(dst, _operand(kind, 0, src, x))
+                    expr = Op(dst.tag, (_operand(kind, 0, src, x),))
                     _check_element(_lowered(expr, src, dst), want, src, x, x, dst)
                     if kind == "literal":
                         _check_fold(expr, want, dst)
@@ -433,7 +433,7 @@ def test_lowered_stores_convert_to_their_destination(kind):
     for src in mv.DTYPES.values():
         for dst in mv.DTYPES.values():
             for x, _ in _values(src, 23):
-                want = mv.convert_kernel(src, dst)(x)
+                want = mv.elem_kernel(dst.tag, src)(x)
                 value = _operand(kind, 0, src, x)
                 program = _hand_program(
                     [Def("d", value), Store("s", value), SetElem("e", 2, value),

@@ -48,16 +48,16 @@ def test_bad_data_length():
 def test_elem_add():
     a = mv.from_rows([[1, 2], [3, 4]])
     b = mv.from_rows([[10, 10], [10, 10]])
-    assert mv.to_rows(mv.elem_binop("add", a, b)) == [[11, 12], [13, 14]]
+    assert mv.to_rows(mv.elementwise("add", a, b)) == [[11, 12], [13, 14]]
 
 
 def test_sub_scalars():
     a, b = mv.scalar(5.0), mv.scalar(3.0)
-    assert mv.elem_binop("sub", a, b).scalar() == 2.0
+    assert mv.elementwise("sub", a, b).scalar() == 2.0
 
 
 def test_scalar_broadcast_mul():
-    out = mv.elem_binop("mul", mv.scalar(2.0), mv.from_rows([[1, 2, 3]]))
+    out = mv.elementwise("mul", mv.scalar(2.0), mv.from_rows([[1, 2, 3]]))
     assert list(out.data) == [2.0, 4.0, 6.0]
     assert out.shape == (1, 3)
 
@@ -68,22 +68,22 @@ def test_broadcast_commutes_with_expansion():
         s = mv.scalar(rng.uniform(1, 3))
         b = random_matvalue(rng, F64, 3, 2)
         expanded = mv.make(F64, 3, 2, [s.scalar()] * 6)
-        assert mv.elem_binop(op, s, b) == mv.elem_binop(op, expanded, b)
+        assert mv.elementwise(op, s, b) == mv.elementwise(op, expanded, b)
 
 
 def test_shape_mismatch():
     with pytest.raises(mv.ShapeMismatch):
-        mv.elem_binop("add", mv.zeros(F64, 2, 2), mv.zeros(F64, 3, 1))
+        mv.elementwise("add", mv.zeros(F64, 2, 2), mv.zeros(F64, 3, 1))
 
 
 def test_dtype_mismatch():
     with pytest.raises(mv.DtypeMismatch):
-        mv.elem_binop("add", mv.zeros(F64, 1, 1), mv.zeros(I32, 1, 1))
+        mv.elementwise("add", mv.zeros(F64, 1, 1), mv.zeros(I32, 1, 1))
 
 
 def test_bool_arithmetic_rejected():
     with pytest.raises(mv.DtypeMismatch):
-        mv.elem_binop("add", mv.zeros(BOOL, 1, 1), mv.zeros(BOOL, 1, 1))
+        mv.elementwise("add", mv.zeros(BOOL, 1, 1), mv.zeros(BOOL, 1, 1))
 
 
 @pytest.mark.parametrize("dtype", [I8, I16, I32, U8, U16, U32])
@@ -293,8 +293,8 @@ def test_sum_all():
 
 
 def test_compare():
-    assert mv.elem_binop("ne", mv.scalar(3.0), mv.scalar(3.0)).scalar() is False
-    out = mv.elem_binop("gt", mv.from_rows([[1, 5]]), mv.scalar(2.0))
+    assert mv.elementwise("ne", mv.scalar(3.0), mv.scalar(3.0)).scalar() is False
+    out = mv.elementwise("gt", mv.from_rows([[1, 5]]), mv.scalar(2.0))
     assert list(out.data) == [False, True]
     assert out.dtype == BOOL
 
@@ -315,9 +315,9 @@ def test_invert_identity_and_reciprocal():
 def test_invert_residual_random_4x4():
     rng = random.Random(23)
     for _ in range(20):
-        a = mv.elem_binop("add", random_matvalue(rng, F64, 4, 4),
-                          mv.make(F64, 4, 4, [8.0 if i % 5 == 0 else 0.0
-                                              for i in range(16)]))
+        a = mv.elementwise("add", random_matvalue(rng, F64, 4, 4),
+                           mv.make(F64, 4, 4, [8.0 if i % 5 == 0 else 0.0
+                                               for i in range(16)]))
         residual = mv.matmul(mv.invert(a), a)
         np.testing.assert_allclose(to_np(residual), np.eye(4), atol=1e-12)
 
@@ -332,18 +332,18 @@ def test_invert_errors():
 
 
 def test_elem_math():
-    assert mv.elem_math("sqrt", mv.scalar(4.0)).scalar() == 2.0
-    assert mv.elem_math("cos", mv.scalar(0.0)).scalar() == 1.0
+    assert mv.elementwise("sqrt", mv.scalar(4.0)).scalar() == 2.0
+    assert mv.elementwise("cos", mv.scalar(0.0)).scalar() == 1.0
     # bearing of the initial tracking state, host math library as oracle
-    got = mv.elem_math("atan2", mv.scalar(950.0), mv.scalar(-900.0)).scalar()
+    got = mv.elementwise("atan2", mv.scalar(950.0), mv.scalar(-900.0)).scalar()
     assert got == math.atan2(950.0, -900.0)
 
 
 def test_elem_math_elementwise_and_shape_check():
     a = mv.from_rows([[1.0, 4.0], [9.0, 16.0]])
-    assert mv.to_rows(mv.elem_math("sqrt", a)) == [[1, 2], [3, 4]]
+    assert mv.to_rows(mv.elementwise("sqrt", a)) == [[1, 2], [3, 4]]
     with pytest.raises(mv.ShapeMismatch):
-        mv.elem_math("atan2", mv.zeros(F64, 2, 1), mv.zeros(F64, 1, 2))
+        mv.elementwise("atan2", mv.zeros(F64, 2, 1), mv.zeros(F64, 1, 2))
 
 
 def test_constructors():

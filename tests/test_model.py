@@ -652,6 +652,11 @@ def test_schedule_twodelays_respects_dependencies():
     assert s.state_order == [2, 3]
 
 
+def test_schedule_needs_an_inferred_model():
+    with pytest.raises(md.ModelError, match="^schedule needs an inferred model$"):
+        schedule(twodelays())
+
+
 def test_schedule_deterministic():
     a = schedule(md.infer(twodelays()))
     b = schedule(md.infer(twodelays()))
@@ -1787,6 +1792,20 @@ def test_a_write_to_an_input_slot_names_its_block(monkeypatch):
     with pytest.raises(md.ModelError, match=message) as simulating:
         simulate(parse_model(text), [[3.0]], 1)
     assert isinstance(simulating.value.__cause__, blocks.BlockError)
+    with pytest.raises(md.ModelError, match=message):
+        bg.generate(parse_model(text))
+
+
+def test_an_io_index_out_of_range_names_its_block(monkeypatch):
+    def reads_slot_9(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[2] = blk.io[9]
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "reads_slot_9", reads_slot_9)
+    text = SCIBLK_MODEL.format("reads_slot_9")
+    message = r"^block 7 \(sciblk\) at flag 1: BlockError: io index 9 out of 1\.\.2$"
+    with pytest.raises(md.ModelError, match=message):
+        simulate(parse_model(text), [[3.0]], 1)
     with pytest.raises(md.ModelError, match=message):
         bg.generate(parse_model(text))
 

@@ -15,13 +15,13 @@ from blockgen.cemit import EmitConfig
 from blockgen.matval import F64
 from blockgen.model import PortSpec, RegionSpec
 from blockgen.trace import (
-    Annot, Call, CallTarget, Cast, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op,
+    Annot, Call, CallTarget, CopyMat, Decl, Def, ElemRef, IfExpr, Lit, Op,
     Ref, SetElem, Store,
 )
 
 ONE = Lit(mv.scalar(1.0))
 EXPRS = [ONE, Ref("a"), ElemRef("v", 2), Op("add", (Ref("a"), ONE)), Op("neg", (Ref("a"),)),
-         Op("atan2", (Ref("a"), ONE)), Cast(F64, Ref("a"))]
+         Op("atan2", (Ref("a"), ONE)), Op("f64", (Ref("a"),))]
 INSTRS = [Def("t", ONE), Store("t", ONE), SetElem("v", 1, ONE), CopyMat("d", "s", 2),
           Annot("note"), IfExpr("c", CallTarget("f", ()), CallTarget("g", ())), Call("f", ())]
 

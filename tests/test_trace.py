@@ -259,7 +259,7 @@ def test_convert_scalar_defines_a_cast_and_pins():
     out = bv_convert(x, I32)
     assert out.sym and out.dtype == I32 and out.value.dtype == I32
     assert x.name in ctx.pinned
-    assert ctx.module.body == [Def(out.name, tr.Cast(I32, tr.Ref("flagv")))]
+    assert ctx.module.body == [Def(out.name, tr.Op("i32", (tr.Ref("flagv"),)))]
 
 
 CONVERTED_SCALAR_OPS = {
@@ -400,12 +400,12 @@ def test_value_consistency_numeric_ops_match_kernels():
         r, c = rng.randint(1, 3), rng.randint(1, 3)
         a = random_matvalue(rng, F64, r, c)
         b = random_matvalue(rng, F64, r, c)
-        assert (numerics(a) + numerics(b)).value == mv.elem_binop("add", a, b)
-        assert (numerics(a) - numerics(b)).value == mv.elem_binop("sub", a, b)
-        assert tr.bv_binop("mul", numerics(a), numerics(b)).value == mv.elem_binop("mul", a, b)
+        assert (numerics(a) + numerics(b)).value == mv.elementwise("add", a, b)
+        assert (numerics(a) - numerics(b)).value == mv.elementwise("sub", a, b)
+        assert tr.bv_binop("mul", numerics(a), numerics(b)).value == mv.elementwise("mul", a, b)
         assert bv_transpose(numerics(a)).value == mv.transpose(a)
         assert bv_sum(numerics(a)).value == mv.sum_all(a)
-        assert bv_binop("le", numerics(a), numerics(b)).value == mv.elem_binop("le", a, b)
+        assert bv_binop("le", numerics(a), numerics(b)).value == mv.elementwise("le", a, b)
         k = random_matvalue(rng, F64, c, rng.randint(1, 3))
         assert (numerics(a) * numerics(k)).value == mv.matmul(a, k)
 
@@ -466,9 +466,9 @@ def test_trace_faithfulness_single_ops():
 def test_trace_faithfulness_inverse_3x3_helper():
     rng = random.Random(47)
     for _ in range(10):
-        a = mv.elem_binop("add", random_matvalue(rng, F64, 3, 3),
-                          mv.make(F64, 3, 3, [6.0 if i in (0, 4, 8) else 0.0
-                                              for i in range(9)]))
+        a = mv.elementwise("add", random_matvalue(rng, F64, 3, 3),
+                           mv.make(F64, 3, 3, [6.0 if i in (0, 4, 8) else 0.0
+                                               for i in range(9)]))
         program, out_template = trace_op(bv_inv, [a])
         got = run_traced(program, out_template, [a])
         assert_close(got, mv.invert(a), rel=1e-12)
