@@ -68,33 +68,43 @@ class _Scope(dict):
         return (i, k), dtype
 
 
-def _shaped(scope, name, rows_name, cols_name):
-    """A runtime helper's operand: fn(frame) gives its buffer and the rows
-    and cols its dimension arguments hold."""
-    i = scope[name][0]
-    (r, _), _ = scope.cell(rows_name, 0)
-    (c, _), _ = scope.cell(cols_name, 0)
-
-    def operand(f):
-        buf, rows, cols = f[i], int(f[r][0]), int(f[c][0])
-        if rows * cols != len(buf):
-            raise InterpError("dimension args disagree with {}".format(name))
-        return buf, rows, cols
-    return operand
+# runtime helper -> its argument count: result, operands, their dimensions
+HELPER_ARITY = {"mult": 7, "quote": 4, "matinv": 3}
 
 
-def _helper(scope, res, compute):
-    """A runtime helper call: compute(frame) gives the result's elements,
-    which overwrite res in place."""
-    r = scope[res][0]
+def _helper_step(name, argnames, scope):
+    """A runtime helper call lowered into one step: it reads the dimension
+    arguments, checks them against the operands' and result's buffers and
+    overwrites the result in place, taking what it reads as defaults."""
+    res, a, *rest = argnames
+    b, dims = (rest[0], rest[1:]) if name == "mult" else (a, rest if name == "quote" else rest * 2)
+    dtype = scope[a][1]
+    if scope[b][1] != dtype:
+        raise mv.DtypeMismatch("{} vs {}".format(dtype, scope[b][1]))
+    if name == "matinv" and dtype != mv.F64:
+        raise mv.DtypeMismatch("inverse needs f64")
+    r, x, y = scope[res][0], scope[a][0], scope[b][0]
+    d = [scope.cell(dim, 0)[0][0] for dim in dims]
+    if name == "mult":
+        def step(f, r=r, x=x, y=y, d0=d[0], d1=d[1], d2=d[2], d3=d[3], dtype=dtype,
+                 product=mv.matmul_flat):
+            x, y, out = f[x], f[y], f[r]
+            ar, ac, br, bc = int(f[d0][0]), int(f[d1][0]), int(f[d2][0]), int(f[d3][0])
+            if ar * ac != len(x) or br * bc != len(y):
+                raise InterpError("dimension args disagree with {} or {}".format(a, b))
+            data = product(dtype, x, ar, ac, y, br, bc)[2]
+            if len(data) != len(out):
+                raise InterpError("{} has {} elements, the result {}".format(
+                    res, len(out), len(data)))
+            out[:] = data
+        return step
 
-    def helper(f):
-        data = compute(f)
-        if len(data) != len(f[r]):
-            raise mv.ShapeMismatch("{} has {} elements, the result {}".format(
-                res, len(f[r]), len(data)))
-        f[r][:] = data
-    return helper
+    def step(f, r=r, x=x, d0=d[0], d1=d[1], square=name == "matinv"):
+        x, out, rows, cols = f[x], f[r], int(f[d0][0]), int(f[d1][0])
+        if rows * cols != len(x) or rows * cols != len(out):
+            raise InterpError("dimension args disagree with {} or {}".format(a, res))
+        out[:] = mv.invert_flat(x, rows) if square else mv.transpose_flat(x, rows, cols)
+    return step
 
 
 class Machine:
@@ -184,28 +194,14 @@ class Machine:
         raise InterpError("unknown instruction {!r}".format(instr))
 
     def _call_site(self, name, argnames, scope):
-        if name == "mult":
-            res, a, b, m1, n1, m2, n2 = argnames
-            dtype, other = scope[a][1], scope[b][1]
-            if other != dtype:
-                raise mv.DtypeMismatch("{} vs {}".format(dtype, other))
-            ad, bd = _shaped(scope, a, m1, n1), _shaped(scope, b, m2, n2)
-            return _helper(scope, res, lambda f: mv.matmul_flat(dtype, *ad(f), *bd(f))[2])
-        if name == "quote":
-            res, a, m1, n1 = argnames
-            ad = _shaped(scope, a, m1, n1)
-            return _helper(scope, res, lambda f: mv.transpose_flat(*ad(f)))
-        if name == "matinv":
-            res, a, dn = argnames
-            if scope[a][1] != mv.F64:
-                raise mv.DtypeMismatch("inverse needs f64")
-            ad = _shaped(scope, a, dn, dn)
-            return _helper(scope, res, lambda f: mv.invert_flat(*ad(f)[:2]))
+        helper = name in HELPER_ARITY
+        callee = None if helper else self.program.function(name)
+        want = HELPER_ARITY[name] if helper else len(callee.params)
+        if len(argnames) != want:
+            raise InterpError("{} expects {} args, got {}".format(name, want, len(argnames)))
+        if helper:
+            return _helper_step(name, argnames, scope)
         # a recorded function: pass the caller's buffers straight through
-        callee = self.program.function(name)
-        if len(argnames) != len(callee.params):
-            raise InterpError("{} expects {} args, got {}".format(
-                name, len(callee.params), len(argnames)))
         slots = []
         for arg, p in zip(argnames, callee.params):
             i = scope[arg][0]

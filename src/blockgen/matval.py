@@ -19,17 +19,18 @@ here, literal folding and the interpreter's lowered code are all built on
 the same kernels, and the matrix product, transpose and inverse loops run on
 flat sequences so that the interpreter shares them too.
 
-The f64 matrix product is the one exception to looping over kernels: for
-each inner dimension n, the first product builds (and caches) one function
-whose source spells every dot product out as 0.0 + r[0]*c[0] + ... +
-r[n-1]*c[n-1]. Python evaluates that left to right, so it adds the same
-products in the same k-ascending order as reduce(add, map(mul, row, col),
-0.0) and as the C helper's res=0; res+=a*b, and elem_kernel's f64 add and
-mul are exactly operator.add and operator.mul: every result is bit for bit
-the one the loop gives, at less than half its cost. (Only a NaN's sign and
-payload are not fixed: where two NaNs meet, the one that comes out depends on
-the machine instruction's operand order, in the loop as in C.) Integer
-products keep the loop over their wrapping kernels.
+Products and transposes read one offset table per shape, built on first
+use and cached (product_table, transpose_table), as the tracer's unrolled
+ones do. The f64 product is the one exception to looping over kernels: per
+inner dimension n, one function built on first use spells every dot
+product out as 0.0 + a[p0]*b[q0] + ... + a[p(n-1)]*b[q(n-1)] over the table.
+Python evaluates that left to right: the same products added in the same
+k-ascending order as reduce(add, map(mul, row, col), 0.0) and the C helper's
+res=0; res+=a*b, with elem_kernel's f64 add and mul exactly operator.add and
+operator.mul, so every result is bit for bit the loop's, at less than half
+its cost. (Only a NaN's sign and payload are not fixed: where two NaNs meet,
+which comes out depends on the machine instruction's operand order, in the
+loop as in C.) Integer products keep the loop over their wrapping kernels.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from functools import partial, reduce
+from functools import cache, partial, reduce
 
 
 class MatError(Exception):
@@ -371,20 +372,30 @@ def elementwise(op: str, a: MatValue, b: MatValue = None) -> MatValue:
                                                     y if len(y) == n else y * n))))
 
 
-# inner dimension n -> the f64 product kernel built for it
-_F64_PRODUCTS = {}
+@cache
+def product_table(ar: int, n: int, bc: int) -> tuple:
+    """The offsets of an ar x n by n x bc product, one entry per result
+    element, column-major: (ps, qs), the flat offsets in a of its row and
+    in b of its column, so that its k-th term is a[ps[k]] * b[qs[k]]."""
+    return tuple((tuple(range(i, ar * n, ar)), tuple(range(n * j, n * j + n)))
+                 for j in range(bc) for i in range(ar))
 
 
+@cache
+def transpose_table(rows: int, cols: int) -> tuple:
+    """The source offset of each element of the transpose of rows x cols
+    data: the linear indices of a rows x cols matrix, row by row."""
+    return tuple(i + rows * j for i in range(rows) for j in range(cols))
+
+
+@cache
 def _f64_product(n: int):
-    """fn(rows, cols): every f64 dot product of rows (length-n sequences)
-    with cols, column-major, each spelled out as 0.0 + r[0]*c[0] + ... so
-    that it adds in k-ascending order, as the reduce loop does."""
-    fn = _F64_PRODUCTS.get(n)
-    if fn is None:
-        dot = "0.0" + "".join(" + r[{0}]*c[{0}]".format(k) for k in range(n))
-        source = "lambda rows, cols: [{} for c in cols for r in rows]".format(dot)
-        fn = _F64_PRODUCTS[n] = eval(source)
-    return fn
+    """fn(a, b, table): every f64 dot product of a product_table with inner
+    dimension n over flat a and b, each spelled out as 0.0 + a[p0]*b[q0] +
+    ... so that it adds in k-ascending order, as the reduce loop does."""
+    dot = "0.0" + "".join(" + a[p{0}]*b[q{0}]".format(k) for k in range(n))
+    ps, qs = ("".join("{}{}, ".format(x, k) for k in range(n)) for x in "pq")
+    return eval("lambda a, b, table: [{} for ({}), ({}) in table]".format(dot, ps, qs))
 
 
 def _check_product(dtype: Dtype, ar: int, ac: int, br: int, bc: int):
@@ -403,14 +414,14 @@ def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
             return br, bc, [mul(a[0], y) for y in b]
         return ar, ac, [mul(x, b[0]) for x in a]
     _check_product(dtype, ar, ac, br, bc)
-    rows = [a[i::ar] for i in range(ar)]
-    cols = [b[j * br:(j + 1) * br] for j in range(bc)]
+    table = product_table(ar, ac, bc)
     # accumulate in k-ascending order; the emitted helper and the unrolled
     # expression both use exactly this order
     if dtype is F64:
-        return ar, bc, _f64_product(ac)(rows, cols)
+        return ar, bc, _f64_product(ac)(a, b, table)
     mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
-    return ar, bc, [reduce(add, map(mul, row, col), 0) for col in cols for row in rows]
+    return ar, bc, [reduce(add, map(mul, map(a.__getitem__, ps), map(b.__getitem__, qs)), 0)
+                    for ps, qs in table]
 
 
 def matmul_shape(a, b):
@@ -437,7 +448,7 @@ def divide(a: MatValue, b: MatValue) -> MatValue:
 
 def transpose_flat(a, rows: int, cols: int) -> list:
     """The transpose of flat column-major rows x cols data (cols x rows)."""
-    return [a[i + rows * j] for i in range(rows) for j in range(cols)]
+    return list(map(a.__getitem__, transpose_table(rows, cols)))
 
 
 def transpose(a: MatValue) -> MatValue:

@@ -226,6 +226,8 @@ def parse_model(text: str) -> Model:
             head, rest = (line.split(None, 1) + [""])[:2]
             if head == "model":
                 model.base_id = int(rest.split()[0])
+                if model.base_id < 0:
+                    raise ParseError("model id {} is negative".format(model.base_id))
                 seen_model = True
             elif head in ("input", "output"):
                 idx, dt, r, c = rest.split()
@@ -347,6 +349,8 @@ def _build_graph(model: Model) -> Graph:
                              need_in)
             if n_out > max_out:
                 raise _fault(b, "block {} ({}): too many outputs", bid, b.kind)
+            if b.kind == "mux" and not n_in:
+                raise _fault(b, "block {} (mux): 0 inputs connected, needs at least 1", bid)
             n_out = max_out
         if b.kind == "summation":
             signs = b.params["signs"].data
@@ -476,23 +480,23 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
             if l.dtype is not dt or l.rows != rows or l.cols != cols:
                 _unify(l, dt, rows, cols, changed)
     elif kind == "gain":
-        i, o = ins[0], outs[0]
-        if i.dtype is not o.dtype:
-            _unify(o, i.dtype, None, None, changed)
-            _unify(i, o.dtype, None, None, changed)
-        gain = b.params["gain"]
-        if not gain.is_scalar:
-            if i.rows is not None and i.rows != gain.cols:
-                raise Conflict("gain {}: input rows {} vs gain cols {}"
-                               .format(b.id, i.rows, gain.cols))
-            if i.cols is not None:
-                _unify(o, None, gain.rows, i.cols, changed)
-            if o.cols is not None:
-                _unify(i, None, gain.cols, o.cols, changed)
-            return bool(changed)
-        if i.rows != o.rows or i.cols != o.cols:
-            _unify(o, None, i.rows, i.cols, changed)
-            _unify(i, None, o.rows, o.cols, changed)
+        i, gain = ins[0], b.params["gain"]
+        if not gain.is_scalar and i.rows is not None and i.rows != gain.cols:
+            raise Conflict("gain {}: input rows {} vs gain cols {}"
+                           .format(b.id, i.rows, gain.cols))
+        for o in outs:  # none when the output drives no link
+            if i.dtype is not o.dtype:
+                _unify(o, i.dtype, None, None, changed)
+                _unify(i, o.dtype, None, None, changed)
+            if not gain.is_scalar:
+                if i.cols is not None:
+                    _unify(o, None, gain.rows, i.cols, changed)
+                if o.cols is not None:
+                    _unify(i, None, gain.cols, o.cols, changed)
+                return bool(changed)
+            if i.rows != o.rows or i.cols != o.cols:
+                _unify(o, None, i.rows, i.cols, changed)
+                _unify(i, None, o.rows, o.cols, changed)
     elif kind == "const":
         v = b.params["value"]
         for l in outs:
@@ -504,7 +508,6 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
             _unify(ins[0], l.dtype, None, None, changed)
             _unify(l, None, 1, 1, changed)
     elif kind == "mux":
-        o = outs[0]
         dt = next((l.dtype for l in ins + outs if l.dtype), None)
         for l in ins + outs:
             _unify(l, dt, None, None, changed)
@@ -512,14 +515,15 @@ def _infer_block(b: BlockSpec, ins, outs, changed: list):
             cols = {l.cols for l in ins}
             if len(cols) > 1:
                 raise Conflict("mux {}: mixed column counts".format(b.id))
-            _unify(o, None, sum(l.rows for l in ins), cols.pop(), changed)
+            for o in outs:
+                _unify(o, None, sum(l.rows for l in ins), cols.pop(), changed)
     elif kind == "relational_op":
         a, c = ins
         dt = a.dtype or c.dtype
         _unify(a, dt, None, None, changed)
         _unify(c, dt, None, None, changed)
         rows, cols = (a.rows, a.cols) if a.rows is not None else (c.rows, c.cols)
-        for l in (a, c, outs[0]):
+        for l in (a, c, *outs):
             _unify(l, None, rows, cols, changed)
     elif kind == "ifthenelse":
         _unify(ins[0], None, 1, 1, changed)

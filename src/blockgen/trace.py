@@ -538,22 +538,16 @@ def _new_array(ctx, sig: MatValue, init: MatValue = None) -> BVar:
     return BVar(ctx, sig, name)
 
 
-def _per_element(ctx, sig: MatValue, expr_at, order) -> BVar:
+def _per_element(ctx, sig: MatValue, expr_at, row_major=False) -> BVar:
     """The symbolic result of sig's signature whose element k (0-based,
     column-major) is expr_at(k): one scalar definition when 1x1, else a
-    fresh array stored element by element, visiting the linear indices in
-    order."""
+    fresh array stored element by element, in linear order or row by row."""
     if sig.is_scalar:
         return _def_scalar(ctx, expr_at(0), sig)
     res = _new_array(ctx, sig)
-    for k in order:
+    for k in mv.transpose_table(sig.rows, sig.cols) if row_major else range(sig.rows * sig.cols):
         ctx.emit(SetElem(res.name, k + 1, expr_at(k)))
     return res
-
-
-def _row_major(rows: int, cols: int) -> list:
-    """The linear indices of a rows x cols matrix, row by row."""
-    return [i + rows * j for i in range(rows) for j in range(cols)]
 
 
 def _helper_call(ctx, fn: str, note: str, shape, operands, dims) -> BVar:
@@ -646,14 +640,14 @@ def bv_binop(op: str, a, b) -> Handle:
     if shape == (1, 1):  # one element, each operand a 1x1 one
         return _def_scalar(_ctx_of(a, b), Op(op, (_operand_expr(a), _operand_expr(b))), zero)
     return _per_element(_ctx_of(a, b), zero,
-                        lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))), _row_major(*shape))
+                        lambda k: Op(op, (_elem_expr(a, k), _elem_expr(b, k))), row_major=True)
 
 
 @_operation(partial(mv.elementwise, "neg"))
 def bv_neg(a) -> BVar:
     mv.elem_kernel("neg", a.dtype)  # raises for a bool
     return _per_element(a.ctx, mv.zeros(a.dtype, *a.shape),
-                        lambda k: Op("neg", (_elem_expr(a, k),)), _row_major(*a.shape))
+                        lambda k: Op("neg", (_elem_expr(a, k),)), row_major=True)
 
 
 @_operation(mv.matmul)
@@ -666,20 +660,18 @@ def bv_matmul(a, b) -> Handle:
         return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
                             "external function".format(rows * cols, UNROLL_LIMIT),
                             (rows, cols), (a, b), (a.rows, a.cols, b.rows, b.cols))
-    zero = mv.zeros(a.dtype, rows, cols)
+    zero, table = mv.zeros(a.dtype, rows, cols), mv.product_table(rows, a.cols, cols)
 
     def expr_at(k):
-        # row i of a times column j of b
-        i, j = k % a.rows, k // a.rows
-        terms = [Op("mul", (_elem_expr(a, i + a.rows * m), _elem_expr(b, m + b.rows * j)))
-                 for m in range(a.cols)]
+        # the k-th element's row of a times its column of b
+        terms = [Op("mul", (_elem_expr(a, p), _elem_expr(b, q))) for p, q in zip(*table[k])]
         return reduce(lambda acc, term: Op("add", (acc, term)), terms)
 
     if zero.is_scalar:  # a row times a column stays a one-element array: the C goldens fix it
         res = _new_array(ctx, zero)
         ctx.emit(SetElem(res.name, 1, expr_at(0)))
         return res
-    return _per_element(ctx, zero, expr_at, _row_major(rows, cols))
+    return _per_element(ctx, zero, expr_at, row_major=True)
 
 
 @_operation(mv.transpose)
@@ -693,10 +685,9 @@ def bv_transpose(a) -> BVar:
                            (a.rows, a.cols))
         ctx.emit(Annot("End of Transpose"))
         return res
-    # element (i, j) of the result is element (j, i) of a
+    table = mv.transpose_table(a.rows, a.cols)  # element k of the result is a's table[k]
     return _per_element(ctx, mv.zeros(a.dtype, a.cols, a.rows),
-                        lambda k: _elem_expr(a, k // a.cols + a.rows * (k % a.cols)),
-                        _row_major(a.cols, a.rows))
+                        lambda k: _elem_expr(a, table[k]), row_major=True)
 
 
 @_operation(mv.concat_rows)
@@ -712,7 +703,7 @@ def bv_concat_rows(a, b) -> Handle:
             return _elem_expr(a, r + a.rows * j)
         return _elem_expr(b, r - a.rows + b.rows * j)
 
-    return _per_element(_ctx_of(a, b), mv.zeros(a.dtype, rows, cols), expr_at, range(rows * cols))
+    return _per_element(_ctx_of(a, b), mv.zeros(a.dtype, rows, cols), expr_at)
 
 
 @_operation(mv.concat_cols)
@@ -722,8 +713,7 @@ def bv_concat_cols(a, b) -> Handle:
     zero, ctx = mv.zeros(a.dtype, *mv.concat_shape(a, b, vertical=False)), _ctx_of(a, b)
     ctx.emit(Annot("Begin concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     res = _per_element(ctx, zero,
-                       lambda k: _elem_expr(a, k) if k < a.size else _elem_expr(b, k - a.size),
-                       range(zero.size))
+                       lambda k: _elem_expr(a, k) if k < a.size else _elem_expr(b, k - a.size))
     ctx.emit(Annot("end concatr of {} with {}".format(a.name or "unknown", b.name or "unknown")))
     return res
 
@@ -796,7 +786,7 @@ def bv_convert(a, dtype: Dtype) -> BVar:
     # pin the source's definition so the conversion point survives optimization
     a.ctx.pinned.add(a.name)
     return _per_element(a.ctx, mv.zeros(dtype, *a.shape),
-                        lambda k: Op(dtype.tag, (_elem_expr(a, k),)), range(a.size))
+                        lambda k: Op(dtype.tag, (_elem_expr(a, k),)))
 
 
 @_operation(mv.sum_all)
@@ -819,8 +809,7 @@ def bv_elem_math(fn: str, *args) -> BVar:
     mv.elem_kernel(fn, args[0].dtype)  # raises unless f64
     shape = mv.broadcast_pair(*(a.value for a in args)) if args[1:] else args[0].shape
     return _per_element(_ctx_of(*args), mv.zeros(F64, *shape),
-                        lambda k: Op(fn, tuple(_elem_expr(a, k) for a in args)),
-                        range(shape[0] * shape[1]))
+                        lambda k: Op(fn, tuple(_elem_expr(a, k) for a in args)))
 
 
 # sqrt(a), sin(a), cos(a) and atan2(y, x)

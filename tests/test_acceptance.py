@@ -277,8 +277,10 @@ _OPS = [
 
 def _args_for(rng, name, dtype):
     hi = 3
-    if not dtype.is_float and name in ("matmul", "transpose"):
-        hi = 2  # integer products/transposes stay below the helper threshold
+    if name in ("matmul", "transpose"):
+        # integer products/transposes stay below the helper threshold; f64
+        # ones fall on both sides of it, inner dimension 4 included
+        hi = 5 if dtype.is_float else 2
     r, c = rng.randint(1, hi), rng.randint(1, hi)
     a = _rand_value(rng, dtype, r, c)
     if name == "matmul":

@@ -213,6 +213,53 @@ def test_statics_reflect_writes_and_run_init_resets_them():
     assert machine.statics == defaults
 
 
+# a runtime helper call over 3x3 f64 params a, b and res and a 1x2 small,
+# whose dimension arguments two, three and nine hold 2, 3 and 9, and the
+# fault it raises when it runs
+HELPER_FAULTS = {
+    "mult rows of a": (("mult", "res", "a", "b", "two", "three", "three", "three"),
+                       "dimension args disagree with a or b"),
+    "mult cols of b": (("mult", "res", "a", "b", "three", "three", "three", "nine"),
+                       "dimension args disagree with a or b"),
+    "mult result size": (("mult", "small", "a", "b", "three", "three", "three", "three"),
+                         "small has 2 elements, the result 9"),
+    "quote": (("quote", "res", "a", "two", "three"), "dimension args disagree with a or res"),
+    "quote result": (("quote", "small", "a", "three", "three"),
+                     "dimension args disagree with a or small"),
+    "matinv": (("matinv", "res", "a", "two"), "dimension args disagree with a or res"),
+    "matinv result": (("matinv", "small", "a", "three"),
+                      "dimension args disagree with a or small"),
+    "mult arity": (("mult", "res", "a", "b", "three", "three", "three"),
+                   "mult expects 7 args, got 6"),
+}
+
+
+def _helper_call(fn, *args):
+    dims = [Decl(name, F64, 1, 1, init=mv.scalar(v))
+            for name, v in (("two", 2.0), ("three", 3.0), ("nine", 9.0))]
+    params = [Decl(name, F64, 3, 3) for name in ("a", "b", "res")] + [Decl("small", F64, 1, 2)]
+    program = _hand_program([Call(fn, args)], params, decls=dims)
+    a, b = mv.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]]), mv.eye(3)
+    return Machine(program).run_function("f", [a, b, mv.zeros(F64, 3, 3), mv.zeros(F64, 1, 2)])
+
+
+@pytest.mark.parametrize("case", sorted(HELPER_FAULTS))
+def test_helper_dimension_args_are_checked_against_the_buffers(case):
+    (fn, *args), message = HELPER_FAULTS[case]
+    with pytest.raises(InterpError, match="^{}$".format(message)):
+        _helper_call(fn, *args)
+
+
+def test_helper_calls_with_matching_dimension_args():
+    a = mv.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    res = _helper_call("mult", "res", "a", "b", "three", "three", "three", "three")[2]
+    assert res == a
+    res = _helper_call("quote", "res", "a", "three", "three")[2]
+    assert res == mv.transpose(a)
+    res = _helper_call("matinv", "res", "a", "three")[2]
+    assert res == mv.invert(a)
+
+
 @pytest.mark.parametrize("instr", [
     Store("acc", ElemRef("v", 0)), Store("acc", ElemRef("v", 4)),
     SetElem("v", 0, Lit(mv.scalar(1.0))), SetElem("v", 4, Lit(mv.scalar(1.0))),

@@ -200,6 +200,16 @@ def test_f64_product_every_shape_matches_loop():
                 a = [rng.choice(SPECIAL_F64) for _ in range(ar * n)]
                 b = [rng.choice(SPECIAL_F64) for _ in range(n * bc)]
                 _assert_product_bits(a, ar, n, b, bc)
+    # the transpose reads the same kind of offset table: element (i, j) of
+    # the cols x rows result, i + cols * j, is element (j, i) of a
+    for rows in range(9):
+        for cols in range(9):
+            a = [rng.choice(SPECIAL_F64) for _ in range(rows * cols)]
+            want = [None] * (rows * cols)
+            for i in range(cols):
+                for j in range(rows):
+                    want[i + cols * j] = a[j + rows * i]
+            assert _bits(mv.transpose_flat(a, rows, cols)) == _bits(want)
 
 
 @st.composite

@@ -136,6 +136,9 @@ MALFORMED = {
                               r"but link 1 feeds input 2"),
     "arity": (["block 1 relational_op op=gt", "link 1 in:1 -> 1.1", "link 2 1.1 -> out:1"],
               ParseError, r"line 5: block 1 \(relational_op\): 1 inputs connected, needs 2"),
+    "mux without inputs": (["block 1 mux", "link 1 1.1 -> out:1"],
+                           ParseError, r"line 5: block 1 \(mux\): 0 inputs connected, needs at "
+                                       r"least 1"),
     "signs": (["block 1 summation signs=f64[1x2](1 3)", "link 1 in:1 -> 1.1, 1.2",
                "link 2 1.1 -> out:1"],
               ParseError, r"line 5: block 1 \(summation\): signs \[1\.0, 3\.0\] are not one "
@@ -434,6 +437,15 @@ def test_cli_names_the_select_outside_every_region(tmp_path, capsys):
     for command in ("simulate", "generate"):
         assert cli.main([command, str(path)]) != 0
         assert capsys.readouterr().err == "error: line 5: select block 4 has no region line\n"
+
+
+def test_a_negative_model_id_fails_in_both_drivers(tmp_path, capsys):
+    from blockgen import cli
+    path = tmp_path / "m.model"
+    path.write_text("model -1\ninput 1 f64 1 1\noutput 1 f64 1 1\nlink 1 in:1 -> out:1\n")
+    for command in ("simulate", "generate"):
+        assert cli.main([command, str(path)]) != 0
+        assert capsys.readouterr().err == "error: line 1: model id -1 is negative\n"
 
 
 def test_parse_rejects_gap_in_block_inputs():
@@ -1235,6 +1247,34 @@ def _equivalence(model, inputs, steps, exact):
                 assert s.data == i.data
             else:
                 assert_close(s, i, rel=1e-12)
+
+
+# a block whose output drives no link, beside a gain of 3 that feeds out:1
+# from the same input: the block's rule skips the missing output, and both
+# drivers run it and drop its result
+UNCONNECTED_OUTPUT = {
+    "gain": "block 1 gain gain=f64[2x1](2 5)",
+    "mux": "block 1 mux\nlink 2 in:2 -> 1.2",
+    "relational_op": "block 1 relational_op op=lt\nlink 2 in:2 -> 1.2",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNCONNECTED_OUTPUT))
+def test_an_unconnected_output_runs_in_both_drivers(kind):
+    text = """
+model 5
+input 1 f64 1 1
+input 2 f64 1 1
+output 1 f64 1 1
+block 2 gain gain=f64[1x1](3)
+link 1 in:1 -> 1.1, 2.1
+link 3 2.1 -> out:1
+""" + UNCONNECTED_OUTPUT[kind]
+    inputs = [[mv.scalar(x), mv.scalar(-x)] for x in (1.0, 2.5, -4.0)]
+    want = [[mv.scalar(3 * x)] for x in (1.0, 2.5, -4.0)]
+    assert simulate(parse_model(text), inputs, 3) == want
+    program = bg.generate(parse_model(text)).program
+    assert Machine(program).run_init().run_steps(inputs, 3) == want
 
 
 def test_generation_equivalence_twodelays():
