@@ -132,7 +132,7 @@ def behavior(kind):
 
 
 # block kind -> (inputs, outputs, states); None means link-determined. An
-# ifthenelse has no behavior: the drivers lower its region, never run it.
+# ifthenelse has no behavior: the driver runs its region, never the block.
 ARITY = {
     "unit_delay": (1, 1, 1),
     "gain": (1, 1, 0),

@@ -13,7 +13,7 @@ from . import matval as mv
 from . import optimizer
 from .trace import (
     Annot, BVar, Call, CallTarget, CopyMat, Decl, FunctionDef, IfExpr, Program, Ref, Store,
-    TraceContext, UnbalancedFunction, bv_binop, session, _as_handle, _as_matvalue, _copy_into,
+    TraceContext, UnbalancedFunction, bv_binop, session, _as_handle, _copy_into,
 )
 
 
@@ -27,11 +27,11 @@ def codegen_init() -> TraceContext:
 
 
 class IoSeq:
-    """Ordered function arguments; insertion order is parameter order."""
+    """Ordered function arguments, in parameter order; a numeric run's has no ctx."""
     __slots__ = ("ctx", "entries")
 
     def __init__(self, ctx: TraceContext):
-        self.ctx, self.entries = ctx, {}  # name -> BVar
+        self.ctx, self.entries = ctx, {}  # name -> its handle
 
 
 def inouts(ctx: TraceContext) -> IoSeq:
@@ -40,17 +40,22 @@ def inouts(ctx: TraceContext) -> IoSeq:
 
 def inouts_insert(io: IoSeq, name: str, v) -> IoSeq:
     """First insertion declares an argument; re-insertion copies v into it,
-    whose shape and dtype v must have."""
-    if name not in io.entries:
-        io.ctx.claim_name(name)
-        io.entries[name] = BVar(io.ctx, _as_matvalue(v), name)
-        return io
-    arg, b = io.entries[name], _as_handle(v)
-    if b.shape != arg.shape:
-        raise mv.ShapeMismatch("argument {}: {} vs {}".format(name, b.shape, arg.shape))
-    if b.dtype != arg.dtype:
-        raise mv.DtypeMismatch("argument {}: {} vs {}".format(name, b.dtype, arg.dtype))
-    _copy_into(io.ctx, name, b)
+    whose shape and dtype v must have. A session-less IoSeq (a numeric run's)
+    holds handles: the argument is v itself, checked the same way."""
+    ctx, b = io.ctx, _as_handle(v)
+    if name in io.entries:
+        arg = io.entries[name].value
+        if b.value.rows != arg.rows or b.value.cols != arg.cols:
+            raise mv.ShapeMismatch("argument {}: {} vs {}".format(name, b.shape, arg.shape))
+        if b.value.dtype is not arg.dtype:
+            raise mv.DtypeMismatch("argument {}: {} vs {}".format(name, b.dtype, arg.dtype))
+        if ctx is not None:
+            _copy_into(ctx, name, b)
+            return io
+    elif ctx is not None:
+        ctx.claim_name(name)
+        b = BVar(ctx, b.value, name)
+    io.entries[name] = b
     return io
 
 

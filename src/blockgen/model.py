@@ -1,5 +1,6 @@
 """Block-diagram models: parsing, type/size inference, constant propagation,
-scheduling, the code-generation driver, and direct numeric simulation.
+scheduling, and the one driver that runs a model as a block, numerically
+(simulate) or recording (generate).
 
 Model files are line-based text (grammar in the README): a `model` header,
 `input`/`output` port declarations, `block`, `link` and `region` lines.
@@ -22,7 +23,7 @@ from . import blocks as blockmod
 from .blocks import INIT, OUTPUT, STATE, BlockRecord, IoList, StateList
 from . import cemit
 from .cemit import EmitConfig
-from .directives import CallTarget, codegen_init, finalize_program, if_cos, inouts, inouts_insert
+from .directives import CallTarget, IoSeq, codegen_init, finalize_program, if_cos, inouts_insert
 from .trace import BVar, Handle, HeldValue, Num, TraceError, _copy_into, bv_convert
 
 
@@ -543,7 +544,7 @@ class BlockPlan(Record, namedtuple("BlockPlan", "block ins fetch zeros routes"))
     or generate call: the block; its input links (port 1 first) and `fetch`,
     their values out of a run's link values as a tuple; the io stand-in of
     each output slot, its signature's `_zero`; and per connected output (io
-    slot index, link, superblock output ports)."""
+    slot index, link, superblock output ports), those feeding no port first."""
     __slots__ = ()
 
 
@@ -570,6 +571,8 @@ def _plan(model: Model) -> dict:
             outs.append(_zero(template, zeros))
             if link is not None:
                 routes.append((k, link, ports.get(link, ())))
+        if len(routes) > 1:
+            routes.sort(key=lambda route: bool(route[2]))
         plans[bid] = new_plan((b, ins, fetch, outs, routes))
     return plans
 
@@ -736,7 +739,7 @@ def schedule(model: Model) -> Schedule:
 
 
 # ---------------------------------------------------------------------------
-# the generation driver
+# the superblock driver: one walk of the model for simulate and generate
 
 
 class CodegenResult(Record, namedtuple("CodegenResult", "text program context model schedule")):
@@ -756,171 +759,154 @@ def _init_states(model: Model, sched: Schedule, plans: dict):
     return states
 
 
-def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> CodegenResult:
-    """Trace the model into pseudo-code and emit the C program; with
-    optimize=False the trace is emitted as recorded."""
+def _superblock(model: Model, ctx=None):
+    """The model run as one block whose behavior runs its blocks: the
+    prepared model, its schedule, its ports as one IoSeq (`inouts<k>`,
+    inputs first) and its two phases, `output()` and `state()`, each one
+    walk of its blocks. With no session `ctx` its handles are numeric: a
+    port holds the handle last inserted and a region runs its taken branch.
+    While tracing into ctx, each state lives in a static `z_<n>` that the
+    state phase copies written states into, a region traces both branches
+    into functions joined by `if_cos`, and a link value that a branch
+    function or the state phase reads, or that leaves a region's select,
+    gets a static `link<n>` unless it has a durable home already."""
     model = infer(model) if not model.inferred else model
     plans = _plan(model)
     model = propagate_constants(model, plans)
     sched = schedule(model)
-    g = model.graph
-    base = model.base_id
-    cfg = cfg or EmitConfig(block_id=base)
+    states, rec = _init_states(model, sched, plans), _record(ctx)
+    g, base, tracing = model.graph, model.base_id, ctx is not None
+    # per stateful block: (plan, states its runs read and replace, statics while tracing)
+    state_runs, z_ids = [], itertools.count(base * 10 + 1)
+    for bid, entries in states.items():
+        zs = None
+        if tracing:
+            zs = ["z_{}".format(next(z_ids)) for _ in entries]
+            for z, entry in zip(zs, entries):
+                ctx.register_static(z, entry.value)
+            entries = states[bid] = [BVar(ctx, e.value, z) for z, e in zip(zs, entries)]
+        state_runs.append((plans[bid], entries, zs))
 
-    ctx = codegen_init()
-    rec, init_values = _record(ctx), _init_states(model, sched, plans)
-
-    # states become persistents, in init order
-    z_ids, state_names = itertools.count(base * 10 + 1), {}
-    for bid in sched.state_order:
-        state_names[bid] = ["z_{}".format(next(z_ids)) for _ in init_values[bid]]
-        for name, entry in zip(state_names[bid], init_values[bid]):
-            ctx.register_static(name, entry.value)
-
-    # superblock ports: inputs first, then outputs
-    io = inouts(ctx)
-    ports_meta = []
-    for p in list(g.inputs.values()) + list(g.outputs.values()):
-        name = "inouts{}".format(len(ports_meta) + 1)
-        inouts_insert(io, name, mv.zeros(p.dtype, p.rows, p.cols))
-        ports_meta.append({"name": name, "dtype": p.dtype, "rows": p.rows,
-                           "cols": p.cols, "input": p.input})
-    io_names = tuple(e for e in io.entries)
-
+    io = IoSeq(ctx)
+    for p in [*g.inputs.values(), *g.outputs.values()]:
+        inouts_insert(io, "inouts{}".format(len(io.entries) + 1), mv.zeros(p.dtype, p.rows, p.cols))
+    names = tuple(io.entries)
+    feeds = [(name, g.feeds[k]) for k, name in zip(g.inputs, names)]
+    out_name = dict(zip(g.outputs, names[len(g.inputs):]))
+    # no block writes a port fed by a folded constant or straight from an
+    # input port, so those ports are written first
+    direct = [(out_name[k], l) for k, l in g.fed_by.items()
+              if l.const_value is not None or l.src[0] == "in"]
     linkvals = _const_links(model)
-    for k, meta in zip(g.inputs, ports_meta):
-        port = _held(io.entries[meta["name"]])
-        for l in g.feeds[k]:
-            linkvals[l] = port
-    out_port_names = {k: meta["name"] for k, meta in zip(g.outputs, ports_meta[len(g.inputs):])}
 
-    # links read by the state phase need a durable home; so do links read
-    # inside branch functions, which can only touch ports and globals
-    durable_links = {l.id for bid in sched.state_order for l in g.ins[bid]}
+    # while tracing, links read by the state phase need a durable home; so
+    # do links read inside branch functions, which can only touch ports and globals
+    durable_links = {l.id for bid in sched.state_order for l in g.ins[bid]} if tracing else ()
     region_out_links = set()
-    for r in model.regions:
+    for r in model.regions if tracing else ():
         region_out_links.update(l.id for l in g.outs[r.select])
         # a link from a block of the region stays local to the branch function
         durable_links.update(l.id for bid in r.then_blocks + r.else_blocks + [r.select]
                              for l in g.ins[bid]
                              if l.src[0] != "block" or l.src[1] not in r.members)
 
-    main_id = base * 10 + 2 * len(sched.branches) + 1
-    branch_ids = itertools.count(base * 10 + 1)
-
-    def route_output(link, value: Handle, ports):
-        if value.value.dtype is not link.dtype:
-            value = bv_convert(value, link.dtype)
+    def home(link, value: Handle, ports):
+        """Where a routed output lives: its ports, else a link static, else itself."""
         if ports:
             for k in ports:
-                inouts_insert(io, out_port_names[k], value)
-            value = io.entries[out_port_names[ports[0]]]
-        elif link.id in region_out_links or link.id in durable_links and value.sym \
+                inouts_insert(io, out_name[k], value)
+            return io.entries[out_name[ports[0]]]
+        if link.id in region_out_links or link.id in durable_links and value.sym \
                 and value.name not in io.entries and value.name not in ctx.statics:
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
                 ctx.register_static(sname, mv.zeros(link.dtype, link.rows, link.cols))
             _copy_into(ctx, sname, value)
-            value = BVar(ctx, ctx.statics[sname].init, sname)
-        linkvals[link] = _held(value)
-
-    def run(bid, flag, branch=None):
-        names = state_names.get(bid, ())
-        st_vals = [BVar(ctx, ctx.statics[name].init, name) for name in names] if names else []
-        plan = plans[bid]
-        values = _run_block(rec, plan, flag, linkvals, st_vals, branch)
-        if flag == OUTPUT:
-            # flush link-homed outputs before port-homed ones
-            routes = plan.routes if len(plan.routes) < 2 else \
-                sorted(plan.routes, key=lambda r: bool(r[2]))
-            for k, link, ports in routes:
-                route_output(link, values[k], ports)
-        else:
-            for k in sorted(rec.state.written):
-                _copy_into(ctx, names[k], st_vals[k])
-
-    def lower_region(region: RegionSpec):
-        """Trace both branches into functions called from one `if`."""
-        cond = linkvals[g.ins[region.ifthenelse][0]]
-        fids = []
-        for branch, order in enumerate(sched.branches[region.ifthenelse], 1):
-            fids.append("updateOutput{}".format(next(branch_ids)))
-            ctx.push_function(fids[-1], io)
-            for bid in order:
-                run(bid, OUTPUT)
-            run(region.select, OUTPUT, branch)
-            ctx.pop_function(fids[-1])
-        if_cos(ctx, cond, CallTarget(fids[0], io_names), CallTarget(fids[1], io_names))
-
-    # ---- output phase; no block writes a port fed by a folded constant or
-    # straight from an input port, so those ports are written first
-    update_output = "updateOutput{}".format(main_id)
-    ctx.push_function(update_output, io)
-    for k, link in g.fed_by.items():
-        if link.const_value is not None:
-            inouts_insert(io, out_port_names[k], Num(link.const_value))
-        elif link.src[0] == "in":
-            inouts_insert(io, out_port_names[k], linkvals[link])
-    for node in sched.output_order:
-        if isinstance(node, tuple):
-            lower_region(node[1])
-        else:
-            run(node, OUTPUT)
-    ctx.pop_function(update_output)
-
-    # ---- state phase
-    update_state = "updateState{}".format(main_id)
-    ctx.push_function(update_state, io)
-    for bid in sched.state_order:
-        run(bid, STATE)
-    ctx.pop_function(update_state)
-
-    meta = {"ports": ports_meta, "update_output": update_output,
-            "update_state": update_state, "base_id": base}
-    program = finalize_program(ctx, optimize, init_name="initialize{}".format(base), meta=meta)
-    text = cemit.emit_program(program, cfg)
-    return CodegenResult(text, program, ctx, model, sched)
-
-
-# ---------------------------------------------------------------------------
-# direct numeric simulation
-
-
-def simulate(model: Model, inputs_per_step, steps: int):
-    """Run the model numerically: per step all blocks at flag 1 in output
-    order, then flag 2 in state order; returns output-port values."""
-    model = infer(model) if not model.inferred else model
-    plans = _plan(model)
-    model = propagate_constants(model, plans)
-    sched = schedule(model)
-    # each delay's states stay the list of handles its init run left, which
-    # its runs read and replace; infer gives a delay's input its state's dtype
-    states, rec = _init_states(model, sched, plans), _record(None)
-    state_runs = [(plans[bid], entries) for bid, entries in states.items()]
-    g = model.graph
-    port_buffers = {k: mv.zeros(p.dtype, p.rows, p.cols) for k, p in g.outputs.items()}
-    for k, link in g.fed_by.items():
-        if link.const_value is not None:  # folded blocks never run
-            port_buffers[k] = link.const_value
-    linkvals = _const_links(model)
-    # per input port: the links it feeds and the output ports it feeds directly
-    sources = [(p, g.feeds[k], [j for j, l in g.fed_by.items() if l.src == ("in", k)])
-               for k, p in g.inputs.items()]
-    # per output-order node: (its plan, its states) or, for a region, (None, the region)
-    output_order = [(None, n[1]) if isinstance(n, tuple) else (plans[n], states.get(n, ()))
-                    for n in sched.output_order]
+            return BVar(ctx, ctx.statics[sname].init, sname)
+        return value
 
     def run(plan, entries=(), branch=None):
         values = _run_block(rec, plan, OUTPUT, linkvals, entries, branch)
         for k, link, ports in plan.routes:
             value = values[k]
             if value.value.dtype is not link.dtype:
-                value = Num(mv.convert(value.value, link.dtype))
+                value = bv_convert(value, link.dtype)
+            if ports or tracing:
+                value = home(link, value, ports)
             value.held = True  # as _held does, without the call
             linkvals[link] = value
-            for port in ports:
-                port_buffers[port] = value.value  # infer gave the link its port's dtype
 
+    def region(r: RegionSpec, fids):
+        cond, orders = linkvals[g.ins[r.ifthenelse][0]], sched.branches[r.ifthenelse]
+        for branch in (1, 2) if tracing else (1 if cond.value.data[0] > 0 else 2,):
+            if tracing:
+                ctx.push_function(fids[branch - 1], io)
+            for bid in orders[branch - 1]:
+                run(plans[bid])
+            run(plans[r.select], (), branch)
+            if tracing:
+                ctx.pop_function(fids[branch - 1])
+        if tracing:
+            if_cos(ctx, cond, *(CallTarget(fid, names) for fid in fids))
+
+    # per output-order node: (its plan, its states) or, for a region,
+    # (None, (the region, its branch functions' names))
+    fn_ids = itertools.count(base * 10 + 1)
+    nodes = [(None, (n[1], ["updateOutput{}".format(next(fn_ids)) for _ in "12"]))
+             if isinstance(n, tuple) else (plans[n], states.get(n, ()))
+             for n in sched.output_order]
+
+    def output():
+        for name, links in feeds:
+            value = io.entries[name]
+            value.held = True
+            for l in links:
+                linkvals[l] = value
+        for name, link in direct:
+            inouts_insert(io, name, linkvals[link])
+        for plan, entries in nodes:
+            if plan is None:
+                region(*entries)
+            else:
+                run(plan, entries)
+
+    def state():
+        for plan, entries, zs in state_runs:
+            _run_block(rec, plan, STATE, linkvals, entries)
+            if tracing:
+                for k in sorted(rec.state.written):
+                    _copy_into(ctx, zs[k], entries[k])
+
+    return model, sched, io, output, state
+
+
+def generate(model: Model, cfg: EmitConfig = None, optimize: bool = True) -> CodegenResult:
+    """Trace the model into pseudo-code and emit the C program; with
+    optimize=False the trace is emitted as recorded."""
+    ctx = codegen_init()
+    model, sched, io, output, state = _superblock(model, ctx)
+    base, g = model.base_id, model.graph
+    main_id = base * 10 + 2 * len(sched.branches) + 1
+    update_output, update_state = "updateOutput{}".format(main_id), "updateState{}".format(main_id)
+    for fn, phase in ((update_output, output), (update_state, state)):
+        ctx.push_function(fn, io)
+        phase()
+        ctx.pop_function(fn)
+    ports = [{"name": name, "dtype": p.dtype, "rows": p.rows, "cols": p.cols, "input": p.input}
+             for name, p in zip(io.entries, [*g.inputs.values(), *g.outputs.values()])]
+    meta = {"ports": ports, "update_output": update_output,
+            "update_state": update_state, "base_id": base}
+    program = finalize_program(ctx, optimize, init_name="initialize{}".format(base), meta=meta)
+    text = cemit.emit_program(program, cfg or EmitConfig(block_id=base))
+    return CodegenResult(text, program, ctx, model, sched)
+
+
+def simulate(model: Model, inputs_per_step, steps: int):
+    """Run the model numerically: per step its output phase, then its state
+    phase; returns output-port values."""
+    model, _, io, output, state = _superblock(model)
+    g, names = model.graph, tuple(io.entries)
+    ins, outs = list(zip(g.inputs.values(), names)), names[len(g.inputs):]
     outputs = []
     for step in range(steps):
         if step >= len(inputs_per_step):
@@ -929,28 +915,13 @@ def simulate(model: Model, inputs_per_step, steps: int):
         if len(inputs_per_step[step]) != len(g.inputs):
             raise ModelError("step {}: {} input values for {} input ports"
                              .format(step, len(inputs_per_step[step]), len(g.inputs)))
-        for (p, links, ports), v in zip(sources, inputs_per_step[step]):
+        for (p, name), v in zip(ins, inputs_per_step[step]):
             v = mv.convert(v if isinstance(v, MatValue) else mv.scalar(v), p.dtype)
             if v.shape != (p.rows, p.cols):
                 raise ModelError("input {}: shape {} vs port {}x{}"
                                  .format(p.index, v.shape, p.rows, p.cols))
-            value = Num(v)
-            value.held = True  # as _held does, without the call
-            for l in links:
-                linkvals[l] = value
-            for k in ports:
-                port_buffers[k] = v
-        for plan, entries in output_order:
-            if plan is None:  # a region: run only the taken branch
-                region = entries
-                cond = linkvals[g.ins[region.ifthenelse][0]].value.data[0]
-                branch = 1 if cond > 0 else 2
-                for bid in sched.branches[region.ifthenelse][branch - 1]:
-                    run(plans[bid])
-                run(plans[region.select], (), branch)
-            else:
-                run(plan, entries)
-        outputs.append([port_buffers[k] for k in g.outputs])
-        for plan, entries in state_runs:
-            _run_block(rec, plan, STATE, linkvals, entries)
+            io.entries[name] = Num(v)  # checked above
+        output()
+        outputs.append([io.entries[name].value for name in outs])
+        state()
     return outputs

@@ -347,8 +347,8 @@ class TraceContext:
 
 class Handle:
     """A matrix value as behaviors see it: a Num, numeric, or a BVar,
-    symbolic. The dtype is the value's. The model drivers set `held` on a
-    value they bind to a link, which makes it read only to element writes;
+    symbolic. The dtype is the value's. The model driver sets `held` on a
+    value it binds to a link, which makes it read only to element writes;
     unset, it reads as not held. Both kinds share this one layout, so that
     an element write of a symbolic value promotes a Num in place. Each
     property reads the value's fields in one step."""
@@ -655,6 +655,8 @@ def bv_matmul(a, b) -> Handle:
     if a.is_scalar or b.is_scalar:  # scalar * matrix scales elementwise
         return bv_binop.__wrapped__("mul", a, b)  # the recorder: a or b is symbolic
     rows, cols = mv.matmul_shape(a, b)
+    if not a.cols:  # each element is an empty sum, which reads no operand
+        return Num(mv.matmul(a.value, b.value))
     ctx = _ctx_of(a, b)
     if rows * cols > UNROLL_LIMIT:
         return _helper_call(ctx, "mult", "Product of matrices resulting size {}>{}: calling "
@@ -843,8 +845,8 @@ def bv_inv(a) -> BVar:
     n = a.rows
     if n == 1:
         return bv_div(numerics(mv.scalar(1.0)), a)
-    if n == 2:
-        out = bvarempty(ctx, a)
+    if n == 2:  # every element is written
+        out = _new_array(ctx, a.value)
         bv_index_set(out, 1, 1, rhs=bv_index_get(a, 2, 2))
         bv_index_set(out, 2, 2, rhs=bv_index_get(a, 1, 1))
         bv_index_set(out, 1, 2, rhs=bv_neg(bv_index_get(a, 1, 2)))
@@ -868,11 +870,14 @@ def bv_div(a, b) -> Handle:
 
 
 def bvarempty(ctx: TraceContext, in_) -> Handle:
-    """Fresh symbolic with in's dtype and shape; declared, never copied. A
-    numeric source's value is the declaration's initializer, and with no
-    session (a numeric run) a fresh Num of it."""
+    """Fresh symbolic with in's dtype, shape and elements: a numeric source's
+    value is the declaration's initializer, a symbolic one is copied in, and
+    with no session (a numeric run) it is a fresh Num of the value."""
     b = _as_handle(in_)
     if ctx is None:
         return Num(b.value)
-    return _new_array(ctx, b.value, init=None if b.sym else b.value)
+    res = _new_array(ctx, b.value, init=None if b.sym else b.value)
+    if b.sym:
+        _copy_into(ctx, res.name, b)
+    return res
 

@@ -604,17 +604,41 @@ link 2 1.1 -> out:1
 """
 
 
+def _doubles_first_element(blk, flag):
+    """A registered behavior writing only element 1 of a bvarempty of its
+    input: the others keep the input's."""
+    if flag == blocks.OUTPUT:
+        out = tr.bvarempty(blk.ctx, blk.io[1])
+        out[1] = blk.io[1][1] * 2.0
+        blk.io[2] = out
+
+
+FIRST_ELEMENT_MODEL = """model 92
+input 1 f64 3 1
+output 1 f64 3 1
+block 1 sciblk behavior=doubles_first_element out1=f64[3x1]
+link 1 in:1 -> 1.1
+link 2 1.1 -> out:1
+"""
+
+
 @pytest.mark.parametrize("opt", ["-O0", "-O2"])
 def test_bvarempty_agrees_three_ways(tmp_path, monkeypatch, opt):
     """A numeric run has no session, so bvarempty gives it a number to fill
     and the 3x3 product computes, as the mult helper does in the
-    interpreter and the C."""
+    interpreter and the C. Of a symbolic source, bvarempty copies it in, so
+    the elements a behavior leaves unwritten are the source's in all three."""
     monkeypatch.setitem(blocks.BEHAVIORS, "outer_product", _outer_product)
-    inputs = [[mv.scalar(v)] for v in (2.0, -0.5)]
-    compiled = _roundtrip(tmp_path, bg.parse_model(OUTER_PRODUCT_MODEL), inputs, opt)
-    simulated = bg.simulate(bg.parse_model(OUTER_PRODUCT_MODEL), inputs, len(inputs))
-    assert [list(row[0].data) for row in simulated] == [row[0] for row in compiled]
-    assert compiled[0][0] == [4.0, 8.0, 12.0, 8.0, 16.0, 24.0, 12.0, 24.0, 36.0]
+    monkeypatch.setitem(blocks.BEHAVIORS, "doubles_first_element", _doubles_first_element)
+    for text, inputs, first in [
+            (OUTER_PRODUCT_MODEL, [[mv.scalar(v)] for v in (2.0, -0.5)],
+             [4.0, 8.0, 12.0, 8.0, 16.0, 24.0, 12.0, 24.0, 36.0]),
+            (FIRST_ELEMENT_MODEL, [[mv.make(mv.F64, 3, 1, v)] for v in ((1, 2, 3), (-4, 5, 0.5))],
+             [2.0, 2.0, 3.0])]:
+        compiled = _roundtrip(tmp_path, bg.parse_model(text), inputs, opt)
+        simulated = bg.simulate(bg.parse_model(text), inputs, len(inputs))
+        assert [list(row[0].data) for row in simulated] == [row[0] for row in compiled]
+        assert compiled[0][0] == first
 
 
 def test_random_models_compile(tmp_path):

@@ -98,3 +98,55 @@ def test_generate_and_simulate_do_not_depend_on_the_hash_seed():
         runs.append(done.stdout)
     assert runs[0] == runs[1]
     assert len(runs[0].splitlines()) == 4
+
+
+def _behavior_runs(monkeypatch, model):
+    """The (block id, flag, active branch or None) of every behavior run on
+    model from now on, through `blocks.behavior`, which the block runner
+    calls for each run (and a sciblk once more for its behavior)."""
+    ids = {id(b.params): b.id for b in model.blocks.values()}
+    selects = {b.id for b in model.blocks.values() if b.kind == "select"}
+    runs, behavior = [], blocks.behavior
+
+    def recording(kind):
+        fn = behavior(kind)
+
+        def recorded(blk, flag):
+            branch = blk.params.get("active_branch")
+            # a select's run gets a copy of its params that names its branch
+            bid = ids.get(id(blk.params)) if branch is None else next(iter(selects))
+            runs.append((bid, flag, branch))
+            return fn(blk, flag)
+        return recorded
+
+    monkeypatch.setattr(blocks, "behavior", recording)
+    return runs
+
+
+@pytest.mark.parametrize("name,stimulus", [
+    ("chain40", mv.scalar(0.5)), ("kalman", mv.make(mv.F64, 2, 1, [1000.0, 0.5])),
+    ("twodelays", mv.scalar(1.0)), ("coding", mv.make(mv.I32, 1, 1, [0])),
+    ("coding", mv.make(mv.I32, 1, 1, [1]))])
+def test_simulate_and_generate_run_one_walk(monkeypatch, name, stimulus):
+    """One `simulate` step and one `generate` run the behaviors in one order:
+    the initial-state pass, constant folding, the output phase and the state
+    phase. Only a region differs: generate traces both of its branches,
+    simulate runs the one its condition takes (coding's input 1 differs from
+    the delayed 0, taking the first; input 0 takes the second)."""
+    walks = {}
+    for mode in ("simulate", "generate"):
+        model = parse_model(load_model_text(name + ".model"))
+        runs = _behavior_runs(monkeypatch, model)
+        simulate(model, [[stimulus]], 1) if mode == "simulate" else generate(model)
+        monkeypatch.undo()
+        walks[mode] = runs
+    assert walks["simulate"] and len({flag for _, flag, _ in walks["simulate"]}) == 3
+    if not model.regions:
+        assert walks["generate"] == walks["simulate"]
+        return
+    (region,) = model.regions
+    taken = 1 if stimulus.data[0] else 2
+    untaken = set(region.else_blocks if taken == 1 else region.then_blocks)
+    assert {b for _, _, b in walks["generate"]} == {None, 1, 2}
+    assert [(bid, flag, b) for bid, flag, b in walks["generate"]
+            if b != 3 - taken and bid not in untaken] == walks["simulate"]

@@ -119,6 +119,19 @@ def test_matmul_at_threshold_unrolls():
     assert not [i for i in ctx.module.body if isinstance(i, Call)]
 
 
+@pytest.mark.parametrize("dtype", [F64, I32])
+@pytest.mark.parametrize("shape", [(2, 0, 2), (3, 0, 4)])
+def test_matmul_over_an_empty_inner_dimension_is_the_numeric_zero(dtype, shape):
+    """Each element is an empty sum: the product records nothing and is the
+    zero the numeric product gives, unrolled or above the helper threshold."""
+    rows, inner, cols = shape
+    ctx = codegen_init()
+    out = symbolics(ctx, mv.zeros(dtype, rows, inner)) * symbolics(ctx, mv.zeros(dtype, inner, cols))
+    assert not out.sym and out.value == mv.zeros(dtype, rows, cols)
+    assert out.value == mv.matmul(mv.zeros(dtype, rows, inner), mv.zeros(dtype, inner, cols))
+    assert ctx.module.body == [] and ctx.helpers_used == []
+
+
 def test_transpose_above_threshold_uses_quote():
     ctx = codegen_init()
     h = symbolics(ctx, mv.zeros(F64, 2, 4))
