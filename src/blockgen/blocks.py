@@ -70,9 +70,7 @@ class IoList:
         i = k - 1 if 0 < k <= len(self.slots) else self._index(k)
         if i < self.n_in:
             raise BlockError("write to input slot {}".format(k))
-        if not isinstance(v, Handle):
-            v = numerics(v)
-        self.slots[i] = v
+        self.slots[i] = v if isinstance(v, Handle) else numerics(v)
         self.written = True
 
 
@@ -88,20 +86,22 @@ class StateList:
         self.ctx = ctx
         self.written = set()
 
+    def _out_of_range(self, k):
+        raise BlockError("state index {} out of 1..{}".format(k, len(self.entries)))
+
     def __len__(self):
         return len(self.entries)
 
     def __getitem__(self, k) -> Handle:
-        e = self.entries[k - 1]
+        e = self.entries[k - 1 if 0 < k <= len(self.entries) else self._out_of_range(k)]
         if e.sym and e.is_scalar and self.ctx is not None:
             return _def_scalar(self.ctx, _operand_expr(e), e.value)
         return e
 
     def __setitem__(self, k, v):
-        if not isinstance(v, Handle):
-            v = numerics(v)
-        self.entries[k - 1] = v
-        self.written.add(k - 1)
+        i = k - 1 if 0 < k <= len(self.entries) else self._out_of_range(k)
+        self.entries[i] = v if isinstance(v, Handle) else numerics(v)
+        self.written.add(i)
 
 
 class BlockRecord:
@@ -245,8 +245,7 @@ def select(blk: BlockRecord, flag: int):
 
 @register_block("sciblk")
 def sciblk(blk: BlockRecord, flag: int):
-    fn = behavior(blk.params["behavior"])
-    fn(blk, flag)
+    behavior(blk.params["behavior"])(blk, flag)
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +262,7 @@ def ekf_range_bearing(blk: BlockRecord, flag: int):
     """
     if flag != OUTPUT:
         return
-    meas = blk.io[1]
-    xhat = blk.io[2]
-    P = blk.io[3]
+    meas, xhat, P = blk.io[1], blk.io[2], blk.io[3]
 
     dt = 0.1
     Q = numerics(mv.diag([0.0, 0.1, 0.0, 0.1]))
@@ -280,17 +277,12 @@ def ekf_range_bearing(blk: BlockRecord, flag: int):
     range_hat = sqrt(xhat[1] ** 2 + xhat[3] ** 2)
     bearing_hat = atan2(xhat[3], xhat[1])
     yhat = vertcat(range_hat, bearing_hat)
-    H = vertcat(
-        horzcat(cos(bearing_hat), 0.0, sin(bearing_hat), 0.0),
-        horzcat(-sin(bearing_hat) / range_hat, 0.0, cos(bearing_hat) / range_hat, 0.0),
-    )
+    H = vertcat(horzcat(cos(bearing_hat), 0.0, sin(bearing_hat), 0.0),
+                horzcat(-sin(bearing_hat) / range_hat, 0.0, cos(bearing_hat) / range_hat, 0.0))
     xhat = F * xhat
     P = F * P * F.T + Q
     K = (P * H.T) / (H * P * H.T + R)
     resid = meas - yhat
     xhat = xhat + K * resid
-    n = K.shape[0]
-    P = (numerics(mv.eye(n)) - K * H) * P
-
-    blk.io[4] = xhat
-    blk.io[5] = P
+    P = (numerics(mv.eye(K.shape[0])) - K * H) * P
+    blk.io[4], blk.io[5] = xhat, P

@@ -1,26 +1,28 @@
 """Reference executor for finalized programs.
 
 Runs the same optimized pseudo-code the C emitter prints. Each function is
-lowered once, on its first call, in one pass: its names are resolved into a
-table of frame index, dtype and element count, and Machine._exec turns each
-instruction into one step over a frame, a list holding one flat element list
-per name (every static's buffer, the caller's buffers for the params, fresh
-copies of the locals). trace.lower_expr lowers expressions with matval's
-kernels; a store converts to its destination's dtype as a C assignment does,
-and one of a cell or a literal is a direct copy or a constant store. Checks
-that depend only on the program (names, dtypes, sizes, arity, element
-indexes) run at lowering time; nothing is evaluated there. It is the
-in-process stand-in for "compile the generated C and run it" and the oracle
-the validation command compares simulation against.
+lowered once, on its first call: its names are resolved into a table of frame
+index, dtype and element count, and Machine._exec lowers each instruction over
+a frame, one flat element list per name (the statics' buffers, the caller's
+for the params, fresh copies of the locals). A scalar store becomes a row
+(i, k, operand) writing element k of frame entry i: a copy of a cell, a
+constant, or a store of its expression lowered by trace.lower_expr, converted
+as a C assignment does. Each run of consecutive rows of one of these three
+kinds is one step, that kind's loop; any other instruction is its own step.
+Checks that depend only on the program (names, dtypes, sizes, arity, element
+indexes) run at lowering time, before any step. It is the in-process stand-in
+for "compile the generated C and run it" and the oracle of validate.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import groupby
+from operator import itemgetter
+
 from . import matval as mv
 from .matval import MatValue
-from .trace import (
-    Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, kernel_fn, lower_expr,
-)
+from .trace import Annot, Call, CopyMat, Def, IfExpr, Program, SetElem, Store, kernel_fn, lower_expr
 
 
 class InterpError(Exception):
@@ -36,8 +38,7 @@ def _check(want, got, what, *args):
     which the lowered code assumes, naming got by what.format(*args)."""
     if (got.dtype, got.rows, got.cols) != (want.dtype, want.rows, want.cols):
         raise InterpError("{} is {} {}x{}, got {} {}x{}".format(
-            what.format(*args), want.dtype, want.rows, want.cols,
-            got.dtype, got.rows, got.cols))
+            what.format(*args), want.dtype, want.rows, want.cols, got.dtype, got.rows, got.cols))
 
 
 class _Scope(dict):
@@ -66,6 +67,22 @@ class _Scope(dict):
             raise InterpError("{}: element {} of {} is outside its {} elements".format(
                 self.fn.name, k + 1, name, n))
         return (i, k), dtype
+
+
+# one loop per kind of store row (i, k, operand), each writing element k of frame entry i
+def _copies(rows, f):
+    for i, k, j, m in rows:
+        f[i][k] = f[j][m]
+
+
+def _stores(rows, f):
+    for i, k, x in rows:
+        f[i][k] = x(f)
+
+
+def _constants(rows, f):
+    for i, k, x in rows:
+        f[i][k] = x
 
 
 # runtime helper -> its argument count: result, operands, their dimensions
@@ -134,8 +151,10 @@ class Machine:
 
     def _lower(self, fn):
         scope = _Scope(fn, self.program, self._static_names)
-        steps = [self._exec(instr, scope) for instr in fn.body]
-        steps = [step for step in steps if step is not None]
+        lowered = filter(None, [self._exec(instr, scope) for instr in fn.body])
+        steps, second = [], itemgetter(1)  # positional: a keyword partial builds a dict per call
+        for loop, run in groupby(lowered, itemgetter(0)):
+            steps += [partial(loop, list(map(second, run)))] if loop else map(second, run)
         shared, inits = self._buffers, scope.inits
 
         def run(args):
@@ -146,9 +165,9 @@ class Machine:
         return run
 
     def _exec(self, instr, scope):
-        """Lower one instruction into the closure that runs it on a frame
-        (None for an annotation); every decision that depends only on the
-        instruction is taken here, once."""
+        """Lower one instruction into (loop, row) for a scalar store, (None,
+        step) for the closure running any other on a frame, or None for an
+        annotation; every decision that depends only on the instruction is taken here."""
         t = type(instr)
         if t is Annot:
             return None
@@ -158,19 +177,9 @@ class Machine:
             (i, k), dst = scope.cell(instr.name, instr.index - 1 if t is SetElem else 0)
             if src != dst:
                 x = kernel_fn(mv.elem_kernel(dst.tag, src), x)
-            # the steps take what they use as defaults (see trace.kernel_fn)
             if type(x) is tuple:
-                def copy(f, i=i, k=k, j=x[0], m=x[1]):
-                    f[i][k] = f[j][m]
-                return copy
-            if callable(x):
-                def store(f, i=i, k=k, x=x):
-                    f[i][k] = x(f)
-                return store
-
-            def constant(f, i=i, k=k, x=x):
-                f[i][k] = x
-            return constant
+                return _copies, (i, k, *x)
+            return _stores if callable(x) else _constants, (i, k, x)
         if t is CopyMat:
             d, dtype, n = scope[instr.dst]
             s, other, m = scope[instr.src]
@@ -180,9 +189,9 @@ class Machine:
 
             def copy_all(f, d=d, s=s):
                 f[d][:] = f[s]
-            return copy_all
+            return None, copy_all
         if t is Call:
-            return self._call_site(instr.fn, instr.args, scope)
+            return None, self._call_site(instr.fn, instr.args, scope)
         if t is IfExpr:
             (c, _), _ = scope.cell(instr.cond, 0)
             then = self._call_site(instr.then_call.fn, instr.then_call.args, scope)
@@ -190,16 +199,15 @@ class Machine:
 
             def branch(f, c=c, then=then, other=other):
                 (then if f[c][0] else other)(f)
-            return branch
+            return None, branch
         raise InterpError("unknown instruction {!r}".format(instr))
 
     def _call_site(self, name, argnames, scope):
-        helper = name in HELPER_ARITY
-        callee = None if helper else self.program.function(name)
-        want = HELPER_ARITY[name] if helper else len(callee.params)
+        callee = None if name in HELPER_ARITY else self.program.function(name)
+        want = HELPER_ARITY[name] if callee is None else len(callee.params)
         if len(argnames) != want:
             raise InterpError("{} expects {} args, got {}".format(name, want, len(argnames)))
-        if helper:
+        if callee is None:
             return _helper_step(name, argnames, scope)
         # a recorded function: pass the caller's buffers straight through
         slots = []

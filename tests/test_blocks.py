@@ -32,6 +32,19 @@ def test_unit_delay_phases():
     assert blk.state[1].value.scalar() == 5.0
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_state_index_outside_1_to_len_raises(k):
+    # index 0 used to reach the last state through Python's index -1
+    st = StateList([numerics(mv.scalar(1.0)), numerics(mv.scalar(2.0))])
+    message = r"^state index {} out of 1\.\.2$".format(k)
+    with pytest.raises(BlockError, match=message):
+        st[k]
+    with pytest.raises(BlockError, match=message):
+        st[k] = mv.scalar(5.0)
+    assert [e.value.scalar() for e in st.entries] == [1.0, 2.0]
+    assert not st.written
+
+
 def test_unit_delay_scalar_init_expands():
     blk = make_block("unit_delay", [mv.zeros(F64, 2, 2)], [(F64, 2, 2)],
                      {"init": mv.scalar(7.0)}, states=[mv.scalar(0.0)])

@@ -105,12 +105,14 @@ def test_simulate_deterministic_under_seed(capsys):
     assert c[1] != a[1]
 
 
-@pytest.mark.parametrize("fixture", ["twodelays.model", "coding.model", "kalman.model"])
+@pytest.mark.parametrize("fixture", sorted(p.name for p in FIXTURES.glob("*.model")))
 def test_validate_fixtures_pass(capsys, fixture):
-    code, stdout, _ = run(capsys, "validate", str(FIXTURES / fixture),
-                          "--steps", "30", "--seed", "5")
-    assert code == 0
-    assert "max deviation" in stdout
+    # --no-opt interprets the raw trace, whose many Defs group into other runs
+    for flags in ([], ["--no-opt"]):
+        code, stdout, _ = run(capsys, "validate", str(FIXTURES / fixture),
+                              "--steps", "30", "--seed", "5", *flags)
+        assert code == 0, flags
+        assert "max deviation" in stdout
 
 
 def test_validate_detects_corruption(tmp_path, capsys, monkeypatch):

@@ -14,7 +14,7 @@ from blockgen.irinterp import InterpError, Machine, UnboundName
 from blockgen import trace as tr
 from blockgen.optimizer import fold_expr
 from blockgen.trace import (
-    Call, CallTarget, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit, Op,
+    Annot, Call, CallTarget, CopyMat, Decl, Def, ElemRef, FunctionDef, IfExpr, Lit, Op,
     Program, Ref, SetElem, Store, _copy_into, numerics,
 )
 
@@ -512,3 +512,107 @@ def test_lowered_stores_convert_to_their_destination(kind):
 def test_lowering_errors_keep_their_messages(expr, error, message):
     with pytest.raises(error, match="^{}$".format(message)):
         _run(_lowered(expr, F64, F64), F64, 1.0, 2.0, F64)
+
+
+# -- runs of store rows ---------------------------------------------------------
+#
+# Function f over the 1x1 f64 params a, b, c and res, the 2x1 f64 params v and
+# w and the 1x1 i32 param n. A scalar store lowers to a row of one of three
+# kinds (a copy, a constant, a computed store); each run of consecutive rows of
+# one kind is one step.
+
+RUN_PARAMS = [Decl(name, F64, 1, 1) for name in ("a", "b", "c", "res")] + [
+    Decl("v", F64, 2, 1), Decl("w", F64, 2, 1), Decl("n", I32, 1, 1)]
+
+
+def _f64(v):
+    return Lit(mv.scalar(v))
+
+
+def _run_f(body, a=3.0, functions=()):
+    """f's lowered steps, named, and its param values after one run from a
+    and zeros elsewhere, by name."""
+    program = _hand_program(body, RUN_PARAMS, functions=functions)
+    machine = Machine(program)
+    args = [mv.scalar(a), *[mv.zeros(p.dtype, p.rows, p.cols) for p in RUN_PARAMS[1:]]]
+    out = machine.run_function("f", args)
+    run = machine._lowered["f"]
+    steps = dict(zip(run.__code__.co_freevars, (c.cell_contents for c in run.__closure__)))
+    named = [(s.func.__name__, len(s.args[0])) if hasattr(s, "func") else s.__name__
+             for s in steps["steps"]]
+    return named, {p.name: v.data if p.rows > 1 else v.data[0] for p, v in zip(RUN_PARAMS, out)}
+
+
+def test_a_copy_run_reads_what_it_wrote():
+    steps, out = _run_f([Store("b", Ref("a")), Store("c", Ref("b")), Store("res", Ref("c"))])
+    assert steps == [("_copies", 3)]
+    assert (out["b"], out["c"], out["res"]) == (3.0, 3.0, 3.0)
+
+
+def test_a_computed_run_reads_what_it_wrote():
+    steps, out = _run_f([Store("b", Op("add", (Ref("a"), _f64(1.0)))),
+                         Store("c", Op("mul", (Ref("b"), _f64(2.0)))),
+                         SetElem("v", 2, Op("sub", (Ref("c"), Ref("b"))))])
+    assert steps == [("_stores", 3)]
+    assert (out["b"], out["c"], out["v"]) == (4.0, 8.0, (0.0, 4.0))
+
+
+def test_interleaved_kinds_keep_their_order():
+    # an annotation lowers to no step and so does not end a run
+    steps, out = _run_f([
+        Store("b", Ref("a")), Store("c", _f64(5.0)), Store("res", Op("add", (Ref("b"), Ref("c")))),
+        Store("b", Ref("res")), Annot("between"), Store("c", Ref("b")), Store("res", _f64(1.0)),
+        SetElem("v", 1, _f64(2.0))])
+    assert steps == [("_copies", 1), ("_constants", 1), ("_stores", 1), ("_copies", 2),
+                     ("_constants", 2)]
+    assert (out["b"], out["c"], out["res"], out["v"]) == (8.0, 8.0, 1.0, (2.0, 0.0))
+
+
+def _sets_b(name, value):
+    return FunctionDef(name, [Decl("x", F64, 1, 1)], body=[Store("x", _f64(value))])
+
+
+@pytest.mark.parametrize("breaker,step,want", [
+    (CopyMat("w", "v", 2), "copy_all", 3.0),
+    (Call("g", ("b",)), "call", 7.0),
+    (IfExpr("a", CallTarget("g", ("b",)), CallTarget("h", ("b",))), "branch", 7.0),
+])
+def test_an_instruction_writing_what_the_next_store_reads_ends_a_run(breaker, step, want):
+    # the store after the breaker reads what the breaker wrote: w's first
+    # element from v's, or b from the callee
+    body = [SetElem("v", 1, Ref("a")), Store("b", Ref("a")), breaker,
+            Store("c", ElemRef("w" if step == "copy_all" else "b", 1)), Store("res", Ref("c"))]
+    steps, out = _run_f(body, functions=[_sets_b("g", 7.0), _sets_b("h", -1.0)])
+    assert steps == [("_copies", 2), step, ("_copies", 2)]
+    assert (out["c"], out["res"]) == (want, want)
+
+
+@pytest.mark.parametrize("a,n", [(2.7, 3), (-2.7, -1)])
+def test_a_converting_store_inside_a_computed_run(a, n):
+    # n = b converts f64 to i32, truncating as a C assignment does, so it
+    # is a computed store even though its expression is a cell
+    steps, out = _run_f([Store("b", Op("add", (Ref("a"), _f64(1.0)))), Store("n", Ref("b")),
+                         Store("res", Op("mul", (Ref("b"), _f64(2.0))))], a=a)
+    assert steps == [("_stores", 3)]
+    assert out["n"] == n and type(out["n"]) is int
+    assert out["res"] == (a + 1.0) * 2.0
+
+
+@pytest.mark.parametrize("bad,error", [
+    (Store("nowhere", Ref("a")), UnboundName),
+    (Store("res", Op("add", (Ref("a"), Ref("ghost")))), UnboundName),
+    (Store("res", ElemRef("v", 3)), InterpError),
+    (SetElem("v", 3, _f64(1.0)), InterpError),
+])
+def test_lowering_errors_raise_before_any_run_of_rows_executes(bad, error):
+    # a copy, a constant and a computed store into the static acc, then the
+    # fault: acc keeps its initial value
+    program = _hand_program(
+        [Store("acc", Ref("a")), Store("acc", _f64(9.0)),
+         Store("acc", Op("add", (Ref("a"), _f64(1.0)))), bad],
+        RUN_PARAMS, statics=[("acc", mv.scalar(-1.0))])
+    machine = Machine(program)
+    args = [mv.scalar(3.0), *[mv.zeros(p.dtype, p.rows, p.cols) for p in RUN_PARAMS[1:]]]
+    with pytest.raises(error):
+        machine.run_function("f", args)
+    assert machine.statics["acc"].scalar() == -1.0

@@ -1836,6 +1836,22 @@ def test_a_write_to_an_input_slot_names_its_block(monkeypatch):
         bg.generate(parse_model(text))
 
 
+def test_a_state_index_out_of_range_names_its_block(monkeypatch):
+    # a sciblk has no states
+    def reads_a_state(blk, flag):
+        if flag == blocks.OUTPUT:
+            blk.io[2] = blk.state[1]
+
+    monkeypatch.setitem(blocks.BEHAVIORS, "reads_a_state", reads_a_state)
+    text = SCIBLK_MODEL.format("reads_a_state")
+    message = r"^block 7 \(sciblk\) at flag 1: BlockError: state index 1 out of 1\.\.0$"
+    with pytest.raises(md.ModelError, match=message) as simulating:
+        simulate(parse_model(text), [[3.0]], 1)
+    assert isinstance(simulating.value.__cause__, blocks.BlockError)
+    with pytest.raises(md.ModelError, match=message):
+        bg.generate(parse_model(text))
+
+
 def test_an_io_index_out_of_range_names_its_block(monkeypatch):
     def reads_slot_9(blk, flag):
         if flag == blocks.OUTPUT:
