@@ -79,9 +79,6 @@ class SymTab:
     def __init__(self, decls=None, args=frozenset()):
         self.decls, self.args = {} if decls is None else decls, args  # name -> Decl
 
-    def is_arg(self, name):
-        return name in self.args
-
     def is_scalar(self, name):
         d = self.decls.get(name)
         return d is not None and d.is_scalar  # free names keep their subscripts
@@ -98,12 +95,8 @@ def _ref_str(name: str, tab: SymTab) -> str:
 
 
 def _addr_str(name: str, tab: SymTab) -> str:
-    """Pass-by-address form for call arguments."""
-    if tab.is_arg(name):
-        return name
-    if tab.is_scalar(name):
-        return "&" + name
-    return name
+    """Pass-by-address form for call arguments: an argument is a pointer already."""
+    return "&" + name if name not in tab.args and tab.is_scalar(name) else name
 
 
 # ---------------------------------------------------------------------------

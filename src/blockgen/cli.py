@@ -150,7 +150,14 @@ def main(argv=None) -> int:
                                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps=False, generates=True):
+    # command -> (its function, help, takes steps, generates)
+    for name, (fn, text, steps, generates) in {
+            "generate": (cmd_generate, "emit the C program for a model", False, True),
+            "simulate": (cmd_simulate, "run the model numerically", True, False),
+            "validate": (cmd_validate, "compare simulation against the generated code", True, True),
+            "dump-ir": (cmd_dump_ir, "print the optimized pseudo-code", False, True)}.items():
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(fn=fn)
         p.add_argument("model", help="model file")
         if generates:
             p.add_argument("--emit", choices=("runtime", "freestanding"), default="runtime")
@@ -159,23 +166,8 @@ def main(argv=None) -> int:
         if steps:
             p.add_argument("--steps", type=int, default=20)
             p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("generate", help="emit the C program for a model")
-    common(p)
-    p.add_argument("--out", help="output path (default: model path with .c)")
-    p.set_defaults(fn=cmd_generate)
-
-    p = sub.add_parser("simulate", help="run the model numerically")
-    common(p, steps=True, generates=False)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("validate", help="compare simulation against the generated code")
-    common(p, steps=True)
-    p.set_defaults(fn=cmd_validate)
-
-    p = sub.add_parser("dump-ir", help="print the optimized pseudo-code")
-    common(p)
-    p.set_defaults(fn=cmd_dump_ir)
+        if fn is cmd_generate:
+            p.add_argument("--out", help="output path (default: model path with .c)")
 
     args = parser.parse_args(argv)
     if getattr(args, "steps", 1) < 0:

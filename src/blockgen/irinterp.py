@@ -2,16 +2,21 @@
 
 Runs the same optimized pseudo-code the C emitter prints. Each function is
 lowered once, on its first call: its names are resolved into a table of frame
-index, dtype and element count, and Machine._exec lowers each instruction over
-a frame, one flat element list per name (the statics' buffers, the caller's
-for the params, fresh copies of the locals). A scalar store becomes a row
-(i, k, operand) writing element k of frame entry i: a copy of a cell, a
-constant, or a store of its expression lowered by trace.lower_expr, converted
-as a C assignment does. Each run of consecutive rows of one of these three
-kinds is one step, that kind's loop; any other instruction is its own step.
-Checks that depend only on the program (names, dtypes, sizes, arity, element
-indexes) run at lowering time, before any step. It is the in-process stand-in
-for "compile the generated C and run it" and the oracle of validate.
+index, dtype and element count, Machine._exec lowers each instruction, and
+one frame, one flat element list per name, serves every call: the statics'
+buffers, a slot per param, which a call fills with the caller's buffers, and
+each local's buffer. As in C, an automatic local with an initializer is reset
+from it on every call, a function-static one (Decl.static) is initialized
+once, one without keeps its storage, and no function re-enters itself.
+A scalar store becomes a row (i, k, operand) writing element k of frame entry
+i: a copy of a cell, a constant, or a store of its expression lowered by
+trace.lower_expr, converted as a C assignment does. Each run of consecutive
+rows of one of these three kinds is one step, that kind's loop; any other
+instruction is its own step. A helper call binds its loop (matval.product,
+a transpose_table) to the dimension arguments it last met, checked when they
+change. Checks that depend only on the program (names, dtypes, sizes, arity,
+element indexes) run at lowering time, before any step. It is the in-process
+stand-in for "compile the generated C and run it" and the oracle of validate.
 """
 
 from __future__ import annotations
@@ -43,18 +48,21 @@ def _check(want, got, what, *args):
 
 class _Scope(dict):
     """One function's names, each resolved once: name -> (frame index,
-    dtype, element count). The frame holds every static's buffer first,
-    then the params' buffers, then the locals'."""
+    dtype, element count), and its frame, which holds every static's buffer
+    first, then a slot per param, then each local's buffer."""
 
-    def __init__(self, fn, program: Program, statics: dict):
+    def __init__(self, fn, program: Program, statics: dict, buffers: list):
         super().__init__(statics)  # the statics' entries, the same in every function
         self.fn = fn
         self.decls = [*program.statics, *fn.params, *fn.decls.values()]
         self.update((d.name, (i, d.dtype, d.rows * d.cols))
                     for i, d in enumerate(self.decls[len(statics):], len(statics)))
-        # each local's initial elements, in frame order
-        self.inits = [mv.zeros(d.dtype, d.rows, d.cols).data if d.init is None else d.init.data
-                      for d in fn.decls.values()]
+        self.frame = [*buffers, *[None] * len(fn.params)]
+        self.resets = []  # (buffer, initializer) of each automatic local that has one
+        for d in fn.decls.values():
+            self.frame.append(list((d.init or mv.zeros(d.dtype, d.rows, d.cols)).data))
+            if d.init is not None and not d.static:
+                self.resets.append((self.frame[-1], d.init.data))
 
     def __missing__(self, name):
         raise UnboundName("{}: {}".format(self.fn.name, name))
@@ -90,37 +98,48 @@ HELPER_ARITY = {"mult": 7, "quote": 4, "matinv": 3}
 
 
 def _helper_step(name, argnames, scope):
-    """A runtime helper call lowered into one step: it reads the dimension
-    arguments, checks them against the operands' and result's buffers and
-    overwrites the result in place, taking what it reads as defaults."""
+    """A runtime helper call lowered into one step. The step reads the four
+    dimension arguments (quote's two twice, matinv's one four times) and,
+    whenever they differ from the ones it last met, checks them against the
+    buffers and binds the helper's loop to them; then it overwrites the
+    result in place."""
+    if len(argnames) != HELPER_ARITY[name]:
+        raise InterpError("{} expects {} args, got {}".format(
+            name, HELPER_ARITY[name], len(argnames)))
     res, a, *rest = argnames
-    b, dims = (rest[0], rest[1:]) if name == "mult" else (a, rest if name == "quote" else rest * 2)
-    dtype = scope[a][1]
-    if scope[b][1] != dtype:
-        raise mv.DtypeMismatch("{} vs {}".format(dtype, scope[b][1]))
+    b, dims = (rest[0], rest[1:]) if name == "mult" else (a, rest * (4 // len(rest)))
+    (r, _, size), (x, dtype, na), (y, other, nb) = scope[res], scope[a], scope[b]
+    if other != dtype:
+        raise mv.DtypeMismatch("{} vs {}".format(dtype, other))
     if name == "matinv" and dtype != mv.F64:
         raise mv.DtypeMismatch("inverse needs f64")
-    r, x, y = scope[res][0], scope[a][0], scope[b][0]
-    d = [scope.cell(dim, 0)[0][0] for dim in dims]
-    if name == "mult":
-        def step(f, r=r, x=x, y=y, d0=d[0], d1=d[1], d2=d[2], d3=d[3], dtype=dtype,
-                 product=mv.matmul_flat):
-            x, y, out = f[x], f[y], f[r]
-            ar, ac, br, bc = int(f[d0][0]), int(f[d1][0]), int(f[d2][0]), int(f[d3][0])
-            if ar * ac != len(x) or br * bc != len(y):
-                raise InterpError("dimension args disagree with {} or {}".format(a, b))
-            data = product(dtype, x, ar, ac, y, br, bc)[2]
-            if len(data) != len(out):
-                raise InterpError("{} has {} elements, the result {}".format(
-                    res, len(out), len(data)))
-            out[:] = data
-        return step
+    d0, d1, d2, d3 = [scope.cell(dim, 0)[0][0] for dim in dims]
 
-    def step(f, r=r, x=x, d0=d[0], d1=d[1], square=name == "matinv"):
-        x, out, rows, cols = f[x], f[r], int(f[d0][0]), int(f[d1][0])
-        if rows * cols != len(x) or rows * cols != len(out):
-            raise InterpError("dimension args disagree with {} or {}".format(a, res))
-        out[:] = mv.invert_flat(x, rows) if square else mv.transpose_flat(x, rows, cols)
+    def bind(m, n, m2, n2):
+        negative = min(m, n, m2, n2) < 0
+        if name != "mult":
+            if negative or m * n != na or m * n != size:
+                raise InterpError("dimension args disagree with {} or {}".format(a, res))
+            if name == "matinv":
+                return lambda p, q: mv.invert_flat(p, m)
+            table = mv.transpose_table(m, n)
+            return lambda p, q: list(map(p.__getitem__, table))
+        if negative or m * n != na or m2 * n2 != nb:
+            raise InterpError("dimension args disagree with {} or {}".format(a, b))
+        if n != m2:
+            raise InterpError("inner dims {}x{} * {}x{}".format(m, n, m2, n2))
+        if m * n2 != size:
+            raise InterpError("{} has {} elements, the result {}".format(res, size, m * n2))
+        return mv.product(dtype, m, n, n2)
+
+    last = run = None
+
+    def step(f):
+        nonlocal last, run
+        key = f[d0][0], f[d1][0], f[d2][0], f[d3][0]
+        if key != last:
+            run, last = bind(*map(int, key)), key
+        f[r][:] = run(f[x], f[y])
     return step
 
 
@@ -143,25 +162,33 @@ class Machine:
 
     def _function(self, name):
         """The runner of a recorded function, lowered on first use: it takes
-        the list of the argument buffers and writes through them."""
+        the argument buffers and writes through them."""
         run = self._lowered.get(name)
         if run is None:
             run = self._lowered[name] = self._lower(self.program.function(name))
         return run
 
     def _lower(self, fn):
-        scope = _Scope(fn, self.program, self._static_names)
+        scope = _Scope(fn, self.program, self._static_names, self._buffers)
         lowered = filter(None, [self._exec(instr, scope) for instr in fn.body])
         steps, second = [], itemgetter(1)  # positional: a keyword partial builds a dict per call
         for loop, run in groupby(lowered, itemgetter(0)):
             steps += [partial(loop, list(map(second, run)))] if loop else map(second, run)
-        shared, inits = self._buffers, scope.inits
+        frame, resets, running = scope.frame, scope.resets, False
+        params = slice(len(self._buffers), len(self._buffers) + len(fn.params))  # the param slots
 
         def run(args):
-            f = shared + args
-            f.extend(map(list, inits))
-            for step in steps:
-                step(f)
+            nonlocal running
+            if running:
+                raise InterpError("{}: reentrant call".format(fn.name))
+            running, frame[params] = True, args
+            try:
+                for buf, init in resets:
+                    buf[:] = init
+                for step in steps:
+                    step(frame)
+            finally:
+                running = False
         return run
 
     def _exec(self, instr, scope):
@@ -181,8 +208,7 @@ class Machine:
                 return _copies, (i, k, *x)
             return _stores if callable(x) else _constants, (i, k, x)
         if t is CopyMat:
-            d, dtype, n = scope[instr.dst]
-            s, other, m = scope[instr.src]
+            (d, dtype, n), (s, other, m) = scope[instr.dst], scope[instr.src]
             if other != dtype or n != instr.n or m != instr.n:
                 raise InterpError("{}: bad copy {} <- {}".format(
                     scope.fn.name, instr.dst, instr.src))
@@ -203,19 +229,11 @@ class Machine:
         raise InterpError("unknown instruction {!r}".format(instr))
 
     def _call_site(self, name, argnames, scope):
-        callee = None if name in HELPER_ARITY else self.program.function(name)
-        want = HELPER_ARITY[name] if callee is None else len(callee.params)
-        if len(argnames) != want:
-            raise InterpError("{} expects {} args, got {}".format(name, want, len(argnames)))
-        if callee is None:
+        if name in HELPER_ARITY:
             return _helper_step(name, argnames, scope)
         # a recorded function: pass the caller's buffers straight through
-        slots = []
-        for arg, p in zip(argnames, callee.params):
-            i = scope[arg][0]
-            _check(p, scope.decls[i], "{}'s {} passed from {} in {}",
-                   name, p.name, arg, scope.fn.name)
-            slots.append(i)
+        slots = [scope[arg][0] for arg in argnames]
+        self._check_args(name, [scope.decls[i] for i in slots], scope.fn.name)
         function = self._function
 
         def call(f):
@@ -224,13 +242,17 @@ class Machine:
 
     # -- execution ----------------------------------------------------------
 
-    def _check_args(self, name, values):
-        fn = self.program.function(name)
-        if len(values) != len(fn.params):
-            raise InterpError("{} expects {} args, got {}".format(
-                name, len(fn.params), len(values)))
-        for p, v in zip(fn.params, values):
-            _check(p, v, "{}'s {}", name, p.name)
+    def _check_args(self, name, args, caller):
+        """Check that caller may call the recorded function name with args,
+        values or declarations, against its params."""
+        try:
+            params = self.program.function(name).params
+        except KeyError:
+            raise UnboundName("{}: no function {}".format(caller, name)) from None
+        if len(args) != len(params):
+            raise InterpError("{} expects {} args, got {}".format(name, len(params), len(args)))
+        for p, v in zip(params, args):
+            _check(p, v, "{}: {}'s {}", caller, name, p.name)
 
     def run_init(self):
         self.run_function(self.program.init_fn.name, [])
@@ -239,7 +261,7 @@ class Machine:
     def run_function(self, name, arg_values):
         """Execute a recorded function; returns the (possibly mutated)
         argument values."""
-        self._check_args(name, arg_values)
+        self._check_args(name, arg_values, "run_function")
         buffers = [list(v.data) for v in arg_values]
         self._function(name)(buffers)
         return [MatValue(v.dtype, v.rows, v.cols, tuple(b))
@@ -250,12 +272,15 @@ class Machine:
         updateState over shared port buffers. Returns output-port values."""
         meta = self.program.meta
         zeros = [mv.zeros(p["dtype"], p["rows"], p["cols"]) for p in meta["ports"]]
-        update_output, update_state = meta["update_output"], meta["update_state"]
-        for name in (update_output, update_state):
-            self._check_args(name, zeros)
+        names = meta["update_output"], meta["update_state"]
+        for name in names:
+            self._check_args(name, zeros, "run_steps")
+        update_output, update_state = map(self._function, names)
         buffers = [list(z.data) for z in zeros]
         ports = list(zip(meta["ports"], zeros, buffers))
         inputs = [(p, z, buf) for p, z, buf in ports if p["input"]]
+        # each output's buffer has its port's size, so its value needs no check
+        outs = [(z[:3], buf) for p, z, buf in ports if not p["input"]]
         outputs = []
         for step in range(steps):
             if step >= len(inputs_per_step):
@@ -268,8 +293,7 @@ class Machine:
             for n, (p, z, buf) in enumerate(inputs):
                 _check(z, stimuli[n], "step {}: input port {} ({})", step, n + 1, p["name"])
                 buf[:] = stimuli[n].data
-            self._function(update_output)(buffers)
-            outputs.append([MatValue(z.dtype, z.rows, z.cols, tuple(buf))
-                            for p, z, buf in ports if not p["input"]])
-            self._function(update_state)(buffers)
+            update_output(buffers)
+            outputs.append([mv._unchecked((*shape, tuple(buf))) for shape, buf in outs])
+            update_state(buffers)
         return outputs

@@ -16,8 +16,8 @@ Each operator's effect on one element is defined once, by elem_kernel; a
 conversion is one more operator, named by the tag of the dtype it converts
 to. elementwise applies any of them to whole values: the MatValue operations
 here, literal folding and the interpreter's lowered code are all built on
-the same kernels, and the matrix product, transpose and inverse loops run on
-flat sequences so that the interpreter shares them too.
+the same kernels, and the product of each shape (product), the transpose
+tables and the inverse loop work on flat sequences, which the interpreter shares.
 
 Products and transposes read one offset table per shape, built on first
 use and cached (product_table, transpose_table), as the tracer's unrolled
@@ -390,12 +390,24 @@ def transpose_table(rows: int, cols: int) -> tuple:
 
 @cache
 def _f64_product(n: int):
-    """fn(a, b, table): every f64 dot product of a product_table with inner
+    """fn(table, a, b): every f64 dot product of a product_table with inner
     dimension n over flat a and b, each spelled out as 0.0 + a[p0]*b[q0] +
     ... so that it adds in k-ascending order, as the reduce loop does."""
     dot = "0.0" + "".join(" + a[p{0}]*b[q{0}]".format(k) for k in range(n))
     ps, qs = ("".join("{}{}, ".format(x, k) for k in range(n)) for x in "pq")
-    return eval("lambda a, b, table: [{} for ({}), ({}) in table]".format(dot, ps, qs))
+    return eval("lambda table, a, b: [{} for ({}), ({}) in table]".format(dot, ps, qs))
+
+
+@cache
+def product(dtype: Dtype, rows: int, inner: int, cols: int):
+    """fn(a, b), unchecked: the flat product of flat rows x inner a and inner
+    x cols b, k-ascending; for f64 the generated kernel bound to its table."""
+    table = product_table(rows, inner, cols)
+    if dtype is F64:
+        return partial(_f64_product(inner), table)
+    mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
+    return lambda a, b: [reduce(add, map(mul, map(a.__getitem__, p), map(b.__getitem__, q)), 0)
+                         for p, q in table]
 
 
 def _check_product(dtype: Dtype, ar: int, ac: int, br: int, bc: int):
@@ -403,25 +415,6 @@ def _check_product(dtype: Dtype, ar: int, ac: int, br: int, bc: int):
         raise ShapeMismatch("inner dims {}x{} * {}x{}".format(ar, ac, br, bc))
     if dtype.is_bool:
         raise DtypeMismatch("bool matmul")
-
-
-def matmul_flat(dtype: Dtype, a, ar: int, ac: int, b, br: int, bc: int):
-    """The matrix product of flat column-major ar x ac and br x bc data:
-    (rows, cols, data). A 1x1 operand scales the other elementwise."""
-    if ar == ac == 1 or br == bc == 1:
-        mul = elem_kernel("mul", dtype)
-        if ar == ac == 1:
-            return br, bc, [mul(a[0], y) for y in b]
-        return ar, ac, [mul(x, b[0]) for x in a]
-    _check_product(dtype, ar, ac, br, bc)
-    table = product_table(ar, ac, bc)
-    # accumulate in k-ascending order; the emitted helper and the unrolled
-    # expression both use exactly this order
-    if dtype is F64:
-        return ar, bc, _f64_product(ac)(a, b, table)
-    mul, add = elem_kernel("mul", dtype), elem_kernel("add", dtype)
-    return ar, bc, [reduce(add, map(mul, map(a.__getitem__, ps), map(b.__getitem__, qs)), 0)
-                    for ps, qs in table]
 
 
 def matmul_shape(a, b):
@@ -435,7 +428,8 @@ def matmul_shape(a, b):
 def matmul(a: MatValue, b: MatValue) -> MatValue:
     if len(a.data) == 1 or len(b.data) == 1:
         return elementwise("mul", a, b)  # a 1x1 operand scales the other
-    rows, cols, data = matmul_flat(_same_dtype(a, b), a.data, a.rows, a.cols, b.data, b.rows, b.cols)
+    rows, cols = matmul_shape(a, b)
+    data = product(a.dtype, rows, a.cols, cols)(a.data, b.data)
     return _unchecked((a.dtype, rows, cols, tuple(data)))
 
 
@@ -446,13 +440,9 @@ def divide(a: MatValue, b: MatValue) -> MatValue:
     return matmul(a, invert(b))
 
 
-def transpose_flat(a, rows: int, cols: int) -> list:
-    """The transpose of flat column-major rows x cols data (cols x rows)."""
-    return list(map(a.__getitem__, transpose_table(rows, cols)))
-
-
 def transpose(a: MatValue) -> MatValue:
-    return _unchecked((a.dtype, a.cols, a.rows, tuple(transpose_flat(a.data, a.rows, a.cols))))
+    data = tuple(map(a.data.__getitem__, transpose_table(a.rows, a.cols)))
+    return _unchecked((a.dtype, a.cols, a.rows, data))
 
 
 def concat_shape(a, b, vertical: bool):

@@ -36,8 +36,11 @@ def _program_with(body_builder, statics=(), args=()):
 
 def test_unknown_function():
     program = _program_with(lambda ctx, io: None)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnboundName, match="^run_function: no function ghost$"):
         Machine(program).run_function("ghost", [])
+    program.function("f").body.append(Call("ghost", ()))
+    with pytest.raises(UnboundName, match="^f: no function ghost$"):
+        Machine(program).run_function("f", [])
 
 
 def test_wrong_arity():
@@ -214,8 +217,8 @@ def test_statics_reflect_writes_and_run_init_resets_them():
 
 
 # a runtime helper call over 3x3 f64 params a, b and res and a 1x2 small,
-# whose dimension arguments two, three and nine hold 2, 3 and 9, and the
-# fault it raises when it runs
+# whose dimension arguments one, two, three, nine and minus hold 1, 2, 3, 9
+# and -3, and the fault it raises when it runs
 HELPER_FAULTS = {
     "mult rows of a": (("mult", "res", "a", "b", "two", "three", "three", "three"),
                        "dimension args disagree with a or b"),
@@ -223,6 +226,14 @@ HELPER_FAULTS = {
                        "dimension args disagree with a or b"),
     "mult result size": (("mult", "small", "a", "b", "three", "three", "three", "three"),
                          "small has 2 elements, the result 9"),
+    "mult inner dims": (("mult", "res", "a", "b", "nine", "one", "three", "three"),
+                        "inner dims 9x1 \\* 3x3"),
+    "mult negative dims": (("mult", "res", "a", "b", "minus", "minus", "minus", "minus"),
+                           "dimension args disagree with a or b"),
+    "quote negative dims": (("quote", "res", "a", "minus", "minus"),
+                            "dimension args disagree with a or res"),
+    "matinv negative dims": (("matinv", "res", "a", "minus"),
+                             "dimension args disagree with a or res"),
     "quote": (("quote", "res", "a", "two", "three"), "dimension args disagree with a or res"),
     "quote result": (("quote", "small", "a", "three", "three"),
                      "dimension args disagree with a or small"),
@@ -236,7 +247,8 @@ HELPER_FAULTS = {
 
 def _helper_call(fn, *args):
     dims = [Decl(name, F64, 1, 1, init=mv.scalar(v))
-            for name, v in (("two", 2.0), ("three", 3.0), ("nine", 9.0))]
+            for name, v in (("one", 1.0), ("two", 2.0), ("three", 3.0), ("nine", 9.0),
+                            ("minus", -3.0))]
     params = [Decl(name, F64, 3, 3) for name in ("a", "b", "res")] + [Decl("small", F64, 1, 2)]
     program = _hand_program([Call(fn, args)], params, decls=dims)
     a, b = mv.from_rows([[2, 1, 0], [0, 3, 1], [1, 0, 4]]), mv.eye(3)
@@ -258,6 +270,70 @@ def test_helper_calls_with_matching_dimension_args():
     assert res == mv.transpose(a)
     res = _helper_call("matinv", "res", "a", "three")[2]
     assert res == mv.invert(a)
+
+
+def test_mult_rebinds_when_its_dimension_args_change(monkeypatch):
+    # f multiplies its 6-element a and b into its 4-element res, with the
+    # dimensions its caller passes: only 2x3 by 3x2 fits those buffers
+    dims = ("m1", "n1", "m2", "n2")
+    program = _hand_program([Call("mult", ("res", "a", "b", *dims))],
+                            [Decl("a", F64, 2, 3), Decl("b", F64, 3, 2), Decl("res", F64, 2, 2),
+                             *(Decl(d, F64, 1, 1) for d in dims)])
+    a, b = mv.make(F64, 2, 3, range(1, 7)), mv.make(F64, 3, 2, range(7, 13))
+    want = mv.matmul(a, b)
+    bound, product = [], mv.product
+    monkeypatch.setattr(mv, "product", lambda *shape: bound.append(shape) or product(*shape))
+    machine = Machine(program)
+
+    def run(*sizes):
+        return machine.run_function("f", [a, b, mv.zeros(F64, 2, 2),
+                                          *map(mv.scalar, sizes)])[2]
+
+    assert run(2, 3, 3, 2) == run(2, 3, 3, 2) == want
+    assert bound == [(F64, 2, 3, 2)]  # bound once for both calls
+    with pytest.raises(InterpError, match=r"^res has 4 elements, the result 9$"):
+        run(3, 2, 2, 3)
+    with pytest.raises(InterpError, match=r"^inner dims 2x3 \* 2x3$"):
+        run(2, 3, 2, 3)
+    with pytest.raises(InterpError, match="^dimension args disagree with a or b$"):
+        run(1, 3, 3, 2)
+    assert run(2.5, 3, 3, 2) == want  # truncated as the C helper's (int) casts
+    assert bound == [(F64, 2, 3, 2)] * 2
+
+
+def test_initialized_automatic_local_is_reset_on_every_call():
+    # as C re-initializes `double t=3;` and `double v[]={1,2};` on each call
+    program = _hand_program(
+        [Store("res", Op("add", (Ref("t"), ElemRef("v", 2)))), Store("t", Lit(mv.scalar(9.0))),
+         SetElem("v", 2, Lit(mv.scalar(9.0)))],
+        [Decl("res", F64, 1, 1)],
+        decls=[Decl("t", F64, 1, 1, init=mv.scalar(3.0)),
+               Decl("v", F64, 2, 1, init=mv.make(F64, 2, 1, [1.0, 2.0]))])
+    machine = Machine(program)
+    assert [machine.run_function("f", [mv.scalar(0.0)])[0].scalar() for _ in range(3)] == [5.0] * 3
+
+
+def test_function_static_local_keeps_its_value_between_calls():
+    # as a C `static double s=1;` local: initialized once, never reset
+    program = _hand_program(
+        [Store("res", Ref("s")), Store("s", Op("add", (Ref("s"), Lit(mv.scalar(1.0)))))],
+        [Decl("res", F64, 1, 1)], decls=[Decl("s", F64, 1, 1, init=mv.scalar(1.0), static=True)])
+    machine = Machine(program)
+    assert [machine.run_function("f", [mv.scalar(0.0)])[0].scalar() for _ in range(3)] == [
+        1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("callee", ["f", "g"])
+def test_reentrant_call_is_rejected(callee):
+    # f calls g, which calls `callee`: f itself, or g again
+    g = FunctionDef("g", [], body=[Call(callee, ())])
+    program = _hand_program([Store("acc", Lit(mv.scalar(1.0))), Call("g", ())], [],
+                            statics=[("acc", mv.scalar(0.0))], functions=[g])
+    machine = Machine(program)
+    for _ in range(2):  # a failed call leaves no function marked as running
+        with pytest.raises(InterpError, match="^{}: reentrant call$".format(callee)):
+            machine.run_function("f", [])
+    assert machine.statics["acc"].scalar() == 1.0
 
 
 @pytest.mark.parametrize("instr", [

@@ -155,17 +155,21 @@ def test_matmul_associativity():
         np.testing.assert_allclose(to_np(left), to_np(right), rtol=1e-9, atol=1e-9)
 
 
-def _reference_matmul_flat(a, ar, ac, b, br, bc):
-    """The f64 product as matmul_flat computed it with a loop over the
-    element kernels: a 1x1 operand scales, else each element is
-    reduce(add, map(mul, row, col), 0.0)."""
-    if ar == ac == 1:
+def _product_loop(add, mul, zero, a, ar, n, b, bc):
+    """Each element of the flat ar x n by n x bc product, column-major, as
+    reduce(add, map(mul, row, col), zero)."""
+    return [reduce(add, map(mul, a[i::ar], b[n * j:n * j + n]), zero)
+            for j in range(bc) for i in range(ar)]
+
+
+def _reference_matmul(a, ar, n, b, bc):
+    """The f64 matmul of flat data with a loop over the element kernels: a
+    1x1 operand scales, else the product loop."""
+    if ar == n == 1:
         return [a[0] * y for y in b]
-    if br == bc == 1:
+    if n == bc == 1:
         return [x * b[0] for x in a]
-    rows = [a[i::ar] for i in range(ar)]
-    cols = [b[j * br:(j + 1) * br] for j in range(bc)]
-    return [reduce(operator.add, map(operator.mul, row, col), 0.0) for col in cols for row in rows]
+    return _product_loop(operator.add, operator.mul, 0.0, a, ar, n, b, bc)
 
 
 def _bits(values):
@@ -178,9 +182,13 @@ def _bits(values):
 
 
 def _assert_product_bits(a, ar, n, b, bc):
-    rows, cols, got = mv.matmul_flat(F64, a, ar, n, b, n, bc)
-    assert (rows, cols) == (ar, bc)
-    assert _bits(got) == _bits(_reference_matmul_flat(a, ar, n, b, n, bc))
+    """The bound product, as the interpreter's mult runs it, is the loop over
+    every shape, a 1x1 operand included; matmul scales by a 1x1 operand."""
+    assert _bits(mv.product(F64, ar, n, bc)(a, b)) == _bits(
+        _product_loop(operator.add, operator.mul, 0.0, a, ar, n, b, bc))
+    got = mv.matmul(mv.MatValue(F64, ar, n, tuple(a)), mv.MatValue(F64, n, bc, tuple(b)))
+    assert got.shape == (ar, bc)
+    assert _bits(got.data) == _bits(_reference_matmul(a, ar, n, b, bc))
 
 
 SPECIAL_F64 = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -200,6 +208,11 @@ def test_f64_product_every_shape_matches_loop():
                 a = [rng.choice(SPECIAL_F64) for _ in range(ar * n)]
                 b = [rng.choice(SPECIAL_F64) for _ in range(n * bc)]
                 _assert_product_bits(a, ar, n, b, bc)
+                x = [rng.randint(-2 ** 31, 2 ** 31 - 1) for _ in range(ar * n)]
+                y = [rng.randint(-2 ** 31, 2 ** 31 - 1) for _ in range(n * bc)]
+                want = [mv.wrap_int(v, I32) for v in _product_loop(
+                    operator.add, operator.mul, 0, x, ar, n, y, bc)]
+                assert mv.product(I32, ar, n, bc)(x, y) == want
     # the transpose reads the same kind of offset table: element (i, j) of
     # the cols x rows result, i + cols * j, is element (j, i) of a
     for rows in range(9):
@@ -209,7 +222,7 @@ def test_f64_product_every_shape_matches_loop():
             for i in range(cols):
                 for j in range(rows):
                     want[i + cols * j] = a[j + rows * i]
-            assert _bits(mv.transpose_flat(a, rows, cols)) == _bits(want)
+            assert _bits(mv.transpose(mv.MatValue(F64, rows, cols, tuple(a))).data) == _bits(want)
 
 
 @st.composite
