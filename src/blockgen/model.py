@@ -1,6 +1,6 @@
-"""Block-diagram models: parsing, type/size inference, constant propagation,
+"""Block-diagram models: parsing, type/size inference, binding const blocks,
 scheduling, and the one driver that runs a model as a block, numerically
-(simulate) or recording (generate).
+(simulate) or recording (generate), partially evaluating constant-fed blocks.
 
 Model files are line-based text (grammar in the README): a `model` header,
 `input`/`output` port declarations, `block`, `link` and `region` lines.
@@ -652,35 +652,15 @@ def _const_links(model: Model):
 # constant propagation
 
 
-_STATELESS_FOLDABLE = ("gain", "summation", "mux", "relational_op")
-_const_value = attrgetter("const_value")
-
-
-def propagate_constants(model: Model, plans: dict = None) -> Model:
-    """Links fed only by const blocks through stateless paths carry values;
-    those links and blocks drop out of the generated code. `plans` come from `_plan`."""
-    g = model.graph
-    plans, rec = _plan(model) if plans is None else plans, _record(None)
-    changed = True
-    while changed:
-        changed = False
-        for b in model.blocks.values():
-            if b.id in model.folded_blocks:
-                continue
-            if b.kind == "const":
-                for l in g.outs[b.id]:
-                    l.const_value = mv.convert(b.params["value"], l.dtype)
-                model.folded_blocks.add(b.id)
-                changed = True
-            elif b.kind in _STATELESS_FOLDABLE and b.id not in g.region_of:
-                ins = g.ins[b.id]
-                if ins and None not in map(_const_value, ins):
-                    known = {l: _held(Num(l.const_value)) for l in ins}
-                    values = _run_block(rec, plans[b.id], OUTPUT, known, [])
-                    for k, l, _ in plans[b.id].routes:
-                        l.const_value = mv.convert(values[k].value, l.dtype)
-                    model.folded_blocks.add(b.id)
-                    changed = True
+def propagate_constants(model: Model) -> Model:
+    """Bind each const block's links to its value and mark the block folded:
+    `schedule` leaves it out and the driver seeds its links as numbers. A block
+    fed by constants runs like any other, and partial evaluation computes it."""
+    for b in model.blocks.values():
+        if b.kind == "const":
+            for l in model.graph.outs[b.id]:
+                l.const_value = mv.convert(b.params["value"], l.dtype)
+            model.folded_blocks.add(b.id)
     return model
 
 
@@ -702,7 +682,7 @@ def _order(model: Model, members, nodes: dict):
             continue  # delay inputs are consumed in the state phase
         dst = nodes.get(bid, bid)
         for l in ins[bid]:
-            if l.const_value is None and l.src[0] == "block" and l.src[1] in members:
+            if l.src[0] == "block" and l.src[1] in members:
                 src = nodes.get(l.src[1], l.src[1])
                 if src != dst or bid not in nodes:
                     waiting[dst] += 1
@@ -772,7 +752,7 @@ def _superblock(model: Model, ctx=None):
     gets a static `link<n>` unless it has a durable home already."""
     model = infer(model) if not model.inferred else model
     plans = _plan(model)
-    model = propagate_constants(model, plans)
+    model = propagate_constants(model)
     sched = schedule(model)
     states, rec = _init_states(model, sched, plans), _record(ctx)
     g, base, tracing = model.graph, model.base_id, ctx is not None
@@ -791,6 +771,7 @@ def _superblock(model: Model, ctx=None):
     for p in [*g.inputs.values(), *g.outputs.values()]:
         inouts_insert(io, "inouts{}".format(len(io.entries) + 1), mv.zeros(p.dtype, p.rows, p.cols))
     names = tuple(io.entries)
+    position = {name: k for k, name in enumerate(names)}  # a port's parameter position
     feeds = [(name, g.feeds[k]) for k, name in zip(g.inputs, names)]
     out_name = dict(zip(g.outputs, names[len(g.inputs):]))
     # no block writes a port fed by a folded constant or straight from an
@@ -815,8 +796,9 @@ def _superblock(model: Model, ctx=None):
         if ports:
             for k in ports:
                 inouts_insert(io, out_name[k], value)
-            return io.entries[out_name[ports[0]]]
-        if link.id in region_out_links or link.id in durable_links and value.sym \
+            if value.sym or link.id in region_out_links:  # else a number stays one
+                return io.entries[out_name[ports[0]]]
+        elif link.id in region_out_links or link.id in durable_links and value.sym \
                 and value.name not in io.entries and value.name not in ctx.statics:
             sname = "link{}".format(base * 10 + link.id)
             if sname not in ctx.statics:
@@ -838,16 +820,24 @@ def _superblock(model: Model, ctx=None):
 
     def region(r: RegionSpec, fids):
         cond, orders = linkvals[g.ins[r.ifthenelse][0]], sched.branches[r.ifthenelse]
+        sel, targets = plans[r.select], []
         for branch in (1, 2) if tracing else (1 if cond.value.data[0] > 0 else 2,):
             if tracing:
-                ctx.push_function(fids[branch - 1], io)
+                # a branch function takes the ports its blocks read or its select writes
+                reads = [sel.ins[branch - 1], *(l for b in orders[branch - 1] for l in plans[b].ins)]
+                used = {linkvals[l].name for l in reads if l in linkvals} & position.keys()
+                used.update(out_name[k] for _, _, ports in sel.routes for k in ports)
+                branch_io = IoSeq(ctx)
+                branch_io.entries = {n: io.entries[n] for n in sorted(used, key=position.get)}
+                ctx.push_function(fids[branch - 1], branch_io)
+                targets.append(CallTarget(fids[branch - 1], tuple(branch_io.entries)))
             for bid in orders[branch - 1]:
                 run(plans[bid])
-            run(plans[r.select], (), branch)
+            run(sel, (), branch)
             if tracing:
                 ctx.pop_function(fids[branch - 1])
         if tracing:
-            if_cos(ctx, cond, *(CallTarget(fid, names) for fid in fids))
+            if_cos(ctx, cond, *targets)
 
     # per output-order node: (its plan, its states) or, for a region,
     # (None, (the region, its branch functions' names))

@@ -13,6 +13,40 @@ def load_model_text(name):
     return (FIXTURES / name).read_text()
 
 
+# one copy of the coding fixture, its ids and ports left to format
+_CODING_COPY = """input {i} i32 1 1
+output {o} i32 1 1
+output {p} i32 1 1
+block {b1} unit_delay init=i32[1x1](0)
+block {b2} relational_op op=ne
+block {b3} unit_delay init=i32[1x1](0)
+block {b4} ifthenelse
+block {b5} const value=i32[1x1](0)
+block {b6} select
+block {b7} summation signs=f64[1x2](1 1)
+block {b8} const value=i32[1x1](1)
+link {b1} in:{i} -> {b1}.1, {b2}.1
+link {b2} {b1}.1 -> {b2}.2
+link {b3} {b2}.1 -> out:{p}, {b4}.1
+link {b5} {b3}.1 -> out:{o}, {b6}.2
+link {b7} {b5}.1 -> {b6}.1
+link {b6} {b6}.1 -> {b7}.1
+link {b9} {b8}.1 -> {b7}.2
+link {b8} {b7}.1 -> {b3}.1
+region {b4} then=[{b5}] else=[] select={b6}
+"""
+
+
+def coding_copies(n):
+    """A model of n independent copies of the coding fixture, so n regions:
+    copy k adds 10k to each block and link id, reads input k + 1 and writes
+    outputs 2k + 1 and 2k + 2. One copy is the fixture itself."""
+    return "model 1004\n" + "".join(
+        _CODING_COPY.format(i=k + 1, o=2 * k + 1, p=2 * k + 2,
+                            **{"b{}".format(j): 10 * k + j for j in range(1, 10)})
+        for k in range(n))
+
+
 def random_matvalue(rng: random.Random, dtype, rows, cols):
     data = []
     for _ in range(rows * cols):

@@ -27,13 +27,13 @@ void initialize1004(){
   link10048=tmp_10;
 }
 
-void updateOutput10041(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
+void updateOutput10041(){
   /* Selct block starts*/
   /* Selct block ends*/
   link10046=0;
 }
 
-void updateOutput10042(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
+void updateOutput10042(int32_t *inouts2){
   /* Selct block starts*/
   /* Selct block ends*/
   link10046=*inouts2;
@@ -49,9 +49,9 @@ void updateOutput10043(int32_t *inouts1,int32_t *inouts2,int32_t *inouts3){
   *inouts2=z_10042;
   tmp_5=(*inouts3>0);
   if (tmp_5) {
-    updateOutput10041(inouts1,inouts2,inouts3);
+    updateOutput10041();
   } else {
-    updateOutput10042(inouts1,inouts2,inouts3);
+    updateOutput10042(inouts2);
   }
   /* Sum block begins with 2 inputs.*/
   link10048=((int32_t)((uint32_t)link10046+(uint32_t)1));

@@ -178,6 +178,71 @@ def test_compiled_constant_fed_ports(tmp_path):
     _roundtrip(tmp_path, model, [[]] * STEPS)
 
 
+# every built-in stateless kind fed only by the constants 1.5 and -4, which
+# the driver runs and partial evaluation computes: a gain (out:1), a
+# summation (out:2), a mux of all three (out:3) and a relational_op (out:4)
+# whose condition picks the region's branch, gain 9 on the input or the
+# input itself (out:5)
+CONST_FED_MODEL = """model 98
+input 1 f64 1 1
+output 1 f64 1 1
+output 2 f64 1 1
+output 3 f64 3 1
+output 4 bool 1 1
+output 5 f64 1 1
+block 1 const value=f64[1x1](1.5)
+block 2 const value=f64[1x1](-4)
+block 3 gain gain=f64[1x1](2)
+block 4 summation signs=f64[1x2](1 -1)
+block 5 mux
+block 6 relational_op op={op}
+block 7 ifthenelse
+block 8 select
+block 9 gain gain=f64[1x1](3)
+link 1 1.1 -> 3.1, 4.1, 5.1, 6.1
+link 2 2.1 -> 4.2, 6.2
+link 3 3.1 -> 5.2, out:1
+link 4 4.1 -> 5.3, out:2
+link 5 5.1 -> out:3
+link 6 6.1 -> 7.1, out:4
+link 7 in:1 -> 9.1, 8.2
+link 8 9.1 -> 8.1
+link 9 8.1 -> out:5
+region 7 then=[9] else=[] select=8
+"""
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+@pytest.mark.parametrize("op,taken", [("gt", 3.0), ("lt", 1.0)])
+def test_compiled_constant_fed_blocks(tmp_path, opt, op, taken):
+    """simulate, the interpreter and the C agree on blocks fed only by
+    constants, and the condition they compute calls one branch."""
+    text = CONST_FED_MODEL.format(op=op)
+    inputs = _inputs_for(bg.parse_model(text), 20, 14)
+    compiled = _roundtrip(tmp_path, bg.parse_model(text), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(text), inputs, len(inputs))
+    assert [[list(v.data) for v in row] for row in simulated] == compiled
+    for row, crow in zip(inputs, compiled):
+        assert crow[:4] == [[3.0], [5.5], [1.5, 3.0, 5.5], [int(op == "gt")]]
+        assert crow[4] == [taken * row[0].data[0]]
+    assert "if (" not in bg.generate(bg.parse_model(text)).text.split("/* End")[0]
+
+
+@pytest.mark.parametrize("opt", ["-O0", "-O2"])
+def test_compiled_branch_functions_take_their_ports(tmp_path, opt):
+    """A branch gain reads the input port, and the select writes the output
+    port: the then-branch function takes both ports, the else-branch
+    function only the output it writes, and all three executions agree."""
+    from test_model import BRANCH_CHAIN_MODEL
+    text = bg.generate(bg.parse_model(BRANCH_CHAIN_MODEL)).text
+    assert "void updateOutput70001(int32_t *inouts1,int32_t *inouts2){" in text
+    assert "void updateOutput70002(int32_t *inouts2){" in text
+    inputs = _inputs_for(bg.parse_model(BRANCH_CHAIN_MODEL), STEPS, 15)
+    compiled = _roundtrip(tmp_path, bg.parse_model(BRANCH_CHAIN_MODEL), inputs, opt)
+    simulated = bg.simulate(bg.parse_model(BRANCH_CHAIN_MODEL), inputs, STEPS)
+    assert [[list(v.data) for v in row] for row in simulated] == compiled
+
+
 def test_compiled_input_fed_ports(tmp_path):
     from test_model import ECHO_PORT_MODEL
     model = bg.parse_model(ECHO_PORT_MODEL)

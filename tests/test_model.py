@@ -15,14 +15,14 @@ from blockgen import matval as mv
 from blockgen.blocks import FlagPurityError
 from blockgen.matval import BOOL, F64, I32
 from blockgen.irinterp import InterpError, Machine
-from blockgen.trace import TraceError
+from blockgen.trace import Annot, Num, TraceError
 from blockgen import model as md
 from blockgen.model import (
     AlgebraicLoop, Conflict, ParseError, Undetermined, parse_model,
     propagate_constants, schedule, simulate,
 )
 
-from conftest import assert_close, load_model_text, random_matvalue
+from conftest import assert_close, coding_copies, load_model_text, random_matvalue
 
 
 def twodelays():
@@ -584,8 +584,7 @@ link 3 2.1 -> out:1
 # constant propagation
 
 
-def test_constant_chain_folds():
-    text = """
+CONSTANT_CHAIN_MODEL = """
 model 1
 output 1 f64 1 1
 block 1 const value=f64[1x1](3)
@@ -599,11 +598,36 @@ link 3 in:1 -> 3.1
 link 4 3.1 -> 4.2
 link 5 4.1 -> out:1
 """
-    m = propagate_constants(md.infer(parse_model(text)))
+
+
+def test_constants_bind_const_blocks_only():
+    m = propagate_constants(md.infer(parse_model(CONSTANT_CHAIN_MODEL)))
+    assert [l.id for l in m.links.values() if l.const_value is not None] == [1]
     assert m.links[1].const_value.scalar() == 3.0
-    assert m.links[2].const_value.scalar() == 6.0  # folded through the gain
-    assert m.links[4].const_value is None  # delay output never folds
-    assert {1, 2} <= m.folded_blocks
+    assert m.folded_blocks == {1}
+
+
+def test_a_constant_fed_block_is_partially_evaluated(monkeypatch):
+    # the gain on the constant runs in the driver's schedule: its output is
+    # a number, and it records nothing between its annotations
+    outputs, run_block = {}, md._run_block
+
+    def recording(rec, plan, flag, *args):
+        slots = run_block(rec, plan, flag, *args)
+        if flag == blocks.OUTPUT:
+            outputs[plan.block.id] = [slots[k] for k, _, _ in plan.routes]
+        return slots
+
+    monkeypatch.setattr(md, "_run_block", recording)
+    result = bg.generate(parse_model(CONSTANT_CHAIN_MODEL), optimize=False)
+    [gained] = outputs[2]
+    assert type(gained) is Num and gained.value.data == (6.0,)
+    body = result.program.function("updateOutput11").body
+    begins = body.index(Annot("Gain block begins."))
+    assert body[begins + 1] == Annot("Gain block ends.")
+    inputs = [[x] for x in (1.0, -2.5, 4.0)]
+    assert [row[0].data for row in simulate(parse_model(CONSTANT_CHAIN_MODEL), inputs, 3)] == \
+        [(6.0,), (7.0,), (3.5,)]
 
 
 def test_constant_links_produce_no_statics():
@@ -1376,8 +1400,8 @@ def test_vector_links_matrix_gain_equivalence():
     _equivalence(model, inputs, 20, exact=False)
 
 
-# folded blocks never run, so no block writes the ports their constants
-# feed: 3.5 * 2 and a constant 2x1 vector
+# const blocks never run, so no block writes out:2, which a constant 2x1
+# vector feeds; the gain on a constant runs and writes out:1 as 3.5 * 2
 CONST_PORT_MODEL = """
 model 7
 output 1 f64 1 1
@@ -1689,8 +1713,9 @@ region 3 then=[5, 6] else=[] select=4
 
 
 def test_region_with_constant_condition_partial_evaluates():
-    # both const inputs fold through the relational block, so the condition
-    # is known at generation time: one unconditional branch call, no if
+    # the relational block runs on its two const inputs and computes the
+    # condition as a number, so it is known at generation time: one
+    # unconditional branch call, no if
     text = """
 model 6000
 input 1 i32 1 1
@@ -1737,6 +1762,26 @@ def test_generate_coding_branch_bodies():
     else_branch = re.search(
         r"void updateOutput10042\([^)]*\)\{(.*?)\n\}", text, re.S).group(1)
     assert "link10046=*inouts2;" in else_branch
+
+
+def test_one_coding_copy_is_the_fixture():
+    assert bg.generate(parse_model(coding_copies(1))).text == bg.generate(coding()).text
+
+
+@pytest.mark.parametrize("copies", [4, 16])
+def test_branch_functions_take_only_their_ports(tmp_path, capsys, copies):
+    # a branch takes only ports of its own copy, so at most two of them,
+    # however many ports the model has
+    from blockgen.cli import main
+    program = bg.generate(parse_model(coding_copies(copies))).program
+    branches = [f for f in program.functions
+                if f.name.startswith("updateOutput") and f.name != program.meta["update_output"]]
+    assert len(branches) == 2 * copies
+    assert max(len(f.params) for f in branches) <= 2
+    path = tmp_path / "copies.model"
+    path.write_text(coding_copies(copies))
+    assert main(["validate", str(path), "--steps", "20", "--seed", "3"]) == 0
+    assert "agree" in capsys.readouterr().out
 
 
 def test_a_behaviors_matrix_error_names_its_block():
